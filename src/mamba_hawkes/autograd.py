@@ -9,7 +9,6 @@ after backward.
 
 from __future__ import annotations
 
-import itertools
 from contextlib import contextmanager
 
 import numpy as np
@@ -28,7 +27,6 @@ class GraphError(RuntimeError):
 
 
 _grad_enabled = True
-_node_counter = itertools.count()
 
 
 @contextmanager
@@ -50,16 +48,14 @@ class Tensor:
         data: contiguous float64 ndarray (row-major).
         grad: same-shape gradient buffer, or None before any backward pass.
         requires_grad: whether gradients flow to this tensor.
-        node_id: creation-ordered identity within the process.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self.node_id = next(_node_counter)
         # graph edges only exist on tracked outputs; leaves stay parent-free
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward
@@ -359,20 +355,38 @@ def clamp(a, lo, hi):
 _EXPM1_SERIES_CUTOFF = 1e-4
 
 
+def expm1_over_x_parts(x, exp_x=None):
+    """phi(x) = (exp(x) - 1) / x and, given exp_x = exp(x), its derivative.
+
+    Plain numpy on arrays. Both switch to a Taylor series for |x| < 1e-4,
+    where the closed forms cancel. phi'(x) = (exp(x) - phi(x)) / x; it is
+    returned as None when exp_x is None, so a caller that needs no gradient
+    pays nothing for it.
+    """
+    phi = np.abs(x, out=np.empty_like(x))   # an array even when 0-d
+    small = phi < _EXPM1_SERIES_CUTOFF
+    xs = x[small]
+    safe = np.where(small, 1.0, x) if xs.size else x
+    np.expm1(safe, out=phi)
+    phi /= safe
+    phi[small] = 1.0 + xs / 2.0 + xs * xs / 6.0
+    if exp_x is None:
+        return phi, None
+    slope = np.subtract(exp_x, phi, out=np.empty_like(phi))
+    slope /= safe
+    slope[small] = 0.5 + xs / 3.0 + xs * xs / 8.0
+    return phi, slope
+
+
 def expm1_over_x(a):
     """(exp(x) - 1) / x, evaluated by series for |x| < 1e-4 to avoid cancellation."""
     a = as_tensor(a)
-    x = a.data
-    small = np.abs(x) < _EXPM1_SERIES_CUTOFF
-    val = np.where(small, 1.0 + x / 2.0 + x * x / 6.0,
-                   np.expm1(np.where(small, 1.0, x)) / np.where(small, 1.0, x))
-    out = Tensor(val, _track(a), (a,))
+    track = _track(a)
+    val, slope = expm1_over_x_parts(a.data, np.exp(a.data) if track else None)
+    out = Tensor(val, track, (a,))
     if out.requires_grad:
         def _bw():
-            safe = np.where(small, 1.0, x)
-            d = np.where(small, 0.5 + x / 3.0 + x * x / 8.0,
-                         (safe * np.exp(safe) - np.expm1(safe)) / (safe * safe))
-            a.grad += out.grad * d
+            a.grad += out.grad * slope
         out._backward = _bw
     return out
 

@@ -9,6 +9,7 @@ repr, so a save/load/save cycle is bit-exact at 64-bit precision.
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 
@@ -46,9 +47,20 @@ def checkpoint_payload(model, meta=None):
 
 
 def save_checkpoint(model, path, meta=None):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(checkpoint_payload(model, meta), fh)
-        fh.write("\n")
+    """Write the checkpoint to a temporary file beside `path`, then rename it
+    over `path`, so an exception or a killed process never leaves a
+    half-written checkpoint behind."""
+    text = json.dumps(checkpoint_payload(model, meta))  # C encoder; same bytes as json.dump
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

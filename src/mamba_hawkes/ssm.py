@@ -63,6 +63,12 @@ def selective_scan(x, delta, a, b, c, skip=None):
     Returns:
         [L, D] outputs y_i = c_i . z_i (+ skip * x_i), differentiable in
         every argument.
+
+    The whole scan is one graph node. Its backward is the adjoint
+    recurrence G_i = c_i * gy_i + abar_{i+1} * G_{i+1}, where G_i is the
+    gradient reaching state z_i. For it the node keeps four [L, D, N]
+    arrays: abar, the zero-order-hold factor phi and its derivative, and
+    the states zs. Under no_grad it keeps none of them.
     """
     x, delta = ag.as_tensor(x), ag.as_tensor(delta)
     a, b, c = ag.as_tensor(a), ag.as_tensor(b), ag.as_tensor(c)
@@ -70,6 +76,8 @@ def selective_scan(x, delta, a, b, c, skip=None):
         raise ag.ShapeError(f"selective_scan: x must be [L, D], got {x.shape}")
     L, D = x.shape
     N = a.shape[-1]
+    if L < 1:
+        raise ag.ShapeError(f"selective_scan: empty input {x.shape}")
     if delta.shape != (L,):
         raise ag.ShapeError(
             f"selective_scan: length mismatch between x {x.shape} and delta {delta.shape}"
@@ -78,29 +86,76 @@ def selective_scan(x, delta, a, b, c, skip=None):
         raise ag.ShapeError(
             f"selective_scan: b/c must be [L, N]={L, N}, got {b.shape} and {c.shape}"
         )
+    try:
+        av = np.broadcast_to(a.data, (D, N))
+    except ValueError:
+        raise ag.ShapeError(f"selective_scan: a must be [D, N]={D, N}, got {a.shape}") from None
     if np.any(delta.data <= 0.0):
         raise ag.DomainError(
             f"selective_scan: non-positive step size (min={delta.data.min()!r})"
         )
-
-    # Discretize all steps at once; bbar is kept fused with x so the per-step
-    # work is a single multiply-add on [D, N].
-    d3 = ag.reshape(delta, (L, 1, 1))
-    u = ag.mul(d3, a)                                   # [L, D, N]
-    abar = ag.exp(u)
-    bbar_x = ag.mul(ag.mul(ag.mul(d3, ag.expm1_over_x(u)), ag.reshape(b, (L, 1, N))),
-                    ag.reshape(x, (L, D, 1)))           # [L, D, N]
-
-    z = Tensor(np.zeros((D, N)))
-    states = []
-    for i in range(L):
-        z = ag.add(ag.mul(abar[i], z), bbar_x[i])
-        states.append(ag.reshape(z, (1, D, N)))
-    zs = states[0] if L == 1 else ag.concat(states, axis=0)
-    y = ag.reduce_sum(ag.mul(zs, ag.reshape(c, (L, 1, N))), axis=2)
     if skip is not None:
-        y = ag.add(y, ag.mul(ag.as_tensor(skip), x))
-    return y
+        skip = ag.as_tensor(skip)
+    parents = (x, delta, a, b, c) + (() if skip is None else (skip,))
+    track = ag._track(*parents)
+
+    # Discretize every step at once: abar = exp(u), bbar = delta * phi(u) * b
+    # with u = delta * a and phi(u) = (e^u - 1) / u.
+    xv, dv, bv, cv = x.data, delta.data, b.data, c.data
+    d3 = dv[:, None, None]
+    u = d3 * av                                         # [L, D, N]
+    abar = np.exp(u)
+    phi, slope = ag.expm1_over_x_parts(u, abar if track else None)
+    # bbar_i * x_i, written over u (over phi when no backward needs phi), then
+    # the recurrence in place: zs[i] becomes z_i
+    zs = np.multiply(phi, d3, out=u if track else phi)
+    del u
+    zs *= bv[:, None, :]
+    zs *= xv[:, :, None]
+    for i in range(1, L):
+        zs[i] += abar[i] * zs[i - 1]
+    y = np.matmul(zs, cv[:, :, None])[:, :, 0]
+    if skip is not None:
+        y = y + skip.data * xv
+    out = Tensor(y, track, parents)
+    if not track:
+        return out
+
+    def _bw():
+        gy = out.grad
+        # adjoint recurrence, run in place: G[i] is d(loss)/d(z_i)
+        G = gy[:, :, None] * cv[:, None, :]
+        for i in range(L - 2, -1, -1):
+            G[i] += abar[i + 1] * G[i + 1]
+        if c.requires_grad:
+            c.grad += np.matmul(gy[:, None, :], zs)[:, 0, :]
+        work = G * phi
+        Gphi_b = np.matmul(work, bv[:, :, None])[:, :, 0]    # [L, D]
+        if x.requires_grad:
+            x.grad += dv[:, None] * Gphi_b
+        if b.requires_grad:
+            b.grad += dv[:, None] * np.matmul(xv[:, None, :], work)[:, 0, :]
+        if a.requires_grad or delta.requires_grad:
+            # d(loss)/du through bbar = delta * phi(u) * b and through abar = exp(u),
+            # built in the spent buffers work and G
+            du = np.multiply(slope, d3, out=work)
+            du *= bv[:, None, :]
+            du *= xv[:, :, None]
+            du *= G
+            G[1:] *= abar[1:]
+            G[1:] *= zs[:-1]
+            du[1:] += G[1:]
+            if a.requires_grad:
+                a.grad += ag._sum_to(np.tensordot(dv, du, axes=1), a.shape)
+            if delta.requires_grad:
+                delta.grad += du.reshape(L, -1) @ av.reshape(-1) + (xv * Gphi_b).sum(axis=1)
+        if skip is not None:
+            if x.requires_grad:
+                x.grad += skip.data * gy
+            if skip.requires_grad:
+                skip.grad += ag._sum_to(gy * xv, skip.shape)
+    out._backward = _bw
+    return out
 
 
 def gated_decay_reference(timestamps, x):

@@ -36,7 +36,8 @@ _HYBRID_FIELDS = ("mamba_layers", "attn_blocks", "n_heads", "ff_width")
 
 
 class NumericsError(RuntimeError):
-    """Training hit a non-finite loss; carries the offending epoch/batch."""
+    """Training hit a non-finite loss or gradient; carries the offending
+    epoch/batch when known."""
 
     def __init__(self, message, epoch=None, batch_index=None):
         super().__init__(message)
@@ -152,17 +153,19 @@ class Adam:
 def clip_gradients(params, max_norm):
     """Scale all gradients by a common factor so the global norm is <= max_norm.
 
-    A uniform positive scale cannot change the gradient direction; that is
-    asserted on the computed factor each step.
+    A uniform positive scale cannot change the gradient direction. A
+    non-finite norm has no such scale and raises NumericsError.
     """
+    if not max_norm > 0.0:
+        raise ValueError(f"clip norm must be positive, got {max_norm}")
     sq = 0.0
     for p in params:
         if p.grad is not None:
             sq += float(np.sum(p.grad * p.grad))
     norm = float(np.sqrt(sq))
+    if not np.isfinite(norm):
+        raise NumericsError(f"non-finite gradient norm {norm}")
     factor = 1.0 if norm <= max_norm else max_norm / norm
-    assert 0.0 < factor <= 1.0 and np.isfinite(factor), \
-        f"gradient clip factor must be a positive scale, got {factor}"
     if factor < 1.0:
         for p in params:
             if p.grad is not None:
@@ -366,7 +369,11 @@ def train(cfg):
                     f"non-finite loss at epoch {epoch}, batch {bi}",
                     epoch=epoch, batch_index=bi)
             ag.backward(mean_total)
-            clip_gradients(params, cfg.clip_norm)
+            try:
+                clip_gradients(params, cfg.clip_norm)
+            except NumericsError as e:
+                raise NumericsError(f"{e} at epoch {epoch}, batch {bi}",
+                                    epoch=epoch, batch_index=bi) from None
             opt.step()
             epoch_ll += ll_value
             epoch_events += n_events

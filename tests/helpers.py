@@ -1,4 +1,5 @@
-"""Shared test utilities: finite-difference oracles and error metrics."""
+"""Shared test utilities: finite-difference oracles, error metrics and a
+composed-op reference for the fused selective scan."""
 
 import numpy as np
 
@@ -89,3 +90,31 @@ def global_grad_rel_err(analytic, fd):
     a = np.concatenate([v.reshape(-1) for v in analytic.values()])
     f = np.concatenate([v.reshape(-1) for v in fd.values()])
     return rel_err(a, f)
+
+
+def composed_scan(x, delta, a, b, c, skip=None):
+    """selective_scan built from elementwise autograd ops, one step at a time.
+
+    Records about three graph nodes per step; its gradients come from the
+    generic ops' backward rules, so it is an oracle for the fused scan's
+    hand-written adjoint.
+    """
+    x, delta = ag.as_tensor(x), ag.as_tensor(delta)
+    a, b, c = ag.as_tensor(a), ag.as_tensor(b), ag.as_tensor(c)
+    L, D = x.shape
+    N = a.shape[-1]
+    d3 = ag.reshape(delta, (L, 1, 1))
+    u = ag.mul(d3, a)                                   # [L, D, N]
+    abar = ag.exp(u)
+    bbar_x = ag.mul(ag.mul(ag.mul(d3, ag.expm1_over_x(u)), ag.reshape(b, (L, 1, N))),
+                    ag.reshape(x, (L, D, 1)))           # [L, D, N]
+    z = ag.Tensor(np.zeros((D, N)))
+    states = []
+    for i in range(L):
+        z = ag.add(ag.mul(abar[i], z), bbar_x[i])
+        states.append(ag.reshape(z, (1, D, N)))
+    zs = ag.concat(states, axis=0)
+    y = ag.reduce_sum(ag.mul(zs, ag.reshape(c, (L, 1, N))), axis=2)
+    if skip is not None:
+        y = ag.add(y, ag.mul(ag.as_tensor(skip), x))
+    return y

@@ -338,6 +338,10 @@ def test_expm1_over_x_series_branch_continuity():
         vals = ag.expm1_over_x(Tensor(u)).data
         exact = np.expm1(u) / u
         assert np.max(np.abs(vals / exact - 1.0)) < 1e-10
+        x = Parameter(u, "x")
+        ag.backward(ag.reduce_sum(ag.expm1_over_x(x)))
+        exact_slope = (u * np.exp(u) - np.expm1(u)) / (u * u)
+        assert np.max(np.abs(x.grad / exact_slope - 1.0)) < 1e-8
 
 
 def test_parameter_is_leaf_and_named():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import check_param_grads
+from helpers import check_param_grads, composed_scan, rel_err
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.autograd import DomainError, Parameter, ShapeError, Tensor
+from mamba_hawkes.data import EventSequence
+from mamba_hawkes.model import MambaHawkes, MhpConfig
 from mamba_hawkes.ssm import (MambaBlock, SsmCore, discretize,
                               gated_decay_reference, selective_scan)
 
@@ -96,7 +98,7 @@ def test_scan_single_step_base_case():
 
 def test_scan_matches_naive_loop():
     rng = np.random.default_rng(2)
-    for L, D, N in [(6, 3, 2), (1, 2, 4), (25, 5, 3)]:
+    for L, D, N in [(6, 3, 2), (1, 2, 4), (25, 5, 3), (512, 4, 8)]:
         x = rng.normal(size=(L, D))
         delta = rng.uniform(0.05, 2.0, size=L)
         delta[0] = 1e-6  # exercise the series branch
@@ -106,7 +108,7 @@ def test_scan_matches_naive_loop():
         skip = rng.normal(size=D)
         y = selective_scan(Tensor(x), Tensor(delta), Tensor(a), Tensor(b),
                            Tensor(c), Tensor(skip)).data
-        np.testing.assert_allclose(y, naive_scan(x, delta, a, b, c, skip), atol=1e-12)
+        np.testing.assert_allclose(y, naive_scan(x, delta, a, b, c, skip), rtol=0, atol=1e-12)
 
 
 def test_scan_length_mismatch_error():
@@ -137,6 +139,38 @@ def test_scan_gradients_match_fd():
         lambda: ag.reduce_sum(ag.mul(selective_scan(x, delta, a, b, c, skip), w)),
         [x, delta, a, b, c, skip])
     assert max(errs.values()) < 1e-4, errs
+
+
+@pytest.mark.parametrize("L,D,N", [(1, 2, 3), (7, 3, 2), (64, 8, 16)])
+def test_scan_gradients_match_composed_oracle(L, D, N):
+    # the hand-written adjoint against the generic ops' backward rules
+    rng = np.random.default_rng(L)
+    delta = rng.uniform(0.05, 2.0, size=L)
+    delta[L // 2] = 1e-6
+    a = -np.exp(rng.normal(size=(D, N)))
+    assert np.all(np.abs(delta[L // 2] * a) < 1e-4)  # one step in the series branch
+    values = dict(x=rng.normal(size=(L, D)), delta=delta, a=a,
+                  b=rng.normal(size=(L, N)), c=rng.normal(size=(L, N)),
+                  skip=rng.normal(size=D))
+    w = rng.normal(size=(L, D))
+    grads = []
+    for scan in (selective_scan, composed_scan):
+        params = {k: Parameter(v.copy(), k) for k, v in values.items()}
+        ag.backward(ag.reduce_sum(ag.mul(scan(**params), w)))
+        grads.append({k: p.grad for k, p in params.items()})
+    fused, composed = grads
+    for k in values:
+        assert rel_err(fused[k], composed[k]) < 1e-10, k
+
+
+def test_scan_is_one_graph_node_per_layer():
+    # guard on graph size: the default model's whole loss graph on one sequence
+    rng = np.random.default_rng(12)
+    model = MambaHawkes(MhpConfig(K=5), seed=0)
+    seq = EventSequence(np.cumsum(rng.exponential(1.0, size=30)),
+                        rng.integers(1, 6, size=30), 5)
+    nodes = ag.topo_order(model.losses(seq).total)
+    assert len(nodes) < 200, len(nodes)
 
 
 def test_stability_abar_in_unit_interval_and_contraction():

@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+import mamba_hawkes.checkpoint as ckpt_mod
 import mamba_hawkes.training as train_mod
+from mamba_hawkes import autograd as ag
 from mamba_hawkes.autograd import Parameter
 from mamba_hawkes.checkpoint import (build_model, checkpoint_payload,
                                      load_checkpoint, save_checkpoint)
@@ -72,6 +74,31 @@ def test_clip_scales_norm_only():
     norm2, factor2 = clip_gradients([a, b], max_norm=100.0)
     assert factor2 == 1.0
     np.testing.assert_array_equal(np.concatenate([a.grad, b.grad]), post)
+
+
+def test_clip_rejects_nonfinite_gradient():
+    a = Parameter(np.array([3.0, 4.0]), "a")
+    b = Parameter(np.array([12.0]), "b")
+    a.grad = a.data.copy()
+    b.grad = np.array([np.nan])
+    with pytest.raises(NumericsError, match="non-finite gradient norm"):
+        clip_gradients([a, b], max_norm=6.5)
+    np.testing.assert_array_equal(a.grad, [3.0, 4.0])  # nothing scaled
+
+
+def test_train_nonfinite_gradient_names_batch(tmp_path, monkeypatch):
+    write_benchmark(tmp_path / "data", seed=5, n_train=6, n_dev=2, n_test=0)
+    backward = ag.backward
+
+    def poisoned_backward(loss, free_graph=True):
+        leaf = next(n for n in ag.topo_order(loss) if isinstance(n, Parameter))
+        backward(loss, free_graph=free_graph)
+        leaf.grad.flat[0] = np.nan
+
+    monkeypatch.setattr(ag, "backward", poisoned_backward)
+    with pytest.raises(NumericsError, match="gradient norm nan at epoch 1, batch 0") as exc:
+        train(desk_config(tmp_path / "data", tmp_path / "out"))
+    assert exc.value.epoch == 1 and exc.value.batch_index == 0
 
 
 # -- evaluation --------------------------------------------------------------
@@ -272,3 +299,45 @@ def test_checkpoint_rejects_mismatched_params(tmp_path):
     from mamba_hawkes.data import DataError
     with pytest.raises(DataError, match="missing"):
         load_checkpoint(path)
+
+
+def test_checkpoint_bytes_match_json_dump(tmp_path):
+    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=2, K=3,
+                              mc_samples=10), seed=3)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(m, path, meta={"best_epoch": 2, "dev_ll_per_event": -1.25})
+    ref = tmp_path / "ref.json"
+    with open(ref, "w", encoding="utf-8") as fh:
+        json.dump(checkpoint_payload(m, {"best_epoch": 2, "dev_ll_per_event": -1.25}), fh)
+        fh.write("\n")
+    assert path.read_bytes() == ref.read_bytes()
+
+
+def test_checkpoint_failed_write_keeps_previous(tmp_path, monkeypatch):
+    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=3,
+                              mc_samples=10), seed=4)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(m, path, meta={"best_epoch": 1})
+    before = path.read_bytes()
+
+    class DiskFull:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[:len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(ckpt_mod, "open", lambda *a, **k: DiskFull(open(*a, **k)),
+                        raising=False)
+    m.embedding.data = m.embedding.data + 1.0
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(m, path, meta={"best_epoch": 2})
+    assert path.read_bytes() == before
+    assert sorted(os.listdir(tmp_path)) == ["ckpt.json"]
