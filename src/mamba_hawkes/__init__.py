@@ -12,8 +12,7 @@ from .data import (Batch, DataError, Dataset, EventSequence, ExplosionError,
 from .hybrid import AttentionBlock, MambaHawkesHybrid, MhpEConfig
 from .model import (LossBreakdown, MambaHawkes, MhpConfig, PredictionResult,
                     raw_event_deltas, sequence_seed, transform_deltas)
-from .ssm import (MambaBlock, SsmCore, discretize, gated_decay_reference,
-                  selective_scan)
+from .ssm import MambaBlock, SsmCore, selective_scan
 from .training import (Adam, Metrics, NumericsError, TrainConfig, TrainResult,
                     clip_gradients, evaluate, fit_poisson_baseline,
                     poisson_ll_per_event, poisson_log_likelihood, train)
@@ -26,8 +25,8 @@ __all__ = [
     "MambaHawkes", "MambaHawkesHybrid", "Metrics", "MhpConfig", "MhpEConfig",
     "NumericsError", "Parameter", "PredictionResult", "RetryExhaustedError",
     "SsmCore", "Tensor", "TrainConfig", "TrainResult", "autograd", "batch",
-    "benchmark_generator_config", "build_model", "clip_gradients", "discretize",
-    "evaluate", "fit_poisson_baseline", "gated_decay_reference", "load_checkpoint",
+    "benchmark_generator_config", "build_model", "clip_gradients",
+    "evaluate", "fit_poisson_baseline", "load_checkpoint",
     "load_jsonl", "make_synthetic_benchmark", "no_grad", "poisson_ll_per_event",
     "poisson_log_likelihood", "raw_event_deltas", "save_checkpoint", "save_jsonl",
     "selective_scan", "sequence_seed", "simulate_hawkes", "train",

@@ -75,25 +75,11 @@ class Tensor:
     def item(self):
         return float(self.data)
 
-    def detach(self):
-        return Tensor(self.data)
-
     def zero_grad(self):
         self.grad = None
 
     def backward(self, free_graph=True):
         backward(self, free_graph=free_graph)
-
-    def sum(self, axis=None, keepdims=False):
-        return reduce_sum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return reduce_mean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -101,36 +87,6 @@ class Tensor:
 
     def __len__(self):
         return len(self.data)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, key):
         return take_slice(self, key)
@@ -293,17 +249,6 @@ def _sigmoid(x):
     return out
 
 
-def sigmoid(a):
-    a = as_tensor(a)
-    s = _sigmoid(a.data)
-    out = Tensor(s, _track(a), (a,))
-    if out.requires_grad:
-        def _bw():
-            a.grad += out.grad * s * (1.0 - s)
-        out._backward = _bw
-    return out
-
-
 def silu(a):
     a = as_tensor(a)
     s = _sigmoid(a.data)
@@ -340,18 +285,6 @@ def softplus(a, beta=1.0):
     return out
 
 
-def clamp(a, lo, hi):
-    """Clip to [lo, hi]; gradient passes through inside the interval, zero outside."""
-    a = as_tensor(a)
-    out = Tensor(np.clip(a.data, lo, hi), _track(a), (a,))
-    if out.requires_grad:
-        mask = (a.data >= lo) & (a.data <= hi)
-        def _bw():
-            a.grad += out.grad * mask
-        out._backward = _bw
-    return out
-
-
 _EXPM1_SERIES_CUTOFF = 1e-4
 
 
@@ -376,19 +309,6 @@ def expm1_over_x_parts(x, exp_x=None):
     slope /= safe
     slope[small] = 0.5 + xs / 3.0 + xs * xs / 8.0
     return phi, slope
-
-
-def expm1_over_x(a):
-    """(exp(x) - 1) / x, evaluated by series for |x| < 1e-4 to avoid cancellation."""
-    a = as_tensor(a)
-    track = _track(a)
-    val, slope = expm1_over_x_parts(a.data, np.exp(a.data) if track else None)
-    out = Tensor(val, track, (a,))
-    if out.requires_grad:
-        def _bw():
-            a.grad += out.grad * slope
-        out._backward = _bw
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -474,31 +394,6 @@ def reduce_mean(a, axis=None, keepdims=False):
             if axes is not None and not keepdims:
                 g = np.expand_dims(g, axes)
             a.grad += np.broadcast_to(g / n, a.shape)
-        out._backward = _bw
-    return out
-
-
-def reduce_max(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    axes = _check_axis(axis, a.ndim, "reduce_max")
-    if axes is not None and len(axes) != 1:
-        raise ShapeError("reduce_max supports a single axis or None")
-    ax = None if axes is None else axes[0]
-    out = Tensor(a.data.max(axis=ax, keepdims=keepdims), _track(a), (a,))
-    if out.requires_grad:
-        # route gradient to the first maximal element along the axis
-        if ax is None:
-            hot = np.zeros_like(a.data)
-            hot[np.unravel_index(np.argmax(a.data), a.shape)] = 1.0
-        else:
-            hot = np.zeros_like(a.data)
-            idx = np.argmax(a.data, axis=ax)
-            np.put_along_axis(hot, np.expand_dims(idx, ax), 1.0, axis=ax)
-        def _bw():
-            g = out.grad
-            if ax is not None and not keepdims:
-                g = np.expand_dims(g, ax)
-            a.grad += hot * g
         out._backward = _bw
     return out
 
@@ -603,21 +498,6 @@ def concat(tensors, axis=0):
                 if t.requires_grad:
                     key = (slice(None),) * ax + (slice(lo, hi),)
                     t.grad += out.grad[key]
-        out._backward = _bw
-    return out
-
-
-def pad(a, pad_width):
-    """Zero padding; pad_width follows numpy's ((before, after), ...) form."""
-    a = as_tensor(a)
-    pw = tuple((int(lo), int(hi)) for lo, hi in pad_width)
-    if len(pw) != a.ndim:
-        raise ShapeError(f"pad: got {len(pw)} pad pairs for ndim {a.ndim}")
-    out = Tensor(np.pad(a.data, pw), _track(a), (a,))
-    if out.requires_grad:
-        key = tuple(slice(lo, lo + n) for (lo, _), n in zip(pw, a.shape))
-        def _bw():
-            a.grad += out.grad[key]
         out._backward = _bw
     return out
 

@@ -25,11 +25,16 @@ _ARCHS = {
 }
 
 
-def build_model(arch, config_dict, seed=0):
+def config_class(arch):
+    """The model config dataclass of an arch tag."""
     if arch not in _ARCHS:
         raise ValueError(f"unknown arch {arch!r}; expected one of {sorted(_ARCHS)}")
-    cfg_cls, model_cls = _ARCHS[arch]
-    return model_cls(cfg_cls(**config_dict), seed=seed)
+    return _ARCHS[arch][0]
+
+
+def build_model(arch, config_dict, seed=0):
+    cfg = config_class(arch)(**config_dict)
+    return _ARCHS[arch][1](cfg, seed=seed)
 
 
 def checkpoint_payload(model, meta=None):
@@ -70,10 +75,15 @@ def load_checkpoint(path):
             payload = json.load(fh)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}: invalid checkpoint JSON ({e.msg})") from None
-    if payload.get("format") != FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT:
         raise DataError(f"{path}: not a {FORMAT} file")
-    model = build_model(payload["arch"], payload["config"])
-    stored = payload["params"]
+    config, stored = payload.get("config"), payload.get("params")
+    if not isinstance(config, dict) or not isinstance(stored, dict):
+        raise DataError(f"{path}: checkpoint needs 'config' and 'params' objects")
+    try:
+        model = build_model(payload.get("arch"), config)
+    except (TypeError, ValueError) as e:
+        raise DataError(f"{path}: invalid checkpoint config ({e})") from None
     expected = dict(model.named_parameters())
     missing = sorted(set(expected) - set(stored))
     extra = sorted(set(stored) - set(expected))
@@ -83,10 +93,14 @@ def load_checkpoint(path):
             f"(missing={missing[:3]}, unexpected={extra[:3]})")
     for name, p in expected.items():
         rec = stored[name]
-        arr = np.asarray(rec["data"], dtype=np.float64)
-        if list(p.shape) != list(rec["shape"]) or arr.size != p.size:
+        try:
+            arr = np.asarray(rec["data"], dtype=np.float64)
+            shape = list(rec["shape"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise DataError(f"{path}: invalid record for {name} ({e!r})") from None
+        if list(p.shape) != shape or arr.size != p.size:
             raise DataError(
-                f"{path}: shape mismatch for {name}: stored {rec['shape']}, "
+                f"{path}: shape mismatch for {name}: stored {shape}, "
                 f"model expects {list(p.shape)}")
         p.data = arr.reshape(p.shape)
     return model, payload.get("meta", {})

@@ -84,10 +84,6 @@ class Dataset:
     def __iter__(self):
         return iter(self.sequences)
 
-    @property
-    def n_events(self):
-        return sum(len(s) for s in self.sequences)
-
 
 # ---------------------------------------------------------------------------
 # synthetic Hawkes generation

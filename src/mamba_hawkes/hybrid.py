@@ -32,8 +32,8 @@ class MhpEConfig(MhpConfig):
         super().__post_init__()
         if self.mamba_layers < 1:
             raise ValueError("mamba_layers must be >= 1")
-        if self.attn_blocks < 0 or self.n_heads < 1:
-            raise ValueError("attn_blocks must be >= 0 and n_heads >= 1")
+        if self.attn_blocks < 0 or self.n_heads < 1 or self.ff_width < 0:
+            raise ValueError("attn_blocks and ff_width must be >= 0 and n_heads >= 1")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} must be divisible by n_heads={self.n_heads}")

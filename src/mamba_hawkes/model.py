@@ -43,6 +43,11 @@ class MhpConfig:
         for name in ("d_model", "d_state", "d_conv", "expand", "n_layers", "K", "mc_samples"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"config field {name} must be positive")
+        if self.mlp_hidden < 0:
+            raise ValueError("config field mlp_hidden must be >= 0")
+        if not 0.0 < self.delta_clamp_min <= self.delta_clamp_max:
+            raise ValueError("delta clamp bounds must satisfy "
+                             "0 < delta_clamp_min <= delta_clamp_max")
         if self.loglik_mode not in ("marked", "total"):
             raise ValueError(f"unknown loglik_mode {self.loglik_mode!r}")
         if self.delta_transform not in ("softplus_clamp", "raw"):

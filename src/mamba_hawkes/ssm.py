@@ -26,29 +26,6 @@ def linear_init(rng, fan_in, fan_out):
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def discretize(delta, a, b):
-    """Zero-order-hold discretization of a diagonal continuous system.
-
-    Returns (abar, bbar) with abar = exp(delta*a) and
-    bbar = ((exp(delta*a) - 1) / a) * b, evaluated elementwise with
-    broadcasting. The (exp(u)-1)/u factor switches to a series for
-    |delta*a| < 1e-4, so the a -> 0 limit bbar -> delta*b is exact to
-    rounding.
-    """
-    delta = ag.as_tensor(delta)
-    if np.any(delta.data <= 0.0):
-        raise ag.DomainError(
-            f"discretize: non-positive step size (min={delta.data.min()!r}); "
-            "the upstream gap transform should guarantee positivity"
-        )
-    a = ag.as_tensor(a)
-    b = ag.as_tensor(b)
-    u = ag.mul(delta, a)
-    abar = ag.exp(u)
-    bbar = ag.mul(ag.mul(delta, ag.expm1_over_x(u)), b)
-    return abar, bbar
-
-
 def selective_scan(x, delta, a, b, c, skip=None):
     """Run the time-variant recurrence z_i = abar_i * z_{i-1} + bbar_i * x_i.
 
@@ -155,29 +132,6 @@ def selective_scan(x, delta, a, b, c, skip=None):
             if skip.requires_grad:
                 skip.grad += ag._sum_to(gy * xv, skip.shape)
     out._backward = _bw
-    return out
-
-
-def gated_decay_reference(timestamps, x):
-    """Closed-form N=1 recurrence: z_i = g_i z_{i-1} + (1 - g_i) x_i.
-
-    g_i = exp(t_{i-1} - t_i) with t_0 = 0, z_0 = 0. Plain float oracle for the
-    degenerate configuration (a = -1, b = c = 1, no feedthrough); not a
-    trainable path.
-    """
-    t = np.asarray(timestamps, dtype=np.float64)
-    xv = np.asarray(x, dtype=np.float64).reshape(-1)
-    if t.ndim != 1 or t.shape != xv.shape:
-        raise ValueError(f"timestamps and x must be equal-length vectors, got {t.shape}, {xv.shape}")
-    gaps = np.diff(np.concatenate([[0.0], t]))
-    if np.any(gaps <= 0.0):
-        raise ValueError("timestamps must be strictly increasing (and start above 0)")
-    z = 0.0
-    out = np.empty_like(xv)
-    for i in range(len(xv)):
-        g = np.exp(-gaps[i])
-        z = g * z + (1.0 - g) * xv[i]
-        out[i] = z
     return out
 
 

@@ -15,24 +15,20 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autograd as ag
-from .checkpoint import build_model, load_checkpoint, save_checkpoint
-from .data import Dataset, EventSequence, batch, load_jsonl
+from .checkpoint import build_model, config_class, load_checkpoint, save_checkpoint
+from .data import DataError, Dataset, EventSequence, batch, load_jsonl
+from .hybrid import MhpEConfig
 
 logger = logging.getLogger(__name__)
 
 CSV_HEADER = "epoch,split,ll_per_event,accuracy,rmse,seconds"
 
-_MODEL_FIELDS = (
-    "d_model", "d_state", "d_conv", "expand", "n_layers", "mlp_hidden",
-    "mc_samples", "event_loss_weight", "time_loss_weight", "loglik_mode",
-    "delta_transform", "delta_clamp_min", "delta_clamp_max",
-)
-_HYBRID_FIELDS = ("mamba_layers", "attn_blocks", "n_heads", "ff_width")
+_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
 
 class NumericsError(RuntimeError):
@@ -46,29 +42,16 @@ class NumericsError(RuntimeError):
 
 
 @dataclass
-class TrainConfig:
-    """Flat run configuration; mirrors the JSON config file field for field."""
+class TrainConfig(MhpEConfig):
+    """Flat run configuration; mirrors the JSON config file field for field.
 
+    The model and hybrid fields and their defaults are MhpEConfig's; the
+    values are checked against the config class of `arch`. K is not a
+    setting: it always comes from the data.
+    """
+
+    K: int = field(default=None, init=False, repr=False)
     arch: str = "mhp"
-    # model architecture
-    d_model: int = 64
-    d_state: int = 16
-    d_conv: int = 4
-    expand: int = 2
-    n_layers: int = 4
-    mlp_hidden: int = 0
-    mc_samples: int = 100
-    event_loss_weight: float = 1.0
-    time_loss_weight: float = 1e-4
-    loglik_mode: str = "marked"
-    delta_transform: str = "softplus_clamp"
-    delta_clamp_min: float = 1e-6
-    delta_clamp_max: float = 1e4
-    # hybrid-only architecture
-    mamba_layers: int = 2
-    attn_blocks: int = 4
-    n_heads: int = 4
-    ff_width: int = 0
     # optimization
     lr: float = 1e-4
     batch_size: int = 4
@@ -87,20 +70,42 @@ class TrainConfig:
     out: str = ""
     wall_clock_csv: bool = False
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if f.init and (isinstance(value, bool) != (f.type == "bool")
+                           or not isinstance(value, _TYPES[f.type])):
+                raise ValueError(f"config field {f.name} must be of type {f.type}, got {value!r}")
+        config_class(self.arch)(**self.model_config_dict(K=1))  # K=1 stands in for the data's
+        for name, ok, rule in (
+                ("lr", self.lr >= 0.0, ">= 0"),
+                ("batch_size", self.batch_size >= 1, ">= 1"),
+                ("epochs", self.epochs >= 1, ">= 1"),
+                ("patience", self.patience >= 0, ">= 0"),
+                ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
+                ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)"),
+                ("adam_eps", self.adam_eps > 0.0, "> 0"),
+                ("clip_norm", self.clip_norm > 0.0, "> 0"),
+                ("seed", self.seed >= 0, ">= 0"),
+                ("eval_quad_points", self.eval_quad_points >= 2, ">= 2")):
+            if not ok:
+                raise ValueError(f"config field {name} must be {rule}, got {getattr(self, name)!r}")
+
     @classmethod
     def from_dict(cls, d):
-        known = {f.name for f in dataclasses.fields(cls)}
+        known = {f.name for f in dataclasses.fields(cls) if f.init}
         unknown = sorted(set(d) - known)
         if unknown:
             raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
         return cls(**d)
 
+    def to_dict(self):
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.init}
+
     def model_config_dict(self, K):
-        cfg = {name: getattr(self, name) for name in _MODEL_FIELDS}
-        cfg["K"] = K
-        if self.arch == "mhp-e":
-            cfg.update({name: getattr(self, name) for name in _HYBRID_FIELDS})
-        return cfg
+        """The fields of `arch`'s model config, with K from the data."""
+        return {f.name: K if f.name == "K" else getattr(self, f.name)
+                for f in dataclasses.fields(config_class(self.arch))}
 
 
 @dataclass
@@ -226,14 +231,7 @@ def evaluate(model, dataset, n_quad=1024):
 
 def dev_ll_per_event(model, dataset, n_quad=1024):
     """Quadrature LL/event only (the per-epoch dev metric)."""
-    ll_sum = 0.0
-    n_events = 0
-    with ag.no_grad():
-        for seq in dataset:
-            ll_sum += float(model.log_likelihood(
-                seq, integrator="trapezoid", n_quad=n_quad).data)
-            n_events += len(seq) - 1
-    return ll_sum / n_events
+    return evaluate(model, dataset, n_quad=n_quad).ll_per_event
 
 
 def fit_poisson_baseline(dataset):
@@ -329,6 +327,9 @@ def train(cfg):
     dev_ds = load_split(cfg.data, "dev")
     test_path = os.path.join(cfg.data, "test.jsonl")
     test_ds = load_jsonl(test_path, "test") if os.path.exists(test_path) else None
+    for ds in (dev_ds, test_ds):
+        if ds is not None and ds.K != train_ds.K:
+            raise DataError(f"{ds.split}.jsonl has K={ds.K}, train.jsonl has K={train_ds.K}")
 
     meta = {}
     if cfg.normalize_times:
@@ -362,7 +363,11 @@ def train(cfg):
         epoch_events = 0
         for bi, bat in enumerate(batches):
             model.zero_grad()
-            total, ll_value, n_events = loss_on_batch(model, bat, base_seed=cfg.seed)
+            try:
+                total, ll_value, n_events = loss_on_batch(model, bat, base_seed=cfg.seed)
+            except ag.DomainError as e:
+                raise NumericsError(f"{e} at epoch {epoch}, batch {bi}",
+                                    epoch=epoch, batch_index=bi) from None
             mean_total = ag.div(total, float(len(bat.unpadded())))
             if not np.isfinite(mean_total.data):
                 raise NumericsError(
@@ -377,7 +382,11 @@ def train(cfg):
             opt.step()
             epoch_ll += ll_value
             epoch_events += n_events
-        dev_ll = dev_ll_per_event(model, dev_ds, n_quad=cfg.eval_quad_points)
+        try:
+            dev_ll = dev_ll_per_event(model, dev_ds, n_quad=cfg.eval_quad_points)
+        except ValueError as e:  # a non-positive intensity or a non-finite LL
+            raise NumericsError(f"dev evaluation failed at epoch {epoch}: {e}",
+                                epoch=epoch) from None
         seconds = time.perf_counter() - t0
         epoch_seconds.append(seconds)
         csv_seconds = seconds if cfg.wall_clock_csv else 0.0
@@ -405,7 +414,7 @@ def train(cfg):
                      test_metrics.accuracy, test_metrics.rmse, 0.0))
 
     summary = {
-        "config": dataclasses.asdict(cfg),
+        "config": cfg.to_dict(),
         "best_epoch": best_epoch,
         "best_dev_ll_per_event": best_dev,
         "epochs_run": epochs_run,

@@ -1,5 +1,6 @@
-"""Shared test utilities: finite-difference oracles, error metrics and a
-composed-op reference for the fused selective scan."""
+"""Shared test utilities: finite-difference oracles, error metrics, a
+composed-op reference for the fused selective scan and the closed-form
+gated recurrence it reduces to."""
 
 import numpy as np
 
@@ -92,6 +93,19 @@ def global_grad_rel_err(analytic, fd):
     return rel_err(a, f)
 
 
+def expm1_over_x(a):
+    """(exp(x) - 1) / x as an autograd op over ag.expm1_over_x_parts."""
+    a = ag.as_tensor(a)
+    track = ag._track(a)
+    val, slope = ag.expm1_over_x_parts(a.data, np.exp(a.data) if track else None)
+    out = ag.Tensor(val, track, (a,))
+    if out.requires_grad:
+        def _bw():
+            a.grad += out.grad * slope
+        out._backward = _bw
+    return out
+
+
 def composed_scan(x, delta, a, b, c, skip=None):
     """selective_scan built from elementwise autograd ops, one step at a time.
 
@@ -106,7 +120,7 @@ def composed_scan(x, delta, a, b, c, skip=None):
     d3 = ag.reshape(delta, (L, 1, 1))
     u = ag.mul(d3, a)                                   # [L, D, N]
     abar = ag.exp(u)
-    bbar_x = ag.mul(ag.mul(ag.mul(d3, ag.expm1_over_x(u)), ag.reshape(b, (L, 1, N))),
+    bbar_x = ag.mul(ag.mul(ag.mul(d3, expm1_over_x(u)), ag.reshape(b, (L, 1, N))),
                     ag.reshape(x, (L, D, 1)))           # [L, D, N]
     z = ag.Tensor(np.zeros((D, N)))
     states = []
@@ -118,3 +132,25 @@ def composed_scan(x, delta, a, b, c, skip=None):
     if skip is not None:
         y = ag.add(y, ag.mul(ag.as_tensor(skip), x))
     return y
+
+
+def gated_decay_reference(timestamps, x):
+    """Closed-form N=1 recurrence: z_i = g_i z_{i-1} + (1 - g_i) x_i.
+
+    g_i = exp(t_{i-1} - t_i) with t_0 = 0, z_0 = 0. Plain float oracle for the
+    degenerate scan configuration (a = -1, b = c = 1, no feedthrough).
+    """
+    t = np.asarray(timestamps, dtype=np.float64)
+    xv = np.asarray(x, dtype=np.float64).reshape(-1)
+    if t.ndim != 1 or t.shape != xv.shape:
+        raise ValueError(f"timestamps and x must be equal-length vectors, got {t.shape}, {xv.shape}")
+    gaps = np.diff(np.concatenate([[0.0], t]))
+    if np.any(gaps <= 0.0):
+        raise ValueError("timestamps must be strictly increasing (and start above 0)")
+    z = 0.0
+    out = np.empty_like(xv)
+    for i in range(len(xv)):
+        g = np.exp(-gaps[i])
+        z = g * z + (1.0 - g) * xv[i]
+        out[i] = z
+    return out

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import check_param_grads, numeric_grad, rel_err
+from helpers import check_param_grads, expm1_over_x, numeric_grad, rel_err
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.autograd import (DomainError, GraphError, Parameter,
                                    ShapeError, Tensor)
@@ -107,27 +107,20 @@ def test_reduce_sum_backward_broadcasts():
     np.testing.assert_array_equal(p.grad, [[2.0] * 3, [5.0] * 3])
 
 
-def test_reduce_mean_and_max_gradients():
+def test_reduce_mean_gradient():
     rng = np.random.default_rng(5)
     x = Parameter(rng.normal(size=(3, 4)), "x")
     errs = check_param_grads(lambda: ag.reduce_mean(ag.mul(x, x)), [x])
     assert max(errs.values()) < 1e-4
-    x.zero_grad()
-    ag.backward(ag.reduce_max(x))
-    assert x.grad.sum() == 1.0
-    assert x.grad[np.unravel_index(np.argmax(x.data), x.shape)] == 1.0
 
 
 @pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "neg", "exp", "log",
-                                  "sigmoid", "silu", "softplus", "clamp", "sqrt",
-                                  "expm1_over_x"])
+                                  "silu", "softplus", "sqrt", "expm1_over_x"])
 def test_elementwise_gradients_match_fd(name):
     rng = np.random.default_rng(hash(name) % 2**32)
     raw = rng.normal(size=(3, 4))
     if name in ("log", "sqrt"):
         raw = np.exp(raw)  # keep inputs in the domain
-    if name == "clamp":
-        raw = raw[np.abs(np.abs(raw) - 1.0) > 1e-3].reshape(-1)  # stay off the kinks
     x = Parameter(raw.copy(), "x")
     other = Parameter(np.exp(rng.normal(size=raw.shape)), "other")
     w = rng.normal(size=raw.shape)
@@ -137,8 +130,8 @@ def test_elementwise_gradients_match_fd(name):
             out = getattr(ag, name)(x, other)
         elif name == "softplus":
             out = ag.softplus(x, other)  # gradient w.r.t. the scale too
-        elif name == "clamp":
-            out = ag.clamp(x, -1.0, 1.0)
+        elif name == "expm1_over_x":
+            out = expm1_over_x(x)  # the test op over ag.expm1_over_x_parts
         else:
             out = getattr(ag, name)(x)
         return ag.reduce_sum(ag.mul(out, w))
@@ -269,13 +262,7 @@ def test_no_grad_blocks_recording():
     assert out._parents == ()
 
 
-def test_clamp_subgradient():
-    p = Parameter(np.array([-2.0, 0.5, 2.0]), "p")
-    ag.backward(ag.reduce_sum(ag.clamp(p, -1.0, 1.0)))
-    np.testing.assert_array_equal(p.grad, [0.0, 1.0, 0.0])
-
-
-def test_slice_concat_pad_reshape_transpose_gradients():
+def test_slice_concat_reshape_transpose_gradients():
     rng = np.random.default_rng(9)
     x = Parameter(rng.normal(size=(4, 3)), "x")
 
@@ -283,8 +270,7 @@ def test_slice_concat_pad_reshape_transpose_gradients():
         top = x[:2]
         bottom = x[2:]
         rebuilt = ag.concat([bottom, top], axis=0)
-        padded = ag.pad(rebuilt, ((1, 0), (0, 1)))
-        flipped = ag.transpose(padded)
+        flipped = ag.transpose(rebuilt)
         return ag.reduce_sum(ag.mul(ag.reshape(flipped, (-1,)),
                                     np.arange(flipped.size, dtype=float)))
 
@@ -335,13 +321,11 @@ def test_expm1_over_x_series_branch_continuity():
     cutoff = 1e-4
     for sign in (1.0, -1.0):
         u = np.array([sign * cutoff * (1 - 1e-9), sign * cutoff * (1 + 1e-9)])
-        vals = ag.expm1_over_x(Tensor(u)).data
+        vals, slope = ag.expm1_over_x_parts(u, np.exp(u))
         exact = np.expm1(u) / u
         assert np.max(np.abs(vals / exact - 1.0)) < 1e-10
-        x = Parameter(u, "x")
-        ag.backward(ag.reduce_sum(ag.expm1_over_x(x)))
         exact_slope = (u * np.exp(u) - np.expm1(u)) / (u * u)
-        assert np.max(np.abs(x.grad / exact_slope - 1.0)) < 1e-8
+        assert np.max(np.abs(slope / exact_slope - 1.0)) < 1e-8
 
 
 def test_parameter_is_leaf_and_named():

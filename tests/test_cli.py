@@ -2,8 +2,11 @@ import json
 import os
 
 import numpy as np
+import pytest
 
+from mamba_hawkes.checkpoint import checkpoint_payload
 from mamba_hawkes.cli import main
+from mamba_hawkes.model import MambaHawkes, MhpConfig
 
 
 def run(args):
@@ -121,3 +124,71 @@ def test_predict_line_out_of_range_exits_1(tmp_path, capsys):
                 "--events", data / "test.jsonl", "--line", 99])
     assert code == 1
     assert "out of range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    {"clip_norm": 0}, {"batch_size": 0}, {"d_model": 0}, {"loglik_mode": "x"},
+    {"eval_quad_points": 1}, {"lr": -1}, {"epochs": 0}, {"K": 3},
+    {"d_model": 8.5}, {"mlp_hidden": -1}, {"delta_clamp_min": 1.0, "delta_clamp_max": 0.5},
+    {"arch": "mhp-e", "d_model": 10}, {"arch": "mhp-e", "ff_width": -1},
+], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
+def test_bad_config_value_exits_1_with_one_line(tmp_path, capsys, bad):
+    cfg = small_train_config(tmp_path, **bad)
+    code = run(["train", "--config", cfg, "--data", tmp_path, "--out", tmp_path / "o"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error: "), err
+    assert list(bad)[-1] in err, err
+
+
+def test_epochs_flag_zero_exits_1(tmp_path, capsys):
+    cfg = small_train_config(tmp_path)
+    assert run(["train", "--config", cfg, "--data", tmp_path, "--out", tmp_path / "o",
+                "--epochs", 0]) == 1
+    assert "epochs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("breakage", ["unknown config key", "no params", "unknown arch",
+                                      "record without data"])
+def test_malformed_checkpoint_exits_2(tmp_path, capsys, breakage):
+    model = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=5), seed=0)
+    payload = checkpoint_payload(model)
+    if breakage == "unknown config key":
+        payload["config"]["d_modle"] = 8
+    elif breakage == "no params":
+        del payload["params"]
+    elif breakage == "unknown arch":
+        payload["arch"] = "mhp-x"
+    else:
+        del payload["params"]["embedding"]["data"]
+    path = tmp_path / "checkpoint.json"
+    path.write_text(json.dumps(payload))
+    assert run(["eval", "--checkpoint", path, "--data", tmp_path]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and str(path) in err, err
+
+
+def test_diverged_training_exits_3_naming_epoch(tmp_path, capsys):
+    data = tmp_path / "data"
+    run(["generate", "--seed", 1, "--out", data,
+         "--n-train", 4, "--n-dev", 2, "--n-test", 2])
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"lr": 10, "d_model": 8, "n_layers": 1,
+                               "mc_samples": 10, "eval_quad_points": 64}))
+    code = run(["train", "--config", cfg, "--data", data, "--out", tmp_path / "o",
+                "--epochs", 3])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert len(err.strip().splitlines()) == 1 and "at epoch 1" in err, err
+
+
+def test_generate_skips_empty_split_and_train_runs(tmp_path):
+    data = tmp_path / "data"
+    assert run(["generate", "--seed", 3, "--out", data,
+                "--n-train", 4, "--n-dev", 2, "--n-test", 0]) == 0
+    assert sorted(os.listdir(data)) == ["dev.jsonl", "train.jsonl"]
+    out = tmp_path / "run"
+    assert run(["train", "--config", small_train_config(tmp_path, epochs=1),
+                "--data", data, "--out", out]) == 0
+    splits = [ln.split(",")[1] for ln in (out / "metrics.csv").read_text().splitlines()[1:]]
+    assert splits == ["train", "dev"]

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import check_param_grads, composed_scan, rel_err
+from helpers import check_param_grads, composed_scan, gated_decay_reference, rel_err
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.autograd import DomainError, Parameter, ShapeError, Tensor
 from mamba_hawkes.data import EventSequence
 from mamba_hawkes.model import MambaHawkes, MhpConfig
-from mamba_hawkes.ssm import (MambaBlock, SsmCore, discretize,
-                              gated_decay_reference, selective_scan)
+from mamba_hawkes.ssm import MambaBlock, SsmCore, selective_scan
 
 
 def naive_scan(x, delta, a, b, c, skip):
@@ -26,22 +25,32 @@ def naive_scan(x, delta, a, b, c, skip):
     return np.stack(ys)
 
 
-# -- discretize --------------------------------------------------------------
+# -- discretization, read off the scan ---------------------------------------
+
+
+def zoh_step(delta, a, b=1.0):
+    """(abar, bbar) of one zero-order-hold step of selective_scan.
+
+    With D = N = 1 and x_1 = c = 1, y_1 is bbar exactly; a second step with
+    zero input gives y_2 = abar * bbar.
+    """
+    y = selective_scan(Tensor([[1.0], [0.0]]), Tensor([delta, delta]), Tensor([[a]]),
+                       Tensor([[b], [b]]), Tensor(np.ones((2, 1)))).data[:, 0]
+    return y[1] / y[0], y[0]
 
 
 def test_discretize_closed_form():
-    abar, bbar = discretize(Tensor(np.array(np.log(2.0))), Tensor(np.array(-1.0)),
-                            Tensor(np.array(1.0)))
-    np.testing.assert_allclose(abar.data, 0.5, rtol=1e-15)
-    np.testing.assert_allclose(bbar.data, 0.5, rtol=1e-14)
+    abar, bbar = zoh_step(np.log(2.0), -1.0)
+    np.testing.assert_allclose(abar, 0.5, rtol=1e-15)
+    np.testing.assert_allclose(bbar, 0.5, rtol=1e-14)
 
 
 def test_discretize_small_rate_limit():
     # a -> 0: abar -> 1, bbar -> delta * b via the series branch
     delta, b = 0.7, 2.0
-    abar, bbar = discretize(Tensor(np.array(delta)), Tensor(np.array(-1e-9)), Tensor(np.array(b)))
-    np.testing.assert_allclose(abar.data, 1.0, rtol=1e-8)
-    np.testing.assert_allclose(bbar.data, delta * b, rtol=1e-8)
+    abar, bbar = zoh_step(delta, -1e-9, b)
+    np.testing.assert_allclose(abar, 1.0, rtol=1e-8)
+    np.testing.assert_allclose(bbar, delta * b, rtol=1e-8)
 
 
 def test_discretize_branch_continuity():
@@ -51,10 +60,9 @@ def test_discretize_branch_continuity():
             u = sign * 1e-4 * eps
             delta = 0.5
             a = u / delta
-            _, bbar = discretize(Tensor(np.array(delta)), Tensor(np.array(a)),
-                                 Tensor(np.array(1.0)))
+            _, bbar = zoh_step(delta, a)
             exact = (np.exp(u) - 1.0) / a
-            assert abs(bbar.data / exact - 1.0) < 1e-10
+            assert abs(bbar / exact - 1.0) < 1e-10
 
 
 def test_discretize_matches_quadrature_oracle():
@@ -65,16 +73,15 @@ def test_discretize_matches_quadrature_oracle():
             delta = float(rng.uniform(0.1, 2.0))
             a = sign * mag / delta
             b = float(rng.normal())
-            _, bbar = discretize(Tensor(np.array(delta)), Tensor(np.array(a)),
-                                 Tensor(np.array(b)))
+            _, bbar = zoh_step(delta, a, b)
             integral, err = quad(lambda s: np.exp(a * s), 0.0, delta,
                                  epsabs=1e-14, epsrel=1e-12)
-            assert abs(bbar.data - integral * b) <= 1e-8 * max(abs(integral * b), 1e-300)
+            assert abs(bbar - integral * b) <= 1e-8 * max(abs(integral * b), 1e-300)
 
 
 def test_discretize_rejects_nonpositive_step():
     with pytest.raises(DomainError, match="non-positive step"):
-        discretize(Tensor(np.array(0.0)), Tensor(np.array(-1.0)), Tensor(np.array(1.0)))
+        zoh_step(0.0, -1.0)
 
 
 # -- selective scan ----------------------------------------------------------
@@ -178,14 +185,14 @@ def test_stability_abar_in_unit_interval_and_contraction():
     a_log = rng.normal(size=(3, 4))
     a = -np.exp(a_log)
     for delta in (1e-8, 0.3, 5.0, 1e4):
-        abar, _ = discretize(Tensor(np.array(delta)), Tensor(a), Tensor(np.ones(4)))
-        assert np.all(abar.data < 1.0)
+        abar = np.array([zoh_step(delta, v)[0] for v in a.ravel()]).reshape(a.shape)
+        assert np.all(abar < 1.0)
         if delta <= 5.0:
-            assert np.all(abar.data > 0.0)
+            assert np.all(abar > 0.0)
         else:
-            assert np.all(abar.data >= 0.0)  # huge steps may underflow to exact 0
+            assert np.all(abar >= 0.0)  # huge steps may underflow to exact 0
         z0 = rng.normal(size=(3, 4))
-        z1 = abar.data * z0  # zero-input step
+        z1 = abar * z0  # zero-input step
         assert np.linalg.norm(z1) < np.linalg.norm(z0)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -10,8 +11,9 @@ from mamba_hawkes import autograd as ag
 from mamba_hawkes.autograd import Parameter
 from mamba_hawkes.checkpoint import (build_model, checkpoint_payload,
                                      load_checkpoint, save_checkpoint)
-from mamba_hawkes.data import (Dataset, EventSequence, make_synthetic_benchmark,
-                               save_jsonl)
+from mamba_hawkes.data import (DataError, Dataset, EventSequence,
+                               make_synthetic_benchmark, save_jsonl)
+from mamba_hawkes.hybrid import MhpEConfig
 from mamba_hawkes.model import MambaHawkes, MhpConfig
 from mamba_hawkes.training import (Adam, Metrics, NumericsError, TrainConfig,
                                 clip_gradients, evaluate, fit_poisson_baseline,
@@ -42,6 +44,18 @@ def test_train_config_defaults_match_reference_setup():
     assert (cfg.d_model, cfg.lr, cfg.batch_size) == (64, 1e-4, 4)
     assert (cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps) == (0.9, 0.999, 1e-8)
     assert cfg.epochs == 50 and cfg.patience == 10
+
+
+def test_train_config_takes_model_fields_from_model_configs():
+    cfg = TrainConfig()
+    assert len([f for f in dataclasses.fields(cfg) if f.init]) == 32
+    for f in dataclasses.fields(MhpEConfig):
+        if f.name != "K":
+            assert getattr(cfg, f.name) == f.default, f.name
+    # K comes from the data; mhp takes no hybrid field, so n_heads need not divide d_model
+    assert TrainConfig(d_model=10).model_config_dict(K=3) == MhpConfig(d_model=10, K=3).to_dict()
+    hybrid = TrainConfig(arch="mhp-e", d_model=8, n_heads=2).model_config_dict(K=2)
+    assert hybrid == MhpEConfig(d_model=8, n_heads=2, K=2).to_dict()
 
 
 # -- optimizer and clipping ------------------------------------------------
@@ -195,6 +209,7 @@ def test_train_smoke_one_epoch(tmp_path):
     assert summary["epochs_run"] == 1
     assert len(summary["wall_clock_seconds"]) == 1
     assert summary["wall_clock_seconds"][0] > 0.0
+    assert TrainConfig.from_dict(summary["config"]) == cfg  # K is no config field
 
 
 def test_train_same_seed_identical_outputs(tmp_path):
@@ -246,9 +261,32 @@ def test_train_nan_abort_names_batch(tmp_path, monkeypatch):
     assert exc.value.epoch == 1 and exc.value.batch_index == 0
 
 
+def test_train_zero_intensity_abort_names_batch(tmp_path, monkeypatch):
+    write_benchmark(tmp_path / "data", seed=5, n_train=6, n_dev=2, n_test=0)
+
+    def zero_intensity_build(arch, cfg_dict, seed=0):
+        model = build_model(arch, cfg_dict, seed=seed)
+        model.head.b.data[:] = -1e4  # softplus underflows to 0, so log(0) at every event
+        return model
+
+    monkeypatch.setattr(train_mod, "build_model", zero_intensity_build)
+    cfg = desk_config(tmp_path / "data", tmp_path / "out")
+    with pytest.raises(NumericsError, match="non-positive.*epoch 1, batch 0"):
+        train(cfg)
+
+
 def test_train_config_rejects_unknown_fields():
-    with pytest.raises(ValueError, match="unknown config field"):
-        TrainConfig.from_dict({"learning_rate": 0.1})
+    for field_name in ("learning_rate", "K"):
+        with pytest.raises(ValueError, match="unknown config field"):
+            TrainConfig.from_dict({field_name: 0.1})
+
+
+def test_train_rejects_split_with_other_K(tmp_path):
+    write_benchmark(tmp_path / "data", seed=6, n_train=4, n_dev=2, n_test=0)
+    (tmp_path / "data" / "dev.jsonl").write_text(
+        '{"K": 7, "events": [{"t": 1.0, "k": 1}, {"t": 2.0, "k": 6}]}\n')
+    with pytest.raises(DataError, match="K=7"):
+        train(desk_config(tmp_path / "data", tmp_path / "out"))
 
 
 def test_metrics_csv_formatting():
