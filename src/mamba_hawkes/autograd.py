@@ -502,12 +502,17 @@ def concat(tensors, axis=0):
     return out
 
 
-def causal_conv1d(x, kernel, bias=None):
+def causal_conv1d(x, kernel, bias=None, left=None):
     """Depthwise causal convolution over a [L, D] sequence.
 
     out[t, d] = sum_w kernel[w, d] * x[t - W + 1 + w, d], zero-padded on the
     left; position t never reads inputs after t. kernel[-1] is the tap on the
     current position.
+
+    `left`, if given, is a [W - 1, D] array of the inputs just before x, read
+    instead of the zero padding and then overwritten with the last W - 1
+    inputs, so that a call on the next stretch of the sequence carries on
+    from it. It is a constant: no gradient reaches it.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.ndim != 2 or kernel.ndim != 2:
@@ -519,7 +524,14 @@ def causal_conv1d(x, kernel, bias=None):
     if W < 1 or L < 1:
         raise ShapeError(f"causal_conv1d: empty kernel or input ({kernel.shape}, {x.shape})")
     b = as_tensor(bias) if bias is not None else None
-    xp = np.pad(x.data, ((W - 1, 0), (0, 0)))
+    if left is None:
+        xp = np.pad(x.data, ((W - 1, 0), (0, 0)))
+    elif left.shape != (W - 1, D):
+        raise ShapeError(f"causal_conv1d: left context must be [W - 1, D]={W - 1, D}, "
+                         f"got {left.shape}")
+    else:
+        xp = np.concatenate([left, x.data])
+        left[...] = xp[L:]
     data = np.zeros((L, D))
     for w in range(W):
         data += kernel.data[w] * xp[w:w + L]

@@ -75,9 +75,13 @@ def _cmd_generate(args):
     splits = make_synthetic_benchmark(args.seed, n_train=args.n_train,
                                       n_dev=args.n_dev, n_test=args.n_test)
     for name, ds in splits.items():
-        if not len(ds):
-            continue
         path = os.path.join(args.out, f"{name}.jsonl")
+        if not len(ds):
+            # a split left from an earlier run would pass for this one's
+            if os.path.exists(path):
+                os.remove(path)
+                print(f"removed {path}: no {name} sequences requested")
+            continue
         save_jsonl(ds, path)
         print(f"wrote {len(ds)} sequences to {path}")
     return 0

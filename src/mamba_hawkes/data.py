@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,8 @@ class EventSequence:
                 f"{self.timestamps.shape} and {self.types.shape}")
         if len(self.timestamps) == 0:
             raise ValueError("empty event sequence")
+        if not np.all(np.isfinite(self.timestamps)):
+            raise ValueError("timestamps must be finite")
         if np.any(np.diff(self.timestamps) <= 0.0):
             raise ValueError("timestamps must be strictly increasing")
         if self.K < 1 or np.any(self.types < 1) or np.any(self.types > self.K):
@@ -225,6 +228,17 @@ def save_jsonl(dataset, path):
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
+def _finite_float(value):
+    """A JSON number as a finite float, else None (also for booleans and strings)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:    # an integer literal beyond the float range
+        return None
+    return value if math.isfinite(value) else None
+
+
 def _parse_line(line, lineno, path):
     try:
         rec = json.loads(line)
@@ -235,15 +249,20 @@ def _parse_line(line, lineno, path):
     if "events" not in rec or not isinstance(rec["events"], list) or not rec["events"]:
         raise DataError(f"{path}:{lineno}: field 'events' must be a non-empty list")
     K = rec["K"]
-    if not isinstance(K, int) or K < 1:
+    if isinstance(K, bool) or not isinstance(K, int) or K < 1:
         raise DataError(f"{path}:{lineno}: field 'K' must be a positive integer")
     times, types = [], []
     for i, ev in enumerate(rec["events"]):
         if not isinstance(ev, dict) or "t" not in ev or "k" not in ev:
             raise DataError(f"{path}:{lineno}: event {i} must have fields 't' and 'k'")
-        if not isinstance(ev["k"], int) or not 1 <= ev["k"] <= K:
-            raise DataError(f"{path}:{lineno}: field 'k' out of range 1..{K} at event {i}")
-        times.append(float(ev["t"]))
+        if isinstance(ev["k"], bool) or not isinstance(ev["k"], int) or not 1 <= ev["k"] <= K:
+            raise DataError(f"{path}:{lineno}: field 'k' out of range 1..{K} at event {i}, "
+                            f"got {ev['k']!r}")
+        t = _finite_float(ev["t"])
+        if t is None:
+            raise DataError(f"{path}:{lineno}: field 't' must be a finite number at event {i}, "
+                            f"got {ev['t']!r}")
+        times.append(t)
         types.append(ev["k"])
     times = np.asarray(times, dtype=np.float64)
     if np.any(np.diff(times) < 0.0):

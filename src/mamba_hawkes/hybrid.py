@@ -43,11 +43,20 @@ class MhpEConfig(MhpConfig):
         return self.ff_width if self.ff_width else 4 * self.d_model
 
 
-def causal_mask(L):
-    """Additive mask: 0 on and below the diagonal, -1e30 strictly above."""
-    m = np.zeros((L, L))
-    m[np.triu_indices(L, k=1)] = -1e30
+def causal_mask(L, past=0):
+    """Additive [L, past + L] mask for L new positions after `past` earlier
+    ones: row i may see columns <= past + i (0), not later ones (-1e30)."""
+    m = np.zeros((L, past + L))
+    m[np.triu_indices(L, k=past + 1, m=past + L)] = -1e30
     return m
+
+
+class KVCache:
+    """Keys and values of the positions an AttentionBlock has seen, [P, d_model] each."""
+
+    def __init__(self, d_model):
+        self.k = np.zeros((0, d_model))
+        self.v = np.zeros((0, d_model))
 
 
 class AttentionBlock:
@@ -73,13 +82,25 @@ class AttentionBlock:
                  "norm2", "W_ff1", "b_ff1", "W_ff2", "b_ff2")
         return [(prefix + n, getattr(self, n)) for n in names]
 
+    def empty_state(self):
+        return KVCache(self.d_model)
+
     def __call__(self, x):
-        L = x.shape[0]
+        return self.attend(x, self.empty_state())
+
+    def attend(self, x, cache):
+        """The block on positions x that follow those in `cache`, whose keys
+        and values they attend to as well; x's keys and values are appended."""
+        L, past = x.shape[0], len(cache.k)
         a = rms_norm(x, self.norm1)
         q = ag.matmul(a, self.W_q)
         k = ag.matmul(a, self.W_k)
         v = ag.matmul(a, self.W_v)
-        mask = causal_mask(L)
+        if past:
+            k = ag.concat([cache.k, k], axis=0)
+            v = ag.concat([cache.v, v], axis=0)
+        cache.k, cache.v = k.data, v.data
+        mask = causal_mask(L, past)
         scale = 1.0 / np.sqrt(self.d_head)
         ctx = []
         for h in range(self.n_heads):
@@ -115,9 +136,12 @@ class MambaHawkesHybrid(MambaHawkes):
             out += blk.named_parameters(f"attn_layers.{i}.")
         return out
 
-    def _run_stack(self, x, delta):
-        for blk in self.layers:
-            x = blk(x, delta)
-        for blk in self.attn_layers:
-            x = blk(x)
+    def _stack(self):
+        return self.layers + self.attn_layers
+
+    def _run_stack(self, x, delta, states=None):
+        states = [None] * len(self._stack()) if states is None else states
+        x = super()._run_stack(x, delta, states)
+        for blk, cache in zip(self.attn_layers, states[len(self.layers):]):
+            x = blk(x) if cache is None else blk.attend(x, cache)
         return x

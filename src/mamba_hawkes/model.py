@@ -9,6 +9,7 @@ training and by deterministic trapezoid quadrature for reporting.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
@@ -173,6 +174,46 @@ class PredictionResult(NamedTuple):
     next_time: float
 
 
+class EncoderState:
+    """What the encoder carries from the last sequence it ran: one state per
+    block (a MambaBlock's conv inputs and scan state, an AttentionBlock's
+    keys and values), the events they hold, the stack's output row at the
+    last of them, and copies of the config and of the encoder parameters
+    (embedding and blocks) they were computed with.
+
+    It holds no reference to a model, so dropping a model frees it at once.
+    """
+
+    def __init__(self):
+        self.held = None        # (timestamps, types) copied, or None
+        self.cfg = None
+        self.params = []
+        self.blocks = []
+        self.last = None
+
+    def resume(self, model, seq):
+        """How many leading events of seq the state holds for `model`.
+
+        That is all of its events when they are a prefix of seq (in
+        timestamps and types) and the config and every encoder parameter
+        equal the copies. Otherwise it is 0, and the state is emptied and
+        copies them anew.
+        """
+        params = [model.embedding] + [p for _, p in model._encoder_parameters()]
+        if self.held is not None:
+            t, k = self.held
+            n = len(t)
+            if (n <= len(seq) and np.array_equal(t, seq.timestamps[:n])
+                    and np.array_equal(k, seq.types[:n]) and self.cfg == model.cfg
+                    and all(np.array_equal(p.data, q) for p, q in zip(params, self.params))):
+                return n
+        self.held = None
+        self.cfg = copy.copy(model.cfg)
+        self.params = [p.data.copy() for p in params]
+        self.blocks = [blk.empty_state() for blk in model._stack()]
+        return 0
+
+
 class MambaHawkes:
     """Full model: embedding -> gap-driven block stack -> MLP -> heads."""
 
@@ -190,6 +231,7 @@ class MambaHawkes:
         self.pred = PredictionHeads(cfg.K, cfg.d_model, rng)
         for name, p in self.named_parameters():
             p.name = name
+        self._stream = EncoderState()   # what predict_next last encoded
 
     def _build_encoder(self, rng):
         return [MambaBlock(self.cfg.d_model, self.cfg.d_state, self.cfg.d_conv,
@@ -230,16 +272,39 @@ class MambaHawkes:
     def deltas(self, seq):
         return transform_deltas(raw_event_deltas(seq.timestamps), self.cfg)
 
-    def _run_stack(self, x, delta):
-        for blk in self.layers:
-            x = blk(x, delta)
+    def _stack(self):
+        """The encoder blocks, in the order `_run_stack` runs them."""
+        return list(self.layers)
+
+    def _run_stack(self, x, delta, states=None):
+        """Run the blocks; `states` (one per block of `_stack`) are carried on
+        from and updated, and None runs every block from empty."""
+        states = [None] * len(self._stack()) if states is None else states
+        for blk, state in zip(self.layers, states):
+            x = blk(x, delta, state)
         return x
 
-    def encode(self, seq):
-        """Hidden state per event, [L, d_model]; row j sees only events <= j."""
-        x = self.embed(seq)
-        delta = Tensor(self.deltas(seq))
-        return self.mlp(self._run_stack(x, delta))
+    def encode(self, seq, state=None):
+        """Hidden state per event, [L, d_model]; row j sees only events <= j.
+
+        With an `EncoderState` it returns the last event's row alone,
+        [1, d_model], and runs only the events after those the state holds
+        (`EncoderState.resume`), without recording a graph; the state then
+        holds seq. Without one, the state starts empty.
+        """
+        if state is None:
+            x = self.embed(seq)
+            delta = Tensor(self.deltas(seq))
+            return self.mlp(self._run_stack(x, delta))
+        with ag.no_grad():
+            start = state.resume(self, seq)
+            if start < len(seq):
+                state.held = None   # until the blocks hold all of seq
+                x = self.embed(seq)[start:]
+                delta = Tensor(self.deltas(seq)[start:])
+                state.last = self._run_stack(x, delta, state.blocks)[len(seq) - start - 1:]
+                state.held = (seq.timestamps.copy(), seq.types.copy())
+            return self.mlp(state.last)
 
     # -- intensities and likelihood -----------------------------------------
 
@@ -298,10 +363,14 @@ class MambaHawkes:
     # -- prediction and losses ----------------------------------------------
 
     def predict_next(self, seq):
-        """Next-event type distribution and time prediction from the latest state."""
+        """Next-event type distribution and time prediction from the latest state.
+
+        The model keeps the encoder state of the sequence it last predicted
+        for, so a query on a longer prefix of it encodes only the new events.
+        Not safe to call from several threads at once.
+        """
         with ag.no_grad():
-            hidden = self.encode(seq)
-            h_last = ag.reshape(hidden[len(seq) - 1], (1, -1))
+            h_last = self.encode(seq, self._stream)
             probs = ag.softmax(self.pred.logits(h_last), axis=1).data[0]
             t_hat = float(self.pred.times(h_last).data[0])
         return PredictionResult(probs, int(np.argmax(probs)) + 1, t_hat)

@@ -9,6 +9,8 @@ channel.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from . import autograd as ag
@@ -26,7 +28,7 @@ def linear_init(rng, fan_in, fan_out):
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-def selective_scan(x, delta, a, b, c, skip=None):
+def selective_scan(x, delta, a, b, c, skip=None, state=None):
     """Run the time-variant recurrence z_i = abar_i * z_{i-1} + bbar_i * x_i.
 
     Args:
@@ -36,10 +38,14 @@ def selective_scan(x, delta, a, b, c, skip=None):
         b: [L, N] per-step input projections.
         c: [L, N] per-step output projections.
         skip: optional [D] direct feedthrough added as skip * x.
+        state: optional [D, N] array, the state z_0 before the first step
+            (zeros when None). It is overwritten with the state after the
+            last step, so that a call on the next stretch of the sequence
+            carries on from it. It is a constant: no gradient reaches it.
 
     Returns:
         [L, D] outputs y_i = c_i . z_i (+ skip * x_i), differentiable in
-        every argument.
+        every argument but `state`.
 
     The whole scan is one graph node. Its backward is the adjoint
     recurrence G_i = c_i * gy_i + abar_{i+1} * G_{i+1}, where G_i is the
@@ -71,6 +77,8 @@ def selective_scan(x, delta, a, b, c, skip=None):
         raise ag.DomainError(
             f"selective_scan: non-positive step size (min={delta.data.min()!r})"
         )
+    if state is not None and state.shape != (D, N):
+        raise ag.ShapeError(f"selective_scan: state must be [D, N]={D, N}, got {state.shape}")
     if skip is not None:
         skip = ag.as_tensor(skip)
     parents = (x, delta, a, b, c) + (() if skip is None else (skip,))
@@ -89,8 +97,14 @@ def selective_scan(x, delta, a, b, c, skip=None):
     del u
     zs *= bv[:, None, :]
     zs *= xv[:, :, None]
+    z0 = None
+    if state is not None:
+        z0 = state.copy()
+        zs[0] += abar[0] * z0
     for i in range(1, L):
         zs[i] += abar[i] * zs[i - 1]
+    if state is not None:
+        state[...] = zs[-1]
     y = np.matmul(zs, cv[:, :, None])[:, :, 0]
     if skip is not None:
         y = y + skip.data * xv
@@ -119,6 +133,8 @@ def selective_scan(x, delta, a, b, c, skip=None):
             du *= bv[:, None, :]
             du *= xv[:, :, None]
             du *= G
+            if z0 is not None:
+                du[0] += G[0] * abar[0] * z0
             G[1:] *= abar[1:]
             G[1:] *= zs[:-1]
             du[1:] += G[1:]
@@ -157,11 +173,19 @@ class SsmCore:
         return [(prefix + "A_log", self.A_log), (prefix + "W_B", self.W_B),
                 (prefix + "W_C", self.W_C), (prefix + "D", self.D)]
 
-    def __call__(self, x, delta):
+    def __call__(self, x, delta, state=None):
         a = ag.neg(ag.exp(self.A_log))
         b = ag.matmul(x, self.W_B)
         c = ag.matmul(x, self.W_C)
-        return selective_scan(x, delta, a, b, c, skip=self.D)
+        return selective_scan(x, delta, a, b, c, skip=self.D, state=state)
+
+
+class MambaState(NamedTuple):
+    """What a MambaBlock carries between calls on consecutive stretches of a
+    sequence; both arrays are updated in place."""
+
+    conv: np.ndarray    # [d_conv - 1, d_inner] last inputs of the causal conv
+    z: np.ndarray       # [d_inner, d_state] scan state after the last event
 
 
 class MambaBlock:
@@ -170,6 +194,10 @@ class MambaBlock:
     The step sizes come from event time gaps and are shared by every channel;
     they are computed before the convolution, so the conv mixes channel
     streams over positions but never the gaps themselves.
+
+    Called with a `MambaState`, the block carries on from the events that
+    state holds: the conv reads their last inputs and the scan starts from
+    their final state, and both are updated to include u.
     """
 
     def __init__(self, d_model, d_state, d_conv, expand, rng):
@@ -194,13 +222,18 @@ class MambaBlock:
         out.append((prefix + "out_proj", self.out_proj))
         return out
 
-    def __call__(self, u, delta):
+    def empty_state(self):
+        return MambaState(np.zeros((self.d_conv - 1, self.d_inner)),
+                          np.zeros((self.d_inner, self.ssm.d_state)))
+
+    def __call__(self, u, delta, state=None):
+        conv_left, z0 = (None, None) if state is None else state
         xn = rms_norm(u, self.norm_scale)
         xz = ag.matmul(xn, self.in_proj)
         x = xz[:, :self.d_inner]
         z = xz[:, self.d_inner:]
-        x = ag.causal_conv1d(x, self.conv_kernel, self.conv_bias)
+        x = ag.causal_conv1d(x, self.conv_kernel, self.conv_bias, left=conv_left)
         x = ag.silu(x)
-        y = self.ssm(x, delta)
+        y = self.ssm(x, delta, state=z0)
         y = ag.mul(y, ag.silu(z))
         return ag.add(ag.matmul(y, self.out_proj), u)

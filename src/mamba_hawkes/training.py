@@ -327,9 +327,15 @@ def train(cfg):
     dev_ds = load_split(cfg.data, "dev")
     test_path = os.path.join(cfg.data, "test.jsonl")
     test_ds = load_jsonl(test_path, "test") if os.path.exists(test_path) else None
-    for ds in (dev_ds, test_ds):
-        if ds is not None and ds.K != train_ds.K:
+    for ds in (train_ds, dev_ds, test_ds):
+        if ds is None:
+            continue
+        if ds.K != train_ds.K:
             raise DataError(f"{ds.split}.jsonl has K={ds.K}, train.jsonl has K={train_ds.K}")
+        short = next((i for i, seq in enumerate(ds, start=1) if len(seq) < 2), None)
+        if short is not None:
+            raise DataError(f"{os.path.join(cfg.data, ds.split + '.jsonl')}: sequence {short} "
+                            f"has one event; training needs at least two")
 
     meta = {}
     if cfg.normalize_times:

@@ -333,3 +333,18 @@ def test_parameter_is_leaf_and_named():
     assert p.name == "layers.0.A_log"
     assert p._parents == ()
     assert p.requires_grad
+
+
+@pytest.mark.parametrize("W", [1, 2, 4])
+def test_causal_conv_left_context_carries_across_calls(W):
+    rng = np.random.default_rng(13)
+    x = rng.normal(size=(9, 3))
+    k, b = Tensor(rng.normal(size=(W, 3))), Tensor(rng.normal(size=3))
+    whole = ag.causal_conv1d(Tensor(x), k, b).data
+    left = np.zeros((W - 1, 3))
+    parts = [ag.causal_conv1d(Tensor(x[lo:hi]), k, b, left=left).data
+             for lo, hi in ((0, 1), (1, 6), (6, 9))]
+    np.testing.assert_array_equal(np.concatenate(parts), whole)
+    np.testing.assert_array_equal(left, x[9 - (W - 1):])
+    with pytest.raises(ag.ShapeError, match="left context"):
+        ag.causal_conv1d(Tensor(x), k, b, left=np.zeros((W, 3)))

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mamba_hawkes.checkpoint import checkpoint_payload
+from mamba_hawkes.checkpoint import checkpoint_payload, save_checkpoint
 from mamba_hawkes.cli import main
 from mamba_hawkes.model import MambaHawkes, MhpConfig
 
@@ -192,3 +192,52 @@ def test_generate_skips_empty_split_and_train_runs(tmp_path):
                 "--data", data, "--out", out]) == 0
     splits = [ln.split(",")[1] for ln in (out / "metrics.csv").read_text().splitlines()[1:]]
     assert splits == ["train", "dev"]
+
+
+def tiny_checkpoint(tmp_path, K=2):
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=K), seed=0), path)
+    return path
+
+
+@pytest.mark.parametrize("event", ['{"t": NaN, "k": 1}', '{"t": Infinity, "k": 1}',
+                                   '{"t": 2.0, "k": true}', '{"t": "abc", "k": 1}'],
+                         ids=["nan", "infinity", "bool-type", "string-time"])
+def test_malformed_event_exits_2_naming_line_and_event(tmp_path, capsys, event):
+    data = tmp_path / "test.jsonl"
+    data.write_text('{"K": 2, "events": [{"t": 1.0, "k": 1}, {"t": 1.5, "k": 2}]}\n'
+                    '{"K": 2, "events": [{"t": 1.0, "k": 1}, %s]}\n' % event)
+    assert run(["eval", "--checkpoint", tiny_checkpoint(tmp_path), "--data", data]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert f"{data}:2:" in err and "at event 1" in err, err
+
+
+@pytest.mark.parametrize("split", ["train", "dev", "test"])
+def test_train_rejects_one_event_sequence(tmp_path, capsys, split):
+    data = tmp_path / "data"
+    run(["generate", "--seed", 4, "--out", data, "--n-train", 3, "--n-dev", 2, "--n-test", 2])
+    path = data / f"{split}.jsonl"
+    lines = path.read_text().splitlines()
+    lines.insert(1, '{"K": 5, "events": [{"t": 1.0, "k": 2}]}')
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    code = run(["train", "--config", small_train_config(tmp_path, epochs=1),
+                "--data", data, "--out", tmp_path / "o"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and f"{path}: sequence 2" in err, err
+    # predict still takes a one-event prefix
+    assert run(["predict", "--checkpoint", tiny_checkpoint(tmp_path, K=5),
+                "--events", path, "--line", 2]) == 0
+    assert len(json.loads(capsys.readouterr().out.splitlines()[-1])["probs"]) == 5
+
+
+def test_generate_removes_a_split_it_does_not_write(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(["generate", "--seed", 1, "--out", data,
+                "--n-train", 3, "--n-dev", 2, "--n-test", 2]) == 0
+    assert run(["generate", "--seed", 2, "--out", data,
+                "--n-train", 3, "--n-dev", 2, "--n-test", 0]) == 0
+    assert sorted(os.listdir(data)) == ["dev.jsonl", "train.jsonl"]
+    assert f"removed {data / 'test.jsonl'}" in capsys.readouterr().out

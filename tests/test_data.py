@@ -32,6 +32,12 @@ def test_event_sequence_validation():
         EventSequence(np.array([1.0]), np.array([3]), 2)
 
 
+@pytest.mark.parametrize("t", [[np.nan], [0.5, np.inf], [np.inf, np.inf], [-np.inf, 1.0]])
+def test_event_sequence_rejects_nonfinite_timestamps(t):
+    with pytest.raises(ValueError, match="finite"):
+        EventSequence(np.array(t), np.ones(len(t), dtype=np.int64), 1)
+
+
 def test_dataset_uniform_k():
     with pytest.raises(ValueError, match="same K"):
         Dataset([EventSequence(np.array([1.0]), np.array([1]), 2)], K=3)
@@ -146,6 +152,39 @@ def test_jsonl_schema_violations(tmp_path):
         path.write_text(content + "\n")
         with pytest.raises(DataError, match=msg):
             load_jsonl(path)
+
+
+def bad_event_file(tmp_path, event):
+    path = tmp_path / "bad.jsonl"
+    good = '{"K": 2, "events": [{"t": 0.5, "k": 1}, {"t": 1.0, "k": 2}]}'
+    path.write_text(good + "\n" + '{"K": 2, "events": [{"t": 0.5, "k": 1}, %s]}\n' % event)
+    return path
+
+
+def test_jsonl_nan_timestamp(tmp_path):
+    path = bad_event_file(tmp_path, '{"t": NaN, "k": 1}')
+    with pytest.raises(DataError, match=r"bad.jsonl:2: field 't' must be a finite number at event 1"):
+        load_jsonl(path)
+
+
+def test_jsonl_infinite_timestamp(tmp_path):
+    path = bad_event_file(tmp_path, '{"t": Infinity, "k": 1}')
+    with pytest.raises(DataError, match=r"bad.jsonl:2: field 't' must be a finite number at event 1"):
+        load_jsonl(path)
+
+
+def test_jsonl_boolean_type(tmp_path):
+    path = bad_event_file(tmp_path, '{"t": 1.0, "k": true}')
+    with pytest.raises(DataError, match=r"bad.jsonl:2: field 'k' out of range 1..2 at event 1"):
+        load_jsonl(path)
+
+
+@pytest.mark.parametrize("value", ['"abc"', '"1.5"', "true", "null", "[1.0]", "1" + "0" * 400],
+                         ids=["string", "numeric-string", "bool", "null", "list", "huge-int"])
+def test_jsonl_non_numeric_timestamp(tmp_path, value):
+    path = bad_event_file(tmp_path, '{"t": %s, "k": 1}' % value)
+    with pytest.raises(DataError, match=r"bad.jsonl:2: field 't' must be a finite number at event 1"):
+        load_jsonl(path)
 
 
 def test_jsonl_inconsistent_k(tmp_path):

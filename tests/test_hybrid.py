@@ -133,3 +133,22 @@ def test_hybrid_config_defaults():
     assert cfg.ff_dim == 4 * cfg.d_model
     with pytest.raises(ValueError, match="divisible"):
         MhpEConfig(K=2, d_model=10, n_heads=4)
+
+
+def test_causal_mask_after_past_positions():
+    m = causal_mask(3, past=2)
+    assert m.shape == (3, 5)
+    for i in range(3):
+        assert np.all(m[i, :2 + i + 1] == 0.0) and np.all(m[i, 2 + i + 1:] == -1e30)
+    assert np.array_equal(causal_mask(4, past=0), causal_mask(4))
+
+
+def test_attend_with_cache_matches_one_call():
+    rng = np.random.default_rng(3)
+    blk = AttentionBlock(d_model=8, n_heads=2, ff_dim=16, rng=rng)
+    x = rng.normal(size=(13, 8))
+    whole = blk(Tensor(x)).data
+    cache = blk.empty_state()
+    parts = [blk.attend(Tensor(x[lo:hi]), cache).data for lo, hi in ((0, 1), (1, 5), (5, 13))]
+    np.testing.assert_allclose(np.concatenate(parts), whole, rtol=0, atol=1e-13)
+    assert cache.k.shape == cache.v.shape == (13, 8)

@@ -285,3 +285,69 @@ def test_ssm_core_parameter_stability_invariant():
     assert core.A_log.shape == (6, 16)
     # default rate ladder spans 1..N per channel
     np.testing.assert_allclose(np.exp(core.A_log.data[0]), np.arange(1, 17))
+
+
+# -- carrying state across calls ---------------------------------------------
+
+
+def scan_inputs(rng, L, D, N):
+    delta = rng.uniform(0.05, 2.0, size=L)
+    delta[L // 2] = 1e-6  # one step in the series branch
+    return dict(x=rng.normal(size=(L, D)), delta=delta, a=-np.exp(rng.normal(size=(D, N))),
+                b=rng.normal(size=(L, N)), c=rng.normal(size=(L, N)), skip=rng.normal(size=D))
+
+
+def test_scan_carries_state_across_calls():
+    # the scan split at m, the state handed from the first call to the second,
+    # gives the outputs and the final state of one call over the whole input
+    rng = np.random.default_rng(21)
+    L, D, N = 23, 3, 4
+    v = scan_inputs(rng, L, D, N)
+    z0 = rng.normal(size=(D, N))
+    whole = z0.copy()
+    y = selective_scan(**v, state=whole).data
+    for m in (1, 9, L - 1):
+        state = z0.copy()
+        first = {k: v[k] if k in ("a", "skip") else v[k][:m] for k in v}
+        rest = {k: v[k] if k in ("a", "skip") else v[k][m:] for k in v}
+        y1 = selective_scan(**first, state=state).data
+        y2 = selective_scan(**rest, state=state).data
+        np.testing.assert_allclose(np.concatenate([y1, y2]), y, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(state, whole, rtol=0, atol=1e-13)
+    # a zero initial state is no initial state
+    plain = selective_scan(**v).data
+    np.testing.assert_allclose(selective_scan(**v, state=np.zeros((D, N))).data, plain,
+                               rtol=0, atol=1e-15)
+    np.testing.assert_allclose(naive_scan(v["x"], v["delta"], v["a"], v["b"], v["c"], v["skip"]),
+                               plain, rtol=0, atol=1e-12)
+
+
+def test_scan_gradients_with_initial_state_match_fd():
+    rng = np.random.default_rng(22)
+    v = scan_inputs(rng, 5, 2, 3)
+    v["delta"][2] = 0.5  # finite differences would step a tiny delta below zero
+    params = {k: Parameter(val, k) for k, val in v.items()}
+    z0 = rng.normal(size=(2, 3))
+    w = rng.normal(size=(5, 2))
+    errs = check_param_grads(
+        lambda: ag.reduce_sum(ag.mul(selective_scan(**params, state=z0.copy()), w)),
+        list(params.values()))
+    assert max(errs.values()) < 1e-4, errs
+
+
+def test_scan_rejects_state_of_wrong_shape():
+    v = scan_inputs(np.random.default_rng(23), 4, 2, 3)
+    with pytest.raises(ShapeError, match="state must be"):
+        selective_scan(**v, state=np.zeros((3, 2)))
+
+
+def test_block_with_state_matches_one_call():
+    rng = np.random.default_rng(24)
+    blk = MambaBlock(d_model=6, d_state=3, d_conv=4, expand=2, rng=rng)
+    u = rng.normal(size=(17, 6))
+    delta = rng.uniform(0.1, 1.5, size=17)
+    whole = blk(Tensor(u), Tensor(delta)).data
+    state = blk.empty_state()
+    parts = [blk(Tensor(u[lo:hi]), Tensor(delta[lo:hi]), state).data
+             for lo, hi in ((0, 2), (2, 3), (3, 11), (11, 17))]
+    np.testing.assert_allclose(np.concatenate(parts), whole, rtol=0, atol=1e-13)
