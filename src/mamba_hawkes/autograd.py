@@ -1,10 +1,11 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every operation that participates in training records its parents and a
-backward closure on the output tensor; calling ``backward`` on a scalar loss
-walks the recorded graph once in reverse topological order and accumulates
-gradients into leaf tensors. Graphs are built per forward pass and freed
-after backward.
+backward closure on the output tensor, almost always through ``_node``;
+calling ``backward`` on a scalar loss walks the recorded graph once in
+reverse topological order and accumulates gradients into leaf tensors.
+Graphs are built per forward pass and freed after backward. A ``Module``
+lists the Parameters it holds.
 """
 
 from __future__ import annotations
@@ -52,13 +53,13 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, requires_grad=False, _parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         # graph edges only exist on tracked outputs; leaves stay parent-free
         self._parents = _parents if self.requires_grad else ()
-        self._backward = _backward
+        self._backward = None
 
     @property
     def shape(self):
@@ -105,6 +106,36 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
+class Module:
+    """A holder of Parameters: its parameter list is its attributes, walked
+    in the order they were assigned.
+
+    A Parameter attribute is named by the attribute, a Module attribute adds
+    its own parameters under "<attribute>.", and a list of Modules adds each
+    under "<attribute>.<index>.". Other attributes are not parameters.
+    """
+
+    def named_parameters(self, prefix=""):
+        out = []
+        for name, value in vars(self).items():
+            if isinstance(value, Parameter):
+                out.append((prefix + name, value))
+            elif isinstance(value, Module):
+                out += value.named_parameters(f"{prefix}{name}.")
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    if isinstance(item, Module):
+                        out += item.named_parameters(f"{prefix}{name}.{i}.")
+        return out
+
+    def parameters(self):
+        return [p for _, p in self.named_parameters()]
+
+    def zero_grad(self):
+        for p in self.parameters():
+            p.zero_grad()
+
+
 def as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
@@ -113,13 +144,16 @@ def _track(*tensors):
     return _grad_enabled and any(t.requires_grad for t in tensors)
 
 
-def _check_broadcast(a_shape, b_shape, op):
+def _binary(a, b, op):
+    """Both operands as tensors, checked to broadcast against each other."""
+    a, b = as_tensor(a), as_tensor(b)
     try:
-        np.broadcast_shapes(a_shape, b_shape)
+        np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ShapeError(
-            f"{op}: shapes {a_shape} and {b_shape} are not broadcastable"
+            f"{op}: shapes {a.shape} and {b.shape} are not broadcastable"
         ) from None
+    return a, b
 
 
 def _sum_to(g, shape):
@@ -133,131 +167,83 @@ def _sum_to(g, shape):
     return g
 
 
+def _node(data, parents, *grads):
+    """The output tensor of an op on `parents`.
+
+    When it is tracked, its backward adds `grads[i](out.grad)`, reduced to
+    the parent's shape, into the gradient of each parent i that requires one.
+    """
+    out = Tensor(data, _track(*parents), parents)
+    if out.requires_grad:
+        def _bw():
+            for p, grad in zip(parents, grads):
+                if p.requires_grad:
+                    p.grad += _sum_to(grad(out.grad), p.shape)
+        out._backward = _bw
+    return out
+
+
 # ---------------------------------------------------------------------------
 # elementwise arithmetic
 
 
 def add(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a.shape, b.shape, "add")
-    out = Tensor(a.data + b.data, _track(a, b), (a, b))
-    if out.requires_grad:
-        def _bw():
-            if a.requires_grad:
-                a.grad += _sum_to(out.grad, a.shape)
-            if b.requires_grad:
-                b.grad += _sum_to(out.grad, b.shape)
-        out._backward = _bw
-    return out
+    a, b = _binary(a, b, "add")
+    return _node(a.data + b.data, (a, b), lambda g: g, lambda g: g)
 
 
 def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a.shape, b.shape, "sub")
-    out = Tensor(a.data - b.data, _track(a, b), (a, b))
-    if out.requires_grad:
-        def _bw():
-            if a.requires_grad:
-                a.grad += _sum_to(out.grad, a.shape)
-            if b.requires_grad:
-                b.grad -= _sum_to(out.grad, b.shape)
-        out._backward = _bw
-    return out
+    a, b = _binary(a, b, "sub")
+    return _node(a.data - b.data, (a, b), lambda g: g, lambda g: -g)
 
 
 def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a.shape, b.shape, "mul")
-    out = Tensor(a.data * b.data, _track(a, b), (a, b))
-    if out.requires_grad:
-        def _bw():
-            if a.requires_grad:
-                a.grad += _sum_to(out.grad * b.data, a.shape)
-            if b.requires_grad:
-                b.grad += _sum_to(out.grad * a.data, b.shape)
-        out._backward = _bw
-    return out
+    a, b = _binary(a, b, "mul")
+    return _node(a.data * b.data, (a, b), lambda g: g * b.data, lambda g: g * a.data)
 
 
 def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    _check_broadcast(a.shape, b.shape, "div")
-    out = Tensor(a.data / b.data, _track(a, b), (a, b))
-    if out.requires_grad:
-        def _bw():
-            if a.requires_grad:
-                a.grad += _sum_to(out.grad / b.data, a.shape)
-            if b.requires_grad:
-                b.grad -= _sum_to(out.grad * a.data / (b.data * b.data), b.shape)
-        out._backward = _bw
-    return out
+    a, b = _binary(a, b, "div")
+    return _node(a.data / b.data, (a, b), lambda g: g / b.data,
+                 lambda g: -(g * a.data / (b.data * b.data)))
 
 
 def neg(a):
     a = as_tensor(a)
-    out = Tensor(-a.data, _track(a), (a,))
-    if out.requires_grad:
-        def _bw():
-            a.grad -= out.grad
-        out._backward = _bw
-    return out
+    return _node(-a.data, (a,), lambda g: -g)
 
 
 def exp(a):
     a = as_tensor(a)
-    out = Tensor(np.exp(a.data), _track(a), (a,))
-    if out.requires_grad:
-        y = out.data
-        def _bw():
-            a.grad += out.grad * y
-        out._backward = _bw
-    return out
+    y = np.exp(a.data)
+    return _node(y, (a,), lambda g: g * y)
 
 
 def log(a):
     a = as_tensor(a)
     if np.any(a.data <= 0.0):
         raise DomainError(f"log of non-positive value (min={a.data.min()!r})")
-    out = Tensor(np.log(a.data), _track(a), (a,))
-    if out.requires_grad:
-        def _bw():
-            a.grad += out.grad / a.data
-        out._backward = _bw
-    return out
+    return _node(np.log(a.data), (a,), lambda g: g / a.data)
 
 
 def sqrt(a):
     a = as_tensor(a)
     if np.any(a.data < 0.0):
         raise DomainError(f"sqrt of negative value (min={a.data.min()!r})")
-    out = Tensor(np.sqrt(a.data), _track(a), (a,))
-    if out.requires_grad:
-        y = out.data
-        def _bw():
-            a.grad += out.grad * 0.5 / y
-        out._backward = _bw
-    return out
+    y = np.sqrt(a.data)
+    return _node(y, (a,), lambda g: g * 0.5 / y)
 
 
 def _sigmoid(x):
-    # stable in both tails
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # stable in both tails: exp never sees a positive argument
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def silu(a):
     a = as_tensor(a)
     s = _sigmoid(a.data)
-    out = Tensor(a.data * s, _track(a), (a,))
-    if out.requires_grad:
-        def _bw():
-            a.grad += out.grad * s * (1.0 + a.data * (1.0 - s))
-        out._backward = _bw
-    return out
+    return _node(a.data * s, (a,), lambda g: g * s * (1.0 + a.data * (1.0 - s)))
 
 
 def softplus(a, beta=1.0):
@@ -266,23 +252,14 @@ def softplus(a, beta=1.0):
     ``beta`` may be a positive float or a broadcastable Tensor; gradients flow
     to it in the latter case.
     """
-    a = as_tensor(a)
     b = as_tensor(beta)
     if np.any(b.data <= 0.0):
         raise DomainError(f"softplus scale must be positive (min={b.data.min()!r})")
-    _check_broadcast(a.shape, b.shape, "softplus")
+    a, b = _binary(a, b, "softplus")
     u = a.data / b.data
     sp = np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))  # log(1+e^u), stable
-    out = Tensor(b.data * sp, _track(a, b), (a, b))
-    if out.requires_grad:
-        sig = _sigmoid(u)
-        def _bw():
-            if a.requires_grad:
-                a.grad += _sum_to(out.grad * sig, a.shape)
-            if b.requires_grad:
-                b.grad += _sum_to(out.grad * (sp - u * sig), b.shape)
-        out._backward = _bw
-    return out
+    sig = _sigmoid(u) if _track(a, b) else None
+    return _node(b.data * sp, (a, b), lambda g: g * sig, lambda g: g * (sp - u * sig))
 
 
 _EXPM1_SERIES_CUTOFF = 1e-4
@@ -335,28 +312,16 @@ def matmul(a, b):
         data = data[..., 0]
     if a_vec:
         data = data[..., 0, :] if not b_vec else data[..., 0]
-    out = Tensor(data, _track(a, b), (a, b))
-    if out.requires_grad:
-        def _bw():
-            g = out.grad
-            if a_vec and b_vec:
-                g = g[..., None, None]
-            elif a_vec:
-                g = g[..., None, :]
-            elif b_vec:
-                g = g[..., None]
-            if a.requires_grad:
-                ga = g @ np.swapaxes(B, -1, -2)
-                if a_vec:
-                    ga = ga[..., 0, :]
-                a.grad += _sum_to(ga, a.shape)
-            if b.requires_grad:
-                gb = np.swapaxes(A, -1, -2) @ g
-                if b_vec:
-                    gb = gb[..., 0]
-                b.grad += _sum_to(gb, b.shape)
-        out._backward = _bw
-    return out
+
+    def grad_a(g):
+        ga = g.reshape(prod.shape) @ np.swapaxes(B, -1, -2)
+        return ga[..., 0, :] if a_vec else ga
+
+    def grad_b(g):
+        gb = np.swapaxes(A, -1, -2) @ g.reshape(prod.shape)
+        return gb[..., 0] if b_vec else gb
+
+    return _node(data, (a, b), grad_a, grad_b)
 
 
 def _check_axis(axis, ndim, op):
@@ -369,33 +334,24 @@ def _check_axis(axis, ndim, op):
     return tuple(ax % ndim for ax in axes)
 
 
+def _unreduce(g, axes, keepdims):
+    """A reduction's output gradient with the reduced axes put back."""
+    return g if axes is None or keepdims else np.expand_dims(g, axes)
+
+
 def reduce_sum(a, axis=None, keepdims=False):
     a = as_tensor(a)
     axes = _check_axis(axis, a.ndim, "reduce_sum")
-    out = Tensor(a.data.sum(axis=axes, keepdims=keepdims), _track(a), (a,))
-    if out.requires_grad:
-        def _bw():
-            g = out.grad
-            if axes is not None and not keepdims:
-                g = np.expand_dims(g, axes)
-            a.grad += np.broadcast_to(g, a.shape)
-        out._backward = _bw
-    return out
+    return _node(a.data.sum(axis=axes, keepdims=keepdims), (a,),
+                 lambda g: np.broadcast_to(_unreduce(g, axes, keepdims), a.shape))
 
 
 def reduce_mean(a, axis=None, keepdims=False):
     a = as_tensor(a)
     axes = _check_axis(axis, a.ndim, "reduce_mean")
-    out = Tensor(a.data.mean(axis=axes, keepdims=keepdims), _track(a), (a,))
-    if out.requires_grad:
-        n = a.size if axes is None else int(np.prod([a.shape[ax] for ax in axes]))
-        def _bw():
-            g = out.grad
-            if axes is not None and not keepdims:
-                g = np.expand_dims(g, axes)
-            a.grad += np.broadcast_to(g / n, a.shape)
-        out._backward = _bw
-    return out
+    n = a.size if axes is None else int(np.prod([a.shape[ax] for ax in axes]))
+    return _node(a.data.mean(axis=axes, keepdims=keepdims), (a,),
+                 lambda g: np.broadcast_to(_unreduce(g, axes, keepdims) / n, a.shape))
 
 
 def softmax(a, axis=-1):
@@ -404,13 +360,7 @@ def softmax(a, axis=-1):
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(s, _track(a), (a,))
-    if out.requires_grad:
-        def _bw():
-            g = out.grad
-            a.grad += s * (g - (g * s).sum(axis=axis, keepdims=True))
-        out._backward = _bw
-    return out
+    return _node(s, (a,), lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True)))
 
 
 def log_softmax(a, axis=-1):
@@ -418,14 +368,8 @@ def log_softmax(a, axis=-1):
     _check_axis(axis, a.ndim, "log_softmax")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out = Tensor(shifted - lse, _track(a), (a,))
-    if out.requires_grad:
-        s = np.exp(out.data)
-        def _bw():
-            g = out.grad
-            a.grad += g - s * g.sum(axis=axis, keepdims=True)
-        out._backward = _bw
-    return out
+    y = shifted - lse
+    return _node(y, (a,), lambda g: g - np.exp(y) * g.sum(axis=axis, keepdims=True))
 
 
 def gather(a, indices, axis=0):
@@ -463,23 +407,13 @@ def take_slice(a, key):
 
 def reshape(a, shape):
     a = as_tensor(a)
-    out = Tensor(a.data.reshape(shape), _track(a), (a,))
-    if out.requires_grad:
-        def _bw():
-            a.grad += out.grad.reshape(a.shape)
-        out._backward = _bw
-    return out
+    return _node(a.data.reshape(shape), (a,), lambda g: g.reshape(a.shape))
 
 
 def transpose(a, axes=None):
     a = as_tensor(a)
-    out = Tensor(np.transpose(a.data, axes), _track(a), (a,))
-    if out.requires_grad:
-        inv = None if axes is None else np.argsort(axes)
-        def _bw():
-            a.grad += np.transpose(out.grad, inv)
-        out._backward = _bw
-    return out
+    inv = None if axes is None else np.argsort(axes)
+    return _node(np.transpose(a.data, axes), (a,), lambda g: np.transpose(g, inv))
 
 
 def concat(tensors, axis=0):
@@ -488,18 +422,10 @@ def concat(tensors, axis=0):
         raise ShapeError("concat of an empty sequence")
     axes = _check_axis(axis, tensors[0].ndim, "concat")
     ax = axes[0]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=ax),
-                 _track(*tensors), tuple(tensors))
-    if out.requires_grad:
-        sizes = [t.shape[ax] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-        def _bw():
-            for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-                if t.requires_grad:
-                    key = (slice(None),) * ax + (slice(lo, hi),)
-                    t.grad += out.grad[key]
-        out._backward = _bw
-    return out
+    offsets = np.cumsum([0] + [t.shape[ax] for t in tensors])
+    keys = [(slice(None),) * ax + (slice(lo, hi),) for lo, hi in zip(offsets[:-1], offsets[1:])]
+    return _node(np.concatenate([t.data for t in tensors], axis=ax), tuple(tensors),
+                 *(lambda g, key=key: g[key] for key in keys))
 
 
 def causal_conv1d(x, kernel, bias=None, left=None):
@@ -537,23 +463,16 @@ def causal_conv1d(x, kernel, bias=None, left=None):
         data += kernel.data[w] * xp[w:w + L]
     if b is not None:
         data = data + b.data
+
+    def grad_x(g):
+        gxp = np.zeros_like(xp)
+        for w in range(W):
+            gxp[w:w + L] += kernel.data[w] * g
+        return gxp[W - 1:]
     parents = (x, kernel) if b is None else (x, kernel, b)
-    out = Tensor(data, _track(*parents), parents)
-    if out.requires_grad:
-        def _bw():
-            g = out.grad
-            if x.requires_grad:
-                gxp = np.zeros_like(xp)
-                for w in range(W):
-                    gxp[w:w + L] += kernel.data[w] * g
-                x.grad += gxp[W - 1:]
-            if kernel.requires_grad:
-                for w in range(W):
-                    kernel.grad[w] += (xp[w:w + L] * g).sum(axis=0)
-            if b is not None and b.requires_grad:
-                b.grad += _sum_to(g, b.shape)
-        out._backward = _bw
-    return out
+    return _node(data, parents, grad_x,
+                 lambda g: np.stack([(xp[w:w + L] * g).sum(axis=0) for w in range(W)]),
+                 lambda g: g)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ import sys
 
 from .checkpoint import load_checkpoint
 from .data import DataError, load_jsonl, make_synthetic_benchmark, save_jsonl
-from .training import (NumericsError, TrainConfig, evaluate, scale_times,
-                       train, write_metrics)
+from .training import (NumericsError, TrainConfig, check_two_events, evaluate,
+                       scale_times, train, write_metrics)
 
 
 class UsageError(Exception):
@@ -132,6 +132,7 @@ def _cmd_eval(args):
     if not os.path.exists(path):
         raise FileNotFoundError(f"data file not found: {path}")
     dataset = load_jsonl(path, args.split)
+    check_two_events(dataset, path, "evaluation")
     if "time_scale" in meta:
         dataset = scale_times(dataset, meta["time_scale"])
     try:

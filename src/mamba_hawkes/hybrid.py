@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Parameter
+from .autograd import Module, Parameter
 from .model import MambaHawkes, MhpConfig
-from .ssm import MambaBlock, linear_init, rms_norm
+from .ssm import linear_init, rms_norm
 
 
 @dataclass
@@ -59,7 +59,7 @@ class KVCache:
         self.v = np.zeros((0, d_model))
 
 
-class AttentionBlock:
+class AttentionBlock(Module):
     """Pre-norm multi-head causal self-attention plus a position-wise MLP."""
 
     def __init__(self, d_model, n_heads, ff_dim, rng):
@@ -76,11 +76,6 @@ class AttentionBlock:
         self.b_ff1 = Parameter(np.zeros(ff_dim), "b_ff1")
         self.W_ff2 = Parameter(linear_init(rng, ff_dim, d_model), "W_ff2")
         self.b_ff2 = Parameter(np.zeros(d_model), "b_ff2")
-
-    def named_parameters(self, prefix=""):
-        names = ("norm1", "W_q", "W_k", "W_v", "W_o",
-                 "norm2", "W_ff1", "b_ff1", "W_ff2", "b_ff2")
-        return [(prefix + n, getattr(self, n)) for n in names]
 
     def empty_state(self):
         return KVCache(self.d_model)
@@ -122,19 +117,10 @@ class MambaHawkesHybrid(MambaHawkes):
     arch = "mhp-e"
 
     def _build_encoder(self, rng):
-        blocks = [MambaBlock(self.cfg.d_model, self.cfg.d_state, self.cfg.d_conv,
-                             self.cfg.expand, rng)
-                  for _ in range(self.cfg.mamba_layers)]
+        super()._build_encoder(rng, self.cfg.mamba_layers)
         self.attn_layers = [AttentionBlock(self.cfg.d_model, self.cfg.n_heads,
                                            self.cfg.ff_dim, rng)
                             for _ in range(self.cfg.attn_blocks)]
-        return blocks
-
-    def _encoder_parameters(self):
-        out = super()._encoder_parameters()
-        for i, blk in enumerate(self.attn_layers):
-            out += blk.named_parameters(f"attn_layers.{i}.")
-        return out
 
     def _stack(self):
         return self.layers + self.attn_layers

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Parameter, Tensor
+from .autograd import Module, Parameter, Tensor
 from .ssm import MambaBlock, linear_init
 
 
@@ -90,7 +90,7 @@ def sequence_seed(base_seed, seq):
     return int.from_bytes(h.digest(), "little")
 
 
-class MlpHead:
+class MlpHead(Module):
     """Two-layer MLP applied position-wise after the encoder stack."""
 
     def __init__(self, d_model, hidden, rng):
@@ -99,16 +99,12 @@ class MlpHead:
         self.W2 = Parameter(linear_init(rng, hidden, d_model), "W2")
         self.b2 = Parameter(np.zeros(d_model), "b2")
 
-    def named_parameters(self, prefix=""):
-        return [(prefix + "W1", self.W1), (prefix + "b1", self.b1),
-                (prefix + "W2", self.W2), (prefix + "b2", self.b2)]
-
     def __call__(self, x):
         h = ag.silu(ag.add(ag.matmul(x, self.W1), self.b1))
         return ag.add(ag.matmul(h, self.W2), self.b2)
 
 
-class IntensityHead:
+class IntensityHead(Module):
     """Per-type conditional intensity parameters.
 
     lambda_k(t) = softplus_{beta_k}(alpha_k * (t - t_j) + w_k . h(t_j) + b_k),
@@ -120,10 +116,6 @@ class IntensityHead:
         self.W = Parameter(linear_init(rng, d_model, K).T, "W")  # [K, d_model]
         self.b = Parameter(np.zeros(K), "b")
         self.log_beta = Parameter(np.zeros(K), "log_beta")
-
-    def named_parameters(self, prefix=""):
-        return [(prefix + "alpha", self.alpha), (prefix + "W", self.W),
-                (prefix + "b", self.b), (prefix + "log_beta", self.log_beta)]
 
     def base_scores(self, hidden):
         """w_k . h + b_k for every (position, type) pair -> [L, K]."""
@@ -144,15 +136,12 @@ class IntensityHead:
         return ag.softplus(arg, ag.exp(self.log_beta))
 
 
-class PredictionHeads:
+class PredictionHeads(Module):
     """Linear next-type and next-time readouts from the hidden state."""
 
     def __init__(self, K, d_model, rng):
         self.P_e = Parameter(linear_init(rng, d_model, K).T, "P_e")  # [K, d_model]
         self.P_t = Parameter(linear_init(rng, d_model, 1).T, "P_t")  # [1, d_model]
-
-    def named_parameters(self, prefix=""):
-        return [(prefix + "P_e", self.P_e), (prefix + "P_t", self.P_t)]
 
     def logits(self, hidden):
         return ag.matmul(hidden, ag.transpose(self.P_e))
@@ -199,7 +188,7 @@ class EncoderState:
         equal the copies. Otherwise it is 0, and the state is emptied and
         copies them anew.
         """
-        params = [model.embedding] + [p for _, p in model._encoder_parameters()]
+        params = [model.embedding] + [p for blk in model._stack() for p in blk.parameters()]
         if self.held is not None:
             t, k = self.held
             n = len(t)
@@ -214,7 +203,7 @@ class EncoderState:
         return 0
 
 
-class MambaHawkes:
+class MambaHawkes(Module):
     """Full model: embedding -> gap-driven block stack -> MLP -> heads."""
 
     arch = "mhp"
@@ -225,7 +214,7 @@ class MambaHawkes:
         self.embedding = Parameter(
             rng.normal(0.0, 1.0 / np.sqrt(cfg.d_model), size=(cfg.d_model, cfg.K)),
             "embedding")
-        self.layers = self._build_encoder(rng)
+        self._build_encoder(rng)
         self.mlp = MlpHead(cfg.d_model, cfg.mlp_width, rng)
         self.head = IntensityHead(cfg.K, cfg.d_model, rng)
         self.pred = PredictionHeads(cfg.K, cfg.d_model, rng)
@@ -233,31 +222,12 @@ class MambaHawkes:
             p.name = name
         self._stream = EncoderState()   # what predict_next last encoded
 
-    def _build_encoder(self, rng):
-        return [MambaBlock(self.cfg.d_model, self.cfg.d_state, self.cfg.d_conv,
-                           self.cfg.expand, rng)
-                for _ in range(self.cfg.n_layers)]
-
-    def _encoder_parameters(self):
-        out = []
-        for i, blk in enumerate(self.layers):
-            out += blk.named_parameters(f"layers.{i}.")
-        return out
-
-    def named_parameters(self):
-        out = [("embedding", self.embedding)]
-        out += self._encoder_parameters()
-        out += self.mlp.named_parameters("mlp.")
-        out += self.head.named_parameters("head.")
-        out += self.pred.named_parameters("pred.")
-        return out
-
-    def parameters(self):
-        return [p for _, p in self.named_parameters()]
-
-    def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
+    def _build_encoder(self, rng, n_layers=None):
+        """Assign the encoder blocks (`layers`, then any the subclass adds),
+        drawing their initial values from rng in that order."""
+        cfg = self.cfg
+        self.layers = [MambaBlock(cfg.d_model, cfg.d_state, cfg.d_conv, cfg.expand, rng)
+                       for _ in range(cfg.n_layers if n_layers is None else n_layers)]
 
     # -- encoding ----------------------------------------------------------
 

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Parameter, Tensor
+from .autograd import Module, Parameter, Tensor
 
 
 def rms_norm(x, scale, eps=1e-5):
@@ -151,7 +151,7 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
     return out
 
 
-class SsmCore:
+class SsmCore(Module):
     """Learnable pieces of the scan: decay rates, B/C projections, feedthrough.
 
     The decay matrix is stored as A_log with a = -exp(A_log), so every rate is
@@ -169,10 +169,6 @@ class SsmCore:
         self.W_C = Parameter(linear_init(rng, d_inner, d_state), "W_C")
         self.D = Parameter(np.ones(d_inner), "D")
 
-    def named_parameters(self, prefix=""):
-        return [(prefix + "A_log", self.A_log), (prefix + "W_B", self.W_B),
-                (prefix + "W_C", self.W_C), (prefix + "D", self.D)]
-
     def __call__(self, x, delta, state=None):
         a = ag.neg(ag.exp(self.A_log))
         b = ag.matmul(x, self.W_B)
@@ -188,7 +184,7 @@ class MambaState(NamedTuple):
     z: np.ndarray       # [d_inner, d_state] scan state after the last event
 
 
-class MambaBlock:
+class MambaBlock(Module):
     """Pre-norm gated block: in-proj -> causal conv -> SiLU -> scan -> gate -> out-proj.
 
     The step sizes come from event time gaps and are shared by every channel;
@@ -212,15 +208,6 @@ class MambaBlock:
         self.conv_bias = Parameter(np.zeros(self.d_inner), "conv_bias")
         self.ssm = SsmCore(self.d_inner, d_state, rng)
         self.out_proj = Parameter(linear_init(rng, self.d_inner, d_model), "out_proj")
-
-    def named_parameters(self, prefix=""):
-        out = [(prefix + "norm_scale", self.norm_scale),
-               (prefix + "in_proj", self.in_proj),
-               (prefix + "conv_kernel", self.conv_kernel),
-               (prefix + "conv_bias", self.conv_bias)]
-        out += self.ssm.named_parameters(prefix + "ssm.")
-        out.append((prefix + "out_proj", self.out_proj))
-        return out
 
     def empty_state(self):
         return MambaState(np.zeros((self.d_conv - 1, self.d_inner)),

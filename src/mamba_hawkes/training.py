@@ -300,6 +300,14 @@ def load_split(data_dir, split):
     return load_jsonl(path, split)
 
 
+def check_two_events(dataset, path, use):
+    """Raise DataError naming `path` and the first sequence with one event:
+    its log-likelihood, which `use` needs, is not defined."""
+    short = next((i for i, seq in enumerate(dataset, start=1) if len(seq) < 2), None)
+    if short is not None:
+        raise DataError(f"{path}: sequence {short} has one event; {use} needs at least two")
+
+
 def scale_times(dataset, scale):
     seqs = [EventSequence(s.timestamps * scale, s.types, s.K) for s in dataset]
     return Dataset(seqs, dataset.K, dataset.split)
@@ -332,10 +340,7 @@ def train(cfg):
             continue
         if ds.K != train_ds.K:
             raise DataError(f"{ds.split}.jsonl has K={ds.K}, train.jsonl has K={train_ds.K}")
-        short = next((i for i, seq in enumerate(ds, start=1) if len(seq) < 2), None)
-        if short is not None:
-            raise DataError(f"{os.path.join(cfg.data, ds.split + '.jsonl')}: sequence {short} "
-                            f"has one event; training needs at least two")
+        check_two_events(ds, os.path.join(cfg.data, ds.split + ".jsonl"), "training")
 
     meta = {}
     if cfg.normalize_times:
@@ -371,18 +376,12 @@ def train(cfg):
             model.zero_grad()
             try:
                 total, ll_value, n_events = loss_on_batch(model, bat, base_seed=cfg.seed)
-            except ag.DomainError as e:
-                raise NumericsError(f"{e} at epoch {epoch}, batch {bi}",
-                                    epoch=epoch, batch_index=bi) from None
-            mean_total = ag.div(total, float(len(bat.unpadded())))
-            if not np.isfinite(mean_total.data):
-                raise NumericsError(
-                    f"non-finite loss at epoch {epoch}, batch {bi}",
-                    epoch=epoch, batch_index=bi)
-            ag.backward(mean_total)
-            try:
+                mean_total = ag.div(total, float(len(bat.unpadded())))
+                if not np.isfinite(mean_total.data):
+                    raise NumericsError("non-finite loss")
+                ag.backward(mean_total)
                 clip_gradients(params, cfg.clip_norm)
-            except NumericsError as e:
+            except (ag.DomainError, NumericsError) as e:
                 raise NumericsError(f"{e} at epoch {epoch}, batch {bi}",
                                     epoch=epoch, batch_index=bi) from None
             opt.step()

@@ -3,7 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import check_param_grads, expm1_over_x, numeric_grad, rel_err
+from helpers import (check_param_grads, expm1_over_x, numeric_grad, rel_err,
+                     two_branch_sigmoid)
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.autograd import (DomainError, GraphError, Parameter,
                                    ShapeError, Tensor)
@@ -192,6 +193,18 @@ def test_broadcast_gradient_reduction_matches_oracle():
         ag.backward(ag.reduce_sum(ag.mul(ag.mul(a, b), w)))
         oracle = _unbroadcast_oracle(np.broadcast_to(b.data, w.shape) * w, sa)
         np.testing.assert_allclose(a.grad, oracle, atol=1e-12)
+
+
+def test_sigmoid_matches_two_branch_formula_bit_for_bit():
+    rng = np.random.default_rng(11)
+    special = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300]
+    x = np.concatenate([rng.normal(0.0, 10.0, 5000), rng.normal(0.0, 1000.0, 500), special])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = ag._sigmoid(x), two_branch_sigmoid(x)
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)   # a NaN's sign bit carries nothing
+    np.testing.assert_array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+    assert got.shape == x.shape and ag._sigmoid(np.zeros((2, 3))).shape == (2, 3)
 
 
 def test_shape_mismatch_error_names_both_shapes():

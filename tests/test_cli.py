@@ -4,8 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from mamba_hawkes.checkpoint import checkpoint_payload, save_checkpoint
+from mamba_hawkes.checkpoint import checkpoint_payload, load_checkpoint, save_checkpoint
 from mamba_hawkes.cli import main
+from mamba_hawkes.data import EventSequence, load_jsonl
 from mamba_hawkes.model import MambaHawkes, MhpConfig
 
 
@@ -241,3 +242,40 @@ def test_generate_removes_a_split_it_does_not_write(tmp_path, capsys):
                 "--n-train", 3, "--n-dev", 2, "--n-test", 0]) == 0
     assert sorted(os.listdir(data)) == ["dev.jsonl", "train.jsonl"]
     assert f"removed {data / 'test.jsonl'}" in capsys.readouterr().out
+
+
+def test_eval_one_event_sequence_exits_2_naming_file_and_sequence(tmp_path, capsys):
+    data = tmp_path / "test.jsonl"
+    data.write_text('{"K": 2, "events": [{"t": 1.0, "k": 1}, {"t": 1.5, "k": 2}]}\n'
+                    '{"K": 2, "events": [{"t": 1.0, "k": 2}]}\n')
+    assert run(["eval", "--checkpoint", tiny_checkpoint(tmp_path), "--data", data]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert f"{data}: sequence 2 has one event" in err, err
+
+
+def test_normalize_times_train_eval_predict_agree(tmp_path, capsys):
+    data, out = tmp_path / "data", tmp_path / "run"
+    run(["generate", "--seed", 6, "--out", data, "--n-train", 6, "--n-dev", 2, "--n-test", 3])
+    assert run(["train", "--config", small_train_config(tmp_path, normalize_times=True),
+                "--data", data, "--out", out]) == 0
+    summary = json.loads((out / "metrics.json").read_text())
+    model, meta = load_checkpoint(out / "checkpoint.json")
+    scale = meta["time_scale"]
+    assert scale > 0.0 and scale != 1.0
+
+    # eval rescales the raw test split by the checkpoint's time_scale
+    assert run(["eval", "--checkpoint", out / "checkpoint.json", "--data", data,
+                "--out", tmp_path / "evald", "--quad-points", 128]) == 0
+    evald = json.loads((tmp_path / "evald" / "eval_metrics.json").read_text())
+    assert evald["metrics"] == summary["test"]
+
+    # predict runs on the scaled sequence and reports its time in raw units
+    capsys.readouterr()
+    assert run(["predict", "--checkpoint", out / "checkpoint.json",
+                "--events", data / "test.jsonl", "--line", 2]) == 0
+    printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    seq = load_jsonl(data / "test.jsonl").sequences[1]
+    want = model.predict_next(EventSequence(seq.timestamps * scale, seq.types, seq.K))
+    assert printed == {"probs": [float(p) for p in want.probs],
+                       "next_type": want.next_type, "next_time": want.next_time / scale}

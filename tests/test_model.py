@@ -4,6 +4,7 @@ import pytest
 from helpers import check_param_grads, rel_err
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.autograd import Tensor
+from mamba_hawkes.checkpoint import build_model
 from mamba_hawkes.data import EventSequence
 from mamba_hawkes.model import (MambaHawkes, MhpConfig, raw_event_deltas,
                                 transform_deltas)
@@ -354,3 +355,33 @@ def test_parameter_names_are_unique_paths():
     assert len(names) == len(set(names))
     assert "layers.0.ssm.A_log" in names
     assert all(p.name == n for n, p in m.named_parameters())
+
+
+# Default mhp / mhp-e (d_model 64, d_state 16, d_conv 4, expand 2, K 5, ff 256):
+# per-block parameter names and shapes, in the order a model lists them.
+_MAMBA_BLOCK = [("norm_scale", (64,)), ("in_proj", (64, 256)), ("conv_kernel", (4, 128)),
+                ("conv_bias", (128,)), ("ssm.A_log", (128, 16)), ("ssm.W_B", (128, 16)),
+                ("ssm.W_C", (128, 16)), ("ssm.D", (128,)), ("out_proj", (128, 64))]
+_ATTN_BLOCK = [("norm1", (64,)), ("W_q", (64, 64)), ("W_k", (64, 64)), ("W_v", (64, 64)),
+               ("W_o", (64, 64)), ("norm2", (64,)), ("W_ff1", (64, 256)), ("b_ff1", (256,)),
+               ("W_ff2", (256, 64)), ("b_ff2", (64,))]
+_HEADS = [("mlp.W1", (64, 64)), ("mlp.b1", (64,)), ("mlp.W2", (64, 64)), ("mlp.b2", (64,)),
+          ("head.alpha", (5,)), ("head.W", (5, 64)), ("head.b", (5,)),
+          ("head.log_beta", (5,)), ("pred.P_e", (5, 64)), ("pred.P_t", (1, 64))]
+
+
+def _blocks(prefix, n, block):
+    return [(f"{prefix}.{i}.{name}", shape) for i in range(n) for name, shape in block]
+
+
+@pytest.mark.parametrize("arch", ["mhp", "mhp-e"])
+def test_default_parameter_names_and_shapes_are_pinned(arch):
+    # checkpoint key order, Adam state and the clip-norm sum all follow this order
+    if arch == "mhp":
+        encoder = _blocks("layers", 4, _MAMBA_BLOCK)
+    else:
+        encoder = _blocks("layers", 2, _MAMBA_BLOCK) + _blocks("attn_layers", 4, _ATTN_BLOCK)
+    m = build_model(arch, {"K": 5})
+    got = [(name, p.shape) for name, p in m.named_parameters()]
+    assert got == [("embedding", (64, 5))] + encoder + _HEADS
+    assert [p.name for p in m.parameters()] == [name for name, _ in got]
