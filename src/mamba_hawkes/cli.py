@@ -124,6 +124,8 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
+    if args.quad_points < 2:
+        raise UsageError(f"--quad-points must be >= 2, got {args.quad_points}")
     model, meta = load_checkpoint(args.checkpoint)
     if os.path.isdir(args.data):
         path = os.path.join(args.data, f"{args.split}.jsonl")

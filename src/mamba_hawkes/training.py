@@ -6,6 +6,10 @@ reported likelihood uses deterministic trapezoid quadrature. Wall-clock
 timings therefore live in the JSON summary; the metrics CSV keeps a fixed
 `seconds` column that is written as 0.0 unless wall-clock output is
 explicitly requested (it would break byte-level reproducibility).
+
+Training's Monte Carlo integral and the reported quadrature are both the one
+fused compensator node of model.py, so reported likelihoods can differ from
+earlier versions in the last bits (about 1e-15 relative).
 """
 
 from __future__ import annotations
@@ -149,10 +153,6 @@ class Adam:
             m_hat = self.m[i] / (1 - self.beta1 ** self.t)
             v_hat = self.v[i] / (1 - self.beta2 ** self.t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
 
 
 def clip_gradients(params, max_norm):

@@ -1,6 +1,6 @@
-"""Shared test utilities: finite-difference oracles, error metrics, a
-composed-op reference for the fused selective scan and the closed-form
-gated recurrence it reduces to."""
+"""Shared test utilities: finite-difference oracles, error metrics,
+composed-op references for the fused selective scan and the fused
+compensator, and the closed-form gated recurrence the scan reduces to."""
 
 import numpy as np
 
@@ -143,6 +143,18 @@ def composed_scan(x, delta, a, b, c, skip=None):
     if skip is not None:
         y = ag.add(y, ag.mul(ag.as_tensor(skip), x))
     return y
+
+
+def composed_compensator(head, offsets, weights, scores):
+    """The compensator built from generic autograd ops on whole [n, S, K]
+    arrays: sum of weights * sum_k lambda_k(offsets) over intervals and
+    nodes. The oracle for the fused IntensityHead.integral."""
+    n = offsets.shape[0]
+    off_t = ag.Tensor(offsets[..., None])
+    sc = ag.reshape(scores, (n, 1, scores.shape[1]))
+    lam = ag.softplus(ag.add(ag.mul(off_t, head.alpha), sc), ag.exp(head.log_beta))
+    total = ag.reduce_sum(lam, axis=2)
+    return ag.reduce_sum(ag.mul(total, weights))
 
 
 def gated_decay_reference(timestamps, x):

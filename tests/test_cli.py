@@ -254,6 +254,16 @@ def test_eval_one_event_sequence_exits_2_naming_file_and_sequence(tmp_path, caps
     assert f"{data}: sequence 2 has one event" in err, err
 
 
+@pytest.mark.parametrize("points", [1, 0, -3])
+def test_eval_quad_points_below_2_exits_1(tmp_path, capsys, points):
+    data = tmp_path / "test.jsonl"
+    data.write_text('{"K": 2, "events": [{"t": 1.0, "k": 1}, {"t": 1.5, "k": 2}]}\n')
+    assert run(["eval", "--checkpoint", tiny_checkpoint(tmp_path), "--data", data,
+                "--quad-points", points]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "--quad-points" in err, err
+
+
 def test_normalize_times_train_eval_predict_agree(tmp_path, capsys):
     data, out = tmp_path / "data", tmp_path / "run"
     run(["generate", "--seed", 6, "--out", data, "--n-train", 6, "--n-dev", 2, "--n-test", 3])

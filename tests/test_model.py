@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from helpers import check_param_grads, rel_err
+from helpers import check_param_grads, composed_compensator, rel_err
 from mamba_hawkes import autograd as ag
-from mamba_hawkes.autograd import Tensor
+from mamba_hawkes import model as model_module
+from mamba_hawkes.autograd import Parameter, Tensor
 from mamba_hawkes.checkpoint import build_model
-from mamba_hawkes.data import EventSequence
-from mamba_hawkes.model import (MambaHawkes, MhpConfig, raw_event_deltas,
+from mamba_hawkes.data import Dataset, EventSequence
+from mamba_hawkes.model import (MambaHawkes, MhpConfig, raw_event_deltas, sequence_seed,
                                 transform_deltas)
-from mamba_hawkes.training import Adam, clip_gradients
+from mamba_hawkes.training import Adam, clip_gradients, evaluate
 
 
 def tiny_model(K=2, d_model=8, d_state=4, n_layers=1, seed=0, **kw):
@@ -224,6 +225,119 @@ def test_loglik_mc_unbiased_over_seeds():
                           for s in range(100)])
     se = draws.std(ddof=1) / np.sqrt(len(draws))
     assert abs(draws.mean() - quad) < 3.0 * se
+
+
+def composed_rule(seq, integrator, S, seed=0):
+    """Offsets and weights of the compensator's rule, built as the composed
+    compensator built them: the same seeded draws and trapezoid grid."""
+    gaps = np.diff(seq.timestamps)
+    if integrator == "mc":
+        frac = np.random.default_rng(sequence_seed(seed, seq)).uniform(size=(len(gaps), S))
+        return frac * gaps[:, None], gaps[:, None] / S
+    frac = np.tile(np.linspace(0.0, 1.0, S), (len(gaps), 1))
+    w = np.full(S, 1.0 / (S - 1))
+    w[0] = w[-1] = 0.5 / (S - 1)
+    return frac * gaps[:, None], gaps[:, None] * w
+
+
+def assert_compensators_agree(m, seq, scores, integrator, S):
+    """The model's compensator and the composed oracle on the same rule agree
+    in value (1e-12) and in the gradients of scores, alpha and log_beta
+    (1e-10, relative)."""
+    offsets, weights = composed_rule(seq, integrator, S)
+    out = []
+    for comp in (lambda sc: m._compensator(seq, sc, integrator, S, 0, S),
+                 lambda sc: composed_compensator(m.head, offsets, weights, sc[:-1])):
+        m.zero_grad()
+        sc = Parameter(scores.copy())
+        value = comp(sc)
+        ag.backward(value)
+        out.append((value.item(), sc.grad, m.head.alpha.grad.copy(), m.head.log_beta.grad.copy()))
+    (fused, *fused_grads), (oracle, *oracle_grads) = out
+    assert abs(fused - oracle) <= 1e-12 * abs(oracle), (fused, oracle)
+    for name, a, b in zip(("scores", "alpha", "log_beta"), fused_grads, oracle_grads):
+        assert rel_err(a, b, floor=0.0) < 1e-10, name
+
+
+RULES = [("trapezoid", 1024), ("mc", 100)]
+
+
+@pytest.mark.parametrize("integrator,S", RULES)
+@pytest.mark.parametrize("blocks", ["one interval", "one block", "one block + 1",
+                                    "several blocks"])
+def test_fused_compensator_matches_composed_oracle(integrator, S, blocks):
+    K = 3
+    rows = model_module._BLOCK_ELEMS // (K * S)
+    assert rows > 1
+    n = {"one interval": 1, "one block": rows, "one block + 1": rows + 1,
+         "several blocks": 3 * rows + 2}[blocks]
+    m = tiny_model(K=K, seed=21)
+    rng = np.random.default_rng(22)
+    m.head.alpha.data = rng.normal(size=K)
+    m.head.log_beta.data = rng.normal(0.0, 0.5, size=K)
+    seq = make_seq(n + 1, K, seed=23)
+    assert_compensators_agree(m, seq, rng.normal(size=(n + 1, K)), integrator, S)
+
+
+@pytest.mark.parametrize("integrator,S", RULES)
+@pytest.mark.parametrize("edge", ["alpha 0", "scores +40", "scores -40", "large |log beta|"])
+def test_fused_compensator_matches_composed_oracle_at_the_edges(integrator, S, edge):
+    K, n = 3, 7
+    m = tiny_model(K=K, seed=24)
+    rng = np.random.default_rng(25)
+    m.head.alpha.data = np.zeros(K) if edge == "alpha 0" else rng.normal(size=K)
+    m.head.log_beta.data = (np.array([-6.0, 0.5, 6.0]) if edge == "large |log beta|"
+                            else rng.normal(0.0, 0.5, size=K))
+    scores = rng.normal(size=(n + 1, K))
+    if edge.startswith("scores"):
+        scores += 40.0 if edge.endswith("+40") else -40.0
+    assert_compensators_agree(m, make_seq(n + 1, K, seed=26), scores, integrator, S)
+
+
+def _arrays_reachable(fn):
+    """Every numpy array a closure can reach through its cells, the
+    functions and tuples in them, and array bases."""
+    seen, stack, arrays = set(), [fn], []
+    while stack:
+        x = stack.pop()
+        if id(x) in seen or x is None:
+            continue
+        seen.add(id(x))
+        if isinstance(x, np.ndarray):
+            arrays.append(x)
+            stack.append(x.base)
+        elif isinstance(x, (tuple, list)):
+            stack.extend(x)
+        elif callable(x) and getattr(x, "__closure__", None):
+            stack.extend(c.cell_contents for c in x.__closure__)
+    return arrays
+
+
+def test_fused_compensator_keeps_only_reduced_arrays_for_backward():
+    K, n, S = 3, 17, 1024
+    m = tiny_model(K=K, seed=27)
+    seq = make_seq(n + 1, K, seed=28)
+    comp = m._compensator(seq, Parameter(np.ones((n + 1, K))), "trapezoid", None, 0, S)
+    held = _arrays_reachable(comp._backward)
+    assert held and max(a.size for a in held) <= 4 * n * K
+
+
+def test_fused_compensator_is_untracked_under_no_grad():
+    m = tiny_model(K=2)
+    seq = make_seq(5, 2, seed=29)
+    with ag.no_grad():
+        comp = m._compensator(seq, Parameter(np.ones((5, 2))), "mc", 10, 0, 0)
+    assert not comp.requires_grad and comp._parents == () and comp._backward is None
+
+
+@pytest.mark.parametrize("n_quad", [1, 0, -3])
+def test_trapezoid_needs_two_points(n_quad):
+    m = tiny_model(K=2)
+    seq = make_seq(4, 2, seed=30)
+    with pytest.raises(ValueError, match="at least 2 points"):
+        m.log_likelihood(seq, integrator="trapezoid", n_quad=n_quad)
+    with pytest.raises(ValueError, match="at least 2 points"):
+        evaluate(m, Dataset([seq], 2), n_quad=n_quad)
 
 
 def test_loglik_requires_two_events():

@@ -172,12 +172,13 @@ def test_scan_gradients_match_composed_oracle(L, D, N):
 
 def test_scan_is_one_graph_node_per_layer():
     # guard on graph size: the default model's whole loss graph on one sequence
+    # (184 nodes, with the scan and the compensator one node each)
     rng = np.random.default_rng(12)
     model = MambaHawkes(MhpConfig(K=5), seed=0)
     seq = EventSequence(np.cumsum(rng.exponential(1.0, size=30)),
                         rng.integers(1, 6, size=30), 5)
     nodes = ag.topo_order(model.losses(seq).total)
-    assert len(nodes) < 200, len(nodes)
+    assert len(nodes) < 190, len(nodes)
 
 
 def test_stability_abar_in_unit_interval_and_contraction():
