@@ -11,7 +11,7 @@ from .data import (Batch, DataError, Dataset, EventSequence, ExplosionError,
                    make_synthetic_benchmark, save_jsonl, simulate_hawkes)
 from .hybrid import AttentionBlock, MambaHawkesHybrid, MhpEConfig
 from .model import (LossBreakdown, MambaHawkes, MhpConfig, PredictionResult,
-                    raw_event_deltas, sequence_seed, transform_deltas)
+                    raw_event_deltas, transform_deltas)
 from .ssm import MambaBlock, SsmCore, selective_scan
 from .training import (Adam, Metrics, NumericsError, TrainConfig, TrainResult,
                     clip_gradients, evaluate, fit_poisson_baseline,
@@ -29,6 +29,6 @@ __all__ = [
     "evaluate", "fit_poisson_baseline", "load_checkpoint",
     "load_jsonl", "make_synthetic_benchmark", "no_grad", "poisson_ll_per_event",
     "poisson_log_likelihood", "raw_event_deltas", "save_checkpoint", "save_jsonl",
-    "selective_scan", "sequence_seed", "simulate_hawkes", "train",
+    "selective_scan", "simulate_hawkes", "train",
     "transform_deltas",
 ]

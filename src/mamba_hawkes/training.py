@@ -1,15 +1,11 @@
 """Training loop, evaluation metrics, and experiment configuration.
 
-Runs are deterministic given (seed, config, single worker): batch order,
-Monte Carlo draws, and parameter updates all derive from the seed, and the
-reported likelihood uses deterministic trapezoid quadrature. Wall-clock
-timings therefore live in the JSON summary; the metrics CSV keeps a fixed
-`seconds` column that is written as 0.0 unless wall-clock output is
-explicitly requested (it would break byte-level reproducibility).
-
-Training's Monte Carlo integral and the reported quadrature are both the one
-fused compensator node of model.py, so reported likelihoods can differ from
-earlier versions in the last bits (about 1e-15 relative).
+Runs are deterministic given (seed, config, single worker): initial values
+and batch order derive from the seed, and the likelihood, in the loss and
+in reports alike, is integrated by the deterministic trapezoid rule of
+model.py. Wall-clock timings therefore live in the JSON summary; the metrics
+CSV keeps a fixed `seconds` column that is written as 0.0 unless wall-clock
+output is explicitly requested (it would break byte-level reproducibility).
 """
 
 from __future__ import annotations
@@ -178,18 +174,17 @@ def clip_gradients(params, max_norm):
     return norm, factor
 
 
-def loss_on_batch(model, bat, base_seed):
+def loss_on_batch(model, bat):
     """Sum of per-sequence total losses over a padded batch.
 
     Padding never enters any term: the mask trims each row back to its true
-    events, and per-sequence Monte Carlo seeds depend only on content, so the
-    batched total equals the sum of unbatched losses exactly.
+    events, so the batched total equals the sum of unbatched losses exactly.
     """
     total = None
     ll_value = 0.0
     n_events = 0
     for seq in bat.unpadded():
-        parts = model.losses(seq, seed=base_seed)
+        parts = model.losses(seq)
         total = parts.total if total is None else ag.add(total, parts.total)
         ll_value += float(parts.log_likelihood.data)
         n_events += len(seq) - 1
@@ -212,8 +207,7 @@ def evaluate(model, dataset, n_quad=1024):
     with ag.no_grad():
         for seq in dataset:
             hidden = model.encode(seq)
-            ll_sum += float(model.log_likelihood(
-                seq, integrator="trapezoid", n_quad=n_quad, hidden=hidden).data)
+            ll_sum += float(model.log_likelihood(seq, n_quad=n_quad, hidden=hidden).data)
             logits = model.pred.logits(hidden[:len(seq) - 1]).data
             pred_types = np.argmax(logits, axis=1) + 1
             correct += int(np.sum(pred_types == seq.types[1:]))
@@ -375,7 +369,7 @@ def train(cfg):
         for bi, bat in enumerate(batches):
             model.zero_grad()
             try:
-                total, ll_value, n_events = loss_on_batch(model, bat, base_seed=cfg.seed)
+                total, ll_value, n_events = loss_on_batch(model, bat)
                 mean_total = ag.div(total, float(len(bat.unpadded())))
                 if not np.isfinite(mean_total.data):
                     raise NumericsError("non-finite loss")

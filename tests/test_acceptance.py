@@ -43,7 +43,7 @@ def bench_dir(tmp_path_factory):
 
 
 def desk_train_config(data_dir, out_dir, arch="mhp"):
-    cfg = dict(arch=arch, d_model=16, d_state=16, n_layers=2, mc_samples=50,
+    cfg = dict(arch=arch, d_model=16, d_state=16, n_layers=2,
                lr=2e-3, batch_size=4, epochs=14, patience=10, seed=42,
                eval_quad_points=1024, data=str(data_dir), out=str(out_dir))
     if arch == "mhp-e":
@@ -109,14 +109,13 @@ def test_criterion_3_gradient_suite():
     seq = EventSequence(np.array([0.4, 1.1, 1.9, 2.5, 3.3]),
                         np.array([1, 2, 1, 2, 2]), 2)
     results = {}
-    mhp = MambaHawkes(MhpConfig(d_model=8, d_state=2, n_layers=1, K=2,
-                                mc_samples=10), seed=23)
-    mhpe = MambaHawkesHybrid(MhpEConfig(d_model=8, d_state=2, K=2, mc_samples=10,
+    mhp = MambaHawkes(MhpConfig(d_model=8, d_state=2, n_layers=1, K=2), seed=23)
+    mhpe = MambaHawkesHybrid(MhpEConfig(d_model=8, d_state=2, K=2,
                                         mamba_layers=1, attn_blocks=1, n_heads=1),
                              seed=24)
     for tag, model in (("mhp", mhp), ("mhp-e", mhpe)):
         analytic, fd, loss_value = fd_param_grads(
-            lambda m=model: m.losses(seq, seed=0).total, model.parameters(), h=1e-5)
+            lambda m=model: m.losses(seq).total, model.parameters(), h=1e-5)
         # full-gradient relative error, plus a per-tensor check floored at the
         # finite-difference resolution for this loss scale
         per_tensor = {}
@@ -140,8 +139,7 @@ def test_criterion_3_gradient_suite():
 def test_criterion_4_likelihood_oracle():
     t0 = time.perf_counter()
     c = 1.3
-    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=1,
-                              mc_samples=100), seed=4)
+    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=1), seed=4)
     m.head.alpha.data = np.zeros(1)
     m.head.W.data = np.zeros((1, 8))
     m.head.log_beta.data = np.zeros(1)
@@ -150,13 +148,13 @@ def test_criterion_4_likelihood_oracle():
     seq = EventSequence(np.cumsum(rng.uniform(0.2, 1.5, size=30)),
                         np.ones(30, dtype=np.int64), 1)
     expect = (len(seq) - 1) * np.log(c) - c * seq.duration
-    ll_mc = m.log_likelihood(seq, integrator="mc", mc_samples=1000, seed=0).item()
-    ll_quad = m.log_likelihood(seq, integrator="trapezoid").item()
-    err_mc = abs(ll_mc - expect) / abs(expect)
+    ll_train = m.losses(seq).log_likelihood.item()
+    ll_quad = m.log_likelihood(seq).item()
+    err_train = abs(ll_train - expect) / abs(expect)
     err_quad = abs(ll_quad - expect)
     elapsed = time.perf_counter() - t0
-    report(4, err_mc < 0.01 and err_quad < 1e-6 and elapsed < 10.0,
-           f"closed form {expect:.4f}: MC rel err {err_mc:.2e} (bound 1e-2), "
+    report(4, err_train < 0.01 and err_quad < 1e-6 and elapsed < 10.0,
+           f"closed form {expect:.4f}: training rule rel err {err_train:.2e} (bound 1e-2), "
            f"quadrature abs err {err_quad:.2e} (bound 1e-6), {elapsed:.1f}s (bound 10s)")
 
 
@@ -211,8 +209,7 @@ def test_criterion_7_hybrid_parity(bench_dir, mhp_run, tmp_path_factory):
 
 def test_criterion_8_batching_transparency():
     t0 = time.perf_counter()
-    model = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=3,
-                                  mc_samples=20), seed=8)
+    model = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=3), seed=8)
     rng = np.random.default_rng(9)
     worst = 0.0
     for trial in range(20):
@@ -223,9 +220,9 @@ def test_criterion_8_batching_transparency():
             t = np.cumsum(rng.uniform(0.1, 1.2, size=L))
             seqs.append(EventSequence(t, rng.integers(1, 4, size=L), 3))
         ds = Dataset(seqs, 3, "x")
-        unbatched = sum(float(model.losses(s, seed=7).total.data) for s in ds)
+        unbatched = sum(float(model.losses(s).total.data) for s in ds)
         (bat,) = batch(ds, n)
-        batched, _, _ = loss_on_batch(model, bat, base_seed=7)
+        batched, _, _ = loss_on_batch(model, bat)
         worst = max(worst, abs(float(batched.data) - unbatched) / abs(unbatched))
     elapsed = time.perf_counter() - t0
     report(8, worst < 1e-10 and elapsed < 10.0,
@@ -243,7 +240,7 @@ def test_criterion_9_pipeline_determinism(tmp_path_factory):
                          "--n-train", "40", "--n-dev", "10", "--n-test", "10"]) == 0
         cfg = root / "config.json"
         cfg.write_text(json.dumps(dict(
-            arch="mhp", d_model=8, d_state=4, n_layers=1, mc_samples=20,
+            arch="mhp", d_model=8, d_state=4, n_layers=1,
             lr=1e-3, batch_size=4, epochs=3, seed=11, eval_quad_points=256)))
         assert cli_main(["train", "--config", str(cfg), "--data", str(data),
                          "--out", str(out)]) == 0

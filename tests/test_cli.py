@@ -15,7 +15,7 @@ def run(args):
 
 
 def small_train_config(tmp_path, **kw):
-    cfg = dict(arch="mhp", d_model=8, d_state=4, n_layers=1, mc_samples=10,
+    cfg = dict(arch="mhp", d_model=8, d_state=4, n_layers=1,
                lr=1e-3, batch_size=4, epochs=2, eval_quad_points=128, seed=0)
     cfg.update(kw)
     path = tmp_path / "config.json"
@@ -175,7 +175,7 @@ def test_diverged_training_exits_3_naming_epoch(tmp_path, capsys):
          "--n-train", 4, "--n-dev", 2, "--n-test", 2])
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"lr": 10, "d_model": 8, "n_layers": 1,
-                               "mc_samples": 10, "eval_quad_points": 64}))
+                               "eval_quad_points": 64}))
     code = run(["train", "--config", cfg, "--data", data, "--out", tmp_path / "o",
                 "--epochs", 3])
     err = capsys.readouterr().err
@@ -252,6 +252,32 @@ def test_eval_one_event_sequence_exits_2_naming_file_and_sequence(tmp_path, caps
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
     assert f"{data}: sequence 2 has one event" in err, err
+
+
+def test_train_seed_beyond_int64_exits_0(tmp_path):
+    data = tmp_path / "data"
+    run(["generate", "--seed", 2, "--out", data, "--n-train", 4, "--n-dev", 2, "--n-test", 0])
+    assert run(["train", "--config", small_train_config(tmp_path, epochs=1), "--data", data,
+                "--out", tmp_path / "o", "--seed", 2 ** 63]) == 0
+
+
+def test_config_setting_mc_samples_exits_1(tmp_path, capsys):
+    cfg = small_train_config(tmp_path, mc_samples=100)
+    assert run(["train", "--config", cfg, "--data", tmp_path, "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err == "error: unknown config field(s): mc_samples\n"
+
+
+def test_eval_checkpoint_with_mc_samples_exits_2(tmp_path, capsys):
+    # a checkpoint written while the config still had mc_samples
+    path = tiny_checkpoint(tmp_path)
+    payload = json.loads(path.read_text())
+    payload["config"]["mc_samples"] = 100
+    path.write_text(json.dumps(payload))
+    data = tmp_path / "test.jsonl"
+    data.write_text('{"K": 2, "events": [{"t": 1.0, "k": 1}, {"t": 1.5, "k": 2}]}\n')
+    assert run(["eval", "--checkpoint", path, "--data", data]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and str(path) in err and "mc_samples" in err, err
 
 
 @pytest.mark.parametrize("points", [1, 0, -3])

@@ -17,7 +17,7 @@ def hybrid_model(K=2, d_model=8, mamba_layers=1, attn_blocks=1, n_heads=1,
                  seed=0, **kw):
     cfg = MhpEConfig(d_model=d_model, d_state=kw.pop("d_state", 4), K=K,
                      mamba_layers=mamba_layers, attn_blocks=attn_blocks,
-                     n_heads=n_heads, mc_samples=kw.pop("mc_samples", 10), **kw)
+                     n_heads=n_heads, **kw)
     return MambaHawkesHybrid(cfg, seed=seed)
 
 
@@ -82,7 +82,7 @@ def test_no_positional_parameters_anywhere():
 
 
 def test_zero_attention_blocks_degenerates_to_base_model():
-    base_cfg = MhpConfig(d_model=8, d_state=4, n_layers=2, K=3, mc_samples=10)
+    base_cfg = MhpConfig(d_model=8, d_state=4, n_layers=2, K=3)
     base = MambaHawkes(base_cfg, seed=1)
     hyb = hybrid_model(K=3, d_model=8, mamba_layers=2, attn_blocks=0, seed=2)
     base_params = dict(base.named_parameters())
@@ -122,7 +122,7 @@ def test_hybrid_gradients_match_fd():
     m = hybrid_model(K=2, d_model=8, d_state=2, mamba_layers=1, attn_blocks=1,
                      n_heads=1, seed=7)
     seq = EventSequence(np.array([0.3, 1.0, 1.8, 2.9]), np.array([1, 2, 2, 1]), 2)
-    errs = check_param_grads(lambda: m.losses(seq, seed=0).total, m.parameters())
+    errs = check_param_grads(lambda: m.losses(seq).total, m.parameters())
     assert max(errs.values()) < 1e-4, {k: v for k, v in errs.items() if v >= 1e-4}
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from helpers import check_param_grads, composed_compensator, rel_err
 from mamba_hawkes import autograd as ag
@@ -7,14 +8,13 @@ from mamba_hawkes import model as model_module
 from mamba_hawkes.autograd import Parameter, Tensor
 from mamba_hawkes.checkpoint import build_model
 from mamba_hawkes.data import Dataset, EventSequence
-from mamba_hawkes.model import (MambaHawkes, MhpConfig, raw_event_deltas, sequence_seed,
+from mamba_hawkes.model import (TRAIN_QUAD_POINTS, MambaHawkes, MhpConfig, raw_event_deltas,
                                 transform_deltas)
 from mamba_hawkes.training import Adam, clip_gradients, evaluate
 
 
 def tiny_model(K=2, d_model=8, d_state=4, n_layers=1, seed=0, **kw):
-    cfg = MhpConfig(d_model=d_model, d_state=d_state, n_layers=n_layers, K=K,
-                    mc_samples=kw.pop("mc_samples", 20), **kw)
+    cfg = MhpConfig(d_model=d_model, d_state=d_state, n_layers=n_layers, K=K, **kw)
     return MambaHawkes(cfg, seed=seed)
 
 
@@ -121,7 +121,7 @@ def test_default_config_wiring():
     assert (cfg.d_model, cfg.d_state, cfg.d_conv, cfg.expand, cfg.n_layers) == \
         (64, 16, 4, 2, 4)
     assert cfg.event_loss_weight == 1.0 and cfg.time_loss_weight == 1e-4
-    assert cfg.mc_samples == 100
+    assert TRAIN_QUAD_POINTS == 100
     m = MambaHawkes(cfg, seed=0)
     assert len(m.layers) == 4
     assert m.embedding.shape == (64, cfg.K)
@@ -183,9 +183,9 @@ def test_loglik_two_event_closed_form():
     m = constant_intensity_model(K=1, rates=[np.log(2.0)])
     seq = EventSequence(np.array([0.0, 1.0]), np.array([1, 1]), 1)
     expect = np.log(np.log(2.0)) - np.log(2.0)
-    ll_mc = m.log_likelihood(seq, integrator="mc", mc_samples=1000, seed=0).item()
-    ll_quad = m.log_likelihood(seq, integrator="trapezoid").item()
-    assert abs(ll_mc - expect) / abs(expect) < 0.01
+    ll_train = m.losses(seq).log_likelihood.item()
+    ll_quad = m.log_likelihood(seq).item()
+    assert abs(ll_train - expect) / abs(expect) < 0.01
     assert abs(ll_quad - expect) < 1e-6
 
 
@@ -195,58 +195,54 @@ def test_loglik_homogeneous_poisson_closed_form():
     seq = make_seq(12, 1, seed=8)
     n, span = len(seq), seq.duration
     expect = (n - 1) * np.log(c) - c * span
-    ll_mc = m.log_likelihood(seq, integrator="mc", mc_samples=1000, seed=0).item()
-    ll_quad = m.log_likelihood(seq, integrator="trapezoid").item()
-    assert abs(ll_mc - expect) / abs(expect) < 0.01
+    ll_train = m.losses(seq).log_likelihood.item()
+    ll_quad = m.log_likelihood(seq).item()
+    assert abs(ll_train - expect) / abs(expect) < 0.01
     assert abs(ll_quad - expect) < 1e-6
 
 
-def test_loglik_mc_close_to_dense_quadrature():
-    # varying intensity: MC at 1000 samples within 1% of a 1e4-point trapezoid
-    m = tiny_model(K=2, seed=9)
-    m.head.alpha.data = np.array([0.4, -0.3])
-    seq = make_seq(20, 2, seed=10)
-    H = m.encode(seq)
-    scores = m.head.base_scores(H)
-    comp_mc = m._compensator(seq, scores, "mc", 1000, 0, 0).item()
-    comp_quad = m._compensator(seq, scores, "trapezoid", None, 0, 10_000).item()
-    assert abs(comp_mc - comp_quad) / comp_quad < 0.01
-
-
-def test_loglik_mc_unbiased_over_seeds():
-    m = tiny_model(K=2, seed=11)
-    m.head.alpha.data = np.array([0.6, -0.5])
-    seq = make_seq(10, 2, seed=12)
+@pytest.mark.parametrize("seed", range(8))
+def test_training_rule_matches_adaptive_quadrature(seed):
+    # perturbed heads: the training rule within 1e-5 relative of scipy's
+    # adaptive quadrature of the total intensity, interval by interval
+    K = 3
+    m = tiny_model(K=K, seed=40 + seed)
+    rng = np.random.default_rng(50 + seed)
+    m.head.alpha.data = rng.normal(size=K)
+    m.head.log_beta.data = rng.normal(0.0, 0.5, size=K)
+    m.head.b.data = rng.normal(size=K)
+    seq = make_seq(15, K, seed=60 + seed)
     with ag.no_grad():
         H = m.encode(seq)
         scores = m.head.base_scores(H)
-        quad = m._compensator(seq, scores, "trapezoid", None, 0, 4096).item()
-        draws = np.array([m._compensator(seq, scores, "mc", 25, s, 0).item()
-                          for s in range(100)])
-    se = draws.std(ddof=1) / np.sqrt(len(draws))
-    assert abs(draws.mean() - quad) < 3.0 * se
+        comp = m._compensator(seq, scores, TRAIN_QUAD_POINTS).item()
+    beta = np.exp(m.head.log_beta.data)
+
+    def total_intensity(s, c):
+        return float(np.sum(beta * np.logaddexp(0.0, (m.head.alpha.data * s + c) / beta)))
+
+    ref = sum(quad(total_intensity, 0.0, g, args=(c,), epsabs=0.0, epsrel=1e-12)[0]
+              for g, c in zip(np.diff(seq.timestamps), scores.data[:-1]))
+    assert abs(comp - ref) <= 1e-5 * ref, (comp, ref)
 
 
-def composed_rule(seq, integrator, S, seed=0):
-    """Offsets and weights of the compensator's rule, built as the composed
-    compensator built them: the same seeded draws and trapezoid grid."""
+def trapezoid_rule(seq, S):
+    """Offsets and weights of the S-point trapezoid rule on every interval,
+    built as the composed compensator built them."""
     gaps = np.diff(seq.timestamps)
-    if integrator == "mc":
-        frac = np.random.default_rng(sequence_seed(seed, seq)).uniform(size=(len(gaps), S))
-        return frac * gaps[:, None], gaps[:, None] / S
     frac = np.tile(np.linspace(0.0, 1.0, S), (len(gaps), 1))
     w = np.full(S, 1.0 / (S - 1))
     w[0] = w[-1] = 0.5 / (S - 1)
     return frac * gaps[:, None], gaps[:, None] * w
 
 
-def assert_compensators_agree(m, seq, scores, integrator, S):
+def assert_compensators_agree(m, seq, scores, S):
     """The model's compensator and the composed oracle on the same rule agree
     in value (1e-12) and in the gradients of scores, alpha and log_beta
     (1e-10, relative)."""
-    offsets, weights = composed_rule(seq, integrator, S)
+    offsets, weights = trapezoid_rule(seq, S)
     out = []
-    for comp in (lambda sc: m._compensator(seq, sc, integrator, S, 0, S),
+    for comp in (lambda sc: m._compensator(seq, sc, S),
                  lambda sc: composed_compensator(m.head, offsets, weights, sc[:-1])):
         m.zero_grad()
         sc = Parameter(scores.copy())
@@ -259,13 +255,15 @@ def assert_compensators_agree(m, seq, scores, integrator, S):
         assert rel_err(a, b, floor=0.0) < 1e-10, name
 
 
-RULES = [("trapezoid", 1024), ("mc", 100)]
+# the evaluation default and the training rule
+RULES = [pytest.param(1024, id="trapezoid-1024"),
+         pytest.param(TRAIN_QUAD_POINTS, id=f"train-{TRAIN_QUAD_POINTS}")]
 
 
-@pytest.mark.parametrize("integrator,S", RULES)
+@pytest.mark.parametrize("S", RULES)
 @pytest.mark.parametrize("blocks", ["one interval", "one block", "one block + 1",
                                     "several blocks"])
-def test_fused_compensator_matches_composed_oracle(integrator, S, blocks):
+def test_fused_compensator_matches_composed_oracle(S, blocks):
     K = 3
     rows = model_module._BLOCK_ELEMS // (K * S)
     assert rows > 1
@@ -276,12 +274,12 @@ def test_fused_compensator_matches_composed_oracle(integrator, S, blocks):
     m.head.alpha.data = rng.normal(size=K)
     m.head.log_beta.data = rng.normal(0.0, 0.5, size=K)
     seq = make_seq(n + 1, K, seed=23)
-    assert_compensators_agree(m, seq, rng.normal(size=(n + 1, K)), integrator, S)
+    assert_compensators_agree(m, seq, rng.normal(size=(n + 1, K)), S)
 
 
-@pytest.mark.parametrize("integrator,S", RULES)
+@pytest.mark.parametrize("S", RULES)
 @pytest.mark.parametrize("edge", ["alpha 0", "scores +40", "scores -40", "large |log beta|"])
-def test_fused_compensator_matches_composed_oracle_at_the_edges(integrator, S, edge):
+def test_fused_compensator_matches_composed_oracle_at_the_edges(S, edge):
     K, n = 3, 7
     m = tiny_model(K=K, seed=24)
     rng = np.random.default_rng(25)
@@ -291,7 +289,7 @@ def test_fused_compensator_matches_composed_oracle_at_the_edges(integrator, S, e
     scores = rng.normal(size=(n + 1, K))
     if edge.startswith("scores"):
         scores += 40.0 if edge.endswith("+40") else -40.0
-    assert_compensators_agree(m, make_seq(n + 1, K, seed=26), scores, integrator, S)
+    assert_compensators_agree(m, make_seq(n + 1, K, seed=26), scores, S)
 
 
 def _arrays_reachable(fn):
@@ -317,7 +315,7 @@ def test_fused_compensator_keeps_only_reduced_arrays_for_backward():
     K, n, S = 3, 17, 1024
     m = tiny_model(K=K, seed=27)
     seq = make_seq(n + 1, K, seed=28)
-    comp = m._compensator(seq, Parameter(np.ones((n + 1, K))), "trapezoid", None, 0, S)
+    comp = m._compensator(seq, Parameter(np.ones((n + 1, K))), S)
     held = _arrays_reachable(comp._backward)
     assert held and max(a.size for a in held) <= 4 * n * K
 
@@ -326,7 +324,7 @@ def test_fused_compensator_is_untracked_under_no_grad():
     m = tiny_model(K=2)
     seq = make_seq(5, 2, seed=29)
     with ag.no_grad():
-        comp = m._compensator(seq, Parameter(np.ones((5, 2))), "mc", 10, 0, 0)
+        comp = m._compensator(seq, Parameter(np.ones((5, 2))), 10)
     assert not comp.requires_grad and comp._parents == () and comp._backward is None
 
 
@@ -335,7 +333,7 @@ def test_trapezoid_needs_two_points(n_quad):
     m = tiny_model(K=2)
     seq = make_seq(4, 2, seed=30)
     with pytest.raises(ValueError, match="at least 2 points"):
-        m.log_likelihood(seq, integrator="trapezoid", n_quad=n_quad)
+        m.log_likelihood(seq, n_quad=n_quad)
     with pytest.raises(ValueError, match="at least 2 points"):
         evaluate(m, Dataset([seq], 2), n_quad=n_quad)
 
@@ -362,9 +360,9 @@ def test_loglik_event_term_gradient_sign():
 def test_loglik_total_intensity_mode():
     m = tiny_model(K=2, loglik_mode="total", seed=14)
     seq = make_seq(6, 2, seed=15)
-    ll_total = m.log_likelihood(seq, integrator="trapezoid").item()
+    ll_total = m.log_likelihood(seq).item()
     m.cfg.loglik_mode = "marked"
-    ll_marked = m.log_likelihood(seq, integrator="trapezoid").item()
+    ll_marked = m.log_likelihood(seq).item()
     # total intensity >= any per-type intensity, so the event term is larger
     assert ll_total > ll_marked
 
@@ -401,12 +399,12 @@ def test_trained_model_learns_alternation():
         t = start + 0.5 * np.arange(n)
         k = np.tile([1, 2], n // 2) if s % 2 == 0 else np.tile([2, 1], n // 2)
         seqs.append(EventSequence(t, k, K))
-    m = tiny_model(K=K, d_model=8, d_state=4, n_layers=1, seed=20, mc_samples=5)
+    m = tiny_model(K=K, d_model=8, d_state=4, n_layers=1, seed=20)
     opt = Adam(m.parameters(), lr=1e-2)
     for _ in range(25):
         for seq in seqs:
             m.zero_grad()
-            ag.backward(m.losses(seq, seed=0).total)
+            ag.backward(m.losses(seq).total)
             clip_gradients(m.parameters(), 5.0)
             opt.step()
     test_seq = EventSequence(2.0 + 0.5 * np.arange(40),
@@ -433,7 +431,7 @@ def test_losses_zero_at_their_minima():
     # predicted next time is always 5.0; with t = [1, 5] the true gap is 4 and
     # the anchored predicted gap is 5 - 1 = 4
     seq = EventSequence(np.array([1.0, 5.0]), np.array([1, 1]), 2)
-    parts = m.losses(seq, seed=0)
+    parts = m.losses(seq)
     assert parts.event.item() < 1e-12
     assert parts.time.item() == 0.0
 
@@ -441,7 +439,7 @@ def test_losses_zero_at_their_minima():
 def test_losses_weighted_composition():
     m = tiny_model(K=2, seed=21)
     seq = make_seq(7, 2, seed=22)
-    parts = m.losses(seq, seed=3)
+    parts = m.losses(seq)
     recombined = -parts.log_likelihood.item() + 1.0 * parts.event.item() \
         + 1e-4 * parts.time.item()
     np.testing.assert_allclose(parts.total.item(), recombined, rtol=1e-12)
@@ -455,11 +453,11 @@ def test_losses_requires_two_events():
 
 def test_full_model_gradients_match_fd():
     # 5 events, K=2, d_model=8, one layer
-    m = tiny_model(K=2, d_model=8, d_state=2, n_layers=1, seed=23, mc_samples=10)
+    m = tiny_model(K=2, d_model=8, d_state=2, n_layers=1, seed=23)
     seq = EventSequence(np.array([0.4, 1.1, 1.9, 2.5, 3.3]),
                         np.array([1, 2, 1, 2, 2]), 2)
     params = m.parameters()
-    errs = check_param_grads(lambda: m.losses(seq, seed=0).total, params)
+    errs = check_param_grads(lambda: m.losses(seq).total, params)
     assert max(errs.values()) < 1e-4, {k: v for k, v in errs.items() if v >= 1e-4}
 
 

@@ -32,7 +32,7 @@ def write_benchmark(dirpath, seed=0, n_train=10, n_dev=3, n_test=3):
 
 
 def desk_config(data, out, **kw):
-    base = dict(arch="mhp", d_model=8, d_state=4, n_layers=1, mc_samples=10,
+    base = dict(arch="mhp", d_model=8, d_state=4, n_layers=1,
                 lr=1e-3, batch_size=4, epochs=1, patience=10, seed=0,
                 eval_quad_points=256, data=str(data), out=str(out))
     base.update(kw)
@@ -48,7 +48,7 @@ def test_train_config_defaults_match_reference_setup():
 
 def test_train_config_takes_model_fields_from_model_configs():
     cfg = TrainConfig()
-    assert len([f for f in dataclasses.fields(cfg) if f.init]) == 32
+    assert len([f for f in dataclasses.fields(cfg) if f.init]) == 31
     for f in dataclasses.fields(MhpEConfig):
         if f.name != "K":
             assert getattr(cfg, f.name) == f.default, f.name
@@ -120,8 +120,7 @@ def test_train_nonfinite_gradient_names_batch(tmp_path, monkeypatch):
 
 def test_untrained_uniform_head_accuracy_near_chance():
     splits = make_synthetic_benchmark(3, n_train=2, n_dev=2, n_test=60)
-    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=5,
-                              mc_samples=10), seed=0)
+    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=5), seed=0)
     m.pred.P_e.data = np.zeros_like(m.pred.P_e.data)
     metrics = evaluate(m, splits["test"], n_quad=64)
     # argmax of a uniform distribution always picks type 1
@@ -130,8 +129,7 @@ def test_untrained_uniform_head_accuracy_near_chance():
 
 def test_evaluate_poisson_reduced_closed_form():
     rates = np.array([0.7, 1.4])
-    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=2,
-                              mc_samples=10), seed=1)
+    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=2), seed=1)
     m.head.alpha.data = np.zeros(2)
     m.head.W.data = np.zeros((2, 8))
     m.head.log_beta.data = np.zeros(2)
@@ -146,21 +144,19 @@ def test_evaluate_poisson_reduced_closed_form():
 
 
 def test_evaluate_k_mismatch():
-    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=3,
-                              mc_samples=10), seed=0)
+    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=3), seed=0)
     ds = Dataset([EventSequence(np.array([0.5, 1.0]), np.array([1, 2]), 2)], 2)
     with pytest.raises(ValueError, match="K-mismatch"):
         evaluate(m, ds)
 
 
 def test_evaluate_single_sequence_matches_per_sequence_formulas():
-    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=2,
-                              mc_samples=10), seed=3)
+    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=2), seed=3)
     rng = np.random.default_rng(4)
     seq = EventSequence(np.cumsum(rng.uniform(0.3, 1.2, 8)),
                         rng.integers(1, 3, size=8), 2)
     metrics = evaluate(m, Dataset([seq], 2, "test"), n_quad=512)
-    ll = m.log_likelihood(seq, integrator="trapezoid", n_quad=512).item()
+    ll = m.log_likelihood(seq, n_quad=512).item()
     assert abs(metrics.ll_per_event - ll / (len(seq) - 1)) < 1e-12
     H = m.encode(seq)
     logits = m.pred.logits(H[:len(seq) - 1]).data
@@ -227,7 +223,7 @@ def test_train_same_seed_identical_outputs(tmp_path):
 def test_train_ll_non_decreasing_first_epochs(tmp_path):
     write_benchmark(tmp_path / "data", seed=3, n_train=40, n_dev=8, n_test=0)
     cfg = desk_config(tmp_path / "data", tmp_path / "out", epochs=5,
-                      d_model=16, n_layers=2, d_state=16, mc_samples=30, lr=2e-3)
+                      d_model=16, n_layers=2, d_state=16, lr=2e-3)
     train(cfg)
     rows = [ln.split(",") for ln in open(os.path.join(tmp_path, "out", "metrics.csv"))
             .read().splitlines()[1:]]
@@ -300,8 +296,7 @@ def test_metrics_csv_formatting():
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
-    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=2, K=3,
-                              mc_samples=10), seed=7)
+    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=2, K=3), seed=7)
     path = tmp_path / "ckpt.json"
     save_checkpoint(m, path, meta={"best_epoch": 4})
     loaded, meta = load_checkpoint(path)
@@ -317,7 +312,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 def test_checkpoint_records_hybrid_arch(tmp_path):
     m = build_model("mhp-e", {"d_model": 8, "d_state": 4, "K": 2, "n_heads": 2,
-                              "mamba_layers": 1, "attn_blocks": 1, "mc_samples": 5})
+                              "mamba_layers": 1, "attn_blocks": 1})
     path = tmp_path / "ckpt.json"
     save_checkpoint(m, path)
     payload = json.load(open(path))
@@ -328,8 +323,7 @@ def test_checkpoint_records_hybrid_arch(tmp_path):
 
 
 def test_checkpoint_rejects_mismatched_params(tmp_path):
-    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=2,
-                              mc_samples=10), seed=0)
+    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=2), seed=0)
     payload = checkpoint_payload(m)
     del payload["params"]["embedding"]
     path = tmp_path / "bad.json"
@@ -340,8 +334,7 @@ def test_checkpoint_rejects_mismatched_params(tmp_path):
 
 
 def test_checkpoint_bytes_match_json_dump(tmp_path):
-    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=2, K=3,
-                              mc_samples=10), seed=3)
+    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=2, K=3), seed=3)
     path = tmp_path / "ckpt.json"
     save_checkpoint(m, path, meta={"best_epoch": 2, "dev_ll_per_event": -1.25})
     ref = tmp_path / "ref.json"
@@ -352,8 +345,7 @@ def test_checkpoint_bytes_match_json_dump(tmp_path):
 
 
 def test_checkpoint_failed_write_keeps_previous(tmp_path, monkeypatch):
-    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=3,
-                              mc_samples=10), seed=4)
+    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=3), seed=4)
     path = tmp_path / "ckpt.json"
     save_checkpoint(m, path, meta={"best_epoch": 1})
     before = path.read_bytes()
