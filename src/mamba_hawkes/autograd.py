@@ -79,8 +79,8 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def backward(self, free_graph=True):
-        backward(self, free_graph=free_graph)
+    def backward(self):
+        backward(self)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -293,35 +293,11 @@ def expm1_over_x_parts(x, exp_x=None):
 
 
 def matmul(a, b):
+    """[m, k] @ [k, n] -> [m, n]; both operands must be 2-D."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim == 0 or b.ndim == 0:
-        raise ShapeError(f"matmul requires arrays, got shapes {a.shape} and {b.shape}")
-    a_vec, b_vec = a.ndim == 1, b.ndim == 1
-    A = a.data[None, :] if a_vec else a.data
-    B = b.data[:, None] if b_vec else b.data
-    if A.shape[-1] != B.shape[-2]:
-        raise ShapeError(f"matmul: inner dimensions disagree for {a.shape} @ {b.shape}")
-    try:
-        prod = A @ B
-    except ValueError:
-        raise ShapeError(
-            f"matmul: batch dimensions not broadcastable for {a.shape} @ {b.shape}"
-        ) from None
-    data = prod
-    if b_vec:
-        data = data[..., 0]
-    if a_vec:
-        data = data[..., 0, :] if not b_vec else data[..., 0]
-
-    def grad_a(g):
-        ga = g.reshape(prod.shape) @ np.swapaxes(B, -1, -2)
-        return ga[..., 0, :] if a_vec else ga
-
-    def grad_b(g):
-        gb = np.swapaxes(A, -1, -2) @ g.reshape(prod.shape)
-        return gb[..., 0] if b_vec else gb
-
-    return _node(data, (a, b), grad_a, grad_b)
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul needs [m, k] @ [k, n], got {a.shape} @ {b.shape}")
+    return _node(a.data @ b.data, (a, b), lambda g: g @ b.data.T, lambda g: a.data.T @ g)
 
 
 def _check_axis(axis, ndim, op):
@@ -410,10 +386,10 @@ def reshape(a, shape):
     return _node(a.data.reshape(shape), (a,), lambda g: g.reshape(a.shape))
 
 
-def transpose(a, axes=None):
+def transpose(a):
+    """All axes reversed (a 2-D tensor's transpose)."""
     a = as_tensor(a)
-    inv = None if axes is None else np.argsort(axes)
-    return _node(np.transpose(a.data, axes), (a,), lambda g: np.transpose(g, inv))
+    return _node(a.data.T, (a,), lambda g: g.T)
 
 
 def concat(tensors, axis=0):
@@ -498,11 +474,11 @@ def topo_order(root):
     return order
 
 
-def backward(loss, free_graph=True):
+def backward(loss):
     """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad.
 
-    Repeated calls on fresh graphs accumulate; intermediate nodes are freed
-    afterwards unless free_graph is False.
+    Repeated calls on fresh graphs accumulate. The graph is freed afterwards:
+    every intermediate node drops its parents, backward closure and gradient.
     """
     if loss.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -516,9 +492,8 @@ def backward(loss, free_graph=True):
     for node in reversed(order):
         if node._backward is not None:
             node._backward()
-    if free_graph:
-        for node in order:
-            if node._parents:
-                node._parents = ()
-                node._backward = None
-                node.grad = None
+    for node in order:
+        if node._parents:
+            node._parents = ()
+            node._backward = None
+            node.grad = None

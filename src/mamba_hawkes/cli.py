@@ -14,6 +14,7 @@ import sys
 
 from .checkpoint import load_checkpoint
 from .data import DataError, load_jsonl, make_synthetic_benchmark, save_jsonl
+from .model import EVAL_QUAD_POINTS
 from .training import (NumericsError, TrainConfig, check_two_events, evaluate,
                        scale_times, train, write_metrics)
 
@@ -50,9 +51,6 @@ def _build_parser():
     tr.add_argument("--arch", choices=["mhp", "mhp-e"])
     tr.add_argument("--seed", type=int)
     tr.add_argument("--epochs", type=int)
-    tr.add_argument("--wall-clock-csv", action="store_true", default=None,
-                    help="write real wall-clock seconds into metrics.csv "
-                         "(breaks byte-level run reproducibility)")
 
     ev = sub.add_parser("eval", help="evaluate a checkpoint")
     ev.add_argument("--checkpoint", required=True)
@@ -60,7 +58,7 @@ def _build_parser():
                     help="directory with <split>.jsonl, or a single JSONL file")
     ev.add_argument("--split", default="test")
     ev.add_argument("--out", help="optional directory for eval_metrics.{csv,json}")
-    ev.add_argument("--quad-points", type=int, default=1024)
+    ev.add_argument("--quad-points", type=int, default=EVAL_QUAD_POINTS)
 
     pr = sub.add_parser("predict",
                         help="next-event distribution and time for a sequence prefix")
@@ -99,7 +97,7 @@ def _cmd_train(args):
                 raise UsageError(f"invalid JSON in config file {args.config}: {e.msg}") from None
         if not isinstance(overrides, dict):
             raise UsageError(f"config file {args.config} must contain a JSON object")
-    for flag in ("data", "out", "arch", "seed", "epochs", "wall_clock_csv"):
+    for flag in ("data", "out", "arch", "seed", "epochs"):
         value = getattr(args, flag)
         if value is not None:
             overrides[flag] = value

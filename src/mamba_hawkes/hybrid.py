@@ -20,8 +20,8 @@ from .ssm import linear_init, rms_norm
 
 @dataclass
 class MhpEConfig(MhpConfig):
-    """Hybrid settings; the SSM stage is shallower since it only feeds the
-    attention stack. ff_width of 0 means 4 * d_model."""
+    """Hybrid settings; the SSM stage, mamba_layers deep in place of n_layers,
+    only feeds the attention stack. ff_width of 0 means 4 * d_model."""
 
     mamba_layers: int = 2
     attn_blocks: int = 4
@@ -30,6 +30,9 @@ class MhpEConfig(MhpConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        if self.n_layers != MhpConfig.n_layers:
+            raise ValueError(f"config field n_layers is not used by arch mhp-e "
+                             f"(got {self.n_layers}); set mamba_layers instead")
         if self.mamba_layers < 1:
             raise ValueError("mamba_layers must be >= 1")
         if self.attn_blocks < 0 or self.n_heads < 1 or self.ff_width < 0:

@@ -5,15 +5,14 @@ The likelihood of a sequence decomposes into an event term (log intensity of
 the observed type at each event) minus the integral of the total intensity
 over the observed window. The integral is the trapezoid rule on nodes that
 every interval shares: `TRAIN_QUAD_POINTS` of them in the training loss and
-as many as asked for in reporting, both by one fused node,
-`IntensityHead.integral`. Within an interval each intensity is a softplus of
-a linear function of time, so at 100 nodes the rule is within about 1e-6
-relative of the exact integral.
+`EVAL_QUAD_POINTS` (or as many as asked for) in reporting, both by one fused
+node, `IntensityHead.integral`. Within an interval each intensity is a
+softplus of a linear function of time, so at 100 nodes the rule is within
+about 1e-6 relative of the exact integral.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -27,13 +26,17 @@ from .ssm import MambaBlock, linear_init
 # buffers stay in L2 cache (of 4k to 128k, 16k ran fastest at S 1024 and 100).
 _BLOCK_ELEMS = 16384
 
-# Trapezoid nodes per interval in the training loss.
+# Trapezoid nodes per interval: in the training loss, and in reported
+# likelihoods unless a caller asks for another count.
 TRAIN_QUAD_POINTS = 100
+EVAL_QUAD_POINTS = 1024
+
+DELTA_MIN, DELTA_MAX = 1e-6, 1e4    # bounds of the scan's step, the softplus'd gap
 
 
 @dataclass
 class MhpConfig:
-    """Architecture and objective settings; defaults follow the reference setup."""
+    """Architecture and loss-weight settings; defaults follow the reference setup."""
 
     d_model: int = 64
     d_state: int = 16
@@ -44,10 +47,6 @@ class MhpConfig:
     mlp_hidden: int = 0          # 0 -> use d_model
     event_loss_weight: float = 1.0
     time_loss_weight: float = 1e-4
-    loglik_mode: str = "marked"  # "marked" or "total"
-    delta_transform: str = "softplus_clamp"  # or "raw"
-    delta_clamp_min: float = 1e-6
-    delta_clamp_max: float = 1e4
 
     def __post_init__(self):
         for name in ("d_model", "d_state", "d_conv", "expand", "n_layers", "K"):
@@ -55,13 +54,6 @@ class MhpConfig:
                 raise ValueError(f"config field {name} must be positive")
         if self.mlp_hidden < 0:
             raise ValueError("config field mlp_hidden must be >= 0")
-        if not 0.0 < self.delta_clamp_min <= self.delta_clamp_max:
-            raise ValueError("delta clamp bounds must satisfy "
-                             "0 < delta_clamp_min <= delta_clamp_max")
-        if self.loglik_mode not in ("marked", "total"):
-            raise ValueError(f"unknown loglik_mode {self.loglik_mode!r}")
-        if self.delta_transform not in ("softplus_clamp", "raw"):
-            raise ValueError(f"unknown delta_transform {self.delta_transform!r}")
 
     @property
     def d_inner(self):
@@ -81,12 +73,10 @@ def raw_event_deltas(timestamps):
     return np.concatenate([t[:1], np.diff(t)])
 
 
-def transform_deltas(raw, cfg):
-    """Gap transform guarding the scan against zero/negative steps."""
-    if cfg.delta_transform == "raw":
-        return np.asarray(raw, dtype=np.float64)
-    sp = np.logaddexp(0.0, raw)  # softplus
-    return np.clip(sp, cfg.delta_clamp_min, cfg.delta_clamp_max)
+def transform_deltas(raw):
+    """The scan's step: softplus of the gap, as Mamba's Delta, clamped to
+    [DELTA_MIN, DELTA_MAX] so that no step is zero or overflows."""
+    return np.clip(np.logaddexp(0.0, raw), DELTA_MIN, DELTA_MAX)
 
 
 class MlpHead(Module):
@@ -203,15 +193,14 @@ class EncoderState:
     """What the encoder carries from the last sequence it ran: one state per
     block (a MambaBlock's conv inputs and scan state, an AttentionBlock's
     keys and values), the events they hold, the stack's output row at the
-    last of them, and copies of the config and of the encoder parameters
-    (embedding and blocks) they were computed with.
+    last of them, and copies of the encoder parameters (embedding and
+    blocks) they were computed with.
 
     It holds no reference to a model, so dropping a model frees it at once.
     """
 
     def __init__(self):
         self.held = None        # (timestamps, types) copied, or None
-        self.cfg = None
         self.params = []
         self.blocks = []
         self.last = None
@@ -220,20 +209,18 @@ class EncoderState:
         """How many leading events of seq the state holds for `model`.
 
         That is all of its events when they are a prefix of seq (in
-        timestamps and types) and the config and every encoder parameter
-        equal the copies. Otherwise it is 0, and the state is emptied and
-        copies them anew.
+        timestamps and types) and every encoder parameter equals its copy.
+        Otherwise it is 0, and the state is emptied and copies them anew.
         """
         params = [model.embedding] + [p for blk in model._stack() for p in blk.parameters()]
         if self.held is not None:
             t, k = self.held
             n = len(t)
             if (n <= len(seq) and np.array_equal(t, seq.timestamps[:n])
-                    and np.array_equal(k, seq.types[:n]) and self.cfg == model.cfg
+                    and np.array_equal(k, seq.types[:n])
                     and all(np.array_equal(p.data, q) for p, q in zip(params, self.params))):
                 return n
         self.held = None
-        self.cfg = copy.copy(model.cfg)
         self.params = [p.data.copy() for p in params]
         self.blocks = [blk.empty_state() for blk in model._stack()]
         return 0
@@ -276,7 +263,7 @@ class MambaHawkes(Module):
         return ag.transpose(ag.gather(self.embedding, idx, axis=1))
 
     def deltas(self, seq):
-        return transform_deltas(raw_event_deltas(seq.timestamps), self.cfg)
+        return transform_deltas(raw_event_deltas(seq.timestamps))
 
     def _stack(self):
         """The encoder blocks, in the order `_run_stack` runs them."""
@@ -326,12 +313,9 @@ class MambaHawkes(Module):
     def _event_term(self, seq, scores):
         gaps = np.diff(seq.timestamps)
         lam = self.head.intensities(gaps, scores[:-1])  # [n-1, K] at event times
-        if self.cfg.loglik_mode == "total":
-            lam_at_events = ag.reduce_sum(lam, axis=1)
-        else:
-            hot = np.zeros((len(seq) - 1, self.cfg.K))
-            hot[np.arange(len(seq) - 1), seq.type_indices[1:]] = 1.0
-            lam_at_events = ag.reduce_sum(ag.mul(lam, hot), axis=1)
+        hot = np.zeros((len(seq) - 1, self.cfg.K))
+        hot[np.arange(len(seq) - 1), seq.type_indices[1:]] = 1.0
+        lam_at_events = ag.reduce_sum(ag.mul(lam, hot), axis=1)
         return ag.reduce_sum(ag.log(lam_at_events))
 
     def _compensator(self, seq, scores, n_quad):
@@ -343,7 +327,7 @@ class MambaHawkes(Module):
         return self.head.integral(np.diff(seq.timestamps), np.linspace(0.0, 1.0, n_quad),
                                   w, scores[:-1])
 
-    def log_likelihood(self, seq, n_quad=1024, hidden=None):
+    def log_likelihood(self, seq, n_quad=EVAL_QUAD_POINTS, hidden=None):
         """Sequence log-likelihood: sum of event log-intensities minus the
         integrated total intensity over [t_1, t_n], by the n_quad-point
         trapezoid rule. Differentiable end to end."""

@@ -3,9 +3,9 @@
 Runs are deterministic given (seed, config, single worker): initial values
 and batch order derive from the seed, and the likelihood, in the loss and
 in reports alike, is integrated by the deterministic trapezoid rule of
-model.py. Wall-clock timings therefore live in the JSON summary; the metrics
-CSV keeps a fixed `seconds` column that is written as 0.0 unless wall-clock
-output is explicitly requested (it would break byte-level reproducibility).
+model.py. Wall-clock timings therefore live in the JSON summary only; the
+metrics CSV keeps a `seconds` column that is always 0.0, so that a seeded
+run writes the same bytes every time.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from . import autograd as ag
 from .checkpoint import build_model, config_class, load_checkpoint, save_checkpoint
 from .data import DataError, Dataset, EventSequence, batch, load_jsonl
 from .hybrid import MhpEConfig
+from .model import EVAL_QUAD_POINTS
 
 logger = logging.getLogger(__name__)
 
@@ -63,12 +64,11 @@ class TrainConfig(MhpEConfig):
     clip_norm: float = 5.0
     seed: int = 0
     # evaluation
-    eval_quad_points: int = 1024
+    eval_quad_points: int = EVAL_QUAD_POINTS
     normalize_times: bool = False
-    # paths and output
+    # paths
     data: str = ""
     out: str = ""
-    wall_clock_csv: bool = False
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
@@ -195,7 +195,7 @@ def loss_on_batch(model, bat):
 # evaluation
 
 
-def evaluate(model, dataset, n_quad=1024):
+def evaluate(model, dataset, n_quad=EVAL_QUAD_POINTS):
     """Test-style metrics: LL/event via trapezoid quadrature, next-type
     accuracy (percent), RMSE of predicted vs true inter-event gaps."""
     if model.cfg.K != dataset.K:
@@ -223,7 +223,7 @@ def evaluate(model, dataset, n_quad=1024):
     )
 
 
-def dev_ll_per_event(model, dataset, n_quad=1024):
+def dev_ll_per_event(model, dataset, n_quad=EVAL_QUAD_POINTS):
     """Quadrature LL/event only (the per-epoch dev metric)."""
     return evaluate(model, dataset, n_quad=n_quad).ll_per_event
 
@@ -388,9 +388,8 @@ def train(cfg):
                                 epoch=epoch) from None
         seconds = time.perf_counter() - t0
         epoch_seconds.append(seconds)
-        csv_seconds = seconds if cfg.wall_clock_csv else 0.0
-        rows.append((epoch, "train", epoch_ll / epoch_events, "", "", csv_seconds))
-        rows.append((epoch, "dev", dev_ll, "", "", csv_seconds))
+        rows.append((epoch, "train", epoch_ll / epoch_events, "", "", 0.0))
+        rows.append((epoch, "dev", dev_ll, "", "", 0.0))
         logger.info("epoch %d: train ll/event %.4f, dev ll/event %.4f (%.1fs)",
                     epoch, epoch_ll / epoch_events, dev_ll, seconds)
         epochs_run = epoch

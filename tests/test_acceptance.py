@@ -22,7 +22,7 @@ from mamba_hawkes.cli import main as cli_main
 from mamba_hawkes.data import (Dataset, EventSequence, HawkesGenConfig, batch,
                                load_jsonl, simulate_hawkes)
 from mamba_hawkes.hybrid import MambaHawkesHybrid, MhpEConfig
-from mamba_hawkes.model import MambaHawkes, MhpConfig, transform_deltas, raw_event_deltas
+from mamba_hawkes.model import MambaHawkes, MhpConfig, raw_event_deltas
 from mamba_hawkes.ssm import selective_scan
 from mamba_hawkes.training import (TrainConfig, fit_poisson_baseline,
                                    loss_on_batch, poisson_ll_per_event, train)
@@ -43,10 +43,12 @@ def bench_dir(tmp_path_factory):
 
 
 def desk_train_config(data_dir, out_dir, arch="mhp"):
-    cfg = dict(arch=arch, d_model=16, d_state=16, n_layers=2,
+    cfg = dict(arch=arch, d_model=16, d_state=16,
                lr=2e-3, batch_size=4, epochs=14, patience=10, seed=42,
                eval_quad_points=1024, data=str(data_dir), out=str(out_dir))
-    if arch == "mhp-e":
+    if arch == "mhp":
+        cfg.update(n_layers=2)
+    else:
         cfg.update(mamba_layers=2, attn_blocks=2, n_heads=2)
     return TrainConfig.from_dict(cfg)
 
@@ -62,13 +64,12 @@ def mhp_run(bench_dir, tmp_path_factory):
 def test_criterion_1_gated_decay_exactness():
     t0 = time.perf_counter()
     rng = np.random.default_rng(0)
-    cfg = MhpConfig(K=1, delta_transform="raw")
     worst = 0.0
     for _ in range(20):
         L = int(rng.integers(2, 51))
         t = np.cumsum(rng.uniform(0.05, 2.0, size=L))
         x = rng.normal(size=L)
-        delta = transform_deltas(raw_event_deltas(t), cfg)  # raw gaps, gap_1 = t_1
+        delta = raw_event_deltas(t)  # raw gaps, gap_1 = t_1
         y = selective_scan(Tensor(x.reshape(L, 1)), Tensor(delta),
                            Tensor(np.array([[-1.0]])), Tensor(np.ones((L, 1))),
                            Tensor(np.ones((L, 1)))).data.reshape(-1)

@@ -15,9 +15,11 @@ def run(args):
 
 
 def small_train_config(tmp_path, **kw):
-    cfg = dict(arch="mhp", d_model=8, d_state=4, n_layers=1,
+    cfg = dict(arch="mhp", d_model=8, d_state=4,
                lr=1e-3, batch_size=4, epochs=2, eval_quad_points=128, seed=0)
     cfg.update(kw)
+    if cfg["arch"] == "mhp":
+        cfg.setdefault("n_layers", 1)   # mhp-e takes its depth from mamba_layers
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
@@ -57,7 +59,8 @@ def test_train_arch_flag_selects_hybrid(tmp_path):
     data = tmp_path / "data"
     run(["generate", "--seed", 1, "--out", data,
          "--n-train", 6, "--n-dev", 2, "--n-test", 2])
-    cfg = small_train_config(tmp_path, attn_blocks=1, n_heads=2, mamba_layers=1,
+    # n_layers at its default, the only value mhp-e takes
+    cfg = small_train_config(tmp_path, n_layers=4, attn_blocks=1, n_heads=2, mamba_layers=1,
                              epochs=1)
     out = tmp_path / "run"
     assert run(["train", "--config", cfg, "--data", data, "--out", out,
@@ -128,10 +131,11 @@ def test_predict_line_out_of_range_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bad", [
-    {"clip_norm": 0}, {"batch_size": 0}, {"d_model": 0}, {"loglik_mode": "x"},
+    {"clip_norm": 0}, {"batch_size": 0}, {"d_model": 0},
     {"eval_quad_points": 1}, {"lr": -1}, {"epochs": 0}, {"K": 3},
-    {"d_model": 8.5}, {"mlp_hidden": -1}, {"delta_clamp_min": 1.0, "delta_clamp_max": 0.5},
+    {"d_model": 8.5}, {"mlp_hidden": -1},
     {"arch": "mhp-e", "d_model": 10}, {"arch": "mhp-e", "ff_width": -1},
+    {"arch": "mhp-e", "n_layers": 1},
 ], ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()))
 def test_bad_config_value_exits_1_with_one_line(tmp_path, capsys, bad):
     cfg = small_train_config(tmp_path, **bad)
@@ -261,23 +265,30 @@ def test_train_seed_beyond_int64_exits_0(tmp_path):
                 "--out", tmp_path / "o", "--seed", 2 ** 63]) == 0
 
 
-def test_config_setting_mc_samples_exits_1(tmp_path, capsys):
-    cfg = small_train_config(tmp_path, mc_samples=100)
+# fields that are gone, each with the value a config or checkpoint once held
+REMOVED_FIELDS = {"mc_samples": 100, "loglik_mode": "marked", "delta_transform": "softplus_clamp",
+                  "delta_clamp_min": 1e-6, "delta_clamp_max": 1e4, "wall_clock_csv": False}
+
+
+@pytest.mark.parametrize("field", REMOVED_FIELDS)
+def test_config_setting_a_removed_field_exits_1(tmp_path, capsys, field):
+    cfg = small_train_config(tmp_path, **{field: REMOVED_FIELDS[field]})
     assert run(["train", "--config", cfg, "--data", tmp_path, "--out", tmp_path / "o"]) == 1
-    assert capsys.readouterr().err == "error: unknown config field(s): mc_samples\n"
+    assert capsys.readouterr().err == f"error: unknown config field(s): {field}\n"
 
 
-def test_eval_checkpoint_with_mc_samples_exits_2(tmp_path, capsys):
-    # a checkpoint written while the config still had mc_samples
+@pytest.mark.parametrize("field", [f for f in REMOVED_FIELDS if f != "wall_clock_csv"])
+def test_eval_checkpoint_with_a_removed_field_exits_2(tmp_path, capsys, field):
+    # a checkpoint written while the model config still had the field
     path = tiny_checkpoint(tmp_path)
     payload = json.loads(path.read_text())
-    payload["config"]["mc_samples"] = 100
+    payload["config"][field] = REMOVED_FIELDS[field]
     path.write_text(json.dumps(payload))
     data = tmp_path / "test.jsonl"
     data.write_text('{"K": 2, "events": [{"t": 1.0, "k": 1}, {"t": 1.5, "k": 2}]}\n')
     assert run(["eval", "--checkpoint", path, "--data", data]) == 2
     err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and str(path) in err and "mc_samples" in err, err
+    assert len(err.strip().splitlines()) == 1 and str(path) in err and field in err, err
 
 
 @pytest.mark.parametrize("points", [1, 0, -3])

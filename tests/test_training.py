@@ -48,7 +48,7 @@ def test_train_config_defaults_match_reference_setup():
 
 def test_train_config_takes_model_fields_from_model_configs():
     cfg = TrainConfig()
-    assert len([f for f in dataclasses.fields(cfg) if f.init]) == 31
+    assert len([f for f in dataclasses.fields(cfg) if f.init]) == 26
     for f in dataclasses.fields(MhpEConfig):
         if f.name != "K":
             assert getattr(cfg, f.name) == f.default, f.name
@@ -104,9 +104,9 @@ def test_train_nonfinite_gradient_names_batch(tmp_path, monkeypatch):
     write_benchmark(tmp_path / "data", seed=5, n_train=6, n_dev=2, n_test=0)
     backward = ag.backward
 
-    def poisoned_backward(loss, free_graph=True):
+    def poisoned_backward(loss):
         leaf = next(n for n in ag.topo_order(loss) if isinstance(n, Parameter))
-        backward(loss, free_graph=free_graph)
+        backward(loss)
         leaf.grad.flat[0] = np.nan
 
     monkeypatch.setattr(ag, "backward", poisoned_backward)
