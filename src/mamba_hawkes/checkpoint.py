@@ -2,13 +2,23 @@
 
 A checkpoint is one JSON document holding the architecture tag, the full
 config, optional metadata, and a flat name -> {shape, data} map of every
-parameter. Values are serialized with Python's shortest-round-trip float
-repr, so a save/load/save cycle is bit-exact at 64-bit precision.
+parameter. In version 2, which `save_checkpoint` writes, `data` is the
+base64 text of the parameter's little-endian float64 bytes (C order), so
+parameters round-trip bit-exactly and a save/load/save cycle writes
+byte-identical files. Version 1 stored `data` as a list of JSON numbers;
+`load_checkpoint` still reads it to the same bits.
+
+Loading rejects, as DataError naming the file, anything that would only
+fail later: a malformed document, parameters that do not match the
+architecture, non-finite parameter values, a `meta` that is not an object
+and a `meta.time_scale` that is not a finite positive number.
 """
 
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 
 import numpy as np
@@ -18,6 +28,7 @@ from .hybrid import MambaHawkesHybrid, MhpEConfig
 from .model import MambaHawkes, MhpConfig
 
 FORMAT = "mamba-hawkes-checkpoint"
+VERSION = 2
 
 _ARCHS = {
     "mhp": (MhpConfig, MambaHawkes),
@@ -40,12 +51,13 @@ def build_model(arch, config_dict, seed=0):
 def checkpoint_payload(model, meta=None):
     return {
         "format": FORMAT,
-        "version": 1,
+        "version": VERSION,
         "arch": model.arch,
         "config": model.cfg.to_dict(),
         "meta": dict(meta or {}),
         "params": {
-            name: {"shape": list(p.shape), "data": p.data.reshape(-1).tolist()}
+            name: {"shape": list(p.shape),
+                   "data": base64.b64encode(p.data.astype("<f8").tobytes()).decode("ascii")}
             for name, p in model.named_parameters()
         },
     }
@@ -68,6 +80,26 @@ def save_checkpoint(model, path, meta=None):
         raise
 
 
+def _stored_values(rec, version):
+    """The flat float64 values of one parameter record."""
+    if version == 1:
+        return np.asarray(rec["data"], dtype=np.float64).reshape(-1)
+    raw = base64.b64decode(rec["data"], validate=True)
+    return np.frombuffer(raw, "<f8").astype(np.float64)  # owned, writable copy of read-only bytes
+
+
+def _check_meta(path, meta):
+    if not isinstance(meta, dict):
+        raise DataError(f"{path}: checkpoint 'meta' must be an object")
+    if "time_scale" in meta:
+        scale = meta["time_scale"]
+        if (isinstance(scale, bool) or not isinstance(scale, (int, float))
+                or not math.isfinite(scale) or scale <= 0):
+            raise DataError(f"{path}: meta.time_scale must be a finite positive "
+                            f"number, got {scale!r}")
+    return meta
+
+
 def load_checkpoint(path):
     """Rebuild the model from a checkpoint file; returns (model, meta)."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -77,9 +109,14 @@ def load_checkpoint(path):
             raise DataError(f"{path}: invalid checkpoint JSON ({e.msg})") from None
     if not isinstance(payload, dict) or payload.get("format") != FORMAT:
         raise DataError(f"{path}: not a {FORMAT} file")
+    version = payload.get("version")
+    if version not in (1, VERSION):
+        raise DataError(f"{path}: unsupported checkpoint version {version!r} "
+                        f"(this build reads 1 and {VERSION})")
     config, stored = payload.get("config"), payload.get("params")
     if not isinstance(config, dict) or not isinstance(stored, dict):
         raise DataError(f"{path}: checkpoint needs 'config' and 'params' objects")
+    meta = _check_meta(path, payload.get("meta", {}))
     try:
         model = build_model(payload.get("arch"), config)
     except (TypeError, ValueError) as e:
@@ -94,13 +131,15 @@ def load_checkpoint(path):
     for name, p in expected.items():
         rec = stored[name]
         try:
-            arr = np.asarray(rec["data"], dtype=np.float64)
+            arr = _stored_values(rec, version)
             shape = list(rec["shape"])
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, TypeError, ValueError) as e:  # binascii.Error is a ValueError
             raise DataError(f"{path}: invalid record for {name} ({e!r})") from None
         if list(p.shape) != shape or arr.size != p.size:
             raise DataError(
-                f"{path}: shape mismatch for {name}: stored {shape}, "
-                f"model expects {list(p.shape)}")
+                f"{path}: shape mismatch for {name}: stored {shape} with {arr.size} "
+                f"values, model expects {list(p.shape)}")
+        if not np.isfinite(arr).all():
+            raise DataError(f"{path}: parameter {name} holds non-finite values")
         p.data = arr.reshape(p.shape)
-    return model, payload.get("meta", {})
+    return model, meta

@@ -56,10 +56,6 @@ class MhpConfig:
             raise ValueError("config field mlp_hidden must be >= 0")
 
     @property
-    def d_inner(self):
-        return self.expand * self.d_model
-
-    @property
     def mlp_width(self):
         return self.mlp_hidden if self.mlp_hidden else self.d_model
 
@@ -300,15 +296,6 @@ class MambaHawkes(Module):
             return self.mlp(state.last)
 
     # -- intensities and likelihood -----------------------------------------
-
-    def intensity(self, t, j, hidden, seq):
-        """Vector of per-type intensities at time t, given latest event index j (0-based)."""
-        t_j = float(seq.timestamps[j])
-        if t < t_j:
-            raise ValueError(f"t={t} precedes the anchoring event at t_j={t_j}")
-        scores = self.head.base_scores(ag.reshape(hidden[j], (1, -1)))
-        lam = self.head.intensities(np.array([t - t_j]), scores)
-        return ag.reshape(lam, (self.cfg.K,))
 
     def _event_term(self, seq, scores):
         gaps = np.diff(seq.timestamps)

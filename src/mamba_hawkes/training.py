@@ -354,6 +354,7 @@ def train(cfg):
     ckpt_path = os.path.join(cfg.out, "checkpoint.json")
     rows = []
     epoch_seconds = []
+    checkpoint_seconds = []
     best_dev = -np.inf
     best_epoch = 0
     epochs_run = 0
@@ -388,6 +389,7 @@ def train(cfg):
                                 epoch=epoch) from None
         seconds = time.perf_counter() - t0
         epoch_seconds.append(seconds)
+        checkpoint_seconds.append(0.0)  # replaced below if this epoch saves
         rows.append((epoch, "train", epoch_ll / epoch_events, "", "", 0.0))
         rows.append((epoch, "dev", dev_ll, "", "", 0.0))
         logger.info("epoch %d: train ll/event %.4f, dev ll/event %.4f (%.1fs)",
@@ -398,7 +400,9 @@ def train(cfg):
             best_epoch = epoch
             meta.update({"best_epoch": epoch, "dev_ll_per_event": dev_ll,
                          "arch": cfg.arch, "seed": cfg.seed})
+            t_save = time.perf_counter()
             save_checkpoint(model, ckpt_path, meta)
+            checkpoint_seconds[-1] = time.perf_counter() - t_save
         elif epoch - best_epoch >= cfg.patience:
             logger.info("early stop at epoch %d (no dev improvement since %d)",
                         epoch, best_epoch)
@@ -417,6 +421,7 @@ def train(cfg):
         "best_dev_ll_per_event": best_dev,
         "epochs_run": epochs_run,
         "wall_clock_seconds": epoch_seconds,
+        "checkpoint_seconds": checkpoint_seconds,
         "total_seconds": float(sum(epoch_seconds)),
     }
     if test_metrics is not None:

@@ -1,10 +1,14 @@
 """Shared test utilities: finite-difference oracles, error metrics,
 composed-op references for the fused selective scan and the fused
-compensator, and the closed-form gated recurrence the scan reduces to."""
+compensator, the closed-form gated recurrence the scan reduces to, a
+point intensity query, and a writer of version-1 checkpoints."""
+
+import json
 
 import numpy as np
 
 from mamba_hawkes import autograd as ag
+from mamba_hawkes.checkpoint import FORMAT
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -177,3 +181,33 @@ def gated_decay_reference(timestamps, x):
         z = g * z + (1.0 - g) * xv[i]
         out[i] = z
     return out
+
+
+def intensity(model, t, j, hidden, seq):
+    """Vector of per-type intensities at time t, given latest event index j
+    (0-based) and the encoder output `hidden` of `seq`."""
+    t_j = float(seq.timestamps[j])
+    if t < t_j:
+        raise ValueError(f"t={t} precedes the anchoring event at t_j={t_j}")
+    scores = model.head.base_scores(ag.reshape(hidden[j], (1, -1)))
+    lam = model.head.intensities(np.array([t - t_j]), scores)
+    return ag.reshape(lam, (model.cfg.K,))
+
+
+def write_v1_checkpoint(model, path, meta=None):
+    """Write `model` as a version-1 checkpoint: each parameter's data is a
+    list of JSON numbers (shortest round-trip repr) instead of base64 bytes."""
+    payload = {
+        "format": FORMAT,
+        "version": 1,
+        "arch": model.arch,
+        "config": model.cfg.to_dict(),
+        "meta": dict(meta or {}),
+        "params": {
+            name: {"shape": list(p.shape), "data": p.data.reshape(-1).tolist()}
+            for name, p in model.named_parameters()
+        },
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+        fh.write("\n")

@@ -1,9 +1,11 @@
+import base64
 import json
 import os
 
 import numpy as np
 import pytest
 
+from helpers import write_v1_checkpoint
 from mamba_hawkes.checkpoint import checkpoint_payload, load_checkpoint, save_checkpoint
 from mamba_hawkes.cli import main
 from mamba_hawkes.data import EventSequence, load_jsonl
@@ -153,24 +155,63 @@ def test_epochs_flag_zero_exits_1(tmp_path, capsys):
     assert "epochs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("breakage", ["unknown config key", "no params", "unknown arch",
-                                      "record without data"])
+MALFORMED_CHECKPOINTS = {  # breakage -> what the one stderr line must name
+    "unknown config key": "d_modle",
+    "no params": "'params'",
+    "unknown arch": "mhp-x",
+    "record without data": "embedding",
+    "data not base64": "embedding",
+    "byte count off shape": "embedding",
+    "unknown version": "version 3",
+    "nan parameter v1": "embedding holds non-finite",
+    "nan parameter v2": "embedding holds non-finite",
+    "list meta": "'meta'",
+    "time_scale x": "time_scale",
+    "time_scale nan": "time_scale",
+    "time_scale 0": "time_scale",
+}
+
+
+@pytest.mark.parametrize("breakage", list(MALFORMED_CHECKPOINTS))
 def test_malformed_checkpoint_exits_2(tmp_path, capsys, breakage):
     model = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=5), seed=0)
     payload = checkpoint_payload(model)
+    embedding = payload["params"]["embedding"]
     if breakage == "unknown config key":
         payload["config"]["d_modle"] = 8
     elif breakage == "no params":
         del payload["params"]
     elif breakage == "unknown arch":
         payload["arch"] = "mhp-x"
+    elif breakage == "record without data":
+        del embedding["data"]
+    elif breakage == "data not base64":
+        embedding["data"] = "not base64!"
+    elif breakage == "byte count off shape":
+        embedding["data"] = base64.b64encode(model.embedding.data.tobytes()[:-8]).decode()
+    elif breakage == "unknown version":
+        payload["version"] = 3
+    elif breakage == "nan parameter v1":
+        write_v1_checkpoint(model, tmp_path / "v1.json")
+        payload = json.loads((tmp_path / "v1.json").read_text())
+        payload["params"]["embedding"]["data"][3] = float("nan")
+    elif breakage == "nan parameter v2":
+        poisoned = model.embedding.data.copy()
+        poisoned[1, 2] = np.nan
+        embedding["data"] = base64.b64encode(poisoned.tobytes()).decode()
+    elif breakage == "list meta":
+        payload["meta"] = []
     else:
-        del payload["params"]["embedding"]["data"]
+        payload["meta"]["time_scale"] = {"time_scale x": "x", "time_scale nan": float("nan"),
+                                         "time_scale 0": 0}[breakage]
     path = tmp_path / "checkpoint.json"
     path.write_text(json.dumps(payload))
-    assert run(["eval", "--checkpoint", path, "--data", tmp_path]) == 2
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and str(path) in err, err
+    for command in (["eval", "--checkpoint", path, "--data", tmp_path],
+                    ["predict", "--checkpoint", path, "--events", tmp_path / "e.jsonl"]):
+        assert run(command) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and str(path) in err, err
+        assert MALFORMED_CHECKPOINTS[breakage] in err, err
 
 
 def test_diverged_training_exits_3_naming_epoch(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import check_param_grads, composed_compensator, rel_err
+from helpers import check_param_grads, composed_compensator, intensity, rel_err
 from mamba_hawkes import autograd as ag
 from mamba_hawkes import model as model_module
 from mamba_hawkes.autograd import Parameter, Tensor
@@ -134,7 +134,7 @@ def test_intensity_constant_head_is_log_two():
     seq = make_seq(5, 3, seed=1)
     H = m.encode(seq)
     for t in (seq.timestamps[2] + 0.0, seq.timestamps[2] + 0.3):
-        lam = m.intensity(t, 2, H, seq)
+        lam = intensity(m, t, 2, H, seq)
         np.testing.assert_allclose(lam.data, np.log(2.0), rtol=1e-12)
 
 
@@ -150,8 +150,8 @@ def test_intensity_monotone_in_time_for_positive_slope():
     seq = make_seq(4, 2, seed=4)
     H = m.encode(seq)
     t0 = seq.timestamps[1]
-    lam1 = m.intensity(t0 + 0.05, 1, H, seq).data
-    lam2 = m.intensity(t0 + 0.4, 1, H, seq).data
+    lam1 = intensity(m, t0 + 0.05, 1, H, seq).data
+    lam2 = intensity(m, t0 + 0.4, 1, H, seq).data
     assert np.all(lam2 > lam1)
 
 
@@ -160,7 +160,7 @@ def test_intensity_rejects_time_before_anchor():
     seq = make_seq(3, 2, seed=5)
     H = m.encode(seq)
     with pytest.raises(ValueError, match="precedes"):
-        m.intensity(seq.timestamps[1] - 0.01, 1, H, seq)
+        intensity(m, seq.timestamps[1] - 0.01, 1, H, seq)
 
 
 def test_intensity_strictly_positive_everywhere():
@@ -168,7 +168,7 @@ def test_intensity_strictly_positive_everywhere():
     m.head.b.data = np.array([-40.0, 0.0, 40.0])  # extreme scores stay positive
     seq = make_seq(6, 3, seed=7)
     H = m.encode(seq)
-    lam = m.intensity(seq.timestamps[3] + 0.1, 3, H, seq).data
+    lam = intensity(m, seq.timestamps[3] + 0.1, 3, H, seq).data
     assert np.all(lam > 0.0)
 
 

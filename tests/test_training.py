@@ -1,3 +1,4 @@
+import base64
 import dataclasses
 import json
 import os
@@ -5,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from helpers import write_v1_checkpoint
 import mamba_hawkes.checkpoint as ckpt_mod
 import mamba_hawkes.training as train_mod
 from mamba_hawkes import autograd as ag
@@ -208,6 +210,18 @@ def test_train_smoke_one_epoch(tmp_path):
     assert TrainConfig.from_dict(summary["config"]) == cfg  # K is no config field
 
 
+def test_metrics_json_times_each_checkpoint_save(tmp_path, monkeypatch):
+    write_benchmark(tmp_path / "data", seed=1, n_train=4, n_dev=2, n_test=0)
+    dev_lls = iter([-2.0, -3.0, -1.0])  # epochs 1 and 3 improve and save; 2 does not
+    monkeypatch.setattr(train_mod, "dev_ll_per_event", lambda *a, **k: next(dev_lls))
+    result = train(desk_config(tmp_path / "data", tmp_path / "out", epochs=3))
+    summary = json.load(open(result.metrics_json))
+    saves = summary["checkpoint_seconds"]
+    assert len(saves) == len(summary["wall_clock_seconds"]) == 3
+    assert saves[0] > 0.0 and saves[1] == 0.0 and saves[2] > 0.0
+    assert result.best_epoch == 3
+
+
 def test_train_same_seed_identical_outputs(tmp_path):
     write_benchmark(tmp_path / "data", seed=2, n_train=8, n_dev=3, n_test=3)
     outs = []
@@ -320,6 +334,43 @@ def test_checkpoint_records_hybrid_arch(tmp_path):
     loaded, _ = load_checkpoint(path)
     assert loaded.arch == "mhp-e"
     assert len(loaded.attn_layers) == 1
+
+
+def test_checkpoint_stores_base64_float64_bytes(tmp_path):
+    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=2), seed=1)
+    payload = checkpoint_payload(m)
+    assert payload["version"] == 2
+    rec = payload["params"]["embedding"]
+    raw = base64.b64decode(rec["data"], validate=True)
+    assert rec["shape"] == [8, 2]
+    assert raw == m.embedding.data.astype("<f8").tobytes()
+
+
+def test_checkpoint_loads_version_1_bit_exactly(tmp_path):
+    m = build_model("mhp-e", {"d_model": 8, "d_state": 4, "K": 3, "n_heads": 2,
+                              "mamba_layers": 1, "attn_blocks": 1}, seed=5)
+    old = tmp_path / "v1.json"
+    write_v1_checkpoint(m, old, meta={"best_epoch": 3, "time_scale": 0.5})
+    assert json.load(open(old))["version"] == 1
+    loaded, meta = load_checkpoint(old)
+    assert meta == {"best_epoch": 3, "time_scale": 0.5}
+    for (na, pa), (nb, pb) in zip(m.named_parameters(), loaded.named_parameters()):
+        assert na == nb
+        assert np.array_equal(pa.data, pb.data)  # bit-exact
+    new = tmp_path / "v2.json"
+    save_checkpoint(loaded, new, meta=meta)
+    assert json.load(open(new))["version"] == 2
+    again, _ = load_checkpoint(new)
+    for (_, pa), (_, pb) in zip(m.named_parameters(), again.named_parameters()):
+        assert np.array_equal(pa.data, pb.data)
+
+
+def test_default_checkpoint_under_12_bytes_per_parameter(tmp_path):
+    m = MambaHawkes(MhpConfig(), seed=0)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(m, path)
+    n_params = sum(p.size for p in m.parameters())
+    assert os.path.getsize(path) < 12 * n_params  # about 21 as decimal number lists
 
 
 def test_checkpoint_rejects_mismatched_params(tmp_path):
