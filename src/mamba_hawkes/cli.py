@@ -69,6 +69,9 @@ def _build_parser():
 
 
 def _cmd_generate(args):
+    for flag in ("seed", "n_train", "n_dev", "n_test"):
+        if getattr(args, flag) < 0:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= 0, got {getattr(args, flag)}")
     os.makedirs(args.out, exist_ok=True)
     splits = make_synthetic_benchmark(args.seed, n_train=args.n_train,
                                       n_dev=args.n_dev, n_test=args.n_test)

@@ -1,5 +1,5 @@
-"""Event-sequence data model, JSONL persistence, batching, and a synthetic
-multivariate Hawkes generator (exponential kernels, Ogata thinning).
+"""Event-sequence data model, JSONL persistence, unpadded batching, and a
+synthetic multivariate Hawkes generator (exponential kernels, Ogata thinning).
 
 JSONL schema, one sequence per line:
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -301,37 +301,26 @@ def load_jsonl(path, split=""):
 
 @dataclass
 class Batch:
-    """Padded view of a handful of sequences plus the mask that undoes the padding."""
+    """Consecutive sequences of one optimizer step, scored one at a time."""
 
-    timestamps: np.ndarray  # [B, Lmax], zero past each row's length
-    types: np.ndarray       # [B, Lmax], zero sentinel past each row's length
-    mask: np.ndarray        # [B, Lmax] bool, True on real events
-    lengths: np.ndarray     # [B]
-    K: int
-    sequences: list = field(repr=False, default=None)
+    sequences: list
 
     def unpadded(self):
-        """The underlying sequences, pad-free (mask applied)."""
+        """The sequences, as given."""
         return self.sequences
+
+    @property
+    def mask(self):
+        """[B, Lmax] bool, True on each row's events, as a padded batch would
+        need. Only the benchmark's traced run reads it (`data.batch_pad_frac`);
+        it goes when the benchmark stops reading it (ROADMAP item 4)."""
+        lengths = np.array([len(s) for s in self.sequences])
+        return np.arange(lengths.max()) < lengths[:, None]
 
 
 def batch(dataset, batch_size):
-    """Group sequences in order into padded batches of at most batch_size."""
+    """The sequences of dataset (or a list), in order, in batches of at most batch_size."""
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     seqs = list(dataset)
-    K = dataset.K if isinstance(dataset, Dataset) else seqs[0].K
-    out = []
-    for start in range(0, len(seqs), batch_size):
-        chunk = seqs[start:start + batch_size]
-        lmax = max(len(s) for s in chunk)
-        B = len(chunk)
-        ts = np.zeros((B, lmax))
-        ks = np.zeros((B, lmax), dtype=np.int64)
-        mask = np.zeros((B, lmax), dtype=bool)
-        for i, s in enumerate(chunk):
-            ts[i, :len(s)] = s.timestamps
-            ks[i, :len(s)] = s.types
-            mask[i, :len(s)] = True
-        out.append(Batch(ts, ks, mask, np.array([len(s) for s in chunk]), K, chunk))
-    return out
+    return [Batch(seqs[i:i + batch_size]) for i in range(0, len(seqs), batch_size)]

@@ -179,6 +179,12 @@ class LossBreakdown(NamedTuple):
     log_likelihood: Tensor
 
 
+class Score(NamedTuple):
+    log_likelihood: Tensor
+    logits: Tensor       # [n-1, K], next-type logits after events 1..n-1
+    gaps: Tensor         # [n-1], predicted gaps to events 2..n
+
+
 class PredictionResult(NamedTuple):
     probs: np.ndarray
     next_type: int       # 1-based
@@ -314,17 +320,23 @@ class MambaHawkes(Module):
         return self.head.integral(np.diff(seq.timestamps), np.linspace(0.0, 1.0, n_quad),
                                   w, scores[:-1])
 
-    def log_likelihood(self, seq, n_quad=EVAL_QUAD_POINTS, hidden=None):
-        """Sequence log-likelihood: sum of event log-intensities minus the
-        integrated total intensity over [t_1, t_n], by the n_quad-point
-        trapezoid rule. Differentiable end to end."""
+    def score(self, seq, n_quad=EVAL_QUAD_POINTS):
+        """One encoder pass scored three ways: the log-likelihood (the n_quad-point
+        trapezoid rule integrates the intensity over [t_1, t_n]), the next-type
+        logits [n-1, K] and the predicted gaps [n-1], successive differences of
+        predicted times anchored at t_1. Differentiable end to end."""
         if len(seq) < 2:
-            raise ValueError("log-likelihood needs at least two events")
-        if hidden is None:
-            hidden = self.encode(seq)
+            raise ValueError("scoring needs at least two events")
+        hidden = self.encode(seq)
         scores = self.head.base_scores(hidden)
-        event = self._event_term(seq, scores)
-        return ag.sub(event, self._compensator(seq, scores, n_quad))
+        ll = ag.sub(self._event_term(seq, scores), self._compensator(seq, scores, n_quad))
+        logits = self.pred.logits(hidden[:-1])
+        t_hat = ag.concat([Tensor(seq.timestamps[:1]), self.pred.times(hidden[:-1])], axis=0)
+        return Score(ll, logits, ag.sub(t_hat[1:], t_hat[:-1]))
+
+    def log_likelihood(self, seq, n_quad=EVAL_QUAD_POINTS):
+        """The log-likelihood of `score`."""
+        return self.score(seq, n_quad).log_likelihood
 
     # -- prediction and losses ----------------------------------------------
 
@@ -341,28 +353,13 @@ class MambaHawkes(Module):
             t_hat = float(self.pred.times(h_last).data[0])
         return PredictionResult(probs, int(np.argmax(probs)) + 1, t_hat)
 
-    def predicted_times(self, hidden, seq):
-        """Absolute next-time predictions, one per history position, with the
-        first event's own timestamp prepended as the anchoring convention."""
-        t_hat = self.pred.times(hidden[:len(seq) - 1])
-        return ag.concat([Tensor(seq.timestamps[:1]), t_hat], axis=0)
-
     def losses(self, seq):
         """(event cross-entropy, time MSE, weighted total) plus the
         log-likelihood, integrated on `TRAIN_QUAD_POINTS` nodes."""
-        if len(seq) < 2:
-            raise ValueError("losses need at least two events")
-        hidden = self.encode(seq)
-        ll = self.log_likelihood(seq, n_quad=TRAIN_QUAD_POINTS, hidden=hidden)
-
-        logits = self.pred.logits(hidden[:len(seq) - 1])
-        logp = ag.log_softmax(logits, axis=1)
+        ll, logits, pred_gaps = self.score(seq, TRAIN_QUAD_POINTS)
         hot = np.zeros((len(seq) - 1, self.cfg.K))
         hot[np.arange(len(seq) - 1), seq.type_indices[1:]] = 1.0
-        event_loss = ag.neg(ag.reduce_sum(ag.mul(logp, hot)))
-
-        t_hat = self.predicted_times(hidden, seq)
-        pred_gaps = ag.sub(t_hat[1:], t_hat[:-1])
+        event_loss = ag.neg(ag.reduce_sum(ag.mul(ag.log_softmax(logits, axis=1), hot)))
         diff = ag.sub(pred_gaps, Tensor(np.diff(seq.timestamps)))
         time_loss = ag.reduce_sum(ag.mul(diff, diff))
 

@@ -175,11 +175,8 @@ def clip_gradients(params, max_norm):
 
 
 def loss_on_batch(model, bat):
-    """Sum of per-sequence total losses over a padded batch.
-
-    Padding never enters any term: the mask trims each row back to its true
-    events, so the batched total equals the sum of unbatched losses exactly.
-    """
+    """Sum of per-sequence total losses over a batch, one sequence at a time,
+    so the total equals the sum of the unbatched losses exactly."""
     total = None
     ll_value = 0.0
     n_events = 0
@@ -196,8 +193,9 @@ def loss_on_batch(model, bat):
 
 
 def evaluate(model, dataset, n_quad=EVAL_QUAD_POINTS):
-    """Test-style metrics: LL/event via trapezoid quadrature, next-type
-    accuracy (percent), RMSE of predicted vs true inter-event gaps."""
+    """Test-style metrics from one `score` per sequence: LL/event via
+    trapezoid quadrature, next-type accuracy (percent), RMSE of predicted vs
+    true inter-event gaps."""
     if model.cfg.K != dataset.K:
         raise ValueError(f"K-mismatch: model has K={model.cfg.K}, dataset has K={dataset.K}")
     ll_sum = 0.0
@@ -206,13 +204,10 @@ def evaluate(model, dataset, n_quad=EVAL_QUAD_POINTS):
     sq_err = 0.0
     with ag.no_grad():
         for seq in dataset:
-            hidden = model.encode(seq)
-            ll_sum += float(model.log_likelihood(seq, n_quad=n_quad, hidden=hidden).data)
-            logits = model.pred.logits(hidden[:len(seq) - 1]).data
-            pred_types = np.argmax(logits, axis=1) + 1
-            correct += int(np.sum(pred_types == seq.types[1:]))
-            pred_gaps = np.diff(model.predicted_times(hidden, seq).data)
-            sq_err += float(np.sum((pred_gaps - np.diff(seq.timestamps)) ** 2))
+            ll, logits, pred_gaps = model.score(seq, n_quad)
+            ll_sum += float(ll.data)
+            correct += int(np.sum(np.argmax(logits.data, axis=1) + 1 == seq.types[1:]))
+            sq_err += float(np.sum((pred_gaps.data - np.diff(seq.timestamps)) ** 2))
             n_events += len(seq) - 1
     return Metrics(
         ll_per_event=ll_sum / n_events,
@@ -325,6 +320,7 @@ def train(cfg):
     with real wall-clock timings), and checkpoint.json (best dev epoch) into
     cfg.out. Returns a TrainResult.
     """
+    t_start = time.perf_counter()
     train_ds = load_split(cfg.data, "train")
     dev_ds = load_split(cfg.data, "dev")
     test_path = os.path.join(cfg.data, "test.jsonl")
@@ -363,8 +359,7 @@ def train(cfg):
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(len(sequences))
-        batches = batch(Dataset([sequences[i] for i in order], train_ds.K, "train"),
-                        cfg.batch_size)
+        batches = batch([sequences[i] for i in order], cfg.batch_size)
         epoch_ll = 0.0
         epoch_events = 0
         for bi, bat in enumerate(batches):
@@ -422,7 +417,7 @@ def train(cfg):
         "epochs_run": epochs_run,
         "wall_clock_seconds": epoch_seconds,
         "checkpoint_seconds": checkpoint_seconds,
-        "total_seconds": float(sum(epoch_seconds)),
+        "total_seconds": time.perf_counter() - t_start,
     }
     if test_metrics is not None:
         summary["test"] = dataclasses.asdict(test_metrics)

@@ -228,6 +228,15 @@ def test_diverged_training_exits_3_naming_epoch(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1 and "at epoch 1" in err, err
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--n-train", "--n-dev", "--n-test"])
+def test_generate_refuses_negative_values(tmp_path, capsys, flag):
+    out = tmp_path / "data"
+    assert run(["generate", "--out", out, flag, -1]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"{flag} must be >= 0, got -1" in err
+    assert not out.exists()
+
+
 def test_generate_skips_empty_split_and_train_runs(tmp_path):
     data = tmp_path / "data"
     assert run(["generate", "--seed", 3, "--out", data,

@@ -227,9 +227,18 @@ def _small_dataset(n=7, seed=0):
 
 def test_batch_masks_sum_to_lengths():
     ds = _small_dataset()
-    for b in batch(ds, 3):
-        np.testing.assert_array_equal(b.mask.sum(axis=1), b.lengths)
-        assert b.timestamps.shape == b.types.shape == b.mask.shape
+    batches = batch(ds, 3)
+    assert [len(b.sequences) for b in batches] == [3, 3, 1]
+    flat = [s for b in batches for s in b.sequences]
+    assert len(flat) == len(ds) and all(a is b for a, b in zip(flat, ds))
+    assert [b.sequences for b in batch(list(ds), 3)] == [b.sequences for b in batches]
+    for b in batches:
+        lengths = [len(s) for s in b.sequences]
+        padded = np.zeros((len(lengths), max(lengths)), dtype=bool)
+        for i, n in enumerate(lengths):
+            padded[i, :n] = True
+        np.testing.assert_array_equal(b.mask, padded)
+        np.testing.assert_array_equal(b.mask.sum(axis=1), lengths)
 
 
 def test_batch_size_one_is_unpadded():
@@ -237,9 +246,9 @@ def test_batch_size_one_is_unpadded():
     batches = batch(ds, 1)
     assert len(batches) == len(ds)
     for b, seq in zip(batches, ds):
-        assert b.timestamps.shape == (1, len(seq))
+        assert len(b.unpadded()) == 1 and b.unpadded()[0] is seq
+        assert b.mask.shape == (1, len(seq))
         assert b.mask.all()
-        np.testing.assert_array_equal(b.timestamps[0], seq.timestamps)
 
 
 def test_batch_invalid_size():

@@ -164,7 +164,8 @@ def test_evaluate_single_sequence_matches_per_sequence_formulas():
     logits = m.pred.logits(H[:len(seq) - 1]).data
     acc = 100.0 * np.mean(np.argmax(logits, axis=1) + 1 == seq.types[1:])
     np.testing.assert_allclose(metrics.accuracy, acc, rtol=1e-14)
-    pred_gaps = np.diff(m.predicted_times(H, seq).data)
+    t_hat = np.concatenate([seq.timestamps[:1], m.pred.times(H[:len(seq) - 1]).data])
+    pred_gaps = np.diff(t_hat)
     rmse = np.sqrt(np.mean((pred_gaps - np.diff(seq.timestamps)) ** 2))
     np.testing.assert_allclose(metrics.rmse, rmse, rtol=1e-12)
 
@@ -208,6 +209,14 @@ def test_train_smoke_one_epoch(tmp_path):
     assert len(summary["wall_clock_seconds"]) == 1
     assert summary["wall_clock_seconds"][0] > 0.0
     assert TrainConfig.from_dict(summary["config"]) == cfg  # K is no config field
+
+
+def test_total_seconds_is_the_whole_run(tmp_path):
+    write_benchmark(tmp_path / "data", seed=1, n_train=4, n_dev=2, n_test=2)
+    result = train(desk_config(tmp_path / "data", tmp_path / "out", epochs=2))
+    summary = json.load(open(result.metrics_json))
+    assert summary["total_seconds"] >= (sum(summary["wall_clock_seconds"])
+                                        + sum(summary["checkpoint_seconds"]))
 
 
 def test_metrics_json_times_each_checkpoint_save(tmp_path, monkeypatch):
