@@ -107,6 +107,8 @@ def load_checkpoint(path):
             payload = json.load(fh)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}: invalid checkpoint JSON ({e.msg})") from None
+        except RecursionError:
+            raise DataError(f"{path}: invalid checkpoint JSON (nested too deeply)") from None
     if not isinstance(payload, dict) or payload.get("format") != FORMAT:
         raise DataError(f"{path}: not a {FORMAT} file")
     version = payload.get("version")

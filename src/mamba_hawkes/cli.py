@@ -12,6 +12,8 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from .checkpoint import load_checkpoint
 from .data import DataError, load_jsonl, make_synthetic_benchmark, save_jsonl
 from .model import EVAL_QUAD_POINTS
@@ -98,6 +100,8 @@ def _cmd_train(args):
                 overrides = json.load(fh)
             except json.JSONDecodeError as e:
                 raise UsageError(f"invalid JSON in config file {args.config}: {e.msg}") from None
+            except RecursionError:
+                raise UsageError(f"config file {args.config} is nested too deeply") from None
         if not isinstance(overrides, dict):
             raise UsageError(f"config file {args.config} must contain a JSON object")
     for flag in ("data", "out", "arch", "seed", "epochs"):
@@ -193,7 +197,8 @@ def main(argv=None):
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):  # explicit checks report non-finite values
+            return _COMMANDS[args.command](args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

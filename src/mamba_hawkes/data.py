@@ -3,7 +3,7 @@ synthetic multivariate Hawkes generator (exponential kernels, Ogata thinning).
 
 JSONL schema, one sequence per line:
 
-    {"K": <int>, "events": [{"t": <float>, "k": <int, 1-based>}, ...]}
+    {"K": <int, 1..MAX_TYPES>, "events": [{"t": <float>, "k": <int, 1-based>}, ...]}
 
 Timestamps must be strictly increasing within a line. Ties are resolved at
 load time by nudging duplicates up by 1e-9 per repeat (with a warning);
@@ -20,6 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 logger = logging.getLogger(__name__)
+
+MAX_TYPES = 1024   # bound on K: the model allocates [d_model, K] and [1, K, nodes] arrays
 
 
 class DataError(ValueError):
@@ -244,18 +246,23 @@ def _parse_line(line, lineno, path):
         rec = json.loads(line)
     except json.JSONDecodeError as e:
         raise DataError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
+    except RecursionError:
+        raise DataError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from None
     if not isinstance(rec, dict) or "K" not in rec:
         raise DataError(f"{path}:{lineno}: missing field 'K'")
     if "events" not in rec or not isinstance(rec["events"], list) or not rec["events"]:
         raise DataError(f"{path}:{lineno}: field 'events' must be a non-empty list")
     K = rec["K"]
-    if isinstance(K, bool) or not isinstance(K, int) or K < 1:
-        raise DataError(f"{path}:{lineno}: field 'K' must be a positive integer")
+    if isinstance(K, bool) or not isinstance(K, int) or not 1 <= K <= MAX_TYPES:
+        raise DataError(f"{path}:{lineno}: field 'K' must be an integer in 1..{MAX_TYPES}")
     times, types = [], []
     for i, ev in enumerate(rec["events"]):
         if not isinstance(ev, dict) or "t" not in ev or "k" not in ev:
             raise DataError(f"{path}:{lineno}: event {i} must have fields 't' and 'k'")
-        if isinstance(ev["k"], bool) or not isinstance(ev["k"], int) or not 1 <= ev["k"] <= K:
+        if not isinstance(ev["k"], int):
+            raise DataError(f"{path}:{lineno}: field 'k' must be an integer at event {i}, "
+                            f"got {ev['k']!r}")
+        if isinstance(ev["k"], bool) or not 1 <= ev["k"] <= K:
             raise DataError(f"{path}:{lineno}: field 'k' out of range 1..{K} at event {i}, "
                             f"got {ev['k']!r}")
         t = _finite_float(ev["t"])
@@ -313,7 +320,7 @@ class Batch:
     def mask(self):
         """[B, Lmax] bool, True on each row's events, as a padded batch would
         need. Only the benchmark's traced run reads it (`data.batch_pad_frac`);
-        it goes when the benchmark stops reading it (ROADMAP item 4)."""
+        it goes when the benchmark stops reading it (ROADMAP item 1)."""
         lengths = np.array([len(s) for s in self.sequences])
         return np.arange(lengths.max()) < lengths[:, None]
 

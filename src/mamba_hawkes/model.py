@@ -63,18 +63,6 @@ class MhpConfig:
         return asdict(self)
 
 
-def raw_event_deltas(timestamps):
-    """Inter-event gaps with the first gap taken as the first timestamp."""
-    t = np.asarray(timestamps, dtype=np.float64)
-    return np.concatenate([t[:1], np.diff(t)])
-
-
-def transform_deltas(raw):
-    """The scan's step: softplus of the gap, as Mamba's Delta, clamped to
-    [DELTA_MIN, DELTA_MAX] so that no step is zero or overflows."""
-    return np.clip(np.logaddexp(0.0, raw), DELTA_MIN, DELTA_MAX)
-
-
 class MlpHead(Module):
     """Two-layer MLP applied position-wise after the encoder stack."""
 
@@ -265,7 +253,10 @@ class MambaHawkes(Module):
         return ag.transpose(ag.gather(self.embedding, idx, axis=1))
 
     def deltas(self, seq):
-        return transform_deltas(raw_event_deltas(seq.timestamps))
+        """The scan's steps: softplus of each gap (the first gap is the first
+        timestamp), clamped so that no step is zero or overflows."""
+        return np.clip(np.logaddexp(0.0, np.diff(seq.timestamps, prepend=0.0)),
+                       DELTA_MIN, DELTA_MAX)
 
     def _stack(self):
         """The encoder blocks, in the order `_run_stack` runs them."""

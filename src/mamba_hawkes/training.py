@@ -76,7 +76,12 @@ class TrainConfig(MhpEConfig):
             if f.init and (isinstance(value, bool) != (f.type == "bool")
                            or not isinstance(value, _TYPES[f.type])):
                 raise ValueError(f"config field {f.name} must be of type {f.type}, got {value!r}")
-        config_class(self.arch)(**self.model_config_dict(K=1))  # K=1 stands in for the data's
+        model_fields = self.model_config_dict(K=1)  # K=1 stands in for the data's
+        config_class(self.arch)(**model_fields)
+        for f in dataclasses.fields(MhpEConfig):  # a hybrid field that arch mhp would ignore
+            if f.name not in model_fields and getattr(self, f.name) != f.default:
+                raise ValueError(f"config field {f.name} is not used by arch {self.arch} "
+                                 f"(got {getattr(self, f.name)!r})")
         for name, ok, rule in (
                 ("lr", self.lr >= 0.0, ">= 0"),
                 ("batch_size", self.batch_size >= 1, ">= 1"),

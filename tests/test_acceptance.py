@@ -22,7 +22,7 @@ from mamba_hawkes.cli import main as cli_main
 from mamba_hawkes.data import (Dataset, EventSequence, HawkesGenConfig, batch,
                                load_jsonl, simulate_hawkes)
 from mamba_hawkes.hybrid import MambaHawkesHybrid, MhpEConfig
-from mamba_hawkes.model import MambaHawkes, MhpConfig, raw_event_deltas
+from mamba_hawkes.model import MambaHawkes, MhpConfig
 from mamba_hawkes.ssm import selective_scan
 from mamba_hawkes.training import (TrainConfig, fit_poisson_baseline,
                                    loss_on_batch, poisson_ll_per_event, train)
@@ -69,7 +69,7 @@ def test_criterion_1_gated_decay_exactness():
         L = int(rng.integers(2, 51))
         t = np.cumsum(rng.uniform(0.05, 2.0, size=L))
         x = rng.normal(size=L)
-        delta = raw_event_deltas(t)  # raw gaps, gap_1 = t_1
+        delta = np.diff(t, prepend=0.0)  # raw gaps, gap_1 = t_1
         y = selective_scan(Tensor(x.reshape(L, 1)), Tensor(delta),
                            Tensor(np.array([[-1.0]])), Tensor(np.ones((L, 1))),
                            Tensor(np.ones((L, 1)))).data.reshape(-1)

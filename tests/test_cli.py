@@ -1,6 +1,9 @@
 import base64
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ import pytest
 from helpers import write_v1_checkpoint
 from mamba_hawkes.checkpoint import checkpoint_payload, load_checkpoint, save_checkpoint
 from mamba_hawkes.cli import main
-from mamba_hawkes.data import EventSequence, load_jsonl
+from mamba_hawkes.data import MAX_TYPES, EventSequence, load_jsonl
 from mamba_hawkes.model import MambaHawkes, MhpConfig
 
 
@@ -107,6 +110,35 @@ def test_malformed_config_exits_1(tmp_path, capsys):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("reader,code", [("data", 2), ("config", 1), ("checkpoint", 2)])
+def test_deeply_nested_json_exits_with_one_line(tmp_path, capsys, reader, code):
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000 + "\n")
+    data = tmp_path / "test.jsonl"
+    data.write_text('{"K": 2, "events": [{"t": 1.0, "k": 1}, {"t": 1.5, "k": 2}]}\n')
+    if reader == "config":
+        args = ["train", "--config", nested, "--data", tmp_path, "--out", tmp_path / "o"]
+    else:
+        checkpoint = nested if reader == "checkpoint" else tiny_checkpoint(tmp_path)
+        args = ["eval", "--checkpoint", checkpoint, "--data", nested if reader == "data" else data]
+    assert run(args) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "nested too deeply" in err, err
+    assert str(nested) in err, err
+
+
+def test_train_with_K_beyond_the_bound_exits_2(tmp_path, capsys):
+    data = tmp_path / "data"
+    data.mkdir()
+    for split in ("train", "dev"):
+        (data / f"{split}.jsonl").write_text(
+            '{"K": %d, "events": [{"t": 1.0, "k": 1}, {"t": 2.0, "k": 1}]}\n' % 10**30)
+    cfg = small_train_config(tmp_path)
+    assert run(["train", "--config", cfg, "--data", data, "--out", tmp_path / "o"]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and f"1..{MAX_TYPES}" in err, err
+
+
 def test_corrupt_data_exits_2(tmp_path, capsys):
     data = tmp_path / "data"
     data.mkdir()
@@ -146,6 +178,16 @@ def test_bad_config_value_exits_1_with_one_line(tmp_path, capsys, bad):
     assert code == 1
     assert len(err.strip().splitlines()) == 1 and err.startswith("error: "), err
     assert list(bad)[-1] in err, err
+
+
+@pytest.mark.parametrize("field,value", [("mamba_layers", 7), ("attn_blocks", 9),
+                                         ("n_heads", 3), ("ff_width", 32)])
+def test_mhp_refuses_a_hybrid_field(tmp_path, capsys, field, value):
+    # arch mhp reads none of the hybrid fields, so setting one is an error
+    cfg = small_train_config(tmp_path, **{field: value})
+    assert run(["train", "--config", cfg, "--data", tmp_path, "--out", tmp_path / "o"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: config field {field} is not used by arch mhp (got {value})\n", err
 
 
 def test_epochs_flag_zero_exits_1(tmp_path, capsys):
@@ -235,6 +277,28 @@ def test_generate_refuses_negative_values(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"{flag} must be >= 0, got -1" in err
     assert not out.exists()
+
+
+def test_numeric_abort_prints_one_line_and_no_numpy_warning(tmp_path):
+    # timestamps near the float maximum overflow in the forward pass; run as a
+    # process so that stderr is the real one, not pytest's warning capture
+    data = tmp_path / "data"
+    data.mkdir()
+    for split in ("train", "dev"):
+        lines = [json.dumps({"K": 2, "events": [{"t": 1e308 * (0.5 + 0.1 * i + 0.01 * j),
+                                                 "k": 1 + i % 2} for i in range(4)]})
+                 for j in range(2)]
+        (data / f"{split}.jsonl").write_text("\n".join(lines) + "\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-m", "mamba_hawkes.cli", "train", "--config",
+                           str(small_train_config(tmp_path, epochs=1)), "--data", str(data),
+                           "--out", str(tmp_path / "o")],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numeric abort: "), proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def test_generate_skips_empty_split_and_train_runs(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from mamba_hawkes import autograd as ag
-from mamba_hawkes.data import (Batch, DataError, Dataset, EventSequence,
+from mamba_hawkes.data import (MAX_TYPES, Batch, DataError, Dataset, EventSequence,
                                ExplosionError, HawkesGenConfig,
                                RetryExhaustedError, batch,
                                benchmark_generator_config, load_jsonl,
@@ -170,6 +170,21 @@ def test_jsonl_nan_timestamp(tmp_path):
 def test_jsonl_infinite_timestamp(tmp_path):
     path = bad_event_file(tmp_path, '{"t": Infinity, "k": 1}')
     with pytest.raises(DataError, match=r"bad.jsonl:2: field 't' must be a finite number at event 1"):
+        load_jsonl(path)
+
+
+def test_jsonl_float_type_must_be_an_integer(tmp_path):
+    path = bad_event_file(tmp_path, '{"t": 1.0, "k": 1.0}')
+    with pytest.raises(DataError, match=r"bad.jsonl:2: field 'k' must be an integer at event 1"):
+        load_jsonl(path)
+
+
+@pytest.mark.parametrize("K", [10**30, MAX_TYPES + 1], ids=["10**30", "bound+1"])
+def test_jsonl_K_beyond_the_bound(tmp_path, K):
+    # the [d_model, K] embedding is never built for such a K
+    path = tmp_path / "big.jsonl"
+    path.write_text('{"K": %d, "events": [{"t": 1.0, "k": 1}]}\n' % K)
+    with pytest.raises(DataError, match=rf"big.jsonl:1: field 'K' must be an integer in 1..{MAX_TYPES}"):
         load_jsonl(path)
 
 

@@ -8,8 +8,7 @@ from mamba_hawkes import model as model_module
 from mamba_hawkes.autograd import Parameter, Tensor
 from mamba_hawkes.checkpoint import build_model
 from mamba_hawkes.data import Dataset, EventSequence
-from mamba_hawkes.model import (TRAIN_QUAD_POINTS, MambaHawkes, MhpConfig, raw_event_deltas,
-                                transform_deltas)
+from mamba_hawkes.model import TRAIN_QUAD_POINTS, MambaHawkes, MhpConfig
 from mamba_hawkes.training import Adam, clip_gradients, evaluate
 
 
@@ -38,13 +37,20 @@ def constant_intensity_model(K, rates, d_model=8):
 # -- deltas -------------------------------------------------------------------
 
 
+def deltas_of_gaps(gaps):
+    """MambaHawkes.deltas of a sequence whose events are `gaps` apart, the
+    first one at time gaps[0]."""
+    t = np.cumsum(gaps)
+    return tiny_model().deltas(EventSequence(t, np.ones(len(t), dtype=int), 2))
+
+
 def test_raw_deltas_first_gap_is_first_timestamp():
-    np.testing.assert_allclose(raw_event_deltas([0.5, 2.0, 3.5]), [0.5, 1.5, 1.5])
+    np.testing.assert_allclose(deltas_of_gaps([0.5, 1.5, 1.5]),
+                               np.logaddexp(0.0, [0.5, 1.5, 1.5]))
 
 
 def test_delta_transform_softplus_clamp():
-    raw = np.array([1e-9, 1.0, 1e6])
-    out = transform_deltas(raw)
+    out = deltas_of_gaps([1e-9, 1.0, 1e6])
     np.testing.assert_allclose(out[0], np.log(2.0), rtol=1e-6)
     np.testing.assert_allclose(out[1], np.logaddexp(0, 1.0))
     assert out[2] == 1e4  # clamp ceiling

@@ -4,7 +4,7 @@ from scipy.integrate import quad
 
 from helpers import check_param_grads, composed_scan, gated_decay_reference, rel_err
 from mamba_hawkes import autograd as ag
-from mamba_hawkes.autograd import DomainError, Parameter, ShapeError, Tensor
+from mamba_hawkes.autograd import DomainError, GraphError, Parameter, ShapeError, Tensor
 from mamba_hawkes.data import EventSequence
 from mamba_hawkes.model import MambaHawkes, MhpConfig
 from mamba_hawkes.ssm import MambaBlock, SsmCore, selective_scan
@@ -136,7 +136,7 @@ def test_scan_gradients_match_fd():
     rng = np.random.default_rng(3)
     L, D, N = 4, 2, 3
     x = Parameter(rng.normal(size=(L, D)), "x")
-    delta = Parameter(rng.uniform(0.5, 1.5, size=L), "delta")
+    delta = Tensor(rng.uniform(0.5, 1.5, size=L))
     a = Parameter(-np.exp(rng.normal(size=(D, N))), "a")
     b = Parameter(rng.normal(size=(L, N)), "b")
     c = Parameter(rng.normal(size=(L, N)), "c")
@@ -144,7 +144,7 @@ def test_scan_gradients_match_fd():
     w = rng.normal(size=(L, D))
     errs = check_param_grads(
         lambda: ag.reduce_sum(ag.mul(selective_scan(x, delta, a, b, c, skip), w)),
-        [x, delta, a, b, c, skip])
+        [x, a, b, c, skip])
     assert max(errs.values()) < 1e-4, errs
 
 
@@ -156,14 +156,14 @@ def test_scan_gradients_match_composed_oracle(L, D, N):
     delta[L // 2] = 1e-6
     a = -np.exp(rng.normal(size=(D, N)))
     assert np.all(np.abs(delta[L // 2] * a) < 1e-4)  # one step in the series branch
-    values = dict(x=rng.normal(size=(L, D)), delta=delta, a=a,
+    values = dict(x=rng.normal(size=(L, D)), a=a,
                   b=rng.normal(size=(L, N)), c=rng.normal(size=(L, N)),
                   skip=rng.normal(size=D))
     w = rng.normal(size=(L, D))
     grads = []
     for scan in (selective_scan, composed_scan):
         params = {k: Parameter(v.copy(), k) for k, v in values.items()}
-        ag.backward(ag.reduce_sum(ag.mul(scan(**params), w)))
+        ag.backward(ag.reduce_sum(ag.mul(scan(delta=Tensor(delta), **params), w)))
         grads.append({k: p.grad for k, p in params.items()})
     fused, composed = grads
     for k in values:
@@ -323,17 +323,23 @@ def test_scan_carries_state_across_calls():
                                plain, rtol=0, atol=1e-12)
 
 
-def test_scan_gradients_with_initial_state_match_fd():
-    rng = np.random.default_rng(22)
-    v = scan_inputs(rng, 5, 2, 3)
-    v["delta"][2] = 0.5  # finite differences would step a tiny delta below zero
-    params = {k: Parameter(val, k) for k, val in v.items()}
-    z0 = rng.normal(size=(2, 3))
-    w = rng.normal(size=(5, 2))
-    errs = check_param_grads(
-        lambda: ag.reduce_sum(ag.mul(selective_scan(**params, state=z0.copy()), w)),
-        list(params.values()))
-    assert max(errs.values()) < 1e-4, errs
+def test_scan_refuses_a_tracked_delta():
+    # step sizes are data: no gradient is computed for them
+    v = scan_inputs(np.random.default_rng(22), 5, 2, 3)
+    v["delta"] = Parameter(v["delta"], "delta")
+    with pytest.raises(GraphError, match="delta must not require grad"):
+        selective_scan(**v)
+
+
+def test_scan_refuses_a_state_while_recording():
+    # no gradient reaches z_0, so a recorded call from a carried state would
+    # give wrong gradients for a; it is refused instead
+    v = scan_inputs(np.random.default_rng(25), 5, 2, 3)
+    v["a"] = Parameter(v["a"], "a")
+    with pytest.raises(GraphError, match="no_grad"):
+        selective_scan(**v, state=np.zeros((2, 3)))
+    with ag.no_grad():
+        selective_scan(**v, state=np.zeros((2, 3)))
 
 
 def test_scan_rejects_state_of_wrong_shape():
@@ -349,6 +355,7 @@ def test_block_with_state_matches_one_call():
     delta = rng.uniform(0.1, 1.5, size=17)
     whole = blk(Tensor(u), Tensor(delta)).data
     state = blk.empty_state()
-    parts = [blk(Tensor(u[lo:hi]), Tensor(delta[lo:hi]), state).data
-             for lo, hi in ((0, 2), (2, 3), (3, 11), (11, 17))]
+    with ag.no_grad():
+        parts = [blk(Tensor(u[lo:hi]), Tensor(delta[lo:hi]), state).data
+                 for lo, hi in ((0, 2), (2, 3), (3, 11), (11, 17))]
     np.testing.assert_allclose(np.concatenate(parts), whole, rtol=0, atol=1e-13)
