@@ -79,9 +79,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.data.shape}{flag})"
@@ -94,16 +91,15 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A trainable leaf tensor with a dotted path name (e.g. "layers.0.A_log")."""
+    """A trainable leaf tensor; a Module names it by its attribute path."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
-    def __init__(self, data, name=""):
+    def __init__(self, data):
         super().__init__(data, requires_grad=True)
-        self.name = name
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.data.shape})"
+        return f"Parameter(shape={self.data.shape})"
 
 
 class Module:

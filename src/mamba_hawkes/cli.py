@@ -1,7 +1,7 @@
 """Command-line interface: generate / train / eval / predict.
 
-Exit codes: 0 success, 1 usage or config error, 2 data error, 3 numeric
-abort during training.
+Exit codes: 0 success, 1 usage or config error, 2 data error (including a
+file that cannot be read or created), 3 numeric abort during training.
 """
 
 from __future__ import annotations
@@ -93,15 +93,17 @@ def _cmd_generate(args):
 def _cmd_train(args):
     overrides = {}
     if args.config:
-        if not os.path.exists(args.config):
-            raise UsageError(f"config file not found: {args.config}")
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
                 overrides = json.load(fh)
-            except json.JSONDecodeError as e:
-                raise UsageError(f"invalid JSON in config file {args.config}: {e.msg}") from None
-            except RecursionError:
-                raise UsageError(f"config file {args.config} is nested too deeply") from None
+        except OSError as e:
+            raise UsageError(f"cannot read config file {args.config}: {e.strerror}") from None
+        except json.JSONDecodeError as e:
+            raise UsageError(f"invalid JSON in config file {args.config}: {e.msg}") from None
+        except UnicodeDecodeError as e:
+            raise UsageError(f"config file {args.config} is not UTF-8 ({e.reason})") from None
+        except RecursionError:
+            raise UsageError(f"config file {args.config} is nested too deeply") from None
         if not isinstance(overrides, dict):
             raise UsageError(f"config file {args.config} must contain a JSON object")
     for flag in ("data", "out", "arch", "seed", "epochs"):
@@ -116,8 +118,6 @@ def _cmd_train(args):
         raise UsageError("no data directory given (use --data or the config file)")
     if not cfg.out:
         raise UsageError("no output directory given (use --out or the config file)")
-    if not os.path.isdir(cfg.data):
-        raise FileNotFoundError(f"data directory not found: {cfg.data}")
     result = train(cfg)
     print(f"best dev ll/event {result.best_dev_ll:.4f} at epoch {result.best_epoch}; "
           f"checkpoint {result.checkpoint_path}")
@@ -136,8 +136,6 @@ def _cmd_eval(args):
         path = os.path.join(args.data, f"{args.split}.jsonl")
     else:
         path = args.data
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"data file not found: {path}")
     dataset = load_jsonl(path, args.split)
     check_two_events(dataset, path, "evaluation")
     if "time_scale" in meta:
@@ -145,7 +143,7 @@ def _cmd_eval(args):
     try:
         metrics = evaluate(model, dataset, n_quad=args.quad_points)
     except ValueError as e:
-        raise DataError(str(e)) from None
+        raise DataError(f"{path}: {e}") from None
     print(f"{args.split}: ll/event {metrics.ll_per_event:.6f}, "
           f"accuracy {metrics.accuracy:.2f}%, rmse {metrics.rmse:.6f}")
     if args.out:
@@ -162,9 +160,10 @@ def _cmd_eval(args):
 
 def _cmd_predict(args):
     model, meta = load_checkpoint(args.checkpoint)
-    if not os.path.exists(args.events):
-        raise FileNotFoundError(f"events file not found: {args.events}")
     dataset = load_jsonl(args.events)
+    if dataset.K != model.cfg.K:
+        raise DataError(f"{args.events}: K-mismatch: model has K={model.cfg.K}, "
+                        f"file has K={dataset.K}")
     if not 1 <= args.line <= len(dataset):
         raise UsageError(f"--line {args.line} out of range (file has {len(dataset)} sequences)")
     seq = dataset.sequences[args.line - 1]
@@ -190,7 +189,9 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
+    # log lines go to stdout with the progress prints; stderr holds only an error line
+    logging.basicConfig(stream=sys.stdout, level=logging.INFO,
+                        format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -202,7 +203,7 @@ def main(argv=None):
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError) as e:
+    except (DataError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
     except NumericsError as e:

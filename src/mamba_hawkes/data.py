@@ -288,15 +288,18 @@ def _parse_line(line, lineno, path):
 def load_jsonl(path, split=""):
     sequences, K = [], None
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            seq, k = _parse_line(line, lineno, path)
-            if K is None:
-                K = k
-            elif k != K:
-                raise DataError(f"{path}:{lineno}: inconsistent 'K' ({k} != {K})")
-            sequences.append(seq)
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                seq, k = _parse_line(line, lineno, path)
+                if K is None:
+                    K = k
+                elif k != K:
+                    raise DataError(f"{path}:{lineno}: inconsistent 'K' ({k} != {K})")
+                sequences.append(seq)
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
     if not sequences:
         raise DataError(f"{path}: no sequences found")
     return Dataset(sequences, K, split)

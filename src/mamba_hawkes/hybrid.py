@@ -69,16 +69,16 @@ class AttentionBlock(Module):
         self.d_model = d_model
         self.n_heads = n_heads
         self.d_head = d_model // n_heads
-        self.norm1 = Parameter(np.ones(d_model), "norm1")
-        self.W_q = Parameter(linear_init(rng, d_model, d_model), "W_q")
-        self.W_k = Parameter(linear_init(rng, d_model, d_model), "W_k")
-        self.W_v = Parameter(linear_init(rng, d_model, d_model), "W_v")
-        self.W_o = Parameter(linear_init(rng, d_model, d_model), "W_o")
-        self.norm2 = Parameter(np.ones(d_model), "norm2")
-        self.W_ff1 = Parameter(linear_init(rng, d_model, ff_dim), "W_ff1")
-        self.b_ff1 = Parameter(np.zeros(ff_dim), "b_ff1")
-        self.W_ff2 = Parameter(linear_init(rng, ff_dim, d_model), "W_ff2")
-        self.b_ff2 = Parameter(np.zeros(d_model), "b_ff2")
+        self.norm1 = Parameter(np.ones(d_model))
+        self.W_q = Parameter(linear_init(rng, d_model, d_model))
+        self.W_k = Parameter(linear_init(rng, d_model, d_model))
+        self.W_v = Parameter(linear_init(rng, d_model, d_model))
+        self.W_o = Parameter(linear_init(rng, d_model, d_model))
+        self.norm2 = Parameter(np.ones(d_model))
+        self.W_ff1 = Parameter(linear_init(rng, d_model, ff_dim))
+        self.b_ff1 = Parameter(np.zeros(ff_dim))
+        self.W_ff2 = Parameter(linear_init(rng, ff_dim, d_model))
+        self.b_ff2 = Parameter(np.zeros(d_model))
 
     def empty_state(self):
         return KVCache(self.d_model)

@@ -67,10 +67,10 @@ class MlpHead(Module):
     """Two-layer MLP applied position-wise after the encoder stack."""
 
     def __init__(self, d_model, hidden, rng):
-        self.W1 = Parameter(linear_init(rng, d_model, hidden), "W1")
-        self.b1 = Parameter(np.zeros(hidden), "b1")
-        self.W2 = Parameter(linear_init(rng, hidden, d_model), "W2")
-        self.b2 = Parameter(np.zeros(d_model), "b2")
+        self.W1 = Parameter(linear_init(rng, d_model, hidden))
+        self.b1 = Parameter(np.zeros(hidden))
+        self.W2 = Parameter(linear_init(rng, hidden, d_model))
+        self.b2 = Parameter(np.zeros(d_model))
 
     def __call__(self, x):
         h = ag.silu(ag.add(ag.matmul(x, self.W1), self.b1))
@@ -85,10 +85,10 @@ class IntensityHead(Module):
     """
 
     def __init__(self, K, d_model, rng):
-        self.alpha = Parameter(np.zeros(K), "alpha")
-        self.W = Parameter(linear_init(rng, d_model, K).T, "W")  # [K, d_model]
-        self.b = Parameter(np.zeros(K), "b")
-        self.log_beta = Parameter(np.zeros(K), "log_beta")
+        self.alpha = Parameter(np.zeros(K))
+        self.W = Parameter(linear_init(rng, d_model, K).T)  # [K, d_model]
+        self.b = Parameter(np.zeros(K))
+        self.log_beta = Parameter(np.zeros(K))
 
     def base_scores(self, hidden):
         """w_k . h + b_k for every (position, type) pair -> [L, K]."""
@@ -150,8 +150,8 @@ class PredictionHeads(Module):
     """Linear next-type and next-time readouts from the hidden state."""
 
     def __init__(self, K, d_model, rng):
-        self.P_e = Parameter(linear_init(rng, d_model, K).T, "P_e")  # [K, d_model]
-        self.P_t = Parameter(linear_init(rng, d_model, 1).T, "P_t")  # [1, d_model]
+        self.P_e = Parameter(linear_init(rng, d_model, K).T)  # [K, d_model]
+        self.P_t = Parameter(linear_init(rng, d_model, 1).T)  # [1, d_model]
 
     def logits(self, hidden):
         return ag.matmul(hidden, ag.transpose(self.P_e))
@@ -225,14 +225,11 @@ class MambaHawkes(Module):
         self.cfg = cfg
         rng = np.random.default_rng(seed)
         self.embedding = Parameter(
-            rng.normal(0.0, 1.0 / np.sqrt(cfg.d_model), size=(cfg.d_model, cfg.K)),
-            "embedding")
+            rng.normal(0.0, 1.0 / np.sqrt(cfg.d_model), size=(cfg.d_model, cfg.K)))
         self._build_encoder(rng)
         self.mlp = MlpHead(cfg.d_model, cfg.mlp_width, rng)
         self.head = IntensityHead(cfg.K, cfg.d_model, rng)
         self.pred = PredictionHeads(cfg.K, cfg.d_model, rng)
-        for name, p in self.named_parameters():
-            p.name = name
         self._stream = EncoderState()   # what predict_next last encoded
 
     def _build_encoder(self, rng, n_layers=None):
@@ -324,10 +321,6 @@ class MambaHawkes(Module):
         logits = self.pred.logits(hidden[:-1])
         t_hat = ag.concat([Tensor(seq.timestamps[:1]), self.pred.times(hidden[:-1])], axis=0)
         return Score(ll, logits, ag.sub(t_hat[1:], t_hat[:-1]))
-
-    def log_likelihood(self, seq, n_quad=EVAL_QUAD_POINTS):
-        """The log-likelihood of `score`."""
-        return self.score(seq, n_quad).log_likelihood
 
     # -- prediction and losses ----------------------------------------------
 

@@ -160,10 +160,10 @@ class SsmCore(Module):
         self.d_state = d_state
         # one decaying mode per (channel, state) pair, rates 1..N per channel
         a_init = np.tile(np.arange(1, d_state + 1, dtype=np.float64), (d_inner, 1))
-        self.A_log = Parameter(np.log(a_init), "A_log")
-        self.W_B = Parameter(linear_init(rng, d_inner, d_state), "W_B")
-        self.W_C = Parameter(linear_init(rng, d_inner, d_state), "W_C")
-        self.D = Parameter(np.ones(d_inner), "D")
+        self.A_log = Parameter(np.log(a_init))
+        self.W_B = Parameter(linear_init(rng, d_inner, d_state))
+        self.W_C = Parameter(linear_init(rng, d_inner, d_state))
+        self.D = Parameter(np.ones(d_inner))
 
     def __call__(self, x, delta, state=None):
         a = ag.neg(ag.exp(self.A_log))
@@ -196,14 +196,13 @@ class MambaBlock(Module):
         self.d_model = d_model
         self.d_inner = expand * d_model
         self.d_conv = d_conv
-        self.norm_scale = Parameter(np.ones(d_model), "norm_scale")
-        self.in_proj = Parameter(linear_init(rng, d_model, 2 * self.d_inner), "in_proj")
+        self.norm_scale = Parameter(np.ones(d_model))
+        self.in_proj = Parameter(linear_init(rng, d_model, 2 * self.d_inner))
         bound = 1.0 / np.sqrt(d_conv)
-        self.conv_kernel = Parameter(
-            rng.uniform(-bound, bound, size=(d_conv, self.d_inner)), "conv_kernel")
-        self.conv_bias = Parameter(np.zeros(self.d_inner), "conv_bias")
+        self.conv_kernel = Parameter(rng.uniform(-bound, bound, size=(d_conv, self.d_inner)))
+        self.conv_bias = Parameter(np.zeros(self.d_inner))
         self.ssm = SsmCore(self.d_inner, d_state, rng)
-        self.out_proj = Parameter(linear_init(rng, self.d_inner, d_model), "out_proj")
+        self.out_proj = Parameter(linear_init(rng, self.d_inner, d_model))
 
     def empty_state(self):
         return MambaState(np.zeros((self.d_conv - 1, self.d_inner)),

@@ -288,10 +288,7 @@ def write_metrics(out_dir, stem, rows, summary):
 
 
 def load_split(data_dir, split):
-    path = os.path.join(data_dir, f"{split}.jsonl")
-    if not os.path.exists(path):
-        raise FileNotFoundError(f"missing data file: {path}")
-    return load_jsonl(path, split)
+    return load_jsonl(os.path.join(data_dir, f"{split}.jsonl"), split)
 
 
 def check_two_events(dataset, path, use):

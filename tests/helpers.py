@@ -38,8 +38,8 @@ def rel_err(a, b, floor=1e-12):
 def fd_param_grads(make_loss, params, h=1e-5):
     """Backprop through make_loss() once, then finite-difference every param.
 
-    Returns (analytic, fd, loss_value): two {name: gradient array} maps and
-    the loss at the unperturbed point.
+    Returns (analytic, fd, loss_value): two {"<position>:<shape>": gradient
+    array} maps and the loss at the unperturbed point.
     """
     for p in params:
         p.zero_grad()
@@ -47,7 +47,7 @@ def fd_param_grads(make_loss, params, h=1e-5):
     loss_value = float(loss.data)
     ag.backward(loss)
     analytic, fd = {}, {}
-    for p in params:
+    for i, p in enumerate(params):
         def f(arr, p=p):
             old = p.data
             p.data = arr
@@ -56,7 +56,7 @@ def fd_param_grads(make_loss, params, h=1e-5):
                     return float(make_loss().data)
             finally:
                 p.data = old
-        name = p.name or repr(p)
+        name = f"{i}:{p.shape}"
         analytic[name] = p.grad.copy()
         fd[name] = numeric_grad(f, p.data.copy(), h=h)
     return analytic, fd, loss_value

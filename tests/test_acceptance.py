@@ -150,7 +150,7 @@ def test_criterion_4_likelihood_oracle():
                         np.ones(30, dtype=np.int64), 1)
     expect = (len(seq) - 1) * np.log(c) - c * seq.duration
     ll_train = m.losses(seq).log_likelihood.item()
-    ll_quad = m.log_likelihood(seq).item()
+    ll_quad = m.score(seq).log_likelihood.item()
     err_train = abs(ll_train - expect) / abs(expect)
     err_quad = abs(ll_quad - expect)
     elapsed = time.perf_counter() - t0

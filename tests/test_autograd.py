@@ -27,7 +27,7 @@ def test_exp_of_zero_tensor_is_ones():
 
 
 def test_softplus_gradient_at_zero_matches_fd():
-    p = Parameter(np.zeros(1), "p")
+    p = Parameter(np.zeros(1))
     ag.backward(ag.reduce_sum(ag.softplus(p)))
     fd = numeric_grad(lambda x: float(np.log1p(np.exp(x[0]))), np.zeros(1), h=1e-5)
     assert abs(p.grad[0] - 0.5) / 0.5 < 1e-6
@@ -47,8 +47,8 @@ def test_matmul_hand_computed():
 
 def test_matmul_gradient_matches_fd():
     rng = np.random.default_rng(0)
-    A = Parameter(rng.normal(size=(3, 4)), "A")
-    B = Parameter(rng.normal(size=(4, 2)), "B")
+    A = Parameter(rng.normal(size=(3, 4)))
+    B = Parameter(rng.normal(size=(4, 2)))
     errs = check_param_grads(lambda: ag.reduce_sum(ag.matmul(A, B)), [A, B])
     assert max(errs.values()) < 1e-4
 
@@ -71,7 +71,7 @@ def test_softmax_sums_to_one():
 
 def test_softmax_gradient_matches_fd():
     rng = np.random.default_rng(3)
-    x = Parameter(rng.normal(size=(4, 5)), "x")
+    x = Parameter(rng.normal(size=(4, 5)))
     w = rng.normal(size=(4, 5))
     errs = check_param_grads(
         lambda: ag.reduce_sum(ag.mul(ag.softmax(x, axis=1), w)), [x])
@@ -80,7 +80,7 @@ def test_softmax_gradient_matches_fd():
 
 def test_log_softmax_gradient_matches_fd():
     rng = np.random.default_rng(4)
-    x = Parameter(rng.normal(size=(3, 6)), "x")
+    x = Parameter(rng.normal(size=(3, 6)))
     w = rng.normal(size=(3, 6))
     errs = check_param_grads(
         lambda: ag.reduce_sum(ag.mul(ag.log_softmax(x, axis=1), w)), [x])
@@ -93,14 +93,14 @@ def test_reduce_sum_hand_computed():
 
 
 def test_reduce_sum_backward_broadcasts():
-    p = Parameter(np.ones((2, 3)), "p")
+    p = Parameter(np.ones((2, 3)))
     ag.backward(ag.reduce_sum(ag.mul(ag.reduce_sum(p, axis=1), np.array([2.0, 5.0]))))
     np.testing.assert_array_equal(p.grad, [[2.0] * 3, [5.0] * 3])
 
 
 def test_reduce_mean_gradient():
     rng = np.random.default_rng(5)
-    x = Parameter(rng.normal(size=(3, 4)), "x")
+    x = Parameter(rng.normal(size=(3, 4)))
     errs = check_param_grads(lambda: ag.reduce_mean(ag.mul(x, x)), [x])
     assert max(errs.values()) < 1e-4
 
@@ -112,8 +112,8 @@ def test_elementwise_gradients_match_fd(name):
     raw = rng.normal(size=(3, 4))
     if name in ("log", "sqrt"):
         raw = np.exp(raw)  # keep inputs in the domain
-    x = Parameter(raw.copy(), "x")
-    other = Parameter(np.exp(rng.normal(size=raw.shape)), "other")
+    x = Parameter(raw.copy())
+    other = Parameter(np.exp(rng.normal(size=raw.shape)))
     w = rng.normal(size=raw.shape)
 
     def make_loss():
@@ -176,7 +176,7 @@ def test_broadcast_gradient_reduction_matches_oracle():
     cases = [((), (2, 3)), ((3,), (2, 3)), ((1, 3), (2, 3)), ((2, 1), (2, 3)),
              ((4, 1, 3), (4, 2, 3)), ((1,), (4, 2, 3)), ((2, 3), (2, 3))]
     for sa, sb in cases:
-        a = Parameter(rng.normal(size=sa), "a")
+        a = Parameter(rng.normal(size=sa))
         b = Tensor(rng.normal(size=sb))
         w = rng.normal(size=np.broadcast_shapes(sa, sb))
         a.zero_grad()
@@ -218,31 +218,31 @@ def test_gather_out_of_range():
 
 
 def test_gather_gradient_accumulates_repeats():
-    p = Parameter(np.arange(6.0).reshape(2, 3), "p")
+    p = Parameter(np.arange(6.0).reshape(2, 3))
     ag.backward(ag.reduce_sum(ag.gather(p, [1, 1, 0], axis=1)))
     np.testing.assert_array_equal(p.grad, [[1.0, 2.0, 0.0], [1.0, 2.0, 0.0]])
 
 
 def test_backward_sum_gives_ones():
-    p = Parameter(np.array([1.0, 2.0, 3.0]), "p")
+    p = Parameter(np.array([1.0, 2.0, 3.0]))
     ag.backward(ag.reduce_sum(p))
     np.testing.assert_array_equal(p.grad, np.ones(3))
 
 
 def test_backward_square():
-    p = Parameter(np.array([1.0, 2.0]), "p")
+    p = Parameter(np.array([1.0, 2.0]))
     ag.backward(ag.reduce_sum(ag.mul(p, p)))
     np.testing.assert_array_equal(p.grad, [2.0, 4.0])
 
 
 def test_backward_nonscalar_loss_error():
-    p = Parameter(np.ones(3), "p")
+    p = Parameter(np.ones(3))
     with pytest.raises(GraphError, match="scalar"):
         ag.backward(ag.mul(p, p))
 
 
 def test_double_consumption_sums_contributions():
-    p = Parameter(np.array([2.0]), "p")
+    p = Parameter(np.array([2.0]))
     q = Tensor(np.array([5.0]))
     # p appears twice: once multiplied with q, once alone
     ag.backward(ag.reduce_sum(ag.add(ag.mul(p, q), p)))
@@ -250,7 +250,7 @@ def test_double_consumption_sums_contributions():
 
 
 def test_backward_accumulates_across_calls():
-    p = Parameter(np.array([1.0, 2.0]), "p")
+    p = Parameter(np.array([1.0, 2.0]))
     ag.backward(ag.reduce_sum(ag.mul(p, p)))
     first = p.grad.copy()
     ag.backward(ag.reduce_sum(ag.mul(p, p)))
@@ -258,7 +258,7 @@ def test_backward_accumulates_across_calls():
 
 
 def test_no_grad_blocks_recording():
-    p = Parameter(np.ones(2), "p")
+    p = Parameter(np.ones(2))
     with ag.no_grad():
         out = ag.mul(p, p)
     assert not out.requires_grad
@@ -267,7 +267,7 @@ def test_no_grad_blocks_recording():
 
 def test_slice_concat_reshape_transpose_gradients():
     rng = np.random.default_rng(9)
-    x = Parameter(rng.normal(size=(4, 3)), "x")
+    x = Parameter(rng.normal(size=(4, 3)))
 
     def make_loss():
         top = x[:2]
@@ -311,9 +311,9 @@ def test_causal_conv_causality_bit_identical():
 
 def test_causal_conv_gradients_match_fd():
     rng = np.random.default_rng(12)
-    x = Parameter(rng.normal(size=(5, 3)), "x")
-    k = Parameter(rng.normal(size=(3, 3)), "k")
-    b = Parameter(rng.normal(size=3), "b")
+    x = Parameter(rng.normal(size=(5, 3)))
+    k = Parameter(rng.normal(size=(3, 3)))
+    b = Parameter(rng.normal(size=3))
     w = rng.normal(size=(5, 3))
     errs = check_param_grads(
         lambda: ag.reduce_sum(ag.mul(ag.causal_conv1d(x, k, b), w)), [x, k, b])
@@ -331,9 +331,8 @@ def test_expm1_over_x_series_branch_continuity():
         assert np.max(np.abs(slope / exact_slope - 1.0)) < 1e-8
 
 
-def test_parameter_is_leaf_and_named():
-    p = Parameter(np.ones(2), "layers.0.A_log")
-    assert p.name == "layers.0.A_log"
+def test_parameter_is_leaf():
+    p = Parameter(np.ones(2))
     assert p._parents == ()
     assert p.requires_grad
 

@@ -19,6 +19,14 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def run_process(args, cwd):
+    """Run the CLI as a process, so that its stderr is the real one."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.run([sys.executable, "-m", "mamba_hawkes.cli", *map(str, args)],
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+
+
 def small_train_config(tmp_path, **kw):
     cfg = dict(arch="mhp", d_model=8, d_state=4,
                lr=1e-3, batch_size=4, epochs=2, eval_quad_points=128, seed=0)
@@ -289,12 +297,8 @@ def test_numeric_abort_prints_one_line_and_no_numpy_warning(tmp_path):
                                                  "k": 1 + i % 2} for i in range(4)]})
                  for j in range(2)]
         (data / f"{split}.jsonl").write_text("\n".join(lines) + "\n")
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run([sys.executable, "-m", "mamba_hawkes.cli", "train", "--config",
-                           str(small_train_config(tmp_path, epochs=1)), "--data", str(data),
-                           "--out", str(tmp_path / "o")],
-                          env={**os.environ, "PYTHONPATH": str(src)},
-                          capture_output=True, text=True, timeout=120)
+    proc = run_process(["train", "--config", small_train_config(tmp_path, epochs=1),
+                        "--data", data, "--out", tmp_path / "o"], tmp_path)
     assert proc.returncode == 3, proc.stderr
     lines = proc.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("numeric abort: "), proc.stderr
@@ -440,3 +444,79 @@ def test_normalize_times_train_eval_predict_agree(tmp_path, capsys):
     want = model.predict_next(EventSequence(seq.timestamps * scale, seq.types, seq.K))
     assert printed == {"probs": [float(p) for p in want.probs],
                        "next_type": want.next_type, "next_time": want.next_time / scale}
+
+
+# -- hostile invocations, each run as a process --------------------------------
+# In process, pytest's log and warning capture take what would reach the real
+# stderr, so only a process shows whether a failure prints exactly one line.
+
+GOOD = '{"K": 5, "events": [{"t": 1.0, "k": 1}, {"t": 1.5, "k": 5}, {"t": 2.5, "k": 2}]}\n'
+TIED = '{"K": 5, "events": [{"t": 1.0, "k": 1}, {"t": 1.0, "k": 2}, {"t": 2.0, "k": 3}]}\n'
+DECREASING = '{"K": 5, "events": [{"t": 2.0, "k": 1}, {"t": 1.0, "k": 2}]}\n'
+
+
+@pytest.fixture(scope="module")
+def hostile_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("hostile")
+    save_checkpoint(MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=5), seed=0),
+                    root / "ckpt.json")
+    (root / "data").mkdir()
+    (root / "tied").mkdir()
+    (root / "a_dir").mkdir()
+    for split in ("train", "dev", "test"):
+        (root / "data" / f"{split}.jsonl").write_text(GOOD * 2)
+    (root / "tied" / "train.jsonl").write_text(TIED + GOOD)
+    (root / "tied" / "dev.jsonl").write_text(DECREASING)
+    (root / "tie_then_decreasing.jsonl").write_text(TIED + DECREASING)
+    (root / "a_file").write_text("x\n")
+    (root / "not_utf8").write_bytes(b'{"K": 5, "events": []}\xff\n')
+    (root / "k7.jsonl").write_text('{"K": 7, "events": [{"t": 1.0, "k": 6}, {"t": 2.0, "k": 1}]}\n')
+    (root / "k7_low.jsonl").write_text('{"K": 7, "events": [{"t": 1.0, "k": 5}]}\n')
+    return root
+
+
+# (case, arguments, documented exit code, a fragment of the stderr line)
+HOSTILE = [
+    ("generate-out-is-a-file", ["generate", "--out", "a_file", "--n-train", 1], 2, "a_file"),
+    ("train-out-is-a-file", ["train", "--data", "data", "--out", "a_file"], 2, "a_file"),
+    ("eval-out-is-a-file",
+     ["eval", "--checkpoint", "ckpt.json", "--data", "data", "--out", "a_file"], 2, "a_file"),
+    ("checkpoint-is-a-directory", ["eval", "--checkpoint", "a_dir", "--data", "data"], 2, "a_dir"),
+    ("events-is-a-directory", ["predict", "--checkpoint", "ckpt.json", "--events", "a_dir"],
+     2, "a_dir"),
+    ("config-is-a-directory", ["train", "--config", "a_dir"], 1, "a_dir"),
+    ("config-is-missing", ["train", "--config", "no_such.json"], 1, "no_such.json"),
+    ("data-not-utf8", ["eval", "--checkpoint", "ckpt.json", "--data", "not_utf8"], 2, "not_utf8"),
+    ("checkpoint-not-utf8", ["eval", "--checkpoint", "not_utf8", "--data", "data"], 2,
+     "not_utf8"),
+    ("config-not-utf8", ["train", "--config", "not_utf8"], 1, "not_utf8"),
+    ("eval-K7", ["eval", "--checkpoint", "ckpt.json", "--data", "k7.jsonl"], 2, "k7.jsonl"),
+    ("predict-K7-type6", ["predict", "--checkpoint", "ckpt.json", "--events", "k7.jsonl"], 2,
+     "k7.jsonl"),
+    ("predict-K7-types-within-5",
+     ["predict", "--checkpoint", "ckpt.json", "--events", "k7_low.jsonl"], 2, "k7_low.jsonl"),
+    ("eval-tie-then-decreasing",
+     ["eval", "--checkpoint", "ckpt.json", "--data", "tie_then_decreasing.jsonl"], 2,
+     "decreasing timestamps"),
+    ("train-tie-then-dev-decreasing", ["train", "--data", "tied", "--out", "o"], 2,
+     "decreasing timestamps"),
+]
+
+
+@pytest.mark.parametrize("args,code,fragment", [case[1:] for case in HOSTILE],
+                         ids=[case[0] for case in HOSTILE])
+def test_hostile_invocation_exits_with_one_stderr_line(hostile_inputs, args, code, fragment):
+    proc = run_process(args, hostile_inputs)
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and fragment in proc.stderr, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+def test_predict_logs_to_stdout_and_prints_its_json_last(hostile_inputs):
+    (hostile_inputs / "tied_only.jsonl").write_text(TIED)
+    proc = run_process(["predict", "--checkpoint", "ckpt.json", "--events", "tied_only.jsonl"],
+                       hostile_inputs)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "nudged 1 duplicate timestamps" in lines[0]
+    assert set(json.loads(lines[-1])) == {"probs", "next_type", "next_time"}

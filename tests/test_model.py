@@ -187,7 +187,7 @@ def test_loglik_two_event_closed_form():
     seq = EventSequence(np.array([0.0, 1.0]), np.array([1, 1]), 1)
     expect = np.log(np.log(2.0)) - np.log(2.0)
     ll_train = m.losses(seq).log_likelihood.item()
-    ll_quad = m.log_likelihood(seq).item()
+    ll_quad = m.score(seq).log_likelihood.item()
     assert abs(ll_train - expect) / abs(expect) < 0.01
     assert abs(ll_quad - expect) < 1e-6
 
@@ -199,7 +199,7 @@ def test_loglik_homogeneous_poisson_closed_form():
     n, span = len(seq), seq.duration
     expect = (n - 1) * np.log(c) - c * span
     ll_train = m.losses(seq).log_likelihood.item()
-    ll_quad = m.log_likelihood(seq).item()
+    ll_quad = m.score(seq).log_likelihood.item()
     assert abs(ll_train - expect) / abs(expect) < 0.01
     assert abs(ll_quad - expect) < 1e-6
 
@@ -336,7 +336,7 @@ def test_trapezoid_needs_two_points(n_quad):
     m = tiny_model(K=2)
     seq = make_seq(4, 2, seed=30)
     with pytest.raises(ValueError, match="at least 2 points"):
-        m.log_likelihood(seq, n_quad=n_quad)
+        m.score(seq, n_quad=n_quad)
     with pytest.raises(ValueError, match="at least 2 points"):
         evaluate(m, Dataset([seq], 2), n_quad=n_quad)
 
@@ -345,7 +345,7 @@ def test_loglik_requires_two_events():
     m = tiny_model(K=2)
     seq = EventSequence(np.array([1.0]), np.array([1]), 2)
     with pytest.raises(ValueError, match="at least two events"):
-        m.log_likelihood(seq)
+        m.score(seq)
 
 
 def test_loglik_event_term_gradient_sign():
@@ -459,7 +459,6 @@ def test_parameter_names_are_unique_paths():
     names = [n for n, _ in m.named_parameters()]
     assert len(names) == len(set(names))
     assert "layers.0.ssm.A_log" in names
-    assert all(p.name == n for n, p in m.named_parameters())
 
 
 # Default mhp / mhp-e (d_model 64, d_state 16, d_conv 4, expand 2, K 5, ff 256):
@@ -489,4 +488,3 @@ def test_default_parameter_names_and_shapes_are_pinned(arch):
     m = build_model(arch, {"K": 5})
     got = [(name, p.shape) for name, p in m.named_parameters()]
     assert got == [("embedding", (64, 5))] + encoder + _HEADS
-    assert [p.name for p in m.parameters()] == [name for name, _ in got]

@@ -135,12 +135,12 @@ def test_scan_rejects_nonpositive_delta():
 def test_scan_gradients_match_fd():
     rng = np.random.default_rng(3)
     L, D, N = 4, 2, 3
-    x = Parameter(rng.normal(size=(L, D)), "x")
+    x = Parameter(rng.normal(size=(L, D)))
     delta = Tensor(rng.uniform(0.5, 1.5, size=L))
-    a = Parameter(-np.exp(rng.normal(size=(D, N))), "a")
-    b = Parameter(rng.normal(size=(L, N)), "b")
-    c = Parameter(rng.normal(size=(L, N)), "c")
-    skip = Parameter(rng.normal(size=D), "skip")
+    a = Parameter(-np.exp(rng.normal(size=(D, N))))
+    b = Parameter(rng.normal(size=(L, N)))
+    c = Parameter(rng.normal(size=(L, N)))
+    skip = Parameter(rng.normal(size=D))
     w = rng.normal(size=(L, D))
     errs = check_param_grads(
         lambda: ag.reduce_sum(ag.mul(selective_scan(x, delta, a, b, c, skip), w)),
@@ -162,7 +162,7 @@ def test_scan_gradients_match_composed_oracle(L, D, N):
     w = rng.normal(size=(L, D))
     grads = []
     for scan in (selective_scan, composed_scan):
-        params = {k: Parameter(v.copy(), k) for k, v in values.items()}
+        params = {k: Parameter(v.copy()) for k, v in values.items()}
         ag.backward(ag.reduce_sum(ag.mul(scan(delta=Tensor(delta), **params), w)))
         grads.append({k: p.grad for k, p in params.items()})
     fused, composed = grads
@@ -326,7 +326,7 @@ def test_scan_carries_state_across_calls():
 def test_scan_refuses_a_tracked_delta():
     # step sizes are data: no gradient is computed for them
     v = scan_inputs(np.random.default_rng(22), 5, 2, 3)
-    v["delta"] = Parameter(v["delta"], "delta")
+    v["delta"] = Parameter(v["delta"])
     with pytest.raises(GraphError, match="delta must not require grad"):
         selective_scan(**v)
 
@@ -335,7 +335,7 @@ def test_scan_refuses_a_state_while_recording():
     # no gradient reaches z_0, so a recorded call from a carried state would
     # give wrong gradients for a; it is refused instead
     v = scan_inputs(np.random.default_rng(25), 5, 2, 3)
-    v["a"] = Parameter(v["a"], "a")
+    v["a"] = Parameter(v["a"])
     with pytest.raises(GraphError, match="no_grad"):
         selective_scan(**v, state=np.zeros((2, 3)))
     with ag.no_grad():

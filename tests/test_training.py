@@ -64,7 +64,7 @@ def test_train_config_takes_model_fields_from_model_configs():
 
 
 def test_adam_single_step_matches_formula():
-    p = Parameter(np.array([1.0, -2.0]), "p")
+    p = Parameter(np.array([1.0, -2.0]))
     p.grad = np.array([0.5, -1.0])
     opt = Adam([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
     opt.step()
@@ -76,8 +76,8 @@ def test_adam_single_step_matches_formula():
 
 
 def test_clip_scales_norm_only():
-    a = Parameter(np.array([3.0, 4.0]), "a")
-    b = Parameter(np.array([12.0]), "b")
+    a = Parameter(np.array([3.0, 4.0]))
+    b = Parameter(np.array([12.0]))
     a.grad = a.data.copy()
     b.grad = b.data.copy()
     pre = np.concatenate([a.grad, b.grad])
@@ -93,8 +93,8 @@ def test_clip_scales_norm_only():
 
 
 def test_clip_rejects_nonfinite_gradient():
-    a = Parameter(np.array([3.0, 4.0]), "a")
-    b = Parameter(np.array([12.0]), "b")
+    a = Parameter(np.array([3.0, 4.0]))
+    b = Parameter(np.array([12.0]))
     a.grad = a.data.copy()
     b.grad = np.array([np.nan])
     with pytest.raises(NumericsError, match="non-finite gradient norm"):
@@ -158,7 +158,7 @@ def test_evaluate_single_sequence_matches_per_sequence_formulas():
     seq = EventSequence(np.cumsum(rng.uniform(0.3, 1.2, 8)),
                         rng.integers(1, 3, size=8), 2)
     metrics = evaluate(m, Dataset([seq], 2, "test"), n_quad=512)
-    ll = m.log_likelihood(seq, n_quad=512).item()
+    ll = m.score(seq, n_quad=512).log_likelihood.item()
     assert abs(metrics.ll_per_event - ll / (len(seq) - 1)) < 1e-12
     H = m.encode(seq)
     logits = m.pred.logits(H[:len(seq) - 1]).data
