@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Module, Parameter
+from .autograd import Module, Parameter, Tensor
 from .model import MambaHawkes, MhpConfig
 from .ssm import linear_init, rms_norm
 
@@ -46,20 +46,89 @@ class MhpEConfig(MhpConfig):
         return self.ff_width if self.ff_width else 4 * self.d_model
 
 
-def causal_mask(L, past=0):
-    """Additive [L, past + L] mask for L new positions after `past` earlier
-    ones: row i may see columns <= past + i (0), not later ones (-1e30)."""
-    m = np.zeros((L, past + L))
-    m[np.triu_indices(L, k=past + 1, m=past + L)] = -1e30
-    return m
+def causal_mask(L):
+    """Additive [L, L] mask: row i may see columns <= i (0), not later ones
+    (-1e30)."""
+    return np.where(np.tri(L, dtype=bool), 0.0, -1e30)
+
+
+def multi_head_attention(q, k, v, n_heads, past=0):
+    """Causal softmax attention of all n_heads heads at once, as one graph node.
+
+    q is [L, D], the queries of L new positions; k and v are [past + L, D],
+    the keys and values of `past` earlier positions and then the new ones.
+    Every query sees all earlier positions and the new ones up to its own.
+    Head h uses columns h*D/H..(h+1)*D/H, and the [L, D] result holds each
+    head's softmax(q_h k_h^T / sqrt(D/H)) v_h in its columns. The heads run
+    as batched matmuls on [H, ., D/H] views. Backward is the softmax-attention
+    adjoint, for q, k and v, on the same arrays; for it the node keeps the
+    [H, L, past + L] attention weights, and under no_grad nothing.
+    """
+    q, k, v = ag.as_tensor(q), ag.as_tensor(k), ag.as_tensor(v)
+    L, D = q.shape
+    P = past + L
+    if k.shape != (P, D) or v.shape != (P, D):
+        raise ag.ShapeError(f"multi_head_attention: k and v must be [past + L, D]={P, D}, "
+                            f"got {k.shape} and {v.shape}")
+    if D % n_heads:
+        raise ag.ShapeError(f"multi_head_attention: D={D} is not divisible by {n_heads} heads")
+    dh = D // n_heads
+    scale = 1.0 / np.sqrt(dh)
+
+    def heads(a):      # [n, D] -> [H, n, dh], a view
+        return a.reshape(len(a), n_heads, dh).transpose(1, 0, 2)
+
+    def merge(a):      # [H, n, dh] -> [n, D]
+        return a.transpose(1, 0, 2).reshape(a.shape[1], D)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    p = np.matmul(qh, kh.transpose(0, 2, 1))           # [H, L, P]
+    p *= scale
+    p[:, :, past:] += causal_mask(L)
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+    parents = (q, k, v)
+    out = Tensor(merge(np.matmul(p, vh)), ag._track(*parents), parents)
+    if not out.requires_grad:
+        return out
+
+    def _bw():
+        g = heads(out.grad)
+        if v.requires_grad:
+            v.grad += merge(np.matmul(p.transpose(0, 2, 1), g))
+        gs = np.matmul(g, vh.transpose(0, 2, 1))       # d(loss)/d(p)
+        gs -= (gs * p).sum(axis=-1, keepdims=True)
+        gs *= p
+        gs *= scale                                     # d(loss)/d(q_h k_h^T)
+        if q.requires_grad:
+            q.grad += merge(np.matmul(gs, kh))
+        if k.requires_grad:
+            k.grad += merge(np.matmul(qh.transpose(0, 2, 1), gs).transpose(0, 2, 1))
+    out._backward = _bw
+    return out
 
 
 class KVCache:
-    """Keys and values of the positions an AttentionBlock has seen, [P, d_model] each."""
+    """Keys and values of the positions an AttentionBlock has seen: `k` and
+    `v`, [P, d_model] each, are views of the filled part of one buffer that
+    doubles when full, so an append copies only the new rows (and the held
+    ones on a doubling)."""
 
     def __init__(self, d_model):
-        self.k = np.zeros((0, d_model))
-        self.v = np.zeros((0, d_model))
+        self._buf = np.zeros((2, 0, d_model))       # keys, values
+        self.k, self.v = self._buf
+
+    def append(self, k, v):
+        """Add [L, d_model] rows of keys and values after the held ones."""
+        n, m = len(self.k), len(self.k) + len(k)
+        if m > self._buf.shape[1]:
+            buf = np.empty((2, max(m, 2 * self._buf.shape[1]), self._buf.shape[2]))
+            buf[:, :n] = self._buf[:, :n]
+            self._buf = buf
+        self._buf[0, n:m] = k
+        self._buf[1, n:m] = v
+        self.k, self.v = self._buf[:, :m]
 
 
 class AttentionBlock(Module):
@@ -68,7 +137,6 @@ class AttentionBlock(Module):
     def __init__(self, d_model, n_heads, ff_dim, rng):
         self.d_model = d_model
         self.n_heads = n_heads
-        self.d_head = d_model // n_heads
         self.norm1 = Parameter(np.ones(d_model))
         self.W_q = Parameter(linear_init(rng, d_model, d_model))
         self.W_k = Parameter(linear_init(rng, d_model, d_model))
@@ -89,25 +157,19 @@ class AttentionBlock(Module):
     def attend(self, x, cache):
         """The block on positions x that follow those in `cache`, whose keys
         and values they attend to as well; x's keys and values are appended."""
-        L, past = x.shape[0], len(cache.k)
+        past = len(cache.k)
         a = rms_norm(x, self.norm1)
         q = ag.matmul(a, self.W_q)
         k = ag.matmul(a, self.W_k)
         v = ag.matmul(a, self.W_v)
-        if past:
-            k = ag.concat([cache.k, k], axis=0)
-            v = ag.concat([cache.v, v], axis=0)
-        cache.k, cache.v = k.data, v.data
-        mask = causal_mask(L, past)
-        scale = 1.0 / np.sqrt(self.d_head)
-        ctx = []
-        for h in range(self.n_heads):
-            cols = slice(h * self.d_head, (h + 1) * self.d_head)
-            scores = ag.mul(ag.matmul(q[:, cols], ag.transpose(k[:, cols])), scale)
-            attn = ag.softmax(ag.add(scores, mask), axis=1)
-            ctx.append(ag.matmul(attn, v[:, cols]))
-        merged = ctx[0] if self.n_heads == 1 else ag.concat(ctx, axis=1)
-        x = ag.add(x, ag.matmul(merged, self.W_o))
+        cache.append(k.data, v.data)
+        if past and ag._track(k, v):    # a graph copies the prefix to reach the new rows
+            k = ag.concat([cache.k[:past], k])
+            v = ag.concat([cache.v[:past], v])
+        elif past:
+            k, v = Tensor(cache.k), Tensor(cache.v)
+        ctx = multi_head_attention(q, k, v, self.n_heads, past)
+        x = ag.add(x, ag.matmul(ctx, self.W_o))
         f = rms_norm(x, self.norm2)
         ff = ag.add(ag.matmul(ag.silu(ag.add(ag.matmul(f, self.W_ff1), self.b_ff1)),
                               self.W_ff2), self.b_ff2)

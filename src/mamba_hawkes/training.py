@@ -353,6 +353,10 @@ def train(cfg):
     rows = []
     epoch_seconds = []
     checkpoint_seconds = []
+    # per epoch: the gradient norm before clipping and the clip factor of
+    # each step, and the seconds spent in forward, backward and dev eval
+    epoch_log = {name: [] for name in ("grad_norm", "clip_factor", "forward_seconds",
+                                       "backward_seconds", "dev_eval_seconds")}
     best_dev = -np.inf
     best_epoch = 0
     epochs_run = 0
@@ -364,26 +368,40 @@ def train(cfg):
         batches = batch([sequences[i] for i in order], cfg.batch_size)
         epoch_ll = 0.0
         epoch_events = 0
+        norms, factors = [], []
+        forward_seconds = backward_seconds = 0.0
         for bi, bat in enumerate(batches):
             model.zero_grad()
             try:
+                t_forward = time.perf_counter()
                 total, ll_value, n_events = loss_on_batch(model, bat)
                 mean_total = ag.div(total, float(len(bat.unpadded())))
                 if not np.isfinite(mean_total.data):
                     raise NumericsError("non-finite loss")
+                t_backward = time.perf_counter()
                 ag.backward(mean_total)
-                clip_gradients(params, cfg.clip_norm)
+                forward_seconds += t_backward - t_forward
+                backward_seconds += time.perf_counter() - t_backward
+                norm, factor = clip_gradients(params, cfg.clip_norm)
             except (ag.DomainError, NumericsError) as e:
                 raise NumericsError(f"{e} at epoch {epoch}, batch {bi}",
                                     epoch=epoch, batch_index=bi) from None
+            norms.append(norm)
+            factors.append(factor)
             opt.step()
             epoch_ll += ll_value
             epoch_events += n_events
+        t_dev = time.perf_counter()
         try:
             dev_ll = dev_ll_per_event(model, dev_ds, n_quad=cfg.eval_quad_points)
         except ValueError as e:  # a non-positive intensity or a non-finite LL
             raise NumericsError(f"dev evaluation failed at epoch {epoch}: {e}",
                                 epoch=epoch) from None
+        epoch_log["dev_eval_seconds"].append(time.perf_counter() - t_dev)
+        epoch_log["forward_seconds"].append(forward_seconds)
+        epoch_log["backward_seconds"].append(backward_seconds)
+        epoch_log["grad_norm"].append(norms)
+        epoch_log["clip_factor"].append(factors)
         seconds = time.perf_counter() - t0
         epoch_seconds.append(seconds)
         checkpoint_seconds.append(0.0)  # replaced below if this epoch saves
@@ -419,6 +437,7 @@ def train(cfg):
         "epochs_run": epochs_run,
         "wall_clock_seconds": epoch_seconds,
         "checkpoint_seconds": checkpoint_seconds,
+        **epoch_log,
         "total_seconds": time.perf_counter() - t_start,
     }
     if test_metrics is not None:

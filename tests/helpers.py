@@ -1,7 +1,8 @@
 """Shared test utilities: finite-difference oracles, error metrics,
-composed-op references for the fused selective scan and the fused
-compensator, the closed-form gated recurrence the scan reduces to, a
-point intensity query, and a writer of version-1 checkpoints."""
+composed-op references for the fused selective scan, the fused multi-head
+attention and the fused compensator, the closed-form gated recurrence the
+scan reduces to, a point intensity query, and a writer of version-1
+checkpoints."""
 
 import json
 
@@ -9,6 +10,7 @@ import numpy as np
 
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.checkpoint import FORMAT
+from mamba_hawkes.hybrid import causal_mask
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -147,6 +149,25 @@ def composed_scan(x, delta, a, b, c, skip=None):
     if skip is not None:
         y = ag.add(y, ag.mul(ag.as_tensor(skip), x))
     return y
+
+
+def composed_attention(q, k, v, n_heads, past=0):
+    """multi_head_attention built from generic autograd ops, one head at a
+    time: slice the head's columns, scale q_h k_h^T, add a full-width
+    [L, past + L] causal mask, softmax, and concatenate the heads' contexts.
+    The oracle for the fused node's batched forward and hand-written adjoint."""
+    q, k, v = ag.as_tensor(q), ag.as_tensor(k), ag.as_tensor(v)
+    L, D = q.shape
+    dh = D // n_heads
+    mask = np.concatenate([np.zeros((L, past)), causal_mask(L)], axis=1)
+    scale = 1.0 / np.sqrt(dh)
+    ctx = []
+    for h in range(n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        scores = ag.mul(ag.matmul(q[:, cols], ag.transpose(k[:, cols])), scale)
+        attn = ag.softmax(ag.add(scores, mask), axis=1)
+        ctx.append(ag.matmul(attn, v[:, cols]))
+    return ctx[0] if n_heads == 1 else ag.concat(ctx, axis=1)
 
 
 def composed_compensator(head, offsets, weights, scores):

@@ -3,12 +3,13 @@ import re
 import numpy as np
 import pytest
 
-from helpers import check_param_grads
+from helpers import check_param_grads, composed_attention, rel_err
 from mamba_hawkes import autograd as ag
+from mamba_hawkes import hybrid
 from mamba_hawkes.autograd import Tensor
 from mamba_hawkes.data import EventSequence
 from mamba_hawkes.hybrid import (AttentionBlock, MambaHawkesHybrid, MhpEConfig,
-                                 causal_mask)
+                                 causal_mask, multi_head_attention)
 from mamba_hawkes.model import MambaHawkes, MhpConfig
 from mamba_hawkes.ssm import rms_norm
 
@@ -135,14 +136,6 @@ def test_hybrid_config_defaults():
         MhpEConfig(K=2, d_model=10, n_heads=4)
 
 
-def test_causal_mask_after_past_positions():
-    m = causal_mask(3, past=2)
-    assert m.shape == (3, 5)
-    for i in range(3):
-        assert np.all(m[i, :2 + i + 1] == 0.0) and np.all(m[i, 2 + i + 1:] == -1e30)
-    assert np.array_equal(causal_mask(4, past=0), causal_mask(4))
-
-
 def test_attend_with_cache_matches_one_call():
     rng = np.random.default_rng(3)
     blk = AttentionBlock(d_model=8, n_heads=2, ff_dim=16, rng=rng)
@@ -152,3 +145,90 @@ def test_attend_with_cache_matches_one_call():
     parts = [blk.attend(Tensor(x[lo:hi]), cache).data for lo, hi in ((0, 1), (1, 5), (5, 13))]
     np.testing.assert_allclose(np.concatenate(parts), whole, rtol=0, atol=1e-13)
     assert cache.k.shape == cache.v.shape == (13, 8)
+
+
+def attention_inputs(L, past, D, seed):
+    rng = np.random.default_rng(seed)
+    return [ag.Parameter(rng.normal(size=(n, D))) for n in (L, past + L, past + L)]
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("past", [0, 3])
+def test_multi_head_attention_matches_composed_heads(n_heads, past):
+    q, k, v = attention_inputs(5, past, 8, seed=n_heads + past)
+    w = np.random.default_rng(9).normal(size=(5, 8))
+    fused = multi_head_attention(q, k, v, n_heads, past)
+    ag.backward(ag.reduce_sum(ag.mul(fused, w)))
+    grads = [t.grad.copy() for t in (q, k, v)]
+    for t in (q, k, v):
+        t.zero_grad()
+    composed = composed_attention(q, k, v, n_heads, past)
+    ag.backward(ag.reduce_sum(ag.mul(composed, w)))
+    assert np.array_equal(fused.data, composed.data)
+    for g, t in zip(grads, (q, k, v)):
+        assert rel_err(g, t.grad) <= 1e-12
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_multi_head_attention_gradients_match_fd(n_heads):
+    q, k, v = attention_inputs(4, 2, 8, seed=10 + n_heads)
+    w = np.random.default_rng(11).normal(size=(4, 8))
+    errs = check_param_grads(
+        lambda: ag.reduce_sum(ag.mul(multi_head_attention(q, k, v, n_heads, 2), w)), [q, k, v])
+    assert max(errs.values()) < 1e-6, errs
+
+
+def test_multi_head_attention_rejects_bad_shapes():
+    q, k, v = attention_inputs(3, 2, 8, seed=0)
+    with pytest.raises(ag.ShapeError, match="past"):
+        multi_head_attention(q, k, v, 2, past=1)
+    with pytest.raises(ag.ShapeError, match="divisible"):
+        multi_head_attention(q, k, v, 3, past=2)
+
+
+def stream_through(blk, x, sizes):
+    """blk.attend on consecutive stretches of x of the given sizes; the
+    outputs and, after each append, the cache's key view."""
+    cache, parts, views, lo = blk.empty_state(), [], [], 0
+    with ag.no_grad():
+        for n in sizes:
+            parts.append(blk.attend(Tensor(x[lo:lo + n]), cache).data)
+            lo += n
+            assert cache.k.shape == cache.v.shape == (lo, blk.d_model)
+            views.append(cache.k)
+    return np.concatenate(parts), views
+
+
+def test_streamed_cache_appends_in_place_and_matches_one_call(monkeypatch):
+    rng = np.random.default_rng(12)
+    blk = AttentionBlock(d_model=8, n_heads=4, ff_dim=16, rng=rng)
+    x = rng.normal(size=(18, 8))
+    sizes = (1, 1, 2, 5, 9)
+    streamed, views = stream_through(blk, x, sizes)
+    # a full buffer moves to one twice its size; otherwise rows are added in place
+    moves = sum(not np.shares_memory(a, b) for a, b in zip(views, views[1:]))
+    assert moves >= 3
+    with ag.no_grad():
+        whole = blk(Tensor(x)).data
+    # BLAS rounds a one-row product differently from a row of a larger one,
+    # so a stretch of x agrees with one call to rounding ...
+    np.testing.assert_allclose(streamed, whole, rtol=0, atol=1e-13)
+    # ... and bit for bit with the per-head composition over the same stretches
+    monkeypatch.setattr(hybrid, "multi_head_attention", composed_attention)
+    assert np.array_equal(stream_through(blk, x, sizes)[0], streamed)
+
+
+def test_attend_through_a_filled_cache_differentiates_the_new_rows():
+    rng = np.random.default_rng(13)
+    blk = AttentionBlock(d_model=8, n_heads=2, ff_dim=16, rng=rng)
+    x = rng.normal(size=(7, 8))
+    w = rng.normal(size=(3, 8))
+    whole = ag.Parameter(x)
+    ag.backward(ag.reduce_sum(ag.mul(blk(whole)[4:], w)))
+    cache = blk.empty_state()
+    with ag.no_grad():
+        blk.attend(Tensor(x[:4]), cache)
+    new = ag.Parameter(x[4:])
+    ag.backward(ag.reduce_sum(ag.mul(blk.attend(new, cache), w)))
+    assert rel_err(new.grad, whole.grad[4:]) <= 1e-12
+    assert cache.k.shape == (7, 8)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from mamba_hawkes import autograd as ag
+from mamba_hawkes import hybrid
 from mamba_hawkes.data import EventSequence
 from mamba_hawkes.hybrid import MambaHawkesHybrid, MhpEConfig
 from mamba_hawkes.model import MambaHawkes, MhpConfig
@@ -120,6 +121,29 @@ def test_a_failed_query_leaves_no_stale_state(arch, monkeypatch):
     with pytest.raises(RuntimeError, match="block failed"):
         model.predict_next(prefix(events, 20))
     monkeypatch.undo()
+    for n in (20, 25):
+        seq = prefix(events, n)
+        assert_same(model.predict_next(seq), fresh_prediction(model, seq))
+
+
+def test_a_failure_after_the_caches_appended_leaves_no_stale_state(monkeypatch):
+    model = build("mhp-e")
+    events = stream(30, seed=4)
+    model.predict_next(prefix(events, 10))
+    # the last attention block fails inside, after every cache took in the new events
+    attention, calls = hybrid.multi_head_attention, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == len(model.attn_layers):
+            raise RuntimeError("attention failed")
+        return attention(*args)
+
+    monkeypatch.setattr(hybrid, "multi_head_attention", failing)
+    with pytest.raises(RuntimeError, match="attention failed"):
+        model.predict_next(prefix(events, 20))
+    monkeypatch.undo()
+    assert [len(c.k) for c in model._stream.blocks[len(model.layers):]] == [20, 20]
     for n in (20, 25):
         seq = prefix(events, n)
         assert_same(model.predict_next(seq), fresh_prediction(model, seq))

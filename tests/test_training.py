@@ -231,6 +231,25 @@ def test_metrics_json_times_each_checkpoint_save(tmp_path, monkeypatch):
     assert result.best_epoch == 3
 
 
+def test_metrics_json_logs_each_step_and_phase(tmp_path):
+    write_benchmark(tmp_path / "data", seed=1, n_train=6, n_dev=2, n_test=0)
+    result = train(desk_config(tmp_path / "data", tmp_path / "out", epochs=2,
+                               clip_norm=0.05))
+    summary = json.load(open(result.metrics_json))
+    # 6 sequences in batches of 4: two steps per epoch
+    assert [len(x) for x in summary["grad_norm"]] == [2, 2]
+    assert [len(x) for x in summary["clip_factor"]] == [2, 2]
+    for norms, factors in zip(summary["grad_norm"], summary["clip_factor"]):
+        for norm, factor in zip(norms, factors):
+            assert np.isfinite(norm) and norm > 0.0
+            assert factor == (1.0 if norm <= 0.05 else 0.05 / norm)
+    assert min(min(f) for f in summary["clip_factor"]) < 1.0
+    for e, wall in enumerate(summary["wall_clock_seconds"]):
+        phases = [summary[name][e] for name in
+                  ("forward_seconds", "backward_seconds", "dev_eval_seconds")]
+        assert all(s > 0.0 for s in phases) and sum(phases) <= wall
+
+
 def test_train_same_seed_identical_outputs(tmp_path):
     write_benchmark(tmp_path / "data", seed=2, n_train=8, n_dev=3, n_test=3)
     outs = []
