@@ -471,10 +471,15 @@ def topo_order(root):
 
 
 def backward(loss):
-    """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad.
+    """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad and
+    return the number of graph nodes walked.
 
-    Repeated calls on fresh graphs accumulate. The graph is freed afterwards:
-    every intermediate node drops its parents, backward closure and gradient.
+    Repeated calls on fresh graphs accumulate. Each leaf that requires grad
+    and has no gradient yet gets a zeros buffer before the walk, so every
+    reachable Parameter ends with one. An intermediate node gets its zeros
+    buffer just before the first of its children runs its backward, and the
+    node drops that buffer, its parents and its backward closure right after
+    its own backward has run, so the graph is freed as the walk goes.
     """
     if loss.size != 1:
         raise GraphError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -482,14 +487,18 @@ def backward(loss):
         raise GraphError("loss does not require grad; nothing to differentiate")
     order = topo_order(loss)
     for node in order:
-        if node.requires_grad and node.grad is None:
+        if node.requires_grad and not node._parents and node.grad is None:
             node.grad = np.zeros_like(node.data)
-    loss.grad = loss.grad + np.ones_like(loss.data)
+    # seed d(loss)/d(loss) = 1, on top of what a leaf loss already holds
+    loss.grad = np.ones_like(loss.data) if loss.grad is None else loss.grad + 1.0
     for node in reversed(order):
-        if node._backward is not None:
-            node._backward()
-    for node in order:
-        if node._parents:
-            node._parents = ()
-            node._backward = None
-            node.grad = None
+        if node._backward is None:
+            continue
+        for p in node._parents:
+            if p.requires_grad and p.grad is None:
+                p.grad = np.zeros_like(p.data)
+        node._backward()
+        node._parents = ()
+        node._backward = None
+        node.grad = None
+    return len(order)

@@ -51,9 +51,11 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
 
     The whole scan is one graph node. Its backward is the adjoint
     recurrence G_i = c_i * gy_i + abar_{i+1} * G_{i+1}, where G_i is the
-    gradient reaching state z_i. For it the node keeps four [L, D, N]
-    arrays: abar, the zero-order-hold factor phi and its derivative, and
-    the states zs. Under no_grad it keeps none of them.
+    gradient reaching state z_i. For it the node keeps one [L, D, N] array,
+    the states zs; the adjoint recomputes abar, the zero-order-hold factor
+    phi and its derivative from delta and a, by the same ops in the same
+    order, so delta and a must not change between forward and backward.
+    Under no_grad the node keeps nothing.
     """
     x, delta = ag.as_tensor(x), ag.as_tensor(delta)
     a, b, c = ag.as_tensor(a), ag.as_tensor(b), ag.as_tensor(c)
@@ -94,11 +96,10 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
     d3 = dv[:, None, None]
     u = d3 * av                                         # [L, D, N]
     abar = np.exp(u)
-    phi, slope = ag.expm1_over_x_parts(u, abar if track else None)
-    # bbar_i * x_i, written over u (over phi when no backward needs phi), then
-    # the recurrence in place: zs[i] becomes z_i
-    zs = np.multiply(phi, d3, out=u if track else phi)
-    del u
+    phi, _ = ag.expm1_over_x_parts(u)
+    # bbar_i * x_i, written over phi, then the recurrence in place: zs[i]
+    # becomes z_i
+    zs = np.multiply(phi, d3, out=phi)
     zs *= bv[:, None, :]
     zs *= xv[:, :, None]
     if state is not None:
@@ -116,13 +117,17 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
 
     def _bw():
         gy = out.grad
-        # adjoint recurrence, run in place: G[i] is d(loss)/d(z_i)
-        G = gy[:, :, None] * cv[:, None, :]
+        # the forward's discretization again, plus the slope phi'(u)
+        u = d3 * av
+        abar = np.exp(u)
+        phi, slope = ag.expm1_over_x_parts(u, abar if a.requires_grad else None)
+        # adjoint recurrence, run in place in u's buffer: G[i] is d(loss)/d(z_i)
+        G = np.multiply(gy[:, :, None], cv[:, None, :], out=u)
         for i in range(L - 2, -1, -1):
             G[i] += abar[i + 1] * G[i + 1]
         if c.requires_grad:
             c.grad += np.matmul(gy[:, None, :], zs)[:, 0, :]
-        work = G * phi
+        work = np.multiply(G, phi, out=phi)
         if x.requires_grad:
             x.grad += dv[:, None] * np.matmul(work, bv[:, :, None])[:, :, 0]
         if b.requires_grad:

@@ -19,6 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+try:
+    import resource
+except ImportError:  # not on every platform; metrics.json then has no peak_rss_mb
+    resource = None
+
 from . import autograd as ag
 from .checkpoint import build_model, config_class, load_checkpoint, save_checkpoint
 from .data import DataError, Dataset, EventSequence, batch, load_jsonl
@@ -354,9 +359,14 @@ def train(cfg):
     epoch_seconds = []
     checkpoint_seconds = []
     # per epoch: the gradient norm before clipping and the clip factor of
-    # each step, and the seconds spent in forward, backward and dev eval
+    # each step, the seconds spent in forward, backward and dev eval, train
+    # events per forward and backward second, graph nodes per sequence and
+    # the process's peak resident memory so far
     epoch_log = {name: [] for name in ("grad_norm", "clip_factor", "forward_seconds",
-                                       "backward_seconds", "dev_eval_seconds")}
+                                       "backward_seconds", "dev_eval_seconds",
+                                       "train_events_per_second", "graph_nodes_per_sequence")}
+    if resource is not None:
+        epoch_log["peak_rss_mb"] = []
     best_dev = -np.inf
     best_epoch = 0
     epochs_run = 0
@@ -370,6 +380,7 @@ def train(cfg):
         epoch_events = 0
         norms, factors = [], []
         forward_seconds = backward_seconds = 0.0
+        graph_nodes = 0
         for bi, bat in enumerate(batches):
             model.zero_grad()
             try:
@@ -379,7 +390,7 @@ def train(cfg):
                 if not np.isfinite(mean_total.data):
                     raise NumericsError("non-finite loss")
                 t_backward = time.perf_counter()
-                ag.backward(mean_total)
+                graph_nodes += ag.backward(mean_total)
                 forward_seconds += t_backward - t_forward
                 backward_seconds += time.perf_counter() - t_backward
                 norm, factor = clip_gradients(params, cfg.clip_norm)
@@ -402,6 +413,12 @@ def train(cfg):
         epoch_log["backward_seconds"].append(backward_seconds)
         epoch_log["grad_norm"].append(norms)
         epoch_log["clip_factor"].append(factors)
+        epoch_log["train_events_per_second"].append(
+            epoch_events / (forward_seconds + backward_seconds))
+        epoch_log["graph_nodes_per_sequence"].append(graph_nodes / len(sequences))
+        if resource is not None:  # ru_maxrss is in KiB on Linux
+            epoch_log["peak_rss_mb"].append(
+                resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0)
         seconds = time.perf_counter() - t0
         epoch_seconds.append(seconds)
         checkpoint_seconds.append(0.0)  # replaced below if this epoch saves

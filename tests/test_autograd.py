@@ -257,6 +257,53 @@ def test_backward_accumulates_across_calls():
     np.testing.assert_array_equal(p.grad, 2 * first)
 
 
+def test_backward_returns_the_nodes_walked():
+    p = Parameter(np.array([1.0, 2.0]))
+    loss = ag.reduce_sum(ag.mul(p, Tensor(np.array([3.0, 4.0]))))
+    assert ag.backward(loss) == 4  # p, the constant, mul and reduce_sum
+
+
+def test_zero_gradient_parameter_still_gets_a_buffer():
+    p = Parameter(np.ones((2, 3)))
+    q = Parameter(np.ones(2))
+    ag.backward(ag.add(ag.reduce_sum(ag.mul(p, Tensor(np.zeros((2, 3))))),
+                       ag.reduce_sum(q)))
+    np.testing.assert_array_equal(p.grad, np.zeros((2, 3)))
+    np.testing.assert_array_equal(q.grad, np.ones(2))
+
+
+def test_shared_intermediate_accumulates_every_child():
+    p = Parameter(np.array([0.5, -1.0]))
+    y = ag.exp(p)
+    twice = ag.add(y, y)  # a reused subexpression: two more children of y
+    ag.backward(ag.reduce_sum(ag.add(ag.mul(y, y), twice)))
+    e = np.exp(p.data)
+    np.testing.assert_allclose(p.grad, 2.0 * e * e + 2.0 * e, rtol=1e-15)
+
+
+def test_backward_frees_every_intermediate():
+    p = Parameter(np.array([1.0, 2.0]))
+    c = Tensor(np.array([3.0, 4.0]))
+    loss = ag.reduce_sum(ag.mul(ag.exp(p), ag.add(p, c)))
+    order = ag.topo_order(loss)
+    ag.backward(loss)
+    inner = [n for n in order if n is not p and n is not c]
+    assert len(inner) == 4
+    for node in inner:
+        assert node.grad is None and node._parents == () and node._backward is None
+    assert p.grad is not None and c.grad is None
+
+
+def test_backward_accumulates_across_fresh_graphs_through_intermediates():
+    p = Parameter(np.array([1.0, 2.0]))
+    q = Parameter(np.array([3.0]))
+    ag.backward(ag.reduce_sum(ag.mul(ag.exp(p), q)))
+    first_p, first_q = p.grad.copy(), q.grad.copy()
+    ag.backward(ag.reduce_sum(ag.exp(p)))  # q is not in this graph
+    np.testing.assert_array_equal(p.grad, first_p + np.exp(p.data))
+    np.testing.assert_array_equal(q.grad, first_q)
+
+
 def test_no_grad_blocks_recording():
     p = Parameter(np.ones(2))
     with ag.no_grad():

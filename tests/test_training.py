@@ -108,8 +108,9 @@ def test_train_nonfinite_gradient_names_batch(tmp_path, monkeypatch):
 
     def poisoned_backward(loss):
         leaf = next(n for n in ag.topo_order(loss) if isinstance(n, Parameter))
-        backward(loss)
+        walked = backward(loss)
         leaf.grad.flat[0] = np.nan
+        return walked
 
     monkeypatch.setattr(ag, "backward", poisoned_backward)
     with pytest.raises(NumericsError, match="gradient norm nan at epoch 1, batch 0") as exc:
@@ -248,6 +249,23 @@ def test_metrics_json_logs_each_step_and_phase(tmp_path):
         phases = [summary[name][e] for name in
                   ("forward_seconds", "backward_seconds", "dev_eval_seconds")]
         assert all(s > 0.0 for s in phases) and sum(phases) <= wall
+
+
+def test_metrics_json_reports_throughput_graph_size_and_memory(tmp_path):
+    splits = write_benchmark(tmp_path / "data", seed=1, n_train=6, n_dev=2, n_test=0)
+    result = train(desk_config(tmp_path / "data", tmp_path / "out", epochs=2))
+    summary = json.load(open(result.metrics_json))
+    events = sum(len(s) - 1 for s in splits["train"])
+    rates = summary["train_events_per_second"]
+    nodes = summary["graph_nodes_per_sequence"]
+    peaks = summary["peak_rss_mb"]
+    assert len(rates) == len(nodes) == len(peaks) == 2
+    for e, rate in enumerate(rates):
+        busy = summary["forward_seconds"][e] + summary["backward_seconds"][e]
+        assert rate == pytest.approx(events / busy, rel=1e-12)
+    # the same graphs every epoch: every sequence is walked once per epoch
+    assert nodes[0] == nodes[1] > 10
+    assert 0.0 < peaks[0] <= peaks[1] < 4096.0
 
 
 def test_train_same_seed_identical_outputs(tmp_path):
