@@ -78,6 +78,7 @@ class Dataset:
     sequences: list
     K: int
     split: str = ""
+    tie_nudges: int = 0     # timestamps nudged off a tie when loaded
 
     def __post_init__(self):
         if any(s.K != self.K for s in self.sequences):
@@ -282,17 +283,18 @@ def _parse_line(line, lineno, path):
             dup += 1
     if dup:
         logger.warning("%s:%d: nudged %d duplicate timestamps by 1e-9", path, lineno, dup)
-    return EventSequence(times, np.asarray(types, dtype=np.int64), K), K
+    return EventSequence(times, np.asarray(types, dtype=np.int64), K), K, dup
 
 
 def load_jsonl(path, split=""):
-    sequences, K = [], None
+    sequences, K, nudges = [], None, 0
     with open(path, "r", encoding="utf-8") as fh:
         try:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
-                seq, k = _parse_line(line, lineno, path)
+                seq, k, dup = _parse_line(line, lineno, path)
+                nudges += dup
                 if K is None:
                     K = k
                 elif k != K:
@@ -302,7 +304,7 @@ def load_jsonl(path, split=""):
             raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
     if not sequences:
         raise DataError(f"{path}: no sequences found")
-    return Dataset(sequences, K, split)
+    return Dataset(sequences, K, split, tie_nudges=nudges)
 
 
 # ---------------------------------------------------------------------------

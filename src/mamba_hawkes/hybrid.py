@@ -152,17 +152,19 @@ class AttentionBlock(Module):
         return KVCache(self.d_model)
 
     def __call__(self, x):
-        return self.attend(x, self.empty_state())
+        return self.attend(x)
 
-    def attend(self, x, cache):
+    def attend(self, x, cache=None):
         """The block on positions x that follow those in `cache`, whose keys
-        and values they attend to as well; x's keys and values are appended."""
-        past = len(cache.k)
+        and values they attend to as well; x's keys and values are appended
+        to it. Without a cache, x are the only positions."""
+        past = len(cache.k) if cache is not None else 0
         a = rms_norm(x, self.norm1)
         q = ag.matmul(a, self.W_q)
         k = ag.matmul(a, self.W_k)
         v = ag.matmul(a, self.W_v)
-        cache.append(k.data, v.data)
+        if cache is not None:
+            cache.append(k.data, v.data)
         if past and ag._track(k, v):    # a graph copies the prefix to reach the new rows
             k = ag.concat([cache.k[:past], k])
             v = ag.concat([cache.v[:past], v])

@@ -26,7 +26,7 @@ except ImportError:  # not on every platform; metrics.json then has no peak_rss_
 
 from . import autograd as ag
 from .checkpoint import build_model, config_class, load_checkpoint, save_checkpoint
-from .data import DataError, Dataset, EventSequence, batch, load_jsonl
+from .data import Batch, DataError, Dataset, EventSequence, batch, load_jsonl
 from .hybrid import MhpEConfig
 from .model import EVAL_QUAD_POINTS
 
@@ -186,7 +186,10 @@ def clip_gradients(params, max_norm):
 
 def loss_on_batch(model, bat):
     """Sum of per-sequence total losses over a batch, one sequence at a time,
-    so the total equals the sum of the unbatched losses exactly."""
+    so the total equals the sum of the unbatched losses exactly. Returns the
+    total, the summed LL value and the scored events. `accumulate_gradients`
+    calls it on one sequence at a time, so a graph never holds more than one
+    sequence."""
     total = None
     ll_value = 0.0
     n_events = 0
@@ -196,6 +199,37 @@ def loss_on_batch(model, bat):
         ll_value += float(parts.log_likelihood.data)
         n_events += len(seq) - 1
     return total, ll_value, n_events
+
+
+def accumulate_gradients(model, bat):
+    """Add the gradient of the batch's mean total loss into every parameter's
+    .grad, holding one sequence's graph at a time.
+
+    The mean is a sum of per-sequence terms, so each sequence is scored and
+    backpropagated (its total over the batch size) before the next one is
+    scored. In batch order each parameter adds the same terms in the same
+    order as one walk over the whole batch's graph, so the gradients are
+    bit-identical to that walk's, and peak memory does not grow with the
+    batch size. A non-finite loss raises NumericsError before its backward.
+    Returns the batch's LL value, scored events, graph nodes walked, and
+    forward and backward seconds.
+    """
+    n = float(len(bat.unpadded()))
+    ll_value = 0.0
+    n_events = nodes = 0
+    forward_seconds = backward_seconds = 0.0
+    for seq in bat.unpadded():
+        t_forward = time.perf_counter()
+        total, ll, events = loss_on_batch(model, Batch([seq]))
+        if not np.isfinite(total.data):
+            raise NumericsError("non-finite loss")
+        t_backward = time.perf_counter()
+        nodes += ag.backward(ag.div(total, n))
+        forward_seconds += t_backward - t_forward
+        backward_seconds += time.perf_counter() - t_backward
+        ll_value += ll
+        n_events += events
+    return ll_value, n_events, nodes, forward_seconds, backward_seconds
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +373,7 @@ def train(cfg):
             raise DataError(f"{ds.split}.jsonl has K={ds.K}, train.jsonl has K={train_ds.K}")
         check_two_events(ds, os.path.join(cfg.data, ds.split + ".jsonl"), "training")
 
+    tie_nudges = sum(ds.tie_nudges for ds in (train_ds, dev_ds, test_ds) if ds is not None)
     meta = {}
     if cfg.normalize_times:
         gaps = np.concatenate([np.diff(s.timestamps) for s in train_ds])
@@ -384,15 +419,7 @@ def train(cfg):
         for bi, bat in enumerate(batches):
             model.zero_grad()
             try:
-                t_forward = time.perf_counter()
-                total, ll_value, n_events = loss_on_batch(model, bat)
-                mean_total = ag.div(total, float(len(bat.unpadded())))
-                if not np.isfinite(mean_total.data):
-                    raise NumericsError("non-finite loss")
-                t_backward = time.perf_counter()
-                graph_nodes += ag.backward(mean_total)
-                forward_seconds += t_backward - t_forward
-                backward_seconds += time.perf_counter() - t_backward
+                ll_value, n_events, nodes, t_fw, t_bw = accumulate_gradients(model, bat)
                 norm, factor = clip_gradients(params, cfg.clip_norm)
             except (ag.DomainError, NumericsError) as e:
                 raise NumericsError(f"{e} at epoch {epoch}, batch {bi}",
@@ -402,6 +429,9 @@ def train(cfg):
             opt.step()
             epoch_ll += ll_value
             epoch_events += n_events
+            graph_nodes += nodes
+            forward_seconds += t_fw
+            backward_seconds += t_bw
         t_dev = time.perf_counter()
         try:
             dev_ll = dev_ll_per_event(model, dev_ds, n_quad=cfg.eval_quad_points)
@@ -452,6 +482,7 @@ def train(cfg):
         "best_epoch": best_epoch,
         "best_dev_ll_per_event": best_dev,
         "epochs_run": epochs_run,
+        "tie_nudges": tie_nudges,
         "wall_clock_seconds": epoch_seconds,
         "checkpoint_seconds": checkpoint_seconds,
         **epoch_log,

@@ -7,9 +7,10 @@ from scipy.integrate import quad
 from helpers import check_param_grads, composed_scan, gated_decay_reference, rel_err
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.autograd import DomainError, GraphError, Parameter, ShapeError, Tensor
-from mamba_hawkes.data import EventSequence
+from mamba_hawkes.data import Batch, EventSequence
 from mamba_hawkes.model import MambaHawkes, MhpConfig
 from mamba_hawkes.ssm import MambaBlock, SsmCore, selective_scan
+from mamba_hawkes.training import accumulate_gradients
 
 
 def naive_scan(x, delta, a, b, c, skip):
@@ -211,6 +212,28 @@ def test_train_step_memory_in_state_arrays():
     n_layers = model.cfg.n_layers
     assert held <= n_layers + 5, held
     assert peak <= n_layers + 10, peak
+
+
+def test_train_batch_step_memory_in_state_arrays():
+    # a train step of 4 sequences holds one sequence's graph at a time, so
+    # it peaks within the one-sequence bound above (about 13 units when this
+    # was written; scoring all four before one backward peaked at about 36)
+    rng = np.random.default_rng(0)
+    model = MambaHawkes(MhpConfig(K=5), seed=0)
+    L = 90
+    bat = Batch([EventSequence(np.cumsum(rng.exponential(1.0, size=L)),
+                               rng.integers(1, 6, size=L), 5) for _ in range(4)])
+    blk = model.layers[0]
+    unit = L * blk.d_inner * blk.ssm.d_state * 8
+    model.losses(bat.sequences[0])  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        accumulate_gradients(model, bat)
+        peak = (tracemalloc.get_traced_memory()[1] - base) / unit
+    finally:
+        tracemalloc.stop()
+    assert peak <= model.cfg.n_layers + 10, peak
 
 
 def test_stability_abar_in_unit_interval_and_contraction():

@@ -13,12 +13,13 @@ from mamba_hawkes import autograd as ag
 from mamba_hawkes.autograd import Parameter
 from mamba_hawkes.checkpoint import (build_model, checkpoint_payload,
                                      load_checkpoint, save_checkpoint)
-from mamba_hawkes.data import (DataError, Dataset, EventSequence,
+from mamba_hawkes.data import (Batch, DataError, Dataset, EventSequence,
                                make_synthetic_benchmark, save_jsonl)
 from mamba_hawkes.hybrid import MhpEConfig
 from mamba_hawkes.model import MambaHawkes, MhpConfig
 from mamba_hawkes.training import (Adam, Metrics, NumericsError, TrainConfig,
-                                clip_gradients, evaluate, fit_poisson_baseline,
+                                accumulate_gradients, clip_gradients, evaluate,
+                                fit_poisson_baseline, loss_on_batch,
                                 metrics_rows_to_csv, poisson_ll_per_event,
                                 poisson_log_likelihood, train)
 
@@ -116,6 +117,82 @@ def test_train_nonfinite_gradient_names_batch(tmp_path, monkeypatch):
     with pytest.raises(NumericsError, match="gradient norm nan at epoch 1, batch 0") as exc:
         train(desk_config(tmp_path / "data", tmp_path / "out"))
     assert exc.value.epoch == 1 and exc.value.batch_index == 0
+
+
+@pytest.mark.parametrize("arch", ["mhp", "mhp-e"])
+def test_step_gradients_equal_one_batch_graph(arch):
+    # a step backpropagates each sequence before scoring the next; in batch
+    # order every parameter adds the same terms in the same order as one
+    # walk over the graph of the whole batch
+    rng = np.random.default_rng(12)
+    seqs = [EventSequence(np.cumsum(rng.exponential(1.0, size=L)),
+                          rng.integers(1, 6, size=L), 5) for L in (37, 90, 52, 63)]
+    bat = Batch(seqs)
+    model = build_model(arch, {"K": 5}, seed=3)
+    total, ll_one, events_one = loss_on_batch(model, bat)
+    nodes_one = ag.backward(ag.div(total, 4.0))
+    expected = [p.grad.copy() for p in model.parameters()]
+    model.zero_grad()
+    ll, events, nodes, _, _ = accumulate_gradients(model, bat)
+    for (name, p), g in zip(model.named_parameters(), expected):
+        assert np.array_equal(p.grad, g), name
+    assert (ll, events) == (ll_one, events_one)
+    # each of the 4 walks visits every parameter leaf, a division node and
+    # its constant; the one walk visits the leaves once, plus the 3 adds that
+    # join the totals, one division node and one constant
+    assert nodes == nodes_one + 3 * (len(expected) + 1)
+
+
+def test_train_nonfinite_loss_in_third_sequence_leaves_parameters(tmp_path, monkeypatch):
+    write_benchmark(tmp_path / "data", seed=5, n_train=6, n_dev=2, n_test=0)
+    models, initial, scored, walked, steps = [], [], [], [], []
+
+    def poisoned_build(arch, cfg_dict, seed=0):
+        model = build_model(arch, cfg_dict, seed=seed)
+        losses = model.losses
+
+        def poisoned_losses(seq):
+            scored.append(seq)
+            parts = losses(seq)
+            if len(scored) == 3:  # the third sequence of the first batch
+                return parts._replace(total=ag.mul(parts.total, np.nan))
+            return parts
+
+        model.losses = poisoned_losses
+        models.append(model)
+        initial.extend(p.data.copy() for p in model.parameters())
+        return model
+
+    backward = ag.backward
+
+    def counted_backward(loss):
+        walked.append(loss)
+        return backward(loss)
+
+    monkeypatch.setattr(train_mod, "build_model", poisoned_build)
+    monkeypatch.setattr(ag, "backward", counted_backward)
+    monkeypatch.setattr(Adam, "step", lambda self: steps.append(self))
+    with pytest.raises(NumericsError, match="non-finite loss at epoch 1, batch 0") as exc:
+        train(desk_config(tmp_path / "data", tmp_path / "out"))
+    assert exc.value.epoch == 1 and exc.value.batch_index == 0
+    # the first two sequences were backpropagated, the third was not, and
+    # Adam never stepped
+    assert len(scored) == 3 and len(walked) == 2 and not steps
+    for (name, p), data in zip(models[0].named_parameters(), initial):
+        assert np.array_equal(p.data, data), name
+
+
+def test_metrics_json_counts_tie_nudges(tmp_path):
+    write_benchmark(tmp_path / "data", seed=1, n_train=4, n_dev=2, n_test=0)
+    train_path = tmp_path / "data" / "train.jsonl"
+    lines = train_path.read_text().splitlines()
+    for i in (0, 2):  # one tie in each of two sequences
+        rec = json.loads(lines[i])
+        rec["events"][2]["t"] = rec["events"][1]["t"]
+        lines[i] = json.dumps(rec)
+    train_path.write_text("\n".join(lines) + "\n")
+    result = train(desk_config(tmp_path / "data", tmp_path / "out"))
+    assert json.load(open(result.metrics_json))["tie_nudges"] == 2
 
 
 # -- evaluation --------------------------------------------------------------
