@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .data import DataError, load_jsonl, make_synthetic_benchmark, save_jsonl
+from .data import MAX_QUAD_POINTS, DataError, load_jsonl, make_synthetic_benchmark, save_jsonl
 from .model import EVAL_QUAD_POINTS
 from .training import (NumericsError, TrainConfig, check_two_events, evaluate,
                        scale_times, train, write_metrics)
@@ -129,8 +129,8 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    if args.quad_points < 2:
-        raise UsageError(f"--quad-points must be >= 2, got {args.quad_points}")
+    if not 2 <= args.quad_points <= MAX_QUAD_POINTS:
+        raise UsageError(f"--quad-points must be in 2..{MAX_QUAD_POINTS}, got {args.quad_points}")
     model, meta = load_checkpoint(args.checkpoint)
     if os.path.isdir(args.data):
         path = os.path.join(args.data, f"{args.split}.jsonl")

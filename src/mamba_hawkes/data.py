@@ -22,6 +22,12 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 MAX_TYPES = 1024   # bound on K: the model allocates [d_model, K] and [1, K, nodes] arrays
+# Bounds on the sizes a config or checkpoint sets, each at least 16 times its
+# default, so that a size too large to allocate is refused by name.
+MAX_D_MODEL = 1024
+MAX_D_STATE = 256
+MAX_HIDDEN = 4096          # mlp_hidden and ff_width, the widths of the position-wise MLPs
+MAX_QUAD_POINTS = 16384    # trapezoid nodes per interval in reported likelihoods
 
 
 class DataError(ValueError):

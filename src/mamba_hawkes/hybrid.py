@@ -14,6 +14,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Module, Parameter, Tensor
+from .data import MAX_HIDDEN
 from .model import MambaHawkes, MhpConfig
 from .ssm import linear_init, rms_norm
 
@@ -37,6 +38,9 @@ class MhpEConfig(MhpConfig):
             raise ValueError("mamba_layers must be >= 1")
         if self.attn_blocks < 0 or self.n_heads < 1 or self.ff_width < 0:
             raise ValueError("attn_blocks and ff_width must be >= 0 and n_heads >= 1")
+        if self.ff_width > MAX_HIDDEN:
+            raise ValueError(f"config field ff_width must be at most {MAX_HIDDEN}, "
+                             f"got {self.ff_width!r}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} must be divisible by n_heads={self.n_heads}")
@@ -157,18 +161,18 @@ class AttentionBlock(Module):
     def attend(self, x, cache=None):
         """The block on positions x that follow those in `cache`, whose keys
         and values they attend to as well; x's keys and values are appended
-        to it. Without a cache, x are the only positions."""
-        past = len(cache.k) if cache is not None else 0
+        to it. A cache is for streaming: with one, recording a graph raises
+        GraphError. Without a cache, x are the only positions."""
         a = rms_norm(x, self.norm1)
         q = ag.matmul(a, self.W_q)
         k = ag.matmul(a, self.W_k)
         v = ag.matmul(a, self.W_v)
+        past = 0
         if cache is not None:
+            if ag._track(q, k, v):
+                raise ag.GraphError("attend: a cache is for streaming under no_grad only")
+            past = len(cache.k)
             cache.append(k.data, v.data)
-        if past and ag._track(k, v):    # a graph copies the prefix to reach the new rows
-            k = ag.concat([cache.k[:past], k])
-            v = ag.concat([cache.v[:past], v])
-        elif past:
             k, v = Tensor(cache.k), Tensor(cache.v)
         ctx = multi_head_attention(q, k, v, self.n_heads, past)
         x = ag.add(x, ag.matmul(ctx, self.W_o))
@@ -192,8 +196,7 @@ class MambaHawkesHybrid(MambaHawkes):
     def _stack(self):
         return self.layers + self.attn_layers
 
-    def _run_stack(self, x, delta, states=None):
-        states = [None] * len(self._stack()) if states is None else states
+    def _run_stack(self, x, delta, states):
         x = super()._run_stack(x, delta, states)
         for blk, cache in zip(self.attn_layers, states[len(self.layers):]):
             x = blk(x) if cache is None else blk.attend(x, cache)

@@ -1,18 +1,19 @@
 """Marked event-sequence model: type embedding, gap-driven selective-SSM
 stack, conditional intensities, log-likelihood, and next-event heads.
 
-The likelihood of a sequence decomposes into an event term (log intensity of
-the observed type at each event) minus the integral of the total intensity
-over the observed window. The integral is the trapezoid rule on nodes that
-every interval shares: `TRAIN_QUAD_POINTS` of them in the training loss and
-`EVAL_QUAD_POINTS` (or as many as asked for) in reporting, both by one fused
-node, `IntensityHead.integral`. Within an interval each intensity is a
-softplus of a linear function of time, so at 100 nodes the rule is within
-about 1e-6 relative of the exact integral.
+`MambaHawkes.score` writes the log-likelihood of a sequence as the log
+intensity of each event's own type minus the compensator, the total
+intensity integrated over the observed window by one fused node,
+`IntensityHead.integral`: the trapezoid rule on nodes that every interval
+shares, `TRAIN_QUAD_POINTS` of them in the training loss and
+`EVAL_QUAD_POINTS` (or as many as asked for) in reporting. Within an
+interval each intensity is a softplus of a linear function of time, so at
+100 nodes the rule is within about 1e-6 relative of the exact integral.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -20,6 +21,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Module, Parameter, Tensor
+from .data import MAX_D_MODEL, MAX_D_STATE, MAX_HIDDEN
 from .ssm import MambaBlock, linear_init
 
 # Elements in one [rows, K, S] block of the compensator, so that its four
@@ -54,6 +56,15 @@ class MhpConfig:
                 raise ValueError(f"config field {name} must be positive")
         if self.mlp_hidden < 0:
             raise ValueError("config field mlp_hidden must be >= 0")
+        for name, most in (("d_model", MAX_D_MODEL), ("d_state", MAX_D_STATE),
+                           ("mlp_hidden", MAX_HIDDEN)):
+            if getattr(self, name) > most:
+                raise ValueError(f"config field {name} must be at most {most}, "
+                                 f"got {getattr(self, name)!r}")
+        for name in ("event_loss_weight", "time_loss_weight"):
+            w = getattr(self, name)
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(f"config field {name} must be finite and >= 0, got {w!r}")
 
     @property
     def mlp_width(self):
@@ -104,14 +115,19 @@ class IntensityHead(Module):
         arg = ag.add(ag.mul(off_t, self.alpha), scores)
         return ag.softplus(arg, ag.exp(self.log_beta))
 
-    def integral(self, gaps, nodes, w, scores):
-        """sum_i gaps_i sum_s w_s sum_k lambda_k(nodes_s * gaps_i): the total
-        intensity integrated by the rule with nodes [S] and weights w [S] on
-        [0, 1], which every interval shares, summed over intervals. scores
-        [n, K] are the base scores at their starts. One graph node on scores,
-        alpha and log_beta: it runs over blocks of intervals whose buffers
-        stay in cache and keeps [n, K] sums over the nodes for backward.
+    def integral(self, gaps, n_quad, scores):
+        """The compensator: sum_i of the total intensity sum_k lambda_k
+        integrated over [0, gaps_i] by the n_quad-point trapezoid rule, whose
+        nodes every interval shares. scores [n, K] are the base scores at the
+        interval starts. One graph node on scores, alpha and log_beta: it
+        runs over blocks of intervals whose buffers stay in cache and keeps
+        [n, K] sums over the nodes for backward.
         """
+        if n_quad < 2:
+            raise ValueError(f"trapezoid quadrature needs at least 2 points, got {n_quad}")
+        nodes = np.linspace(0.0, 1.0, n_quad)
+        w = np.full(n_quad, 1.0 / (n_quad - 1))
+        w[0] = w[-1] = 0.5 / (n_quad - 1)
         beta = np.exp(self.log_beta.data)
         if np.any(beta <= 0.0):
             raise ag.DomainError(f"softplus scale must be positive (min={beta.min()!r})")
@@ -259,10 +275,9 @@ class MambaHawkes(Module):
         """The encoder blocks, in the order `_run_stack` runs them."""
         return list(self.layers)
 
-    def _run_stack(self, x, delta, states=None):
+    def _run_stack(self, x, delta, states):
         """Run the blocks; `states` (one per block of `_stack`) are carried on
-        from and updated, and None runs every block from empty."""
-        states = [None] * len(self._stack()) if states is None else states
+        from and updated, and a None runs its block from empty."""
         for blk, state in zip(self.layers, states):
             x = blk(x, delta, state)
         return x
@@ -278,7 +293,7 @@ class MambaHawkes(Module):
         if state is None:
             x = self.embed(seq)
             delta = Tensor(self.deltas(seq))
-            return self.mlp(self._run_stack(x, delta))
+            return self.mlp(self._run_stack(x, delta, [None] * len(self._stack())))
         with ag.no_grad():
             start = state.resume(self, seq)
             if start < len(seq):
@@ -291,23 +306,6 @@ class MambaHawkes(Module):
 
     # -- intensities and likelihood -----------------------------------------
 
-    def _event_term(self, seq, scores):
-        gaps = np.diff(seq.timestamps)
-        lam = self.head.intensities(gaps, scores[:-1])  # [n-1, K] at event times
-        hot = np.zeros((len(seq) - 1, self.cfg.K))
-        hot[np.arange(len(seq) - 1), seq.type_indices[1:]] = 1.0
-        lam_at_events = ag.reduce_sum(ag.mul(lam, hot), axis=1)
-        return ag.reduce_sum(ag.log(lam_at_events))
-
-    def _compensator(self, seq, scores, n_quad):
-        """Trapezoid rule with n_quad nodes on every interval."""
-        if n_quad < 2:
-            raise ValueError(f"trapezoid quadrature needs at least 2 points, got {n_quad}")
-        w = np.full(n_quad, 1.0 / (n_quad - 1))
-        w[0] = w[-1] = 0.5 / (n_quad - 1)
-        return self.head.integral(np.diff(seq.timestamps), np.linspace(0.0, 1.0, n_quad),
-                                  w, scores[:-1])
-
     def score(self, seq, n_quad=EVAL_QUAD_POINTS):
         """One encoder pass scored three ways: the log-likelihood (the n_quad-point
         trapezoid rule integrates the intensity over [t_1, t_n]), the next-type
@@ -317,7 +315,11 @@ class MambaHawkes(Module):
             raise ValueError("scoring needs at least two events")
         hidden = self.encode(seq)
         scores = self.head.base_scores(hidden)
-        ll = ag.sub(self._event_term(seq, scores), self._compensator(seq, scores, n_quad))
+        gaps = np.diff(seq.timestamps)
+        lam = self.head.intensities(gaps, scores[:-1])      # [n-1, K] at event times
+        own = np.arange(len(gaps)) * self.cfg.K + seq.type_indices[1:]
+        events = ag.reduce_sum(ag.log(ag.gather(ag.reshape(lam, (-1,)), own)))
+        ll = ag.sub(events, self.head.integral(gaps, n_quad, scores[:-1]))
         logits = self.pred.logits(hidden[:-1])
         t_hat = ag.concat([Tensor(seq.timestamps[:1]), self.pred.times(hidden[:-1])], axis=0)
         return Score(ll, logits, ag.sub(t_hat[1:], t_hat[:-1]))

@@ -26,7 +26,7 @@ except ImportError:  # not on every platform; metrics.json then has no peak_rss_
 
 from . import autograd as ag
 from .checkpoint import build_model, config_class, load_checkpoint, save_checkpoint
-from .data import Batch, DataError, Dataset, EventSequence, batch, load_jsonl
+from .data import MAX_QUAD_POINTS, Batch, DataError, Dataset, EventSequence, batch, load_jsonl
 from .hybrid import MhpEConfig
 from .model import EVAL_QUAD_POINTS
 
@@ -97,7 +97,8 @@ class TrainConfig(MhpEConfig):
                 ("adam_eps", self.adam_eps > 0.0, "> 0"),
                 ("clip_norm", self.clip_norm > 0.0, "> 0"),
                 ("seed", self.seed >= 0, ">= 0"),
-                ("eval_quad_points", self.eval_quad_points >= 2, ">= 2")):
+                ("eval_quad_points", 2 <= self.eval_quad_points <= MAX_QUAD_POINTS,
+                 f"in 2..{MAX_QUAD_POINTS}")):
             if not ok:
                 raise ValueError(f"config field {name} must be {rule}, got {getattr(self, name)!r}")
 

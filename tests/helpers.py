@@ -1,8 +1,9 @@
 """Shared test utilities: finite-difference oracles, error metrics,
 composed-op references for the fused selective scan, the fused multi-head
-attention and the fused compensator, the closed-form gated recurrence the
-scan reduces to, a point intensity query, and a writer of version-1
-checkpoints."""
+attention and the fused compensator, the earlier form of the log-likelihood
+(a one-hot event term and a compensator node on a general quadrature rule),
+the closed-form gated recurrence the scan reduces to, a point intensity
+query, and a writer of version-1 checkpoints."""
 
 import json
 
@@ -11,6 +12,7 @@ import numpy as np
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.checkpoint import FORMAT
 from mamba_hawkes.hybrid import causal_mask
+from mamba_hawkes.model import _BLOCK_ELEMS
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -180,6 +182,57 @@ def composed_compensator(head, offsets, weights, scores):
     lam = ag.softplus(ag.add(ag.mul(off_t, head.alpha), sc), ag.exp(head.log_beta))
     total = ag.reduce_sum(lam, axis=2)
     return ag.reduce_sum(ag.mul(total, weights))
+
+
+def rule_integral(head, gaps, nodes, w, scores):
+    """The compensator node as it was written for any rule on [0, 1] with
+    nodes [S] and weights w [S]: the same blocking and summation order as
+    IntensityHead.integral, which now builds the trapezoid rule itself."""
+    beta = np.exp(head.log_beta.data)
+    track = ag._track(scores, head.alpha, head.log_beta)
+    n, S, K = len(gaps), nodes.size, beta.size
+    rows = max(1, _BLOCK_ELEMS // (K * S))
+    u, e, sp, t = (np.empty((min(rows, n), K, S)) for _ in range(4))
+    sums = np.empty((4 if track else 1, n, K))
+    for lo in range(0, n, rows):
+        blk = slice(lo, lo + rows)
+        off = gaps[blk, None] * nodes
+        ub, eb, sb, tb = (x[:len(off)] for x in (u, e, sp, t))
+        np.multiply(off[:, None, :], head.alpha.data[:, None], out=ub)
+        ub += scores.data[blk, :, None]
+        ub /= beta[:, None]
+        np.exp(np.negative(np.abs(ub, out=eb), out=eb), out=eb)
+        np.log1p(eb, out=sb)
+        sb += np.maximum(ub, 0.0, out=tb)
+        np.matmul(sb, w, out=sums[0, blk])
+        if track:
+            np.add(eb, 1.0, out=tb)
+            np.exp(np.minimum(ub, 0.0, out=eb), out=eb)
+            eb /= tb
+            np.matmul(eb, w, out=sums[1, blk])
+            np.matmul(eb, (w * off)[:, :, None], out=sums[2, blk, :, None])
+            np.subtract(sb, np.multiply(ub, eb, out=ub), out=ub)
+            np.matmul(ub, w, out=sums[3, blk])
+    return ag._node(gaps @ sums[0] @ beta, (scores, head.alpha, head.log_beta),
+                    lambda g: g * gaps[:, None] * sums[1],
+                    lambda g: g * (gaps @ sums[2]),
+                    lambda g: g * beta * (gaps @ sums[3]))
+
+
+def one_hot_log_likelihood(head, seq, scores, n_quad):
+    """The log-likelihood as MambaHawkes.score wrote it before it gathered
+    the event term: the observed type's intensity picked by a one-hot
+    multiply-and-sum, minus rule_integral on the n_quad-point trapezoid
+    rule. scores [n, K] are the base scores at every event."""
+    gaps = np.diff(seq.timestamps)
+    lam = head.intensities(gaps, scores[:-1])
+    hot = np.zeros(lam.shape)
+    hot[np.arange(len(gaps)), seq.type_indices[1:]] = 1.0
+    events = ag.reduce_sum(ag.log(ag.reduce_sum(ag.mul(lam, hot), axis=1)))
+    w = np.full(n_quad, 1.0 / (n_quad - 1))
+    w[0] = w[-1] = 0.5 / (n_quad - 1)
+    return ag.sub(events, rule_integral(head, gaps, np.linspace(0.0, 1.0, n_quad), w,
+                                        scores[:-1]))
 
 
 def gated_decay_reference(timestamps, x):

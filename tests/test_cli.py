@@ -472,7 +472,28 @@ def hostile_inputs(tmp_path_factory):
     (root / "not_utf8").write_bytes(b'{"K": 5, "events": []}\xff\n')
     (root / "k7.jsonl").write_text('{"K": 7, "events": [{"t": 1.0, "k": 6}, {"t": 2.0, "k": 1}]}\n')
     (root / "k7_low.jsonl").write_text('{"K": 7, "events": [{"t": 1.0, "k": 5}]}\n')
+    for name, fields in HOSTILE_FIELDS.items():
+        (root / f"{name}.json").write_text(json.dumps(fields))
+    for name in HOSTILE_MODEL_FIELDS:
+        payload = json.loads((root / "ckpt.json").read_text())
+        payload["config"].update(HOSTILE_FIELDS[name])
+        (root / f"ckpt_{name}.json").write_text(json.dumps(payload))
     return root
+
+
+# config values refused where they enter, naming the field: each is written as
+# a config file, and those of an mhp model's config into copies of ckpt.json
+HOSTILE_FIELDS = {
+    "d_model": {"d_model": 10**9},
+    "d_state": {"d_state": 10**8},
+    "mlp_hidden": {"mlp_hidden": 10**10},
+    "ff_width": {"arch": "mhp-e", "ff_width": 10**10},
+    "eval_quad_points": {"eval_quad_points": 10**11},
+    "event_loss_weight": {"event_loss_weight": -1},
+    "time_loss_weight": {"time_loss_weight": float("nan")},
+}
+HOSTILE_MODEL_FIELDS = ("d_model", "d_state", "mlp_hidden", "event_loss_weight",
+                        "time_loss_weight")
 
 
 # (case, arguments, documented exit code, a fragment of the stderr line)
@@ -500,6 +521,13 @@ HOSTILE = [
      "decreasing timestamps"),
     ("train-tie-then-dev-decreasing", ["train", "--data", "tied", "--out", "o"], 2,
      "decreasing timestamps"),
+    *((f"config-{name}", ["train", "--config", f"{name}.json", "--data", "data", "--out", "o"],
+       1, name) for name in HOSTILE_FIELDS),
+    ("eval-quad-points-huge",
+     ["eval", "--checkpoint", "ckpt.json", "--data", "data", "--quad-points", 10**11], 1,
+     "--quad-points"),
+    *((f"checkpoint-{name}", ["eval", "--checkpoint", f"ckpt_{name}.json", "--data", "data"],
+       2, name) for name in HOSTILE_MODEL_FIELDS),
 ]
 
 

@@ -142,7 +142,9 @@ def test_attend_with_cache_matches_one_call():
     x = rng.normal(size=(13, 8))
     whole = blk(Tensor(x)).data
     cache = blk.empty_state()
-    parts = [blk.attend(Tensor(x[lo:hi]), cache).data for lo, hi in ((0, 1), (1, 5), (5, 13))]
+    with ag.no_grad():
+        parts = [blk.attend(Tensor(x[lo:hi]), cache).data
+                 for lo, hi in ((0, 1), (1, 5), (5, 13))]
     np.testing.assert_allclose(np.concatenate(parts), whole, rtol=0, atol=1e-13)
     assert cache.k.shape == cache.v.shape == (13, 8)
 
@@ -216,19 +218,3 @@ def test_streamed_cache_appends_in_place_and_matches_one_call(monkeypatch):
     # ... and bit for bit with the per-head composition over the same stretches
     monkeypatch.setattr(hybrid, "multi_head_attention", composed_attention)
     assert np.array_equal(stream_through(blk, x, sizes)[0], streamed)
-
-
-def test_attend_through_a_filled_cache_differentiates_the_new_rows():
-    rng = np.random.default_rng(13)
-    blk = AttentionBlock(d_model=8, n_heads=2, ff_dim=16, rng=rng)
-    x = rng.normal(size=(7, 8))
-    w = rng.normal(size=(3, 8))
-    whole = ag.Parameter(x)
-    ag.backward(ag.reduce_sum(ag.mul(blk(whole)[4:], w)))
-    cache = blk.empty_state()
-    with ag.no_grad():
-        blk.attend(Tensor(x[:4]), cache)
-    new = ag.Parameter(x[4:])
-    ag.backward(ag.reduce_sum(ag.mul(blk.attend(new, cache), w)))
-    assert rel_err(new.grad, whole.grad[4:]) <= 1e-12
-    assert cache.k.shape == (7, 8)

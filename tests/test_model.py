@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import check_param_grads, composed_compensator, intensity, rel_err
+from helpers import (check_param_grads, composed_compensator, intensity,
+                     one_hot_log_likelihood, rel_err)
 from mamba_hawkes import autograd as ag
 from mamba_hawkes import model as model_module
 from mamba_hawkes.autograd import Parameter, Tensor
 from mamba_hawkes.checkpoint import build_model
 from mamba_hawkes.data import Dataset, EventSequence
-from mamba_hawkes.model import TRAIN_QUAD_POINTS, MambaHawkes, MhpConfig
+from mamba_hawkes.model import EVAL_QUAD_POINTS, TRAIN_QUAD_POINTS, MambaHawkes, MhpConfig
 from mamba_hawkes.training import Adam, clip_gradients, evaluate
 
 
@@ -218,7 +219,7 @@ def test_training_rule_matches_adaptive_quadrature(seed):
     with ag.no_grad():
         H = m.encode(seq)
         scores = m.head.base_scores(H)
-        comp = m._compensator(seq, scores, TRAIN_QUAD_POINTS).item()
+        comp = m.head.integral(np.diff(seq.timestamps), TRAIN_QUAD_POINTS, scores[:-1]).item()
     beta = np.exp(m.head.log_beta.data)
 
     def total_intensity(s, c):
@@ -245,7 +246,7 @@ def assert_compensators_agree(m, seq, scores, S):
     (1e-10, relative)."""
     offsets, weights = trapezoid_rule(seq, S)
     out = []
-    for comp in (lambda sc: m._compensator(seq, sc, S),
+    for comp in (lambda sc: m.head.integral(np.diff(seq.timestamps), S, sc[:-1]),
                  lambda sc: composed_compensator(m.head, offsets, weights, sc[:-1])):
         m.zero_grad()
         sc = Parameter(scores.copy())
@@ -295,6 +296,33 @@ def test_fused_compensator_matches_composed_oracle_at_the_edges(S, edge):
     assert_compensators_agree(m, make_seq(n + 1, K, seed=26), scores, S)
 
 
+@pytest.mark.parametrize("S", RULES)
+@pytest.mark.parametrize("intervals", [1, 7, 8, 9, 130])
+def test_score_equals_one_hot_log_likelihood_bit_for_bit(S, intervals, monkeypatch):
+    # the gathered event term and the trapezoid built inside the node give the
+    # same bits as the one-hot term and the general rule they replaced, in the
+    # value and in the gradients; at K 2 and 1024 nodes a block is 8 intervals
+    K = 2
+    assert model_module._BLOCK_ELEMS // (K * 1024) == 8
+    m = tiny_model(K=K, seed=31)
+    rng = np.random.default_rng(32)
+    m.head.alpha.data = rng.normal(size=K)
+    m.head.log_beta.data = rng.normal(0.0, 0.5, size=K)
+    seq = make_seq(intervals + 1, K, seed=33)
+    scores = rng.normal(size=(intervals + 1, K))
+    out = []
+    for ll in (lambda sc: m.score(seq, S).log_likelihood,
+               lambda sc: one_hot_log_likelihood(m.head, seq, sc, S)):
+        m.zero_grad()
+        sc = Parameter(scores.copy())
+        monkeypatch.setattr(m.head, "base_scores", lambda hidden: sc)
+        value = ll(sc)
+        ag.backward(value)
+        out.append([value.data, sc.grad, m.head.alpha.grad.copy(), m.head.log_beta.grad.copy()])
+    for name, a, b in zip(("ll", "scores", "alpha", "log_beta"), *out):
+        assert np.array_equal(a, b), name
+
+
 def _arrays_reachable(fn):
     """Every numpy array a closure can reach through its cells, the
     functions and tuples in them, and array bases."""
@@ -318,7 +346,7 @@ def test_fused_compensator_keeps_only_reduced_arrays_for_backward():
     K, n, S = 3, 17, 1024
     m = tiny_model(K=K, seed=27)
     seq = make_seq(n + 1, K, seed=28)
-    comp = m._compensator(seq, Parameter(np.ones((n + 1, K))), S)
+    comp = m.head.integral(np.diff(seq.timestamps), S, Parameter(np.ones((n, K))))
     held = _arrays_reachable(comp._backward)
     assert held and max(a.size for a in held) <= 4 * n * K
 
@@ -327,7 +355,7 @@ def test_fused_compensator_is_untracked_under_no_grad():
     m = tiny_model(K=2)
     seq = make_seq(5, 2, seed=29)
     with ag.no_grad():
-        comp = m._compensator(seq, Parameter(np.ones((5, 2))), 10)
+        comp = m.head.integral(np.diff(seq.timestamps), 10, Parameter(np.ones((4, 2))))
     assert not comp.requires_grad and comp._parents == () and comp._backward is None
 
 
@@ -349,12 +377,14 @@ def test_loglik_requires_two_events():
 
 
 def test_loglik_event_term_gradient_sign():
-    # raising the intensity of an observed event's type raises the likelihood
+    # raising the intensity of an observed event's type raises the likelihood;
+    # adding back the compensator leaves the event term's gradient
     m = tiny_model(K=2, seed=13)
     seq = EventSequence(np.array([0.5, 1.0, 2.0]), np.array([1, 2, 2]), 2)
     m.zero_grad()
-    H = m.encode(seq)
-    ag.backward(m._event_term(seq, m.head.base_scores(H)))
+    scores = m.head.base_scores(m.encode(seq))
+    comp = m.head.integral(np.diff(seq.timestamps), EVAL_QUAD_POINTS, scores[:-1])
+    ag.backward(ag.add(m.score(seq).log_likelihood, comp))
     # both scored events have type 2; the type-2 bias must push log-lik up
     assert m.head.b.grad[1] > 0.0
     assert m.head.b.grad[0] == 0.0

@@ -8,6 +8,7 @@ from helpers import check_param_grads, composed_scan, gated_decay_reference, rel
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.autograd import DomainError, GraphError, Parameter, ShapeError, Tensor
 from mamba_hawkes.data import Batch, EventSequence
+from mamba_hawkes.hybrid import AttentionBlock
 from mamba_hawkes.model import MambaHawkes, MhpConfig
 from mamba_hawkes.ssm import MambaBlock, SsmCore, selective_scan
 from mamba_hawkes.training import accumulate_gradients
@@ -395,6 +396,23 @@ def test_scan_refuses_a_state_while_recording():
         selective_scan(**v, state=np.zeros((2, 3)))
     with ag.no_grad():
         selective_scan(**v, state=np.zeros((2, 3)))
+
+
+def test_attend_refuses_a_cache_while_recording():
+    # no gradient reaches the keys and values a cache holds, so a recorded
+    # call through one is refused before it appends, as the scan refuses a state
+    rng = np.random.default_rng(13)
+    blk = AttentionBlock(d_model=8, n_heads=2, ff_dim=16, rng=rng)
+    x = rng.normal(size=(7, 8))
+    cache = blk.empty_state()
+    with ag.no_grad():
+        blk.attend(Tensor(x[:4]), cache)
+    with pytest.raises(GraphError, match="no_grad"):
+        blk.attend(Tensor(x[4:]), cache)
+    assert cache.k.shape == cache.v.shape == (4, 8)
+    with ag.no_grad():
+        blk.attend(Tensor(x[4:]), cache)
+    assert cache.k.shape == (7, 8)
 
 
 def test_scan_rejects_state_of_wrong_shape():
