@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,10 @@ MAX_TYPES = 1024   # bound on K: the model allocates [d_model, K] and [1, K, nod
 # default, so that a size too large to allocate is refused by name.
 MAX_D_MODEL = 1024
 MAX_D_STATE = 256
+MAX_EXPAND = 32
+MAX_D_CONV = 64
+MAX_LAYERS = 64            # n_layers, mamba_layers and attn_blocks
+MAX_HEADS = 64
 MAX_HIDDEN = 4096          # mlp_hidden and ff_width, the widths of the position-wise MLPs
 MAX_QUAD_POINTS = 16384    # trapezoid nodes per interval in reported likelihoods
 
@@ -141,20 +146,24 @@ def _thin_once(cfg, rng):
     """One exact thinning pass over [0, horizon]; returns (times, types)."""
     t = 0.0
     excite = np.zeros((cfg.K, cfg.K))  # current kernel mass, source type per column
+    mu_tot, neg_decay = cfg.mu.sum(), -cfg.beta_decay
     times, types = [], []
     while True:
-        lam_bar = cfg.mu.sum() + excite.sum()
+        lam_bar = mu_tot + excite.sum()
         if lam_bar <= 0.0:
             break  # nothing can ever fire again
         t_prop = t + rng.exponential(1.0 / lam_bar)
         if t_prop > cfg.horizon:
             break
-        excite *= np.exp(-cfg.beta_decay * (t_prop - t))
+        excite *= np.exp(neg_decay * (t_prop - t))
         t = t_prop
         lam_vec = cfg.mu + excite.sum(axis=1)
         lam_tot = lam_vec.sum()
         if rng.uniform() * lam_bar <= lam_tot:
-            k = rng.choice(cfg.K, p=lam_vec / lam_tot)
+            # the draw rng.choice(K, p=lam_vec / lam_tot) makes, without its checks
+            cdf = np.cumsum(lam_vec / lam_tot)
+            cdf /= cdf[-1]
+            k = bisect_right(cdf.tolist(), rng.random())
             times.append(t)
             types.append(k + 1)
             excite[:, k] += cfg.alpha[:, k]

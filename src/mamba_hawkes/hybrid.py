@@ -14,8 +14,8 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Module, Parameter, Tensor
-from .data import MAX_HIDDEN
-from .model import MambaHawkes, MhpConfig
+from .data import MAX_HEADS, MAX_HIDDEN, MAX_LAYERS
+from .model import MambaHawkes, MhpConfig, check_at_most
 from .ssm import linear_init, rms_norm
 
 
@@ -38,9 +38,8 @@ class MhpEConfig(MhpConfig):
             raise ValueError("mamba_layers must be >= 1")
         if self.attn_blocks < 0 or self.n_heads < 1 or self.ff_width < 0:
             raise ValueError("attn_blocks and ff_width must be >= 0 and n_heads >= 1")
-        if self.ff_width > MAX_HIDDEN:
-            raise ValueError(f"config field ff_width must be at most {MAX_HIDDEN}, "
-                             f"got {self.ff_width!r}")
+        check_at_most(self, (("mamba_layers", MAX_LAYERS), ("attn_blocks", MAX_LAYERS),
+                             ("n_heads", MAX_HEADS), ("ff_width", MAX_HIDDEN)))
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} must be divisible by n_heads={self.n_heads}")
@@ -65,8 +64,10 @@ def multi_head_attention(q, k, v, n_heads, past=0):
     Head h uses columns h*D/H..(h+1)*D/H, and the [L, D] result holds each
     head's softmax(q_h k_h^T / sqrt(D/H)) v_h in its columns. The heads run
     as batched matmuls on [H, ., D/H] views. Backward is the softmax-attention
-    adjoint, for q, k and v, on the same arrays; for it the node keeps the
-    [H, L, past + L] attention weights, and under no_grad nothing.
+    adjoint, for q, k and v, on the same arrays. For it the node keeps only
+    each row's softmax max and sum, [H, L, 1] each, and recomputes the
+    [H, L, past + L] weights from q, k and them by the forward's ops in the
+    same order; under no_grad it keeps nothing.
     """
     q, k, v = ag.as_tensor(q), ag.as_tensor(k), ag.as_tensor(v)
     L, D = q.shape
@@ -86,18 +87,30 @@ def multi_head_attention(q, k, v, n_heads, past=0):
         return a.transpose(1, 0, 2).reshape(a.shape[1], D)
 
     qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    p = np.matmul(qh, kh.transpose(0, 2, 1))           # [H, L, P]
-    p *= scale
-    p[:, :, past:] += causal_mask(L)
-    p -= p.max(axis=-1, keepdims=True)
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
+
+    def weights(top=None, tot=None):
+        """The [H, L, P] attention weights, and each row's max and sum of
+        exponentials (computed here unless given)."""
+        p = np.matmul(qh, kh.transpose(0, 2, 1))
+        p *= scale
+        p[:, :, past:] += causal_mask(L)
+        if top is None:
+            top = p.max(axis=-1, keepdims=True)
+        p -= top
+        np.exp(p, out=p)
+        if tot is None:
+            tot = p.sum(axis=-1, keepdims=True)
+        p /= tot
+        return p, top, tot
+
+    p, top, tot = weights()
     parents = (q, k, v)
     out = Tensor(merge(np.matmul(p, vh)), ag._track(*parents), parents)
     if not out.requires_grad:
         return out
 
     def _bw():
+        p = weights(top, tot)[0]
         g = heads(out.grad)
         if v.requires_grad:
             v.grad += merge(np.matmul(p.transpose(0, 2, 1), g))

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Module, Parameter, Tensor
-from .data import MAX_D_MODEL, MAX_D_STATE, MAX_HIDDEN
+from .data import MAX_D_CONV, MAX_D_MODEL, MAX_D_STATE, MAX_EXPAND, MAX_HIDDEN, MAX_LAYERS
 from .ssm import MambaBlock, linear_init
 
 # Elements in one [rows, K, S] block of the compensator, so that its four
@@ -34,6 +34,14 @@ TRAIN_QUAD_POINTS = 100
 EVAL_QUAD_POINTS = 1024
 
 DELTA_MIN, DELTA_MAX = 1e-6, 1e4    # bounds of the scan's step, the softplus'd gap
+
+
+def check_at_most(cfg, bounds):
+    """Refuse, naming the field, each (field, most) of cfg above its bound."""
+    for name, most in bounds:
+        if getattr(cfg, name) > most:
+            raise ValueError(f"config field {name} must be at most {most}, "
+                             f"got {getattr(cfg, name)!r}")
 
 
 @dataclass
@@ -56,11 +64,9 @@ class MhpConfig:
                 raise ValueError(f"config field {name} must be positive")
         if self.mlp_hidden < 0:
             raise ValueError("config field mlp_hidden must be >= 0")
-        for name, most in (("d_model", MAX_D_MODEL), ("d_state", MAX_D_STATE),
-                           ("mlp_hidden", MAX_HIDDEN)):
-            if getattr(self, name) > most:
-                raise ValueError(f"config field {name} must be at most {most}, "
-                                 f"got {getattr(self, name)!r}")
+        check_at_most(self, (("d_model", MAX_D_MODEL), ("d_state", MAX_D_STATE),
+                             ("d_conv", MAX_D_CONV), ("expand", MAX_EXPAND),
+                             ("n_layers", MAX_LAYERS), ("mlp_hidden", MAX_HIDDEN)))
         for name in ("event_loss_weight", "time_loss_weight"):
             w = getattr(self, name)
             if not (math.isfinite(w) and w >= 0):

@@ -235,6 +235,31 @@ def one_hot_log_likelihood(head, seq, scores, n_quad):
                                         scores[:-1]))
 
 
+def thin_once_reference(cfg, rng):
+    """The thinning pass drawing each type with rng.choice: the oracle for
+    data._thin_once, which makes the same draws."""
+    t = 0.0
+    excite = np.zeros((cfg.K, cfg.K))
+    times, types = [], []
+    while True:
+        lam_bar = cfg.mu.sum() + excite.sum()
+        if lam_bar <= 0.0:
+            break
+        t_prop = t + rng.exponential(1.0 / lam_bar)
+        if t_prop > cfg.horizon:
+            break
+        excite *= np.exp(-cfg.beta_decay * (t_prop - t))
+        t = t_prop
+        lam_vec = cfg.mu + excite.sum(axis=1)
+        lam_tot = lam_vec.sum()
+        if rng.uniform() * lam_bar <= lam_tot:
+            k = rng.choice(cfg.K, p=lam_vec / lam_tot)
+            times.append(t)
+            types.append(k + 1)
+            excite[:, k] += cfg.alpha[:, k]
+    return times, types
+
+
 def gated_decay_reference(timestamps, x):
     """Closed-form N=1 recurrence: z_i = g_i z_{i-1} + (1 - g_i) x_i.
 

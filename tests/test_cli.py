@@ -12,6 +12,7 @@ from helpers import write_v1_checkpoint
 from mamba_hawkes.checkpoint import checkpoint_payload, load_checkpoint, save_checkpoint
 from mamba_hawkes.cli import main
 from mamba_hawkes.data import MAX_TYPES, EventSequence, load_jsonl
+from mamba_hawkes.hybrid import MambaHawkesHybrid, MhpEConfig
 from mamba_hawkes.model import MambaHawkes, MhpConfig
 
 
@@ -474,26 +475,37 @@ def hostile_inputs(tmp_path_factory):
     (root / "k7_low.jsonl").write_text('{"K": 7, "events": [{"t": 1.0, "k": 5}]}\n')
     for name, fields in HOSTILE_FIELDS.items():
         (root / f"{name}.json").write_text(json.dumps(fields))
+    save_checkpoint(MambaHawkesHybrid(MhpEConfig(d_model=8, d_state=4, mamba_layers=1,
+                                                 attn_blocks=1, n_heads=2, K=5), seed=0),
+                    root / "ckpt_e.json")
     for name in HOSTILE_MODEL_FIELDS:
-        payload = json.loads((root / "ckpt.json").read_text())
-        payload["config"].update(HOSTILE_FIELDS[name])
+        fields = dict(HOSTILE_FIELDS[name])
+        base = "ckpt_e.json" if fields.pop("arch", "mhp") == "mhp-e" else "ckpt.json"
+        payload = json.loads((root / base).read_text())
+        payload["config"].update(fields)
         (root / f"ckpt_{name}.json").write_text(json.dumps(payload))
     return root
 
 
 # config values refused where they enter, naming the field: each is written as
-# a config file, and those of an mhp model's config into copies of ckpt.json
+# a config file, and those of a model's config into copies of ckpt.json (mhp)
+# or ckpt_e.json (mhp-e)
 HOSTILE_FIELDS = {
     "d_model": {"d_model": 10**9},
     "d_state": {"d_state": 10**8},
+    "d_conv": {"d_conv": 10**9},
+    "expand": {"expand": 10**9},
+    "n_layers": {"n_layers": 10**8},
     "mlp_hidden": {"mlp_hidden": 10**10},
+    "mamba_layers": {"arch": "mhp-e", "mamba_layers": 10**8},
+    "attn_blocks": {"arch": "mhp-e", "attn_blocks": 10**8},
+    "n_heads": {"arch": "mhp-e", "d_model": 256, "n_heads": 128},
     "ff_width": {"arch": "mhp-e", "ff_width": 10**10},
     "eval_quad_points": {"eval_quad_points": 10**11},
     "event_loss_weight": {"event_loss_weight": -1},
     "time_loss_weight": {"time_loss_weight": float("nan")},
 }
-HOSTILE_MODEL_FIELDS = ("d_model", "d_state", "mlp_hidden", "event_loss_weight",
-                        "time_loss_weight")
+HOSTILE_MODEL_FIELDS = [name for name in HOSTILE_FIELDS if name != "eval_quad_points"]
 
 
 # (case, arguments, documented exit code, a fragment of the stderr line)
@@ -522,12 +534,12 @@ HOSTILE = [
     ("train-tie-then-dev-decreasing", ["train", "--data", "tied", "--out", "o"], 2,
      "decreasing timestamps"),
     *((f"config-{name}", ["train", "--config", f"{name}.json", "--data", "data", "--out", "o"],
-       1, name) for name in HOSTILE_FIELDS),
+       1, f"config field {name}") for name in HOSTILE_FIELDS),
     ("eval-quad-points-huge",
      ["eval", "--checkpoint", "ckpt.json", "--data", "data", "--quad-points", 10**11], 1,
      "--quad-points"),
     *((f"checkpoint-{name}", ["eval", "--checkpoint", f"ckpt_{name}.json", "--data", "data"],
-       2, name) for name in HOSTILE_MODEL_FIELDS),
+       2, f"config field {name}") for name in HOSTILE_MODEL_FIELDS),
 ]
 
 

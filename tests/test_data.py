@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import thin_once_reference
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.data import (MAX_TYPES, Batch, DataError, Dataset, EventSequence,
                                ExplosionError, HawkesGenConfig,
                                RetryExhaustedError, batch,
                                benchmark_generator_config, load_jsonl,
                                make_synthetic_benchmark, save_jsonl,
-                               simulate_hawkes)
+                               _thin_once, simulate_hawkes)
 from mamba_hawkes.model import MambaHawkes, MhpConfig
 from mamba_hawkes.training import loss_on_batch
 
@@ -93,6 +94,36 @@ def test_multitype_assigns_types_by_intensity():
     # the cyclic excitation makes successor types much likelier than chance
     succ = np.mean(seq.types[1:] == (seq.types[:-1] % 5) + 1)
     assert succ > 0.3
+
+
+def sampler_configs():
+    """The benchmark config, it at twice the horizon, and random stationary
+    configs with K from 1 to 6."""
+    bench = benchmark_generator_config()
+    yield bench
+    yield HawkesGenConfig(K=5, mu=bench.mu, alpha=bench.alpha, beta_decay=bench.beta_decay,
+                          horizon=80.0)
+    rng = np.random.default_rng(31)
+    for K in range(1, 7):
+        alpha = rng.uniform(0.0, 1.0, size=(K, K))
+        beta = rng.uniform(0.5, 4.0, size=(K, K))
+        alpha *= 0.8 / np.abs(np.linalg.eigvals(alpha / beta)).max()
+        yield HawkesGenConfig(K=K, mu=rng.uniform(0.05, 1.0, size=K), alpha=alpha,
+                              beta_decay=beta, horizon=30.0)
+
+
+def test_sampler_makes_the_draws_of_rng_choice():
+    # each type drawn by bisecting the intensities' cumulative sum is the one
+    # rng.choice draws, from the same stream, so sequences are unchanged
+    n = 0
+    for cfg in sampler_configs():
+        for seed in range(40):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            times, types = _thin_once(cfg, rng)
+            assert (times, types) == thin_once_reference(cfg, ref)
+            assert rng.random() == ref.random()
+            n += len(times)
+    assert n > 10000
 
 
 def test_benchmark_shape_audit():

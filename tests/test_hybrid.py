@@ -218,3 +218,35 @@ def test_streamed_cache_appends_in_place_and_matches_one_call(monkeypatch):
     # ... and bit for bit with the per-head composition over the same stretches
     monkeypatch.setattr(hybrid, "multi_head_attention", composed_attention)
     assert np.array_equal(stream_through(blk, x, sizes)[0], streamed)
+
+
+def closure_arrays(fn, seen=None):
+    """The arrays a backward closure holds, also through the functions it
+    holds."""
+    seen = set() if seen is None else seen
+    out = []
+    for cell in fn.__closure__ or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            out.append(value)
+        elif callable(value) and id(value) not in seen:
+            seen.add(id(value))
+            out += closure_arrays(value, seen)
+    return out
+
+
+def test_attention_keeps_no_weights_for_backward():
+    # after the forward, no node of the default hybrid's loss graph keeps an
+    # [., L, L] array: attention keeps each row's softmax max and sum, and
+    # its backward recomputes the [H, L, L] weights from them
+    L = 300
+    rng = np.random.default_rng(14)
+    model = MambaHawkesHybrid(MhpEConfig(K=5), seed=0)
+    seq = EventSequence(np.cumsum(rng.exponential(1.0, size=L)),
+                        rng.integers(1, 6, size=L), 5)
+    loss = model.losses(seq).total
+    held = [a.shape for node in ag.topo_order(loss) if node._backward is not None
+            for a in closure_arrays(node._backward) if a.shape[-2:] == (L, L)]
+    assert held == []
+    ag.backward(loss)
+    assert all(np.isfinite(p.grad).all() for p in model.parameters())

@@ -10,6 +10,7 @@ from mamba_hawkes.autograd import DomainError, GraphError, Parameter, ShapeError
 from mamba_hawkes.data import Batch, EventSequence
 from mamba_hawkes.hybrid import AttentionBlock
 from mamba_hawkes.model import MambaHawkes, MhpConfig
+from mamba_hawkes import ssm
 from mamba_hawkes.ssm import MambaBlock, SsmCore, selective_scan
 from mamba_hawkes.training import accumulate_gradients
 
@@ -152,9 +153,14 @@ def test_scan_gradients_match_fd():
     assert max(errs.values()) < 1e-4, errs
 
 
-@pytest.mark.parametrize("L,D,N", [(1, 2, 3), (7, 3, 2), (64, 8, 16)])
+C = ssm._SCAN_CHUNK
+
+
+@pytest.mark.parametrize("L,D,N", [(1, 2, 3), (7, 3, 2), (64, 8, 16),
+                                   (C - 1, 3, 2), (C, 3, 2), (C + 1, 3, 2), (2 * C + 3, 3, 2)])
 def test_scan_gradients_match_composed_oracle(L, D, N):
-    # the hand-written adjoint against the generic ops' backward rules
+    # the hand-written adjoint against the generic ops' backward rules, also
+    # on either side of one and two chunk boundaries
     rng = np.random.default_rng(L)
     delta = rng.uniform(0.05, 2.0, size=L)
     delta[L // 2] = 1e-6
@@ -185,16 +191,12 @@ def test_scan_is_one_graph_node_per_layer():
     assert len(nodes) < 190, len(nodes)
 
 
-def test_train_step_memory_in_state_arrays():
-    # tracemalloc over one default-config sequence of L 90, in units of one
-    # [L, d_inner, d_state] float64 array: each scan node keeps only its
-    # states for backward, and backward holds gradient buffers only while
-    # they are needed (7.6 units held and a 12.7 peak when this was written;
-    # keeping abar, phi and phi' too and preallocating every gradient gave
-    # 19.6 and 25.9)
+def step_memory_in_state_arrays(L):
+    """(held after the forward, peak through backward) of one default-config
+    sequence of L events, traced by tracemalloc in units of one
+    [L, d_inner, d_state] float64 array."""
     rng = np.random.default_rng(0)
     model = MambaHawkes(MhpConfig(K=5), seed=0)
-    L = 90
     seq = EventSequence(np.cumsum(rng.exponential(1.0, size=L)),
                         rng.integers(1, 6, size=L), 5)
     blk = model.layers[0]
@@ -210,14 +212,32 @@ def test_train_step_memory_in_state_arrays():
         peak = (tracemalloc.get_traced_memory()[1] - base) / unit
     finally:
         tracemalloc.stop()
-    n_layers = model.cfg.n_layers
-    assert held <= n_layers + 5, held
-    assert peak <= n_layers + 10, peak
+    return held, peak
+
+
+def test_train_step_memory_in_state_arrays():
+    # each scan node keeps one state per chunk for backward, and backward
+    # holds gradient buffers only while they are needed, so no [L, D, N]
+    # array outlives a scan call and the bounds do not grow with n_layers
+    # (3.9 units held and a 6.4 peak at L 90 when this was written; keeping
+    # every state gave 7.6 and 12.7, keeping abar, phi and phi' too and
+    # preallocating every gradient 19.6 and 25.9)
+    held, peak = step_memory_in_state_arrays(90)
+    assert held <= 5, held
+    assert peak <= 8, peak
+
+
+def test_train_step_memory_in_state_arrays_at_length_500():
+    # the same bounds on a longer sequence (3.7 held and a 4.4 peak when
+    # this was written; keeping every state gave 7.5 and 11.9)
+    held, peak = step_memory_in_state_arrays(500)
+    assert held <= 5, held
+    assert peak <= 8, peak
 
 
 def test_train_batch_step_memory_in_state_arrays():
     # a train step of 4 sequences holds one sequence's graph at a time, so
-    # it peaks within the one-sequence bound above (about 13 units when this
+    # it peaks within the one-sequence bound above (about 6.4 units when this
     # was written; scoring all four before one backward peaked at about 36)
     rng = np.random.default_rng(0)
     model = MambaHawkes(MhpConfig(K=5), seed=0)
@@ -234,7 +254,7 @@ def test_train_batch_step_memory_in_state_arrays():
         peak = (tracemalloc.get_traced_memory()[1] - base) / unit
     finally:
         tracemalloc.stop()
-    assert peak <= model.cfg.n_layers + 10, peak
+    assert peak <= 8, peak
 
 
 def test_stability_abar_in_unit_interval_and_contraction():
@@ -356,27 +376,52 @@ def scan_inputs(rng, L, D, N):
 
 def test_scan_carries_state_across_calls():
     # the scan split at m, the state handed from the first call to the second,
-    # gives the outputs and the final state of one call over the whole input
+    # gives the outputs and the final state of one call over the whole input,
+    # bit for bit, wherever m falls among the chunks
     rng = np.random.default_rng(21)
-    L, D, N = 23, 3, 4
+    L, D, N = 3 * C + 5, 3, 4
     v = scan_inputs(rng, L, D, N)
     z0 = rng.normal(size=(D, N))
     whole = z0.copy()
     y = selective_scan(**v, state=whole).data
-    for m in (1, 9, L - 1):
+    for m in (1, 9, C + 5, 2 * C + 1, L - 1):
         state = z0.copy()
         first = {k: v[k] if k in ("a", "skip") else v[k][:m] for k in v}
         rest = {k: v[k] if k in ("a", "skip") else v[k][m:] for k in v}
         y1 = selective_scan(**first, state=state).data
         y2 = selective_scan(**rest, state=state).data
-        np.testing.assert_allclose(np.concatenate([y1, y2]), y, rtol=0, atol=1e-13)
-        np.testing.assert_allclose(state, whole, rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(np.concatenate([y1, y2]), y)
+        np.testing.assert_array_equal(state, whole)
     # a zero initial state is no initial state
     plain = selective_scan(**v).data
     np.testing.assert_allclose(selective_scan(**v, state=np.zeros((D, N))).data, plain,
                                rtol=0, atol=1e-15)
     np.testing.assert_allclose(naive_scan(v["x"], v["delta"], v["a"], v["b"], v["c"], v["skip"]),
                                plain, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("chunk", [1, 3, "L"])
+def test_scan_chunk_length_moves_only_the_rate_gradient(monkeypatch, chunk):
+    # every step's arithmetic is the same at any chunk length, so y and the
+    # x, b, c and skip gradients are bit-identical; the rate gradient sums
+    # each chunk's steps apart, so it moves in the last bits only
+    L, D, N = 2 * C + 3, 3, 4
+    v = scan_inputs(np.random.default_rng(26), L, D, N)
+    w = np.random.default_rng(27).normal(size=(L, D))
+
+    def run():
+        params = {k: Parameter(v[k].copy()) for k in ("x", "a", "b", "c", "skip")}
+        y = selective_scan(delta=Tensor(v["delta"]), **params)
+        ag.backward(ag.reduce_sum(ag.mul(y, w)))
+        return y.data, {k: p.grad for k, p in params.items()}
+
+    y, grads = run()
+    monkeypatch.setattr(ssm, "_SCAN_CHUNK", L if chunk == "L" else chunk)
+    y_c, grads_c = run()
+    assert np.array_equal(y_c, y)
+    for k in ("x", "b", "c", "skip"):
+        assert np.array_equal(grads_c[k], grads[k]), k
+    np.testing.assert_allclose(grads_c["a"], grads["a"], rtol=1e-14, atol=0)
 
 
 def test_scan_refuses_a_tracked_delta():
