@@ -9,9 +9,11 @@ byte-identical files. Version 1 stored `data` as a list of JSON numbers;
 `load_checkpoint` still reads it to the same bits.
 
 Loading rejects, as DataError naming the file, anything that would only
-fail later: a malformed document, parameters that do not match the
-architecture, non-finite parameter values, a `meta` that is not an object
-and a `meta.time_scale` that is not a finite positive number.
+fail later: a malformed document, a `config` that fails the checks a config
+file gets (`MhpConfig.from_dict`: types, bounds and unknown keys), parameters
+that do not match the architecture, non-finite parameter values, a `meta`
+that is not an object, a `meta.time_scale` that is not a finite positive
+number and a `meta.best_epoch` that is not a non-negative integer.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def config_class(arch):
 
 
 def build_model(arch, config_dict, seed=0):
-    cfg = config_class(arch)(**config_dict)
+    cfg = config_class(arch).from_dict(config_dict)
     return _ARCHS[arch][1](cfg, seed=seed)
 
 
@@ -97,6 +99,9 @@ def _check_meta(path, meta):
                 or not math.isfinite(scale) or scale <= 0):
             raise DataError(f"{path}: meta.time_scale must be a finite positive "
                             f"number, got {scale!r}")
+    epoch = meta.get("best_epoch", 0)
+    if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
+        raise DataError(f"{path}: meta.best_epoch must be a non-negative integer, got {epoch!r}")
     return meta
 
 

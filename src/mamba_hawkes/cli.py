@@ -148,7 +148,7 @@ def _cmd_eval(args):
           f"accuracy {metrics.accuracy:.2f}%, rmse {metrics.rmse:.6f}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        epoch = int(meta.get("best_epoch", 0))
+        epoch = meta.get("best_epoch", 0)
         rows = [(epoch, args.split, metrics.ll_per_event, metrics.accuracy,
                  metrics.rmse, 0.0)]
         summary = {"split": args.split, "checkpoint": args.checkpoint,

@@ -15,7 +15,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Module, Parameter, Tensor
 from .data import MAX_HEADS, MAX_HIDDEN, MAX_LAYERS
-from .model import MambaHawkes, MhpConfig, check_at_most
+from .model import MambaHawkes, MhpConfig, in_range
 from .ssm import linear_init, rms_norm
 
 
@@ -29,20 +29,15 @@ class MhpEConfig(MhpConfig):
     n_heads: int = 4
     ff_width: int = 0
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.n_layers != MhpConfig.n_layers:
-            raise ValueError(f"config field n_layers is not used by arch mhp-e "
-                             f"(got {self.n_layers}); set mamba_layers instead")
-        if self.mamba_layers < 1:
-            raise ValueError("mamba_layers must be >= 1")
-        if self.attn_blocks < 0 or self.n_heads < 1 or self.ff_width < 0:
-            raise ValueError("attn_blocks and ff_width must be >= 0 and n_heads >= 1")
-        check_at_most(self, (("mamba_layers", MAX_LAYERS), ("attn_blocks", MAX_LAYERS),
-                             ("n_heads", MAX_HEADS), ("ff_width", MAX_HIDDEN)))
-        if self.d_model % self.n_heads != 0:
-            raise ValueError(
-                f"d_model={self.d_model} must be divisible by n_heads={self.n_heads}")
+    def rules(self):
+        return super().rules() + (
+            ("n_layers", lambda n: n == MhpConfig.n_layers,
+             f"{MhpConfig.n_layers} (arch mhp-e takes its depth from mamba_layers)"),
+            ("mamba_layers", *in_range(1, MAX_LAYERS)),
+            ("attn_blocks", *in_range(0, MAX_LAYERS)),
+            ("n_heads", *in_range(1, MAX_HEADS)),
+            ("ff_width", *in_range(0, MAX_HIDDEN)),
+            ("d_model", lambda d: d % self.n_heads == 0, f"divisible by n_heads={self.n_heads}"))
 
     @property
     def ff_dim(self):

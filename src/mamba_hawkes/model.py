@@ -14,14 +14,16 @@ interval each intensity is a softplus of a linear function of time, so at
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
+from sys import float_info
 from typing import NamedTuple
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Module, Parameter, Tensor
-from .data import MAX_D_CONV, MAX_D_MODEL, MAX_D_STATE, MAX_EXPAND, MAX_HIDDEN, MAX_LAYERS
+from .data import (MAX_D_CONV, MAX_D_MODEL, MAX_D_STATE, MAX_EXPAND, MAX_HIDDEN, MAX_LAYERS,
+                   MAX_TYPES)
 from .ssm import MambaBlock, linear_init
 
 # Elements in one [rows, K, S] block of the compensator, so that its four
@@ -36,17 +38,24 @@ EVAL_QUAD_POINTS = 1024
 DELTA_MIN, DELTA_MAX = 1e-6, 1e4    # bounds of the scan's step, the softplus'd gap
 
 
-def check_at_most(cfg, bounds):
-    """Refuse, naming the field, each (field, most) of cfg above its bound."""
-    for name, most in bounds:
-        if getattr(cfg, name) > most:
-            raise ValueError(f"config field {name} must be at most {most}, "
-                             f"got {getattr(cfg, name)!r}")
+# the values each config annotation takes: a bool is no int, and a float
+# field takes an int only within float range
+_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
+def in_range(lo, hi):
+    """The test and text of the config rule lo <= value <= hi."""
+    return (lambda v: lo <= v <= hi), f"in {lo}..{hi}"
 
 
 @dataclass
 class MhpConfig:
-    """Architecture and loss-weight settings; defaults follow the reference setup."""
+    """Architecture and loss-weight settings; defaults follow the reference setup.
+
+    The base of every config class: building one checks each init field's type,
+    then the class's `rules()`, naming the first field that fails. `from_dict`
+    reads a config file and a checkpoint's `config` alike. Values stay as given.
+    """
 
     d_model: int = 64
     d_state: int = 16
@@ -59,25 +68,41 @@ class MhpConfig:
     time_loss_weight: float = 1e-4
 
     def __post_init__(self):
-        for name in ("d_model", "d_state", "d_conv", "expand", "n_layers", "K"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"config field {name} must be positive")
-        if self.mlp_hidden < 0:
-            raise ValueError("config field mlp_hidden must be >= 0")
-        check_at_most(self, (("d_model", MAX_D_MODEL), ("d_state", MAX_D_STATE),
-                             ("d_conv", MAX_D_CONV), ("expand", MAX_EXPAND),
-                             ("n_layers", MAX_LAYERS), ("mlp_hidden", MAX_HIDDEN)))
-        for name in ("event_loss_weight", "time_loss_weight"):
-            w = getattr(self, name)
-            if not (math.isfinite(w) and w >= 0):
-                raise ValueError(f"config field {name} must be finite and >= 0, got {w!r}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.init and (isinstance(v, bool) != (f.type == "bool")
+                           or not isinstance(v, _TYPES[f.type])
+                           or f.type == "float" and isinstance(v, int) and abs(v) > float_info.max):
+                raise ValueError(f"config field {f.name} must be of type {f.type}, got {v!r}")
+        for name, test, rule in self.rules():
+            if not test(getattr(self, name)):
+                raise ValueError(f"config field {name} must be {rule}, got {getattr(self, name)!r}")
+
+    def rules(self):
+        """(field, test of the value, rule text) of each bound, in checking order."""
+        return (("d_model", *in_range(1, MAX_D_MODEL)),
+                ("d_state", *in_range(1, MAX_D_STATE)),
+                ("d_conv", *in_range(1, MAX_D_CONV)),
+                ("expand", *in_range(1, MAX_EXPAND)),
+                ("n_layers", *in_range(1, MAX_LAYERS)),
+                ("K", *in_range(1, MAX_TYPES)),
+                ("mlp_hidden", *in_range(0, MAX_HIDDEN)),
+                *((w, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+                  for w in ("event_loss_weight", "time_loss_weight")))
+
+    @classmethod
+    def from_dict(cls, d):
+        unknown = sorted(set(d) - {f.name for f in fields(cls) if f.init})
+        if unknown:
+            raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
+        return cls(**d)
+
+    def to_dict(self):
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.init}
 
     @property
     def mlp_width(self):
         return self.mlp_hidden if self.mlp_hidden else self.d_model
-
-    def to_dict(self):
-        return asdict(self)
 
 
 class MlpHead(Module):

@@ -28,13 +28,11 @@ from . import autograd as ag
 from .checkpoint import build_model, config_class, load_checkpoint, save_checkpoint
 from .data import MAX_QUAD_POINTS, Batch, DataError, Dataset, EventSequence, batch, load_jsonl
 from .hybrid import MhpEConfig
-from .model import EVAL_QUAD_POINTS
+from .model import EVAL_QUAD_POINTS, in_range
 
 logger = logging.getLogger(__name__)
 
 CSV_HEADER = "epoch,split,ll_per_event,accuracy,rmse,seconds"
-
-_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
 
 
 class NumericsError(RuntimeError):
@@ -75,43 +73,23 @@ class TrainConfig(MhpEConfig):
     data: str = ""
     out: str = ""
 
-    def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if f.init and (isinstance(value, bool) != (f.type == "bool")
-                           or not isinstance(value, _TYPES[f.type])):
-                raise ValueError(f"config field {f.name} must be of type {f.type}, got {value!r}")
+    def rules(self):  # the run's own, once the model fields pass those of arch's config class
         model_fields = self.model_config_dict(K=1)  # K=1 stands in for the data's
         config_class(self.arch)(**model_fields)
         for f in dataclasses.fields(MhpEConfig):  # a hybrid field that arch mhp would ignore
             if f.name not in model_fields and getattr(self, f.name) != f.default:
                 raise ValueError(f"config field {f.name} is not used by arch {self.arch} "
                                  f"(got {getattr(self, f.name)!r})")
-        for name, ok, rule in (
-                ("lr", self.lr >= 0.0, ">= 0"),
-                ("batch_size", self.batch_size >= 1, ">= 1"),
-                ("epochs", self.epochs >= 1, ">= 1"),
-                ("patience", self.patience >= 0, ">= 0"),
-                ("adam_beta1", 0.0 <= self.adam_beta1 < 1.0, "in [0, 1)"),
-                ("adam_beta2", 0.0 <= self.adam_beta2 < 1.0, "in [0, 1)"),
-                ("adam_eps", self.adam_eps > 0.0, "> 0"),
-                ("clip_norm", self.clip_norm > 0.0, "> 0"),
-                ("seed", self.seed >= 0, ">= 0"),
-                ("eval_quad_points", 2 <= self.eval_quad_points <= MAX_QUAD_POINTS,
-                 f"in 2..{MAX_QUAD_POINTS}")):
-            if not ok:
-                raise ValueError(f"config field {name} must be {rule}, got {getattr(self, name)!r}")
-
-    @classmethod
-    def from_dict(cls, d):
-        known = {f.name for f in dataclasses.fields(cls) if f.init}
-        unknown = sorted(set(d) - known)
-        if unknown:
-            raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
-        return cls(**d)
-
-    def to_dict(self):
-        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.init}
+        return (("lr", lambda v: v >= 0.0, ">= 0"),
+                ("batch_size", lambda v: v >= 1, ">= 1"),
+                ("epochs", lambda v: v >= 1, ">= 1"),
+                ("patience", lambda v: v >= 0, ">= 0"),
+                ("adam_beta1", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+                ("adam_beta2", lambda v: 0.0 <= v < 1.0, "in [0, 1)"),
+                ("adam_eps", lambda v: v > 0.0, "> 0"),
+                ("clip_norm", lambda v: v > 0.0, "> 0"),
+                ("seed", lambda v: v >= 0, ">= 0"),
+                ("eval_quad_points", *in_range(2, MAX_QUAD_POINTS)))
 
     def model_config_dict(self, K):
         """The fields of `arch`'s model config, with K from the data."""

@@ -220,6 +220,12 @@ MALFORMED_CHECKPOINTS = {  # breakage -> what the one stderr line must name
     "time_scale x": "time_scale",
     "time_scale nan": "time_scale",
     "time_scale 0": "time_scale",
+    "best_epoch x": "meta.best_epoch",
+    "best_epoch inf": "meta.best_epoch",
+    "best_epoch list": "meta.best_epoch",
+    "best_epoch 2.7": "meta.best_epoch",
+    "best_epoch -1": "meta.best_epoch",
+    "best_epoch true": "meta.best_epoch",
 }
 
 
@@ -252,6 +258,10 @@ def test_malformed_checkpoint_exits_2(tmp_path, capsys, breakage):
         embedding["data"] = base64.b64encode(poisoned.tobytes()).decode()
     elif breakage == "list meta":
         payload["meta"] = []
+    elif breakage.startswith("best_epoch"):
+        payload["meta"]["best_epoch"] = {"best_epoch x": "x", "best_epoch inf": float("inf"),
+                                         "best_epoch list": [1], "best_epoch 2.7": 2.7,
+                                         "best_epoch -1": -1, "best_epoch true": True}[breakage]
     else:
         payload["meta"]["time_scale"] = {"time_scale x": "x", "time_scale nan": float("nan"),
                                          "time_scale 0": 0}[breakage]
@@ -478,8 +488,10 @@ def hostile_inputs(tmp_path_factory):
     save_checkpoint(MambaHawkesHybrid(MhpEConfig(d_model=8, d_state=4, mamba_layers=1,
                                                  attn_blocks=1, n_heads=2, K=5), seed=0),
                     root / "ckpt_e.json")
-    for name in HOSTILE_MODEL_FIELDS:
-        fields = dict(HOSTILE_FIELDS[name])
+    (root / "lr_401_digits.json").write_text(json.dumps({"lr": 10**400}))  # beyond float range
+    for name, fields in [*((name, HOSTILE_FIELDS[name]) for name in HOSTILE_MODEL_FIELDS),
+                         *((name, f) for name, (f, _) in HOSTILE_CHECKPOINT_CONFIGS.items())]:
+        fields = dict(fields)
         base = "ckpt_e.json" if fields.pop("arch", "mhp") == "mhp-e" else "ckpt.json"
         payload = json.loads((root / base).read_text())
         payload["config"].update(fields)
@@ -506,6 +518,16 @@ HOSTILE_FIELDS = {
     "time_loss_weight": {"time_loss_weight": float("nan")},
 }
 HOSTILE_MODEL_FIELDS = [name for name in HOSTILE_FIELDS if name != "eval_quad_points"]
+
+# checkpoint configs that no config file holds, or of the wrong type, written
+# into copies of ckpt.json or ckpt_e.json: name -> (config fields, stderr fragment)
+HOSTILE_CHECKPOINT_CONFIGS = {
+    "K-huge": ({"K": 10**9}, "config field K"),
+    "n_heads-float": ({"arch": "mhp-e", "n_heads": 2.0}, "config field n_heads"),
+    "time_loss_weight-401-digits": ({"time_loss_weight": 10**400},
+                                    "config field time_loss_weight"),
+    "unknown-key": ({"colour": "red"}, "unknown config field(s): colour"),
+}
 
 
 # (case, arguments, documented exit code, a fragment of the stderr line)
@@ -540,6 +562,14 @@ HOSTILE = [
      "--quad-points"),
     *((f"checkpoint-{name}", ["eval", "--checkpoint", f"ckpt_{name}.json", "--data", "data"],
        2, f"config field {name}") for name in HOSTILE_MODEL_FIELDS),
+    ("config-lr-401-digits",
+     ["train", "--config", "lr_401_digits.json", "--data", "data", "--out", "o"], 1,
+     "config field lr"),
+    *((f"checkpoint-{name}", ["eval", "--checkpoint", f"ckpt_{name}.json", "--data", "data"],
+       2, fragment) for name, (_, fragment) in HOSTILE_CHECKPOINT_CONFIGS.items()),
+    *((f"predict-checkpoint-{name}",
+       ["predict", "--checkpoint", f"ckpt_{name}.json", "--events", "data/test.jsonl"],
+       2, fragment) for name, (_, fragment) in HOSTILE_CHECKPOINT_CONFIGS.items()),
 ]
 
 

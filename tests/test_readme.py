@@ -4,6 +4,8 @@ import dataclasses
 import pathlib
 import re
 
+from mamba_hawkes.hybrid import MhpEConfig
+from mamba_hawkes.model import MhpConfig
 from mamba_hawkes.training import TrainConfig
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
@@ -24,3 +26,12 @@ def test_configuration_table_names_every_settable_field():
     named = [name for row in rows for name in re.findall(r"`([^`]*)`", row)]
     settable = [f.name for f in dataclasses.fields(TrainConfig) if f.init]
     assert sorted(named) == sorted(settable)
+
+
+def test_configuration_section_states_every_range_rule():
+    # each `in lo..hi` rule of the config classes, as "`field` in lo..hi"
+    text = " ".join(section("Configuration").split())
+    for cfg in (MhpConfig(), MhpEConfig(), TrainConfig()):
+        for name, _, rule in cfg.rules():
+            if re.fullmatch(r"in \d+\.\.\d+", rule):
+                assert f"`{name}` {rule}" in text, (type(cfg).__name__, name, rule)

@@ -61,6 +61,32 @@ def test_train_config_takes_model_fields_from_model_configs():
     assert hybrid == MhpEConfig(d_model=8, n_heads=2, K=2).to_dict()
 
 
+def wrong_values(type_name):
+    """Values of the wrong type for a field annotated `type_name`."""
+    return ([True] * (type_name != "bool") + [1.5] * (type_name == "int")
+            + ["1"] * (type_name in ("int", "float")) + [1] * (type_name in ("str", "bool")))
+
+
+SCHEMA_CASES = [(cls, f.name, value) for cls in (MhpConfig, MhpEConfig, TrainConfig)
+                for f in dataclasses.fields(cls) if f.init for value in wrong_values(f.type)]
+
+
+@pytest.mark.parametrize("cls,name,value", SCHEMA_CASES,
+                         ids=[f"{c.__name__}-{n}-{v!r}" for c, n, v in SCHEMA_CASES])
+def test_config_refuses_a_wrong_typed_field(cls, name, value):
+    with pytest.raises(ValueError, match=f"config field {name} must be of type "):
+        cls.from_dict({name: value})
+
+
+@pytest.mark.parametrize("cls", [MhpConfig, MhpEConfig, TrainConfig])
+def test_config_round_trips_through_its_dict(cls):
+    cfg = cls()
+    assert cls.from_dict(cfg.to_dict()) == cfg
+    changed = cls.from_dict({"d_model": 32, "event_loss_weight": 2, "mlp_hidden": 7})
+    assert cls.from_dict(changed.to_dict()) == changed
+    assert changed.event_loss_weight == 2 and type(changed.event_loss_weight) is int
+
+
 # -- optimizer and clipping ------------------------------------------------
 
 
