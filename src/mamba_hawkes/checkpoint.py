@@ -114,6 +114,9 @@ def load_checkpoint(path):
             raise DataError(f"{path}: invalid checkpoint JSON ({e.msg})") from None
         except UnicodeDecodeError as e:
             raise DataError(f"{path}: checkpoint is not UTF-8 ({e.reason})") from None
+        except ValueError:  # an integer literal longer than the interpreter converts
+            raise DataError(
+                f"{path}: invalid checkpoint JSON (integer literal too long)") from None
         except RecursionError:
             raise DataError(f"{path}: invalid checkpoint JSON (nested too deeply)") from None
     if not isinstance(payload, dict) or payload.get("format") != FORMAT:

@@ -16,7 +16,6 @@ import numpy as np
 
 from .checkpoint import load_checkpoint
 from .data import MAX_QUAD_POINTS, DataError, load_jsonl, make_synthetic_benchmark, save_jsonl
-from .model import EVAL_QUAD_POINTS
 from .training import (NumericsError, TrainConfig, check_two_events, evaluate,
                        scale_times, train, write_metrics)
 
@@ -60,7 +59,8 @@ def _build_parser():
                     help="directory with <split>.jsonl, or a single JSONL file")
     ev.add_argument("--split", default="test")
     ev.add_argument("--out", help="optional directory for eval_metrics.{csv,json}")
-    ev.add_argument("--quad-points", type=int, default=EVAL_QUAD_POINTS)
+    ev.add_argument("--quad-points", type=int,
+                    help=f"accepted in 2..{MAX_QUAD_POINTS}, no effect: the likelihood is exact")
 
     pr = sub.add_parser("predict",
                         help="next-event distribution and time for a sequence prefix")
@@ -102,6 +102,9 @@ def _cmd_train(args):
             raise UsageError(f"invalid JSON in config file {args.config}: {e.msg}") from None
         except UnicodeDecodeError as e:
             raise UsageError(f"config file {args.config} is not UTF-8 ({e.reason})") from None
+        except ValueError:  # an integer literal longer than the interpreter converts
+            raise UsageError(f"invalid JSON in config file {args.config}: "
+                             f"integer literal too long") from None
         except RecursionError:
             raise UsageError(f"config file {args.config} is nested too deeply") from None
         if not isinstance(overrides, dict):
@@ -129,7 +132,7 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    if not 2 <= args.quad_points <= MAX_QUAD_POINTS:
+    if args.quad_points is not None and not 2 <= args.quad_points <= MAX_QUAD_POINTS:
         raise UsageError(f"--quad-points must be in 2..{MAX_QUAD_POINTS}, got {args.quad_points}")
     model, meta = load_checkpoint(args.checkpoint)
     if os.path.isdir(args.data):
@@ -141,7 +144,7 @@ def _cmd_eval(args):
     if "time_scale" in meta:
         dataset = scale_times(dataset, meta["time_scale"])
     try:
-        metrics = evaluate(model, dataset, n_quad=args.quad_points)
+        metrics = evaluate(model, dataset)
     except ValueError as e:
         raise DataError(f"{path}: {e}") from None
     print(f"{args.split}: ll/event {metrics.ll_per_event:.6f}, "

@@ -22,7 +22,7 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-MAX_TYPES = 1024   # bound on K: the model allocates [d_model, K] and [1, K, nodes] arrays
+MAX_TYPES = 1024   # bound on K: the model allocates [d_model, K] and [L, K] arrays
 # Bounds on the sizes a config or checkpoint sets, each at least 16 times its
 # default, so that a size too large to allocate is refused by name.
 MAX_D_MODEL = 1024
@@ -32,7 +32,7 @@ MAX_D_CONV = 64
 MAX_LAYERS = 64            # n_layers, mamba_layers and attn_blocks
 MAX_HEADS = 64
 MAX_HIDDEN = 4096          # mlp_hidden and ff_width, the widths of the position-wise MLPs
-MAX_QUAD_POINTS = 16384    # trapezoid nodes per interval in reported likelihoods
+MAX_QUAD_POINTS = 16384    # bound on eval_quad_points and --quad-points, which change nothing
 
 
 class DataError(ValueError):
@@ -262,6 +262,8 @@ def _parse_line(line, lineno, path):
         rec = json.loads(line)
     except json.JSONDecodeError as e:
         raise DataError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
+    except ValueError:  # an integer literal longer than the interpreter converts
+        raise DataError(f"{path}:{lineno}: invalid JSON (integer literal too long)") from None
     except RecursionError:
         raise DataError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from None
     if not isinstance(rec, dict) or "K" not in rec:

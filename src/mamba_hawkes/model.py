@@ -3,12 +3,11 @@ stack, conditional intensities, log-likelihood, and next-event heads.
 
 `MambaHawkes.score` writes the log-likelihood of a sequence as the log
 intensity of each event's own type minus the compensator, the total
-intensity integrated over the observed window by one fused node,
-`IntensityHead.integral`: the trapezoid rule on nodes that every interval
-shares, `TRAIN_QUAD_POINTS` of them in the training loss and
-`EVAL_QUAD_POINTS` (or as many as asked for) in reporting. Within an
-interval each intensity is a softplus of a linear function of time, so at
-100 nodes the rule is within about 1e-6 relative of the exact integral.
+intensity integrated over the observed window by one node,
+`IntensityHead.integral`. Within an interval each intensity is a softplus of
+a linear function of time, so the integral has a closed form, through the
+dilogarithm; the training loss and reported likelihoods both use it, with
+no quadrature rule and no node count.
 """
 
 from __future__ import annotations
@@ -26,14 +25,17 @@ from .data import (MAX_D_CONV, MAX_D_MODEL, MAX_D_STATE, MAX_EXPAND, MAX_HIDDEN,
                    MAX_TYPES)
 from .ssm import MambaBlock, linear_init
 
-# Elements in one [rows, K, S] block of the compensator, so that its four
-# buffers stay in L2 cache (of 4k to 128k, 16k ran fastest at S 1024 and 100).
-_BLOCK_ELEMS = 16384
-
-# Trapezoid nodes per interval: in the training loss, and in reported
-# likelihoods unless a caller asks for another count.
-TRAIN_QUAD_POINTS = 100
-EVAL_QUAD_POINTS = 1024
+# F(u) = -Li2(-e^u), the antiderivative of softplus that vanishes at -inf, is
+# w + w^2 / 4 + sum_n B_2n w^(2n+1) / (2n+1)! in w = softplus(u), the series of
+# Li2(1 - e^-x) in Bernoulli numbers (Zagier, "The Dilogarithm Function",
+# 2007). For u <= 0, w <= ln 2 and the terms through B_16 reach double precision.
+_DILOG_SERIES = np.array([b / math.factorial(2 * n + 1) for n, b in enumerate(
+    (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510), start=1)])
+_PI2_6 = math.pi ** 2 / 6.0     # F(u) + F(-u) - u^2 / 2
+# Below this |du| the compensator takes the midpoint series of the mean of
+# softplus over [u0, u0 + du] (terms through du^4, error about du^6 / 3e5)
+# instead of the difference of F, which would cancel.
+_SMALL_DU = 0.05
 
 DELTA_MIN, DELTA_MAX = 1e-6, 1e4    # bounds of the scan's step, the softplus'd gap
 
@@ -41,6 +43,15 @@ DELTA_MIN, DELTA_MAX = 1e-6, 1e4    # bounds of the scan's step, the softplus'd 
 # the values each config annotation takes: a bool is no int, and a float
 # field takes an int only within float range
 _TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+
+
+def _dilog_series(w):
+    """F(u) = -Li2(-e^u) for u <= 0, from w = softplus(u) (`_DILOG_SERIES`)."""
+    w2 = w * w
+    acc = np.full_like(w, _DILOG_SERIES[-1])
+    for c in _DILOG_SERIES[-2::-1]:
+        acc = acc * w2 + c
+    return w + w2 * (0.25 + w * acc)
 
 
 def in_range(lo, hi):
@@ -146,51 +157,60 @@ class IntensityHead(Module):
         arg = ag.add(ag.mul(off_t, self.alpha), scores)
         return ag.softplus(arg, ag.exp(self.log_beta))
 
-    def integral(self, gaps, n_quad, scores):
+    def integral(self, gaps, scores):
         """The compensator: sum_i of the total intensity sum_k lambda_k
-        integrated over [0, gaps_i] by the n_quad-point trapezoid rule, whose
-        nodes every interval shares. scores [n, K] are the base scores at the
-        interval starts. One graph node on scores, alpha and log_beta: it
-        runs over blocks of intervals whose buffers stay in cache and keeps
-        [n, K] sums over the nodes for backward.
+        integrated over [0, gaps_i] in closed form. scores [n, K] are the base
+        scores at the interval starts. One graph node on scores, alpha and
+        log_beta over [n, K] arrays, which keeps three of them for backward.
+
+        On interval i, lambda_k = beta_k softplus(u) with u running linearly
+        from u0 = c_ik / beta_k to u0 + du, du = alpha_k gaps_i / beta_k, so
+        the integral is beta_k gaps_i h, h the mean of softplus over that
+        range: (F(u0 + du) - F(u0)) / du with F' = softplus, or, where |du| <
+        `_SMALL_DU` and that difference would cancel, its midpoint series. The
+        gradients are analytic, take the same branches and are written
+        through du, never as a division by alpha.
         """
-        if n_quad < 2:
-            raise ValueError(f"trapezoid quadrature needs at least 2 points, got {n_quad}")
-        nodes = np.linspace(0.0, 1.0, n_quad)
-        w = np.full(n_quad, 1.0 / (n_quad - 1))
-        w[0] = w[-1] = 0.5 / (n_quad - 1)
         beta = np.exp(self.log_beta.data)
         if np.any(beta <= 0.0):
             raise ag.DomainError(f"softplus scale must be positive (min={beta.min()!r})")
-        track = ag._track(scores, self.alpha, self.log_beta)
-        n, S, K = len(gaps), nodes.size, beta.size
-        rows = max(1, _BLOCK_ELEMS // (K * S))
-        u, e, sp, t = (np.empty((min(rows, n), K, S)) for _ in range(4))
-        # sum_s w_s of: softplus(u) [, sigma(u), off sigma(u), softplus(u) - u sigma(u)]
-        sums = np.empty((4 if track else 1, n, K))
-        for lo in range(0, n, rows):
-            blk = slice(lo, lo + rows)
-            off = gaps[blk, None] * nodes
-            ub, eb, sb, tb = (x[:len(off)] for x in (u, e, sp, t))
-            np.multiply(off[:, None, :], self.alpha.data[:, None], out=ub)
-            ub += scores.data[blk, :, None]
-            ub /= beta[:, None]                       # u = (alpha * off + c) / beta
-            np.exp(np.negative(np.abs(ub, out=eb), out=eb), out=eb)   # e = exp(-|u|)
-            np.log1p(eb, out=sb)
-            sb += np.maximum(ub, 0.0, out=tb)         # softplus(u), stable
-            np.matmul(sb, w, out=sums[0, blk])
-            if track:
-                np.add(eb, 1.0, out=tb)
-                np.exp(np.minimum(ub, 0.0, out=eb), out=eb)
-                eb /= tb                              # sigma(u), as ag._sigmoid
-                np.matmul(eb, w, out=sums[1, blk])
-                np.matmul(eb, (w * off)[:, :, None], out=sums[2, blk, :, None])
-                np.subtract(sb, np.multiply(ub, eb, out=ub), out=ub)   # d(beta softplus(u))/d beta
-                np.matmul(ub, w, out=sums[3, blk])
-        return ag._node(gaps @ sums[0] @ beta, (scores, self.alpha, self.log_beta),
-                        lambda g: g * gaps[:, None] * sums[1],
-                        lambda g: g * (gaps @ sums[2]),
-                        lambda g: g * beta * (gaps @ sums[3]))
+        g = gaps[:, None]
+        du = self.alpha.data * g / beta
+        u = scores.data / beta
+        u = np.stack([u, u + du, u + 0.5 * du])         # start, end and midpoint m
+        w = np.log1p(np.exp(-np.abs(u)))                 # softplus(-|u|)
+        sp = np.maximum(u, 0.0) + w                      # softplus(u), stable
+        pos = (u[:2] > 0.0).astype(np.float64)
+        # F(u) = P(u) + tail(u): P = pos (u^2 / 2 + pi^2 / 6), and tail is
+        # F(-|u|) by the series, negated where u > 0
+        tail = _dilog_series(w[:2]) * (1.0 - 2.0 * pos)
+        up = u[:2] * pos
+        small = np.abs(du) < _SMALL_DU
+        safe = np.where(small, 1.0, du)
+        dF = (0.5 * (up[1] - up[0]) * (up[1] + up[0]) + _PI2_6 * (pos[1] - pos[0])
+              + tail[1] - tail[0])
+        # sigma(m), 1 - sigma(m) and sigma'(m) = softplus''(m), stable in both tails
+        sig, rest, d2 = np.exp(u[2] - sp[2]), np.exp(-sp[2]), np.exp(u[2] - 2.0 * sp[2])
+        d4 = d2 * (1.0 - 6.0 * d2)                       # softplus''''(m)
+        du2 = du * du
+        h = np.where(small, sp[2] + du2 / 24.0 * d2 + du2 * du2 / 1920.0 * d4, dF / safe)
+        value = gaps @ h @ beta
+        if not ag._track(scores, self.alpha, self.log_beta):
+            return Tensor(value)
+        # parts: dh/du0, dh/d(du), and h - u0 dh/du0 - du dh/d(du), which is
+        # d(beta h)/d(beta); the midpoint series' h_m and h_du hold m fixed
+        d3 = d2 * (rest - sig)                           # softplus'''(m)
+        h_m = sig + du2 / 24.0 * d3 + du2 * du2 / 1920.0 * d3 * (1.0 - 12.0 * d2)
+        h_du = du / 12.0 * d2 + du * du2 / 480.0 * d4
+        uw = u[:2] * w[:2]            # u softplus(u) = 2 P - pos pi^2 / 3 + u w
+        parts = np.where(small, [h_m, 0.5 * h_m + h_du, h - u[2] * h_m - du * h_du],
+                         [(sp[1] - sp[0]) / safe, (sp[1] - h) / safe,
+                          (2.0 * (tail[1] - tail[0]) + 2.0 * _PI2_6 * (pos[1] - pos[0])
+                           - (uw[1] - uw[0])) / safe])
+        return ag._node(value, (scores, self.alpha, self.log_beta),
+                        lambda grad: grad * g * parts[0],
+                        lambda grad: grad * (gaps * gaps @ parts[1]),
+                        lambda grad: grad * beta * (gaps @ parts[2]))
 
 
 class PredictionHeads(Module):
@@ -337,10 +357,10 @@ class MambaHawkes(Module):
 
     # -- intensities and likelihood -----------------------------------------
 
-    def score(self, seq, n_quad=EVAL_QUAD_POINTS):
-        """One encoder pass scored three ways: the log-likelihood (the n_quad-point
-        trapezoid rule integrates the intensity over [t_1, t_n]), the next-type
-        logits [n-1, K] and the predicted gaps [n-1], successive differences of
+    def score(self, seq):
+        """One encoder pass scored three ways: the log-likelihood (the intensity
+        integrated over [t_1, t_n] in closed form), the next-type logits
+        [n-1, K] and the predicted gaps [n-1], successive differences of
         predicted times anchored at t_1. Differentiable end to end."""
         if len(seq) < 2:
             raise ValueError("scoring needs at least two events")
@@ -350,7 +370,7 @@ class MambaHawkes(Module):
         lam = self.head.intensities(gaps, scores[:-1])      # [n-1, K] at event times
         own = np.arange(len(gaps)) * self.cfg.K + seq.type_indices[1:]
         events = ag.reduce_sum(ag.log(ag.gather(ag.reshape(lam, (-1,)), own)))
-        ll = ag.sub(events, self.head.integral(gaps, n_quad, scores[:-1]))
+        ll = ag.sub(events, self.head.integral(gaps, scores[:-1]))
         logits = self.pred.logits(hidden[:-1])
         t_hat = ag.concat([Tensor(seq.timestamps[:1]), self.pred.times(hidden[:-1])], axis=0)
         return Score(ll, logits, ag.sub(t_hat[1:], t_hat[:-1]))
@@ -372,8 +392,8 @@ class MambaHawkes(Module):
 
     def losses(self, seq):
         """(event cross-entropy, time MSE, weighted total) plus the
-        log-likelihood, integrated on `TRAIN_QUAD_POINTS` nodes."""
-        ll, logits, pred_gaps = self.score(seq, TRAIN_QUAD_POINTS)
+        log-likelihood."""
+        ll, logits, pred_gaps = self.score(seq)
         hot = np.zeros((len(seq) - 1, self.cfg.K))
         hot[np.arange(len(seq) - 1), seq.type_indices[1:]] = 1.0
         event_loss = ag.neg(ag.reduce_sum(ag.mul(ag.log_softmax(logits, axis=1), hot)))

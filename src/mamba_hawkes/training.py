@@ -2,8 +2,8 @@
 
 Runs are deterministic given (seed, config, single worker): initial values
 and batch order derive from the seed, and the likelihood, in the loss and
-in reports alike, is integrated by the deterministic trapezoid rule of
-model.py. Wall-clock timings therefore live in the JSON summary only; the
+in reports alike, integrates the intensity in closed form (model.py), with
+no sampling. Wall-clock timings therefore live in the JSON summary only; the
 metrics CSV keeps a `seconds` column that is always 0.0, so that a seeded
 run writes the same bytes every time.
 """
@@ -28,7 +28,7 @@ from . import autograd as ag
 from .checkpoint import build_model, config_class, load_checkpoint, save_checkpoint
 from .data import MAX_QUAD_POINTS, Batch, DataError, Dataset, EventSequence, batch, load_jsonl
 from .hybrid import MhpEConfig
-from .model import EVAL_QUAD_POINTS, in_range
+from .model import in_range
 
 logger = logging.getLogger(__name__)
 
@@ -66,8 +66,9 @@ class TrainConfig(MhpEConfig):
     adam_eps: float = 1e-8
     clip_norm: float = 5.0
     seed: int = 0
-    # evaluation
-    eval_quad_points: int = EVAL_QUAD_POINTS
+    # evaluation: the node count of the quadrature that the closed-form
+    # compensator replaced, still accepted and range-checked; it changes nothing
+    eval_quad_points: int = 1024
     normalize_times: bool = False
     # paths
     data: str = ""
@@ -215,10 +216,16 @@ def accumulate_gradients(model, bat):
 # evaluation
 
 
-def evaluate(model, dataset, n_quad=EVAL_QUAD_POINTS):
-    """Test-style metrics from one `score` per sequence: LL/event via
-    trapezoid quadrature, next-type accuracy (percent), RMSE of predicted vs
-    true inter-event gaps."""
+def evaluate(model, dataset, n_quad=None):
+    """Test-style metrics from one `score` per sequence: LL/event (the
+    compensator in closed form), next-type accuracy (percent), RMSE of
+    predicted vs true inter-event gaps.
+
+    n_quad, the node count of the quadrature that the closed form replaced,
+    is accepted and must be at least 2, but it changes nothing.
+    """
+    if n_quad is not None and n_quad < 2:
+        raise ValueError(f"n_quad must be at least 2, got {n_quad}")
     if model.cfg.K != dataset.K:
         raise ValueError(f"K-mismatch: model has K={model.cfg.K}, dataset has K={dataset.K}")
     ll_sum = 0.0
@@ -227,7 +234,7 @@ def evaluate(model, dataset, n_quad=EVAL_QUAD_POINTS):
     sq_err = 0.0
     with ag.no_grad():
         for seq in dataset:
-            ll, logits, pred_gaps = model.score(seq, n_quad)
+            ll, logits, pred_gaps = model.score(seq)
             ll_sum += float(ll.data)
             correct += int(np.sum(np.argmax(logits.data, axis=1) + 1 == seq.types[1:]))
             sq_err += float(np.sum((pred_gaps.data - np.diff(seq.timestamps)) ** 2))
@@ -241,9 +248,9 @@ def evaluate(model, dataset, n_quad=EVAL_QUAD_POINTS):
     )
 
 
-def dev_ll_per_event(model, dataset, n_quad=EVAL_QUAD_POINTS):
-    """Quadrature LL/event only (the per-epoch dev metric)."""
-    return evaluate(model, dataset, n_quad=n_quad).ll_per_event
+def dev_ll_per_event(model, dataset):
+    """LL/event only (the per-epoch dev metric)."""
+    return evaluate(model, dataset).ll_per_event
 
 
 def fit_poisson_baseline(dataset):
@@ -413,7 +420,7 @@ def train(cfg):
             backward_seconds += t_bw
         t_dev = time.perf_counter()
         try:
-            dev_ll = dev_ll_per_event(model, dev_ds, n_quad=cfg.eval_quad_points)
+            dev_ll = dev_ll_per_event(model, dev_ds)
         except ValueError as e:  # a non-positive intensity or a non-finite LL
             raise NumericsError(f"dev evaluation failed at epoch {epoch}: {e}",
                                 epoch=epoch) from None
@@ -452,7 +459,7 @@ def train(cfg):
     model, meta = load_checkpoint(ckpt_path)
     test_metrics = None
     if test_ds is not None:
-        test_metrics = evaluate(model, test_ds, n_quad=cfg.eval_quad_points)
+        test_metrics = evaluate(model, test_ds)
         rows.append((best_epoch, "test", test_metrics.ll_per_event,
                      test_metrics.accuracy, test_metrics.rmse, 0.0))
 

@@ -1,9 +1,9 @@
 """Shared test utilities: finite-difference oracles, error metrics,
 composed-op references for the fused selective scan, the fused multi-head
-attention and the fused compensator, the earlier form of the log-likelihood
-(a one-hot event term and a compensator node on a general quadrature rule),
-the closed-form gated recurrence the scan reduces to, a point intensity
-query, and a writer of version-1 checkpoints."""
+attention and the compensator, the compensator node on a general quadrature
+rule, the earlier form of the log-likelihood (a one-hot event term), the
+closed-form gated recurrence the scan reduces to, a point intensity query,
+and a writer of version-1 checkpoints."""
 
 import json
 
@@ -12,7 +12,6 @@ import numpy as np
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.checkpoint import FORMAT
 from mamba_hawkes.hybrid import causal_mask
-from mamba_hawkes.model import _BLOCK_ELEMS
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -173,9 +172,9 @@ def composed_attention(q, k, v, n_heads, past=0):
 
 
 def composed_compensator(head, offsets, weights, scores):
-    """The compensator built from generic autograd ops on whole [n, S, K]
-    arrays: sum of weights * sum_k lambda_k(offsets) over intervals and
-    nodes. The oracle for the fused IntensityHead.integral."""
+    """The compensator by a quadrature rule, built from generic autograd ops
+    on whole [n, S, K] arrays: sum of weights * sum_k lambda_k(offsets) over
+    intervals and nodes."""
     n = offsets.shape[0]
     off_t = ag.Tensor(offsets[..., None])
     sc = ag.reshape(scores, (n, 1, scores.shape[1]))
@@ -184,14 +183,20 @@ def composed_compensator(head, offsets, weights, scores):
     return ag.reduce_sum(ag.mul(total, weights))
 
 
+# intervals x types x nodes in one block of rule_integral, so that its four
+# buffers stay in cache
+RULE_BLOCK_ELEMS = 16384
+
+
 def rule_integral(head, gaps, nodes, w, scores):
-    """The compensator node as it was written for any rule on [0, 1] with
-    nodes [S] and weights w [S]: the same blocking and summation order as
-    IntensityHead.integral, which now builds the trapezoid rule itself."""
+    """The compensator as one node for any rule on [0, 1] with nodes [S] and
+    weights w [S], over blocks of intervals, keeping [n, K] sums for
+    backward: the trapezoid node that IntensityHead.integral was before its
+    closed form, and a reference for it at large S."""
     beta = np.exp(head.log_beta.data)
     track = ag._track(scores, head.alpha, head.log_beta)
     n, S, K = len(gaps), nodes.size, beta.size
-    rows = max(1, _BLOCK_ELEMS // (K * S))
+    rows = max(1, RULE_BLOCK_ELEMS // (K * S))
     u, e, sp, t = (np.empty((min(rows, n), K, S)) for _ in range(4))
     sums = np.empty((4 if track else 1, n, K))
     for lo in range(0, n, rows):
@@ -219,20 +224,17 @@ def rule_integral(head, gaps, nodes, w, scores):
                     lambda g: g * beta * (gaps @ sums[3]))
 
 
-def one_hot_log_likelihood(head, seq, scores, n_quad):
+def one_hot_log_likelihood(head, seq, scores):
     """The log-likelihood as MambaHawkes.score wrote it before it gathered
     the event term: the observed type's intensity picked by a one-hot
-    multiply-and-sum, minus rule_integral on the n_quad-point trapezoid
-    rule. scores [n, K] are the base scores at every event."""
+    multiply-and-sum, minus the compensator. scores [n, K] are the base
+    scores at every event."""
     gaps = np.diff(seq.timestamps)
     lam = head.intensities(gaps, scores[:-1])
     hot = np.zeros(lam.shape)
     hot[np.arange(len(gaps)), seq.type_indices[1:]] = 1.0
     events = ag.reduce_sum(ag.log(ag.reduce_sum(ag.mul(lam, hot), axis=1)))
-    w = np.full(n_quad, 1.0 / (n_quad - 1))
-    w[0] = w[-1] = 0.5 / (n_quad - 1)
-    return ag.sub(events, rule_integral(head, gaps, np.linspace(0.0, 1.0, n_quad), w,
-                                        scores[:-1]))
+    return ag.sub(events, head.integral(gaps, scores[:-1]))
 
 
 def thin_once_reference(cfg, rng):

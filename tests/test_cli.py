@@ -489,6 +489,12 @@ def hostile_inputs(tmp_path_factory):
                                                  attn_blocks=1, n_heads=2, K=5), seed=0),
                     root / "ckpt_e.json")
     (root / "lr_401_digits.json").write_text(json.dumps({"lr": 10**400}))  # beyond float range
+    # integer literals longer than the interpreter converts (4300 digits by default)
+    huge = "1" + "0" * 5000
+    (root / "huge_int.json").write_text(f'{{"lr": {huge}}}')
+    (root / "huge_int.jsonl").write_text(f'{{"K": 5, "events": [{{"t": {huge}, "k": 1}}]}}\n')
+    (root / "ckpt_huge_int.json").write_text(
+        (root / "ckpt.json").read_text().replace('"d_model": 8', f'"d_model": {huge}', 1))
     for name, fields in [*((name, HOSTILE_FIELDS[name]) for name in HOSTILE_MODEL_FIELDS),
                          *((name, f) for name, (f, _) in HOSTILE_CHECKPOINT_CONFIGS.items())]:
         fields = dict(fields)
@@ -565,6 +571,15 @@ HOSTILE = [
     ("config-lr-401-digits",
      ["train", "--config", "lr_401_digits.json", "--data", "data", "--out", "o"], 1,
      "config field lr"),
+    ("config-integer-5001-digits",
+     ["train", "--config", "huge_int.json", "--data", "data", "--out", "o"], 1,
+     "huge_int.json: integer literal too long"),
+    ("checkpoint-integer-5001-digits",
+     ["eval", "--checkpoint", "ckpt_huge_int.json", "--data", "data"], 2,
+     "ckpt_huge_int.json: invalid checkpoint JSON (integer literal too long)"),
+    ("data-integer-5001-digits",
+     ["eval", "--checkpoint", "ckpt.json", "--data", "huge_int.jsonl"], 2,
+     "huge_int.jsonl:1: invalid JSON (integer literal too long)"),
     *((f"checkpoint-{name}", ["eval", "--checkpoint", f"ckpt_{name}.json", "--data", "data"],
        2, fragment) for name, (_, fragment) in HOSTILE_CHECKPOINT_CONFIGS.items()),
     *((f"predict-checkpoint-{name}",

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import spence
 
-from helpers import (check_param_grads, composed_compensator, intensity,
-                     one_hot_log_likelihood, rel_err)
+from helpers import (RULE_BLOCK_ELEMS, check_param_grads, composed_compensator, intensity,
+                     one_hot_log_likelihood, rel_err, rule_integral)
 from mamba_hawkes import autograd as ag
 from mamba_hawkes import model as model_module
 from mamba_hawkes.autograd import Parameter, Tensor
 from mamba_hawkes.checkpoint import build_model
 from mamba_hawkes.data import Dataset, EventSequence
-from mamba_hawkes.model import EVAL_QUAD_POINTS, TRAIN_QUAD_POINTS, MambaHawkes, MhpConfig
+from mamba_hawkes.model import MambaHawkes, MhpConfig
 from mamba_hawkes.training import Adam, clip_gradients, evaluate
 
 
@@ -125,7 +126,6 @@ def test_default_config_wiring():
     assert (cfg.d_model, cfg.d_state, cfg.d_conv, cfg.expand, cfg.n_layers) == \
         (64, 16, 4, 2, 4)
     assert cfg.event_loss_weight == 1.0 and cfg.time_loss_weight == 1e-4
-    assert TRAIN_QUAD_POINTS == 100
     m = MambaHawkes(cfg, seed=0)
     assert len(m.layers) == 4
     assert m.embedding.shape == (64, cfg.K)
@@ -207,8 +207,9 @@ def test_loglik_homogeneous_poisson_closed_form():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_training_rule_matches_adaptive_quadrature(seed):
-    # perturbed heads: the training rule within 1e-5 relative of scipy's
-    # adaptive quadrature of the total intensity, interval by interval
+    # perturbed heads: the compensator, in the loss and in reports alike,
+    # within 1e-12 relative of scipy's adaptive quadrature of the total
+    # intensity, interval by interval
     K = 3
     m = tiny_model(K=K, seed=40 + seed)
     rng = np.random.default_rng(50 + seed)
@@ -219,57 +220,88 @@ def test_training_rule_matches_adaptive_quadrature(seed):
     with ag.no_grad():
         H = m.encode(seq)
         scores = m.head.base_scores(H)
-        comp = m.head.integral(np.diff(seq.timestamps), TRAIN_QUAD_POINTS, scores[:-1]).item()
-    beta = np.exp(m.head.log_beta.data)
+        comp = m.head.integral(np.diff(seq.timestamps), scores[:-1]).item()
+    ref = adaptive_compensator(m.head, np.diff(seq.timestamps), scores.data[:-1])
+    assert abs(comp - ref) <= 1e-12 * ref, (comp, ref)
+
+
+def adaptive_compensator(head, gaps, scores):
+    """scipy's adaptive quadrature of the total intensity, interval by interval."""
+    alpha, beta = head.alpha.data, np.exp(head.log_beta.data)
 
     def total_intensity(s, c):
-        return float(np.sum(beta * np.logaddexp(0.0, (m.head.alpha.data * s + c) / beta)))
+        return float(np.sum(beta * np.logaddexp(0.0, (alpha * s + c) / beta)))
 
-    ref = sum(quad(total_intensity, 0.0, g, args=(c,), epsabs=0.0, epsrel=1e-12)[0]
-              for g, c in zip(np.diff(seq.timestamps), scores.data[:-1]))
-    assert abs(comp - ref) <= 1e-5 * ref, (comp, ref)
+    return sum(quad(total_intensity, 0.0, g, args=(c,), epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for g, c in zip(gaps, scores))
 
 
-def trapezoid_rule(seq, S):
-    """Offsets and weights of the S-point trapezoid rule on every interval,
-    built as the composed compensator built them."""
-    gaps = np.diff(seq.timestamps)
-    frac = np.tile(np.linspace(0.0, 1.0, S), (len(gaps), 1))
+def trapezoid(S):
+    """Nodes and weights of the S-point trapezoid rule on [0, 1]."""
     w = np.full(S, 1.0 / (S - 1))
     w[0] = w[-1] = 0.5 / (S - 1)
-    return frac * gaps[:, None], gaps[:, None] * w
+    return np.linspace(0.0, 1.0, S), w
+
+
+def trapezoid_error_bounds(head, gaps, S):
+    """Bounds on the S-point trapezoid rule's error in the compensator and in
+    its gradients in scores [n, K], alpha and log_beta: per interval,
+    gap h^2 / 12 max |f''| for each integrand f, h = gap / (S - 1). In u,
+    |sigma'| <= 1/4, |sigma''| <= 1 / (6 sqrt 3) and |sigma' + u sigma''| <= 1/4."""
+    a, beta = head.alpha.data, np.exp(head.log_beta.data)
+    r = np.abs(a) / beta                                 # |du / d offset|
+    c = gaps[:, None] ** 3 / (12.0 * (S - 1) ** 2)
+    curv = 0.25 * c * np.abs(a) * r
+    s2 = 1.0 / (6.0 * np.sqrt(3.0))
+    return (curv.sum(), s2 * c * r * r,
+            (c * (0.5 * r + s2 * gaps[:, None] * r * r)).sum(axis=0), curv.sum(axis=0))
+
+
+def value_and_grads(head, comp, scores):
+    """comp(scores), a compensator, and its gradients in scores, alpha and log_beta."""
+    head.zero_grad()
+    sc = Parameter(np.array(scores, dtype=np.float64))
+    value = comp(sc)
+    ag.backward(value)
+    return [value.item(), sc.grad, head.alpha.grad.copy(), head.log_beta.grad.copy()]
 
 
 def assert_compensators_agree(m, seq, scores, S):
-    """The model's compensator and the composed oracle on the same rule agree
-    in value (1e-12) and in the gradients of scores, alpha and log_beta
-    (1e-10, relative)."""
-    offsets, weights = trapezoid_rule(seq, S)
-    out = []
-    for comp in (lambda sc: m.head.integral(np.diff(seq.timestamps), S, sc[:-1]),
-                 lambda sc: composed_compensator(m.head, offsets, weights, sc[:-1])):
-        m.zero_grad()
-        sc = Parameter(scores.copy())
-        value = comp(sc)
-        ag.backward(value)
-        out.append((value.item(), sc.grad, m.head.alpha.grad.copy(), m.head.log_beta.grad.copy()))
-    (fused, *fused_grads), (oracle, *oracle_grads) = out
-    assert abs(fused - oracle) <= 1e-12 * abs(oracle), (fused, oracle)
-    for name, a, b in zip(("scores", "alpha", "log_beta"), fused_grads, oracle_grads):
+    """The S-point trapezoid rule, composed of generic ops and as the blocked
+    rule_integral node, agree in value (1e-12) and in the gradients of
+    scores, alpha and log_beta (1e-10, relative); the closed form is within
+    the rule's error bound of them, in each."""
+    gaps = np.diff(seq.timestamps)
+    nodes, w = trapezoid(S)
+    (exact, *exact_grads), (oracle, *oracle_grads), (blocked, *blocked_grads) = (
+        value_and_grads(m.head, comp, scores[:-1])
+        for comp in (lambda sc: m.head.integral(gaps, sc),
+                     lambda sc: composed_compensator(m.head, gaps[:, None] * nodes,
+                                                     gaps[:, None] * w, sc),
+                     lambda sc: rule_integral(m.head, gaps, nodes, w, sc)))
+    assert abs(blocked - oracle) <= 1e-12 * abs(oracle), (blocked, oracle)
+    for name, a, b in zip(("scores", "alpha", "log_beta"), blocked_grads, oracle_grads):
         assert rel_err(a, b, floor=0.0) < 1e-10, name
+    bound, *grad_bounds = trapezoid_error_bounds(m.head, gaps, S)
+    assert abs(exact - oracle) <= bound + 1e-12 * abs(oracle), (exact, oracle, bound)
+    for name, a, b, bd in zip(("scores", "alpha", "log_beta"), exact_grads, oracle_grads,
+                              grad_bounds):
+        assert np.all(np.abs(a - b) <= bd + 1e-10 * np.abs(b).max()), name
 
 
-# the evaluation default and the training rule
+# the node counts of the trapezoid rules that the model integrated by before
+# the closed form: in reported likelihoods and in the training loss
 RULES = [pytest.param(1024, id="trapezoid-1024"),
-         pytest.param(TRAIN_QUAD_POINTS, id=f"train-{TRAIN_QUAD_POINTS}")]
+         pytest.param(100, id="train-100")]
 
 
 @pytest.mark.parametrize("S", RULES)
 @pytest.mark.parametrize("blocks", ["one interval", "one block", "one block + 1",
                                     "several blocks"])
 def test_fused_compensator_matches_composed_oracle(S, blocks):
+    # interval counts at the edges of rule_integral's blocks
     K = 3
-    rows = model_module._BLOCK_ELEMS // (K * S)
+    rows = RULE_BLOCK_ELEMS // (K * S)
     assert rows > 1
     n = {"one interval": 1, "one block": rows, "one block + 1": rows + 1,
          "several blocks": 3 * rows + 2}[blocks]
@@ -299,11 +331,10 @@ def test_fused_compensator_matches_composed_oracle_at_the_edges(S, edge):
 @pytest.mark.parametrize("S", RULES)
 @pytest.mark.parametrize("intervals", [1, 7, 8, 9, 130])
 def test_score_equals_one_hot_log_likelihood_bit_for_bit(S, intervals, monkeypatch):
-    # the gathered event term and the trapezoid built inside the node give the
-    # same bits as the one-hot term and the general rule they replaced, in the
-    # value and in the gradients; at K 2 and 1024 nodes a block is 8 intervals
+    # the gathered event term gives the same bits as the one-hot term it
+    # replaced, in the value and in the gradients; and evaluate, given the
+    # node count of a former rule, reports the same bits per event
     K = 2
-    assert model_module._BLOCK_ELEMS // (K * 1024) == 8
     m = tiny_model(K=K, seed=31)
     rng = np.random.default_rng(32)
     m.head.alpha.data = rng.normal(size=K)
@@ -311,8 +342,8 @@ def test_score_equals_one_hot_log_likelihood_bit_for_bit(S, intervals, monkeypat
     seq = make_seq(intervals + 1, K, seed=33)
     scores = rng.normal(size=(intervals + 1, K))
     out = []
-    for ll in (lambda sc: m.score(seq, S).log_likelihood,
-               lambda sc: one_hot_log_likelihood(m.head, seq, sc, S)):
+    for ll in (lambda sc: m.score(seq).log_likelihood,
+               lambda sc: one_hot_log_likelihood(m.head, seq, sc)):
         m.zero_grad()
         sc = Parameter(scores.copy())
         monkeypatch.setattr(m.head, "base_scores", lambda hidden: sc)
@@ -321,6 +352,8 @@ def test_score_equals_one_hot_log_likelihood_bit_for_bit(S, intervals, monkeypat
         out.append([value.data, sc.grad, m.head.alpha.grad.copy(), m.head.log_beta.grad.copy()])
     for name, a, b in zip(("ll", "scores", "alpha", "log_beta"), *out):
         assert np.array_equal(a, b), name
+    reported = evaluate(m, Dataset([seq], K), n_quad=S).ll_per_event
+    assert reported == float(out[0][0]) / intervals
 
 
 def _arrays_reachable(fn):
@@ -343,10 +376,10 @@ def _arrays_reachable(fn):
 
 
 def test_fused_compensator_keeps_only_reduced_arrays_for_backward():
-    K, n, S = 3, 17, 1024
+    K, n = 3, 17
     m = tiny_model(K=K, seed=27)
     seq = make_seq(n + 1, K, seed=28)
-    comp = m.head.integral(np.diff(seq.timestamps), S, Parameter(np.ones((n, K))))
+    comp = m.head.integral(np.diff(seq.timestamps), Parameter(np.ones((n, K))))
     held = _arrays_reachable(comp._backward)
     assert held and max(a.size for a in held) <= 4 * n * K
 
@@ -355,18 +388,102 @@ def test_fused_compensator_is_untracked_under_no_grad():
     m = tiny_model(K=2)
     seq = make_seq(5, 2, seed=29)
     with ag.no_grad():
-        comp = m.head.integral(np.diff(seq.timestamps), 10, Parameter(np.ones((4, 2))))
+        comp = m.head.integral(np.diff(seq.timestamps), Parameter(np.ones((4, 2))))
     assert not comp.requires_grad and comp._parents == () and comp._backward is None
 
 
-@pytest.mark.parametrize("n_quad", [1, 0, -3])
-def test_trapezoid_needs_two_points(n_quad):
+# -- the closed form ----------------------------------------------------------
+
+
+def test_dilog_series_matches_spence():
+    # F(u) = -Li2(-e^u) = -spence(1 + e^u), and F(u) = u^2 / 2 + pi^2 / 6 - F(-u);
+    # spence's argument rounds for u << 0, hence the absolute floor
+    u = np.linspace(-20.0, 20.0, 4001)
+    tail = model_module._dilog_series(np.log1p(np.exp(-np.abs(u))))
+    F = np.where(u > 0.0, u * u / 2.0 + model_module._PI2_6 - tail, tail)
+    np.testing.assert_allclose(F, -spence(1.0 + np.exp(u)), rtol=1e-13, atol=1e-15)
+
+
+@pytest.mark.parametrize("alpha_scale", [0.0, 0.01, 1.0, 5.0])
+def test_compensator_matches_extrapolated_trapezoid_at_large_S(alpha_scale):
+    # rule_integral at S and 2S - 1 nodes, extrapolated (Richardson, error
+    # O(h^4)), in value and gradients; alpha 0.01 takes the midpoint series
+    K, n, S = 3, 6, 4001
+    m = tiny_model(K=K, seed=34)
+    rng = np.random.default_rng(35)
+    m.head.alpha.data = alpha_scale * rng.normal(size=K)
+    m.head.log_beta.data = rng.normal(0.0, 0.5, size=K)
+    gaps = rng.uniform(0.2, 1.5, size=n)
+    scores = rng.normal(size=(n, K))
+    exact = value_and_grads(m.head, lambda sc: m.head.integral(gaps, sc), scores)
+    coarse, fine = [value_and_grads(m.head, lambda sc, rule=trapezoid(s):
+                                    rule_integral(m.head, gaps, *rule, sc), scores)
+                    for s in (S, 2 * S - 1)]
+    for name, a, c, f in zip(("value", "scores", "alpha", "log_beta"), exact, coarse, fine):
+        ref = (4.0 * f - c) / 3.0
+        assert rel_err(a, ref, floor=1e-300) < 1e-12, name
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.3, 0.9, 1.1, 3.0, 40.0])
+def test_compensator_gradients_match_fd_on_both_sides_of_the_branch(ratio):
+    # every |du| = |alpha| gap / beta is ratio * _SMALL_DU: the midpoint
+    # series below 1, the difference of the antiderivative above
+    K, n = 3, 5
+    m = tiny_model(K=K, seed=36)
+    m.head.alpha.data = ratio * model_module._SMALL_DU * np.array([1.0, -1.0, 1.0])
+    gaps = np.ones(n)
+    scores = Parameter(np.random.default_rng(37).normal(0.0, 3.0, size=(n, K)))
+    errs = check_param_grads(lambda: m.head.integral(gaps, scores),
+                             [scores, m.head.alpha, m.head.log_beta])
+    assert max(errs.values()) < 1e-7, errs
+
+
+def test_compensator_branches_agree_where_they_meet():
+    # |du| just below and just above _SMALL_DU, over u0 from -40 to 40: the
+    # alpha gradient of the difference of F loses about 4e-13 |u0| there
+    K, n = 2, 41
+    m = tiny_model(K=K)
+    gaps = np.ones(n)
+    scores = np.linspace(-40.0, 40.0, n)[:, None] * np.ones(K)
+    sides = []
+    for f in (1.0 - 1e-12, 1.0 + 1e-12):
+        m.head.alpha.data = f * model_module._SMALL_DU * np.array([1.0, -1.0])
+        sides.append(value_and_grads(m.head, lambda sc: m.head.integral(gaps, sc), scores))
+    for name, a, b in zip(("value", "scores", "alpha", "log_beta"), *sides):
+        assert rel_err(a, b, floor=1e-300) < 1e-10, name
+
+
+@pytest.mark.parametrize("edge", ["alpha 0", "u0 +40", "u0 -40", "alpha -50",
+                                  "log_beta -3", "log_beta +3"])
+def test_compensator_edge_cases(edge):
+    # value against adaptive quadrature (1e-12 relative), gradients against
+    # finite differences
+    K, n = 3, 6
+    m = tiny_model(K=K, seed=38)
+    rng = np.random.default_rng(39)
+    m.head.alpha.data = {"alpha 0": np.zeros(K),
+                         "alpha -50": np.array([-50.0, -5.0, -50.0])}.get(edge, rng.normal(size=K))
+    m.head.log_beta.data = np.full(K, {"log_beta -3": -3.0, "log_beta +3": 3.0}.get(edge, 0.2))
+    beta = np.exp(m.head.log_beta.data)
+    u0 = {"u0 +40": 40.0, "u0 -40": -40.0}.get(edge)
+    scores = Parameter(rng.normal(size=(n, K)) if u0 is None else np.full((n, K), u0) * beta)
+    gaps = rng.uniform(0.2, 1.5, size=n)
+    with ag.no_grad():
+        comp = m.head.integral(gaps, scores).item()
+    ref = adaptive_compensator(m.head, gaps, scores.data)
+    assert abs(comp - ref) <= 1e-12 * ref, (comp, ref)
+    errs = check_param_grads(lambda: m.head.integral(gaps, scores),
+                             [scores, m.head.alpha, m.head.log_beta])
+    assert max(errs.values()) < 1e-6, errs
+
+
+def test_evaluate_quad_points_change_nothing():
+    # the node count evaluate still takes is checked and ignored
     m = tiny_model(K=2)
-    seq = make_seq(4, 2, seed=30)
-    with pytest.raises(ValueError, match="at least 2 points"):
-        m.score(seq, n_quad=n_quad)
-    with pytest.raises(ValueError, match="at least 2 points"):
-        evaluate(m, Dataset([seq], 2), n_quad=n_quad)
+    ds = Dataset([make_seq(6, 2, seed=30), make_seq(9, 2, seed=31)], 2)
+    assert evaluate(m, ds, n_quad=2) == evaluate(m, ds, n_quad=1024) == evaluate(m, ds)
+    with pytest.raises(ValueError, match="at least 2"):
+        evaluate(m, ds, n_quad=1)
 
 
 def test_loglik_requires_two_events():
@@ -383,7 +500,7 @@ def test_loglik_event_term_gradient_sign():
     seq = EventSequence(np.array([0.5, 1.0, 2.0]), np.array([1, 2, 2]), 2)
     m.zero_grad()
     scores = m.head.base_scores(m.encode(seq))
-    comp = m.head.integral(np.diff(seq.timestamps), EVAL_QUAD_POINTS, scores[:-1])
+    comp = m.head.integral(np.diff(seq.timestamps), scores[:-1])
     ag.backward(ag.add(m.score(seq).log_likelihood, comp))
     # both scored events have type 2; the type-2 bias must push log-lik up
     assert m.head.b.grad[1] > 0.0

@@ -262,7 +262,7 @@ def test_evaluate_single_sequence_matches_per_sequence_formulas():
     seq = EventSequence(np.cumsum(rng.uniform(0.3, 1.2, 8)),
                         rng.integers(1, 3, size=8), 2)
     metrics = evaluate(m, Dataset([seq], 2, "test"), n_quad=512)
-    ll = m.score(seq, n_quad=512).log_likelihood.item()
+    ll = m.score(seq).log_likelihood.item()
     assert abs(metrics.ll_per_event - ll / (len(seq) - 1)) < 1e-12
     H = m.encode(seq)
     logits = m.pred.logits(H[:len(seq) - 1]).data
