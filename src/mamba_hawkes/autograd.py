@@ -141,8 +141,11 @@ def _track(*tensors):
 
 
 def _binary(a, b, op):
-    """Both operands as tensors, checked to broadcast against each other."""
+    """Both operands as tensors, checked to broadcast against each other
+    (at no cost when the shapes are equal or one operand is 0-d)."""
     a, b = as_tensor(a), as_tensor(b)
+    if a.shape == b.shape or not a.ndim or not b.ndim:
+        return a, b
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
@@ -401,36 +404,42 @@ def concat(tensors, axis=0):
 
 
 def causal_conv1d(x, kernel, bias=None, left=None):
-    """Depthwise causal convolution over a [L, D] sequence.
+    """Depthwise causal convolution over a [L, D] sequence, or over B
+    sequences at once, time-major: x [L, B, D].
 
-    out[t, d] = sum_w kernel[w, d] * x[t - W + 1 + w, d], zero-padded on the
-    left; position t never reads inputs after t. kernel[-1] is the tap on the
-    current position.
+    out[t, ..., d] = sum_w kernel[w, d] * x[t - W + 1 + w, ..., d], zero-padded
+    on the left; position t never reads inputs after t. kernel[-1] is the tap
+    on the current position. The batch axis is for evaluation only: recording
+    a graph through it raises GraphError.
 
-    `left`, if given, is a [W - 1, D] array of the inputs just before x, read
-    instead of the zero padding and then overwritten with the last W - 1
+    `left`, if given, is a [W - 1, ..., D] array of the inputs just before x,
+    read instead of the zero padding and then overwritten with the last W - 1
     inputs, so that a call on the next stretch of the sequence carries on
     from it. It is a constant: no gradient reaches it.
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
-    if x.ndim != 2 or kernel.ndim != 2:
-        raise ShapeError(f"causal_conv1d expects [L, D] and [W, D], got {x.shape}, {kernel.shape}")
-    L, D = x.shape
+    if x.ndim not in (2, 3) or kernel.ndim != 2:
+        raise ShapeError(f"causal_conv1d expects [L, D] or [L, B, D] and [W, D], "
+                         f"got {x.shape}, {kernel.shape}")
+    L, D = x.shape[0], x.shape[-1]
     W, Dk = kernel.shape
     if Dk != D:
         raise ShapeError(f"causal_conv1d: channel mismatch between x {x.shape} and kernel {kernel.shape}")
     if W < 1 or L < 1:
         raise ShapeError(f"causal_conv1d: empty kernel or input ({kernel.shape}, {x.shape})")
     b = as_tensor(bias) if bias is not None else None
+    parents = (x, kernel) if b is None else (x, kernel, b)
+    if x.ndim == 3 and _track(*parents):
+        raise GraphError("causal_conv1d: the batch axis is for evaluation under no_grad only")
     if left is None:
-        xp = np.pad(x.data, ((W - 1, 0), (0, 0)))
-    elif left.shape != (W - 1, D):
-        raise ShapeError(f"causal_conv1d: left context must be [W - 1, D]={W - 1, D}, "
-                         f"got {left.shape}")
+        xp = np.pad(x.data, ((W - 1, 0),) + ((0, 0),) * (x.ndim - 1))
+    elif left.shape != (W - 1,) + x.shape[1:]:
+        raise ShapeError(f"causal_conv1d: left context must be [W - 1, ..., D]="
+                         f"{(W - 1,) + x.shape[1:]}, got {left.shape}")
     else:
         xp = np.concatenate([left, x.data])
         left[...] = xp[L:]
-    data = np.zeros((L, D))
+    data = np.zeros(x.shape)
     for w in range(W):
         data += kernel.data[w] * xp[w:w + L]
     if b is not None:
@@ -441,7 +450,6 @@ def causal_conv1d(x, kernel, bias=None, left=None):
         for w in range(W):
             gxp[w:w + L] += kernel.data[w] * g
         return gxp[W - 1:]
-    parents = (x, kernel) if b is None else (x, kernel, b)
     return _node(data, parents, grad_x,
                  lambda g: np.stack([(xp[w:w + L] * g).sum(axis=0) for w in range(W)]),
                  lambda g: g)

@@ -204,8 +204,13 @@ class MambaHawkesHybrid(MambaHawkes):
     def _stack(self):
         return self.layers + self.attn_layers
 
-    def _run_stack(self, x, delta, states):
-        x = super()._run_stack(x, delta, states)
+    def _run_stack(self, x, delta, states, group=None):
+        x = super()._run_stack(x, delta, states, group)
+        if group is not None:   # attention runs on each sequence alone
+            parts = group.split(x)
+            for blk in self.attn_layers:
+                parts = [blk(part) for part in parts]
+            return ag.concat(parts)
         for blk, cache in zip(self.attn_layers, states[len(self.layers):]):
             x = blk(x) if cache is None else blk.attend(x, cache)
         return x

@@ -23,7 +23,7 @@ from . import autograd as ag
 from .autograd import Module, Parameter, Tensor
 from .data import (MAX_D_CONV, MAX_D_MODEL, MAX_D_STATE, MAX_EXPAND, MAX_HIDDEN, MAX_LAYERS,
                    MAX_TYPES)
-from .ssm import MambaBlock, linear_init
+from .ssm import MambaBlock, batch_groups, linear_init
 
 # F(u) = -Li2(-e^u), the antiderivative of softplus that vanishes at -inf, is
 # w + w^2 / 4 + sum_n B_2n w^(2n+1) / (2n+1)! in w = softplus(u), the series of
@@ -157,11 +157,16 @@ class IntensityHead(Module):
         arg = ag.add(ag.mul(off_t, self.alpha), scores)
         return ag.softplus(arg, ag.exp(self.log_beta))
 
-    def integral(self, gaps, scores):
+    def integral(self, gaps, scores, ends=None):
         """The compensator: sum_i of the total intensity sum_k lambda_k
         integrated over [0, gaps_i] in closed form. scores [n, K] are the base
         scores at the interval starts. One graph node on scores, alpha and
         log_beta over [n, K] arrays, which keeps three of them for backward.
+
+        Given `ends`, the intervals are those of several sequences in turn,
+        sequence j's ending before ends[j], and it returns each sequence's
+        compensator, [len(ends)], without a graph: each is summed alone, as
+        a call on its intervals would sum it.
 
         On interval i, lambda_k = beta_k softplus(u) with u running linearly
         from u0 = c_ik / beta_k to u0 + du, du = alpha_k gaps_i / beta_k, so
@@ -194,8 +199,15 @@ class IntensityHead(Module):
         d4 = d2 * (1.0 - 6.0 * d2)                       # softplus''''(m)
         du2 = du * du
         h = np.where(small, sp[2] + du2 / 24.0 * d2 + du2 * du2 / 1920.0 * d4, dF / safe)
+        track = ag._track(scores, self.alpha, self.log_beta)
+        if ends is not None:
+            if track:
+                raise ag.GraphError("integral: per-sequence sums are for evaluation under "
+                                    "no_grad only")
+            return Tensor([g @ part @ beta for g, part in
+                           zip(np.split(gaps, ends[:-1]), np.split(h, ends[:-1]))])
         value = gaps @ h @ beta
-        if not ag._track(scores, self.alpha, self.log_beta):
+        if not track:
             return Tensor(value)
         # parts: dh/du0, dh/d(du), and h - u0 dh/du0 - du dh/d(du), which is
         # d(beta h)/d(beta); the midpoint series' h_m and h_du hold m fixed
@@ -283,6 +295,46 @@ class EncoderState:
         return 0
 
 
+class Group:
+    """Sequences laid out for one encoder pass that steps them all at once.
+
+    The pass is time-major: its row i * B + j holds event i of sequence j,
+    out of B sequences whose longest has L events. A shorter sequence is
+    padded past its last event with type 1 at gaps of 1, in rows that its
+    own rows never read, since every op of the encoder is causal or
+    row-wise. `timestamps` [L, B] and `type_indices` [L * B] stand in for
+    those of a sequence.
+    """
+
+    def __init__(self, seqs):
+        lengths = [len(s) for s in seqs]
+        L, B = max(lengths), len(lengths)
+        self.timestamps = np.empty((L, B))
+        types = np.zeros((L, B), dtype=np.int64)
+        for j, s in enumerate(seqs):
+            n = len(s)
+            self.timestamps[:n, j] = s.timestamps
+            self.timestamps[n:, j] = s.timestamps[-1] + np.arange(1.0, L - n + 1)
+            types[:n, j] = s.type_indices
+        self.type_indices = types.reshape(-1)
+        self.ends = np.cumsum(lengths)
+        # the pass's rows of each sequence in turn
+        self.rows = np.concatenate([np.arange(n) * B + j for j, n in enumerate(lengths)])
+
+    def unpad(self, x):
+        """The pass's rows x [L * B, .] of each sequence in turn, [sum of lengths, .]."""
+        return ag.gather(x, self.rows, axis=0)
+
+    def split(self, x):
+        """Rows of each sequence in turn, [sum of lengths, .], as one slice per sequence."""
+        return [x[a:b] for a, b in zip(np.r_[0, self.ends[:-1]], self.ends)]
+
+
+def _check_scorable(seq):
+    if len(seq) < 2:
+        raise ValueError("scoring needs at least two events")
+
+
 class MambaHawkes(Module):
     """Full model: embedding -> gap-driven block stack -> MLP -> heads."""
 
@@ -319,19 +371,20 @@ class MambaHawkes(Module):
     def deltas(self, seq):
         """The scan's steps: softplus of each gap (the first gap is the first
         timestamp), clamped so that no step is zero or overflows."""
-        return np.clip(np.logaddexp(0.0, np.diff(seq.timestamps, prepend=0.0)),
+        return np.clip(np.logaddexp(0.0, np.diff(seq.timestamps, axis=0, prepend=0.0)),
                        DELTA_MIN, DELTA_MAX)
 
     def _stack(self):
         """The encoder blocks, in the order `_run_stack` runs them."""
         return list(self.layers)
 
-    def _run_stack(self, x, delta, states):
+    def _run_stack(self, x, delta, states, group=None):
         """Run the blocks; `states` (one per block of `_stack`) are carried on
-        from and updated, and a None runs its block from empty."""
+        from and updated, and a None runs its block from empty. The rows of
+        a `group`'s pass come back as those of each sequence in turn."""
         for blk, state in zip(self.layers, states):
             x = blk(x, delta, state)
-        return x
+        return x if group is None else group.unpad(x)
 
     def encode(self, seq, state=None):
         """Hidden state per event, [L, d_model]; row j sees only events <= j.
@@ -340,11 +393,17 @@ class MambaHawkes(Module):
         [1, d_model], and runs only the events after those the state holds
         (`EncoderState.resume`), without recording a graph; the state then
         holds seq. Without one, the state starts empty.
+
+        Given a `Group` of sequences in place of seq, under no_grad, it
+        encodes them in one pass that steps them all at once, and returns
+        the rows of each sequence in turn, [sum of lengths, d_model], each
+        bit for bit those of `encode` on that sequence alone.
         """
         if state is None:
             x = self.embed(seq)
             delta = Tensor(self.deltas(seq))
-            return self.mlp(self._run_stack(x, delta, [None] * len(self._stack())))
+            group = seq if isinstance(seq, Group) else None
+            return self.mlp(self._run_stack(x, delta, [None] * len(self._stack()), group))
         with ag.no_grad():
             start = state.resume(self, seq)
             if start < len(seq):
@@ -362,8 +421,7 @@ class MambaHawkes(Module):
         integrated over [t_1, t_n] in closed form), the next-type logits
         [n-1, K] and the predicted gaps [n-1], successive differences of
         predicted times anchored at t_1. Differentiable end to end."""
-        if len(seq) < 2:
-            raise ValueError("scoring needs at least two events")
+        _check_scorable(seq)
         hidden = self.encode(seq)
         scores = self.head.base_scores(hidden)
         gaps = np.diff(seq.timestamps)
@@ -374,6 +432,45 @@ class MambaHawkes(Module):
         logits = self.pred.logits(hidden[:-1])
         t_hat = ag.concat([Tensor(seq.timestamps[:1]), self.pred.times(hidden[:-1])], axis=0)
         return Score(ll, logits, ag.sub(t_hat[1:], t_hat[:-1]))
+
+    def groups(self, seqs):
+        """Positions of seqs, sorted by length and cut into the groups that
+        `score_group` steps at once (`ssm.batch_groups`)."""
+        blk = self.layers[0]
+        return batch_groups([len(s) for s in seqs], blk.d_inner, blk.ssm.d_state)
+
+    def score_group(self, seqs):
+        """`score` of each of seqs from one encoder pass over them all that
+        steps them at once (`encode` of a `Group`), without a graph: their
+        Scores in the order given, bit for bit those of `score`.
+
+        The embedding, the blocks' row-wise ops, the MLP, the intensities
+        and the compensator's terms run once over the group's rows; the
+        heads, whose weights enter transposed, and each sequence's sums of
+        its event terms and of its compensator's terms run per sequence, on
+        arrays of the shapes that `score` gives them, so that every value
+        keeps its bits.
+        """
+        for seq in seqs:
+            _check_scorable(seq)
+        group = Group(seqs)
+        with ag.no_grad():
+            hidden = group.split(self.encode(group))
+            scores = [self.head.base_scores(h) for h in hidden]
+            gaps = np.concatenate([np.diff(s.timestamps) for s in seqs])
+            starts = ag.concat([sc[:-1] for sc in scores])
+            lam = self.head.intensities(gaps, starts)
+            own = np.arange(len(gaps)) * self.cfg.K + np.concatenate(
+                [s.type_indices[1:] for s in seqs])
+            ends = group.ends - np.arange(1, len(seqs) + 1)    # of each one's intervals
+            events = np.split(ag.log(ag.gather(ag.reshape(lam, (-1,)), own)).data, ends[:-1])
+            compensators = self.head.integral(gaps, starts, ends).data
+            out = []
+            for seq, h, ev, comp in zip(seqs, hidden, events, compensators):
+                t_hat = np.concatenate([seq.timestamps[:1], self.pred.times(h[:-1]).data])
+                out.append(Score(Tensor(ev.sum() - comp), self.pred.logits(h[:-1]),
+                                 Tensor(t_hat[1:] - t_hat[:-1])))
+        return out
 
     # -- prediction and losses ----------------------------------------------
 

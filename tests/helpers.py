@@ -3,7 +3,7 @@ composed-op references for the fused selective scan, the fused multi-head
 attention and the compensator, the compensator node on a general quadrature
 rule, the earlier form of the log-likelihood (a one-hot event term), the
 closed-form gated recurrence the scan reduces to, a point intensity query,
-and a writer of version-1 checkpoints."""
+a writer of version-1 checkpoints, and `evaluate` one sequence at a time."""
 
 import json
 
@@ -12,6 +12,7 @@ import numpy as np
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.checkpoint import FORMAT
 from mamba_hawkes.hybrid import causal_mask
+from mamba_hawkes.training import Metrics
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -312,3 +313,30 @@ def write_v1_checkpoint(model, path, meta=None):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
         fh.write("\n")
+
+
+def evaluate_one_by_one(model, dataset, n_quad=None):
+    """`training.evaluate` by one `score` per sequence, in dataset order: the
+    oracle for the grouped one's Metrics and errors."""
+    if n_quad is not None and n_quad < 2:
+        raise ValueError(f"n_quad must be at least 2, got {n_quad}")
+    if model.cfg.K != dataset.K:
+        raise ValueError(f"K-mismatch: model has K={model.cfg.K}, dataset has K={dataset.K}")
+    ll_sum = 0.0
+    n_events = 0
+    correct = 0
+    sq_err = 0.0
+    with ag.no_grad():
+        for seq in dataset:
+            ll, logits, pred_gaps = model.score(seq)
+            ll_sum += float(ll.data)
+            correct += int(np.sum(np.argmax(logits.data, axis=1) + 1 == seq.types[1:]))
+            sq_err += float(np.sum((pred_gaps.data - np.diff(seq.timestamps)) ** 2))
+            n_events += len(seq) - 1
+    return Metrics(
+        ll_per_event=ll_sum / n_events,
+        accuracy=100.0 * correct / n_events,
+        rmse=float(np.sqrt(sq_err / n_events)),
+        n_events=n_events,
+        n_sequences=len(dataset),
+    )

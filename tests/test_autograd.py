@@ -397,3 +397,45 @@ def test_causal_conv_left_context_carries_across_calls(W):
     np.testing.assert_array_equal(left, x[9 - (W - 1):])
     with pytest.raises(ag.ShapeError, match="left context"):
         ag.causal_conv1d(Tensor(x), k, b, left=np.zeros((W, 3)))
+
+
+@pytest.mark.parametrize("W", [1, 4])
+def test_causal_conv_batch_axis_equals_per_sequence_calls(W):
+    # ragged sequences time-major, [L, B, D], give each sequence's outputs
+    # bit for bit whatever fills the padding; a carried left context works
+    # per sequence too
+    rng = np.random.default_rng(14)
+    lengths, D = (6, 1, 9, 3), 3
+    L, B = max(lengths), len(lengths)
+    k, b = Tensor(rng.normal(size=(W, D))), Tensor(rng.normal(size=D))
+    seqs = [rng.normal(size=(n, D)) for n in lengths]
+    want = [ag.causal_conv1d(Tensor(x), k, b).data for x in seqs]
+    for scale in (1.0, 1e6):
+        x = scale * rng.normal(size=(L, B, D))
+        for j, s in enumerate(seqs):
+            x[:len(s), j] = s
+        out = ag.causal_conv1d(Tensor(x), k, b).data
+        assert out.shape == (L, B, D)
+        for j, n in enumerate(lengths):
+            assert np.array_equal(out[:n, j], want[j])
+    left = np.zeros((W - 1, B, D))
+    parts = [ag.causal_conv1d(Tensor(x[lo:hi]), k, b, left=left).data
+             for lo, hi in ((0, 2), (2, L))]
+    np.testing.assert_array_equal(np.concatenate(parts), ag.causal_conv1d(Tensor(x), k, b).data)
+
+
+def test_causal_conv_refuses_a_batch_axis_while_recording():
+    rng = np.random.default_rng(15)
+    x = rng.normal(size=(5, 2, 3))
+    with pytest.raises(GraphError, match="no_grad"):
+        ag.causal_conv1d(Tensor(x), Parameter(rng.normal(size=(2, 3))))
+    with ag.no_grad():
+        ag.causal_conv1d(Tensor(x), Parameter(rng.normal(size=(2, 3))))
+
+
+def test_add_names_shapes_that_do_not_broadcast():
+    # equal shapes and 0-d operands skip the check; these still reach it
+    with pytest.raises(ShapeError, match=r"^add: shapes \(2, 3\) and \(4,\) are not broadcastable$"):
+        ag.add(np.ones((2, 3)), np.ones(4))
+    with pytest.raises(ShapeError, match=r"^add: shapes \(2, 3\) and \(3, 3\) are not broadcastable$"):
+        ag.add(np.ones((2, 3)), np.ones((3, 3)))

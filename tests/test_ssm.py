@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import check_param_grads, composed_scan, gated_decay_reference, rel_err
+from helpers import (check_param_grads, composed_scan, evaluate_one_by_one,
+                     gated_decay_reference, rel_err)
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.autograd import DomainError, GraphError, Parameter, ShapeError, Tensor
-from mamba_hawkes.data import Batch, EventSequence
+from mamba_hawkes.data import Batch, Dataset, EventSequence
 from mamba_hawkes.hybrid import AttentionBlock
 from mamba_hawkes.model import MambaHawkes, MhpConfig
 from mamba_hawkes import ssm
 from mamba_hawkes.ssm import MambaBlock, SsmCore, selective_scan
-from mamba_hawkes.training import accumulate_gradients
+from mamba_hawkes.training import accumulate_gradients, evaluate
 
 
 def naive_scan(x, delta, a, b, c, skip):
@@ -480,3 +481,103 @@ def test_block_with_state_matches_one_call():
         parts = [blk(Tensor(u[lo:hi]), Tensor(delta[lo:hi]), state).data
                  for lo, hi in ((0, 2), (2, 3), (3, 11), (11, 17))]
     np.testing.assert_allclose(np.concatenate(parts), whole, rtol=0, atol=1e-13)
+
+
+# -- the batch axis ------------------------------------------------------------
+
+
+def time_major(parts, L, pad):
+    """Per-sequence arrays [n_j, ...] as one [L, B, ...], padded with `pad`'s
+    values past each sequence's end."""
+    out = pad.copy()
+    for j, p in enumerate(parts):
+        out[:len(p), j] = p
+    return out
+
+
+@pytest.mark.parametrize("chunk_elems", ["default", "3 steps"])
+def test_scan_batch_axis_equals_per_sequence_calls(monkeypatch, chunk_elems):
+    # ragged sequences stepped at once give each sequence's outputs bit for
+    # bit, whatever fills the padding, at any chunk length
+    rng = np.random.default_rng(28)
+    D, N, lengths = 3, 4, (C + 3, 1, 2 * C + 5, 7)
+    L, B = max(lengths), len(lengths)
+    if chunk_elems != "default":
+        monkeypatch.setattr(ssm, "_CHUNK_ELEMS", 3 * B * D * N)
+    seqs = [scan_inputs(rng, n, D, N) for n in lengths]
+    a, skip = seqs[0]["a"], seqs[0]["skip"]
+    want = [selective_scan(**dict(v, a=a, skip=skip)).data for v in seqs]
+    for scale in (1.0, 1e3):   # two paddings, one far from the data
+        pads = dict(x=rng.normal(size=(L, B, D)), delta=rng.uniform(0.05, 2.0, size=(L, B)),
+                    b=rng.normal(size=(L, B, N)), c=rng.normal(size=(L, B, N)))
+        batch = {k: time_major([v[k] for v in seqs], L, scale * pads[k]) for k in pads}
+        y = selective_scan(**batch, a=a, skip=skip).data
+        assert y.shape == (L, B, D)
+        for j, n in enumerate(lengths):
+            assert np.array_equal(y[:n, j], want[j]), (scale, j)
+
+
+def test_scan_refuses_a_batch_axis_while_recording():
+    # the batch axis has no adjoint: it is for evaluation under no_grad
+    rng = np.random.default_rng(29)
+    v = scan_inputs(rng, 5, 2, 3)
+    batch = dict(x=np.stack([v["x"]] * 2, axis=1), delta=np.stack([v["delta"]] * 2, axis=1),
+                 b=np.stack([v["b"]] * 2, axis=1), c=np.stack([v["c"]] * 2, axis=1))
+    with pytest.raises(GraphError, match="no_grad"):
+        selective_scan(**batch, a=Parameter(v["a"]), skip=v["skip"])
+    with ag.no_grad():
+        y = selective_scan(**batch, a=Parameter(v["a"]), skip=v["skip"]).data
+    np.testing.assert_array_equal(y[:, 1], selective_scan(**v).data)
+
+
+def test_batch_groups_sort_by_length_and_cap_chunks_and_rows():
+    lengths = [90, 37, 2000, 46, 37, 52, 90, 63, 58, 70, 78, 46]
+    desk = ssm.batch_groups(lengths, 32, 16)      # at most 8, and 1024 rows of 32
+    assert sum(desk, []) == sorted(range(len(lengths)), key=lambda i: lengths[i])
+    assert [len(g) for g in desk] == [8, 3, 1]
+    assert ssm.batch_groups(lengths[:4], 128, 16) == [[1, 3], [0], [2]]
+    for d_inner, d_state in ((32, 16), (128, 16), (8, 4), (1024, 256)):
+        groups = ssm.batch_groups(lengths, d_inner, d_state)
+        for g in groups:
+            rows = len(g) * max(lengths[i] for i in g)
+            assert len(g) == 1 or rows * d_inner <= ssm._CHUNK_ELEMS
+            assert len(g) == 1 or len(g) * 8 * d_inner * d_state <= ssm._CHUNK_ELEMS
+
+
+def evaluate_peak_bytes(evaluate_fn, model, dataset):
+    """tracemalloc peak of one evaluate call, after a first call."""
+    evaluate_fn(model, dataset)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        evaluate_fn(model, dataset)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_grouped_evaluate_memory_below_a_train_step():
+    # the train benchmark's 16 dev lengths at the default config, in groups
+    # of 2 (2.1 MiB when this was written), against one L 90 train step
+    # through backward (9.1 MiB)
+    rng = np.random.default_rng(30)
+    dev = Dataset([EventSequence(np.cumsum(rng.exponential(1.0, size=n)),
+                                 rng.integers(1, 6, size=n), 5)
+                   for n in (37, 46, 52, 58, 63, 70, 78, 90) * 2], 5, "dev")
+    model = MambaHawkes(MhpConfig(K=5), seed=0)
+    blk = model.layers[0]
+    unit = 90 * blk.d_inner * blk.ssm.d_state * 8
+    step_peak = step_memory_in_state_arrays(90)[1] * unit
+    assert evaluate_peak_bytes(evaluate, model, dev) < step_peak
+
+
+def test_grouped_evaluate_memory_on_long_sequences():
+    # 8 desk sequences of 2000 events: the row cap runs each alone, so the
+    # peak stays near one sequence's (1.03x when this was written; groups of
+    # 8 would hold 8 sequences' activations)
+    rng = np.random.default_rng(31)
+    ds = Dataset([EventSequence(np.cumsum(rng.exponential(1.0, size=2000)),
+                                rng.integers(1, 6, size=2000), 5) for _ in range(8)], 5)
+    model = MambaHawkes(MhpConfig(d_model=16, n_layers=2, K=5), seed=0)
+    grouped = evaluate_peak_bytes(evaluate, model, ds)
+    assert grouped <= 2 * evaluate_peak_bytes(evaluate_one_by_one, model, ds)

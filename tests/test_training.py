@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import write_v1_checkpoint
+from helpers import evaluate_one_by_one, write_v1_checkpoint
 import mamba_hawkes.checkpoint as ckpt_mod
 import mamba_hawkes.training as train_mod
 from mamba_hawkes import autograd as ag
@@ -15,8 +15,8 @@ from mamba_hawkes.checkpoint import (build_model, checkpoint_payload,
                                      load_checkpoint, save_checkpoint)
 from mamba_hawkes.data import (Batch, DataError, Dataset, EventSequence,
                                make_synthetic_benchmark, save_jsonl)
-from mamba_hawkes.hybrid import MhpEConfig
-from mamba_hawkes.model import MambaHawkes, MhpConfig
+from mamba_hawkes.hybrid import MambaHawkesHybrid, MhpEConfig
+from mamba_hawkes.model import DELTA_MIN, MambaHawkes, MhpConfig
 from mamba_hawkes.training import (Adam, Metrics, NumericsError, TrainConfig,
                                 accumulate_gradients, clip_gradients, evaluate,
                                 fit_poisson_baseline, loss_on_batch,
@@ -272,6 +272,84 @@ def test_evaluate_single_sequence_matches_per_sequence_formulas():
     pred_gaps = np.diff(t_hat)
     rmse = np.sqrt(np.mean((pred_gaps - np.diff(seq.timestamps)) ** 2))
     np.testing.assert_allclose(metrics.rmse, rmse, rtol=1e-12)
+
+
+# the desk and default configs of each arch, with the intensity slopes
+# alpha drawn from N(0, 0.5^2) so that the compensator takes both branches
+GROUPED_MODELS = {
+    "mhp-desk": lambda K: MambaHawkes(MhpConfig(d_model=16, n_layers=2, K=K), seed=1),
+    "mhp-default": lambda K: MambaHawkes(MhpConfig(K=K), seed=2),
+    "mhp-e-desk": lambda K: MambaHawkesHybrid(MhpEConfig(d_model=16, K=K), seed=3),
+    "mhp-e-default": lambda K: MambaHawkesHybrid(MhpEConfig(K=K), seed=4),
+}
+
+
+def grouped_model(name, K):
+    m = GROUPED_MODELS[name](K)
+    m.head.alpha.data = np.random.default_rng(5).normal(0.0, 0.5, size=K)
+    return m
+
+
+def random_sequence(rng, n, K):
+    return EventSequence(np.cumsum(rng.exponential(1.0, size=n)),
+                         rng.integers(1, K + 1, size=n), K)
+
+
+@pytest.mark.parametrize("name", list(GROUPED_MODELS))
+@pytest.mark.parametrize("split", ["shuffled", "one", "negative-start"])
+def test_grouped_evaluate_equals_one_by_one(name, split):
+    # every sequence's values are bit for bit those of its own score call,
+    # and the totals add them in dataset order, so the whole Metrics is ==
+    K = 4
+    m = grouped_model(name, K)
+    rng = np.random.default_rng(6)
+    if split == "shuffled":     # ragged groups, lengths 2..300 in no order
+        lengths = [2, 300] + list(rng.permutation(np.arange(3, 300, 23)))
+        seqs = [random_sequence(rng, n, K) for n in rng.permutation(lengths)]
+    elif split == "one":
+        seqs = [random_sequence(rng, 41, K)]
+    else:   # a first timestamp of -20: the step is clamped to DELTA_MIN, and the
+            # scan takes the series branch of (e^u - 1) / u
+        seqs = [random_sequence(rng, n, K) for n in (30, 9, 17)]
+        first = random_sequence(rng, 25, K)
+        seqs.insert(1, EventSequence(first.timestamps - first.timestamps[0] - 20.0,
+                                     first.types, K))
+        assert m.deltas(seqs[1])[0] == DELTA_MIN
+    ds = Dataset(seqs, K, "test")
+    assert len(m.groups(seqs)) < len(seqs) or len(seqs) == 1
+    assert evaluate(m, ds) == evaluate_one_by_one(m, ds)
+
+
+def one_by_one_error(m, ds):
+    with pytest.raises(Exception) as oracle:
+        evaluate_one_by_one(m, ds)
+    return oracle.type, str(oracle.value)
+
+
+@pytest.mark.parametrize("name", ["mhp-desk", "mhp-e-desk"])
+@pytest.mark.parametrize("fault", ["K-mismatch", "type-out-of-range", "zero-intensity"])
+def test_grouped_evaluate_raises_the_one_by_one_errors(name, fault):
+    K = 3
+    m = grouped_model(name, K)
+    rng = np.random.default_rng(7)
+    k = K - 1 if fault == "K-mismatch" else K
+    ds = Dataset([random_sequence(rng, n, k) for n in (12, 5, 30, 7)], k, "test")
+    if fault == "type-out-of-range":    # a sequence edited after it was checked
+        ds.sequences[2].types[4] = K + 2
+    if fault == "zero-intensity":
+        m.head.b.data = np.full(K, -1e4)
+    with pytest.raises(Exception) as oracle:
+        evaluate_one_by_one(m, ds)
+    with pytest.raises(oracle.type) as grouped:
+        evaluate(m, ds)
+    assert grouped.type is oracle.type
+    assert str(grouped.value) == str(oracle.value)
+
+
+def test_evaluate_refuses_an_empty_split():
+    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=2), seed=0)
+    with pytest.raises(ValueError, match="nothing to evaluate: split 'test' has no sequences"):
+        evaluate(m, Dataset([], 2, "test"))
 
 
 def test_metrics_validation():
