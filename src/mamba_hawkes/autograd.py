@@ -221,22 +221,26 @@ def exp(a):
 def log(a):
     a = as_tensor(a)
     if np.any(a.data <= 0.0):
-        raise DomainError(f"log of non-positive value (min={a.data.min()!r})")
+        raise DomainError(f"log of non-positive value (min={float(a.data.min())})")
     return _node(np.log(a.data), (a,), lambda g: g / a.data)
 
 
 def sqrt(a):
     a = as_tensor(a)
     if np.any(a.data < 0.0):
-        raise DomainError(f"sqrt of negative value (min={a.data.min()!r})")
+        raise DomainError(f"sqrt of negative value (min={float(a.data.min())})")
     y = np.sqrt(a.data)
     return _node(y, (a,), lambda g: g * 0.5 / y)
 
 
 def _sigmoid(x):
-    # stable in both tails: exp never sees a positive argument
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # exp(min(x, 0)) / (1 + exp(-|x|)), stable in both tails: exp never sees
+    # a positive argument
+    e = np.abs(x, out=np.empty_like(x))     # an array even when 0-d
+    np.exp(np.negative(e, out=e), out=e)
+    e += 1.0
+    s = np.minimum(x, 0.0, out=np.empty_like(e))
+    return np.divide(np.exp(s, out=s), e, out=s)
 
 
 def silu(a):
@@ -253,38 +257,12 @@ def softplus(a, beta=1.0):
     """
     b = as_tensor(beta)
     if np.any(b.data <= 0.0):
-        raise DomainError(f"softplus scale must be positive (min={b.data.min()!r})")
+        raise DomainError(f"softplus scale must be positive (min={float(b.data.min())})")
     a, b = _binary(a, b, "softplus")
     u = a.data / b.data
     sp = np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))  # log(1+e^u), stable
     sig = _sigmoid(u) if _track(a, b) else None
     return _node(b.data * sp, (a, b), lambda g: g * sig, lambda g: g * (sp - u * sig))
-
-
-_EXPM1_SERIES_CUTOFF = 1e-4
-
-
-def expm1_over_x_parts(x, exp_x=None):
-    """phi(x) = (exp(x) - 1) / x and, given exp_x = exp(x), its derivative.
-
-    Plain numpy on arrays. Both switch to a Taylor series for |x| < 1e-4,
-    where the closed forms cancel. phi'(x) = (exp(x) - phi(x)) / x; it is
-    returned as None when exp_x is None, so a caller that needs no gradient
-    pays nothing for it.
-    """
-    phi = np.abs(x, out=np.empty_like(x))   # an array even when 0-d
-    small = phi < _EXPM1_SERIES_CUTOFF
-    xs = x[small]
-    safe = np.where(small, 1.0, x) if xs.size else x
-    np.expm1(safe, out=phi)
-    phi /= safe
-    phi[small] = 1.0 + xs / 2.0 + xs * xs / 6.0
-    if exp_x is None:
-        return phi, None
-    slope = np.subtract(exp_x, phi, out=np.empty_like(phi))
-    slope /= safe
-    slope[small] = 0.5 + xs / 3.0 + xs * xs / 8.0
-    return phi, slope
 
 
 # ---------------------------------------------------------------------------
@@ -431,19 +409,20 @@ def causal_conv1d(x, kernel, bias=None, left=None):
     parents = (x, kernel) if b is None else (x, kernel, b)
     if x.ndim == 3 and _track(*parents):
         raise GraphError("causal_conv1d: the batch axis is for evaluation under no_grad only")
-    if left is None:
-        xp = np.pad(x.data, ((W - 1, 0),) + ((0, 0),) * (x.ndim - 1))
-    elif left.shape != (W - 1,) + x.shape[1:]:
+    if left is not None and left.shape != (W - 1,) + x.shape[1:]:
         raise ShapeError(f"causal_conv1d: left context must be [W - 1, ..., D]="
                          f"{(W - 1,) + x.shape[1:]}, got {left.shape}")
-    else:
-        xp = np.concatenate([left, x.data])
+    xp = np.empty((L + W - 1,) + x.shape[1:])
+    xp[:W - 1] = 0.0 if left is None else left
+    xp[W - 1:] = x.data
+    if left is not None:
         left[...] = xp[L:]
-    data = np.zeros(x.shape)
-    for w in range(W):
-        data += kernel.data[w] * xp[w:w + L]
+    data = np.multiply(kernel.data[0], xp[:L])
+    tap = np.empty_like(data)
+    for w in range(1, W):
+        data += np.multiply(kernel.data[w], xp[w:w + L], out=tap)
     if b is not None:
-        data = data + b.data
+        data += b.data
 
     def grad_x(g):
         gxp = np.zeros_like(xp)

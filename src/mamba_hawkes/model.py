@@ -178,7 +178,7 @@ class IntensityHead(Module):
         """
         beta = np.exp(self.log_beta.data)
         if np.any(beta <= 0.0):
-            raise ag.DomainError(f"softplus scale must be positive (min={beta.min()!r})")
+            raise ag.DomainError(f"softplus scale must be positive (min={float(beta.min())})")
         g = gaps[:, None]
         du = self.alpha.data * g / beta
         u = scores.data / beta

@@ -64,28 +64,34 @@ def batch_groups(lengths, d_inner, d_state):
     return groups
 
 
-def _scan_chunk(dv, av, bv, xv, z0, slope=False):
-    """Discretize steps [n] (or [n, B]) of the scan and run them from the
-    state z0 before them (zeros when None).
+# |delta * a| below which the rate gradient takes (delta - q) / a from its
+# series -delta^2 (1/2 + u/6 + u^2/24), where the closed form cancels
+_SERIES_CUTOFF = 1e-4
 
-    Returns abar = exp(u), phi(u), phi'(u) (None unless slope) and the
-    states z, [n, (B,) D, N] each, with u = delta * a and phi(u) =
-    (e^u - 1) / u, so that bbar = delta * phi(u) * b.
+
+def _scan_chunk(dv, av, inv_a, zero, bv, xv, z0, bufs):
+    """Discretize steps [n] (or [n, B]) of the scan and run them from the
+    state z0 before them (zeros when None), in the first n rows of the
+    [C, (B,) D, N] buffers bufs[:4] (bx may share the states' buffer; bufs[4]
+    is a [(B,) D, N] scratch). Returns abar = exp(u) = expm1(u) + 1, q =
+    expm1(u) / a = delta * (e^u - 1) / u (so bbar = q * b; delta where the
+    mask `zero` marks rates with no finite 1 / a), bx = x (outer) b and the
+    states z, with u = delta * a.
     """
-    d3 = dv[..., None, None]
-    u = d3 * av
-    abar = np.exp(u)
-    phi, dphi = ag.expm1_over_x_parts(u, abar if slope else None)
-    # bbar_i * x_i, written over u, then the recurrence in place: zs[i]
-    # becomes z_i
-    zs = np.multiply(phi, d3, out=u)
-    zs *= bv[..., None, :]
-    zs *= xv[..., None]
+    abar, q, bx, zs = (buf[:len(dv)] for buf in bufs[:4])
+    # einsum writes these outer products in about 0.6 of a broadcast's time
+    np.expm1(np.einsum("...,dn->...dn", dv, av, out=q), out=q)
+    np.add(q, 1.0, out=abar)
+    q *= inv_a
+    if zero is not None:
+        np.copyto(q, dv[..., None, None], where=zero)
+    np.einsum("...d,...n->...dn", xv, bv, out=bx)
+    np.multiply(bx, q, out=zs)
     if z0 is not None:
-        zs[0] += abar[0] * z0
+        zs[0] += np.multiply(abar[0], z0, out=bufs[4])
     for i in range(1, len(zs)):
-        zs[i] += abar[i] * zs[i - 1]
-    return abar, phi, dphi, zs
+        zs[i] += np.multiply(abar[i], zs[i - 1], out=bufs[4])
+    return abar, q, bx, zs
 
 
 def selective_scan(x, delta, a, b, c, skip=None, state=None):
@@ -117,16 +123,17 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
 
     The steps run in chunks, each carrying its last state into the next:
     _SCAN_CHUNK steps, or, with a batch axis, as many as keep [C, B, D, N]
-    within _CHUNK_ELEMS; the chunk length changes no output. The whole scan
-    is one graph node. For backward it keeps only the
-    state after each chunk but the last, [ceil(L / _SCAN_CHUNK) - 1, D, N]. The
-    adjoint walks the chunks from last to first: it recomputes the chunk's
-    abar, phi, phi' and states from the state before it, by the forward's
-    ops in the same order, and runs the adjoint recurrence
-    G_i = c_i * gy_i + abar_{i+1} * G_{i+1} over the chunk, where G_i is the
-    gradient reaching state z_i and the chunk after hands back
-    abar_{i+1} * G_{i+1} for its last step. So delta and a must not change
-    between forward and backward. Under no_grad the node keeps nothing.
+    within _CHUNK_ELEMS, in buffers allocated once per call; the chunk
+    length changes no output. The whole scan is one graph node. For backward
+    it keeps only the state after each chunk but the last,
+    [ceil(L / _SCAN_CHUNK) - 1, D, N]. The adjoint walks the chunks from
+    last to first: it recomputes the chunk's abar, q and states from the
+    state before it, by the forward's ops in the same order, and runs the
+    adjoint recurrence G_i = c_i * gy_i + abar_{i+1} * G_{i+1} over the
+    chunk, where G_i is the gradient reaching state z_i and the chunk after
+    hands back abar_{i+1} * G_{i+1} for its last step. So delta and a must
+    not change between forward and backward. Under no_grad the node keeps
+    nothing.
     """
     x, delta = ag.as_tensor(x), ag.as_tensor(delta)
     a, b, c = ag.as_tensor(a), ag.as_tensor(b), ag.as_tensor(c)
@@ -149,11 +156,11 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
         )
     if np.any(delta.data <= 0.0):
         raise ag.DomainError(
-            f"selective_scan: non-positive step size (min={delta.data.min()!r})"
+            f"selective_scan: non-positive step size (min={float(delta.data.min())})"
         )
-    if state is not None and state.shape != steps[1:] + (D, N):
-        raise ag.ShapeError(f"selective_scan: state must be {steps[1:] + (D, N)}, "
-                            f"got {state.shape}")
+    state_shape = steps[1:] + (D, N)
+    if state is not None and state.shape != state_shape:
+        raise ag.ShapeError(f"selective_scan: state must be {state_shape}, got {state.shape}")
     if skip is not None:
         skip = ag.as_tensor(skip)
     if ag._track(delta):
@@ -166,17 +173,23 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
         raise ag.GraphError("selective_scan: the batch axis is for evaluation under no_grad only")
 
     xv, dv, av, bv, cv = x.data, delta.data, a.data, b.data, c.data
-    C = _SCAN_CHUNK if x.ndim == 2 else max(1, _CHUNK_ELEMS // (x.shape[1] * D * N))
+    # 1 / a where it is finite; zero rates (and subnormal ones) take q = delta
+    amin, tiny = float(np.abs(av).min()), np.finfo(np.float64).tiny
+    zero = np.abs(av) < tiny if amin < tiny else None
+    inv_a = 1.0 / av if zero is None else np.divide(1.0, av, out=np.zeros_like(av), where=~zero)
+    C = min(L, _SCAN_CHUNK if x.ndim == 2 else max(1, _CHUNK_ELEMS // (x.shape[1] * D * N)))
     chunks = [slice(lo, lo + C) for lo in range(0, L, C)]
     ends = np.empty((len(chunks) - 1, D, N)) if track else None
+    abar_b, q_b, zs_b = (np.empty((C,) + state_shape) for _ in range(3))
+    tmp, last = np.empty(state_shape), np.empty(state_shape)
     y = np.empty(x.shape)
     z = state
     for j, s in enumerate(chunks):
-        zs = _scan_chunk(dv[s], av, bv[s], xv[s], z)[3]
-        y[s] = np.matmul(zs, cv[s][..., None])[..., 0]
-        z = zs[-1]
-        if track and j < len(ends):
-            ends[j] = z
+        zs = _scan_chunk(dv[s], av, inv_a, zero, bv[s], xv[s], z,
+                         (abar_b, q_b, zs_b, zs_b, tmp))[3]
+        np.matmul(zs, cv[s][..., None], out=y[s][..., None])
+        z = ends[j] if track and j < len(ends) else last   # a copy: zs_b is reused
+        z[...] = zs[-1]
     if state is not None:
         state[...] = z
     if skip is not None:
@@ -184,43 +197,49 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
     out = Tensor(y, track, parents)
     if not track:
         return out
+    series = float(dv.min()) * amin < _SERIES_CUTOFF
 
     def _bw():
         gy = out.grad
-        carry = None        # abar_i * G_i of the first step of the chunk after
+        abar_b, q_b, bx_b, zs_b, g_b = (np.empty((C, D, N)) for _ in range(5))
+        # abar_i * G_i of the first step of the chunk after, and a scratch
+        carry, tmp = np.empty((D, N)), np.empty((D, N))
         for j in range(len(chunks) - 1, -1, -1):
             s = chunks[j]
-            z0 = ends[j - 1] if j else None
-            abar, phi, slope, zs = _scan_chunk(dv[s], av, bv[s], xv[s], z0, a.requires_grad)
+            abar, q, bx, zs = _scan_chunk(dv[s], av, inv_a, zero, bv[s], xv[s],
+                                          ends[j - 1] if j else None,
+                                          (abar_b, q_b, bx_b, zs_b, tmp))
             # adjoint recurrence: G[i] is d(loss)/d(z_i)
-            G = gy[s, :, None] * cv[s, None, :]
-            if carry is not None:
+            G = np.einsum("id,in->idn", gy[s], cv[s], out=g_b[:len(q)])
+            if j < len(chunks) - 1:
                 G[-1] += carry
             for i in range(len(G) - 2, -1, -1):
-                G[i] += abar[i + 1] * G[i + 1]
-            carry = abar[0] * G[0]
+                G[i] += np.multiply(abar[i + 1], G[i + 1], out=tmp)
+            np.multiply(abar[0], G[0], out=carry)
             if c.requires_grad:
                 c.grad[s] += np.matmul(gy[s, None, :], zs)[:, 0, :]
-            work = np.multiply(G, phi, out=phi)
+            h = np.multiply(G, q, out=abar)     # d(loss)/d(bx), in spent abar
             if x.requires_grad:
-                x.grad[s] += dv[s, None] * np.matmul(work, bv[s, :, None])[:, :, 0]
+                x.grad[s] += np.matmul(h, bv[s, :, None])[:, :, 0]
             if b.requires_grad:
-                b.grad[s] += dv[s, None] * np.matmul(xv[s, None, :], work)[:, 0, :]
+                b.grad[s] += np.matmul(xv[s, None, :], h)[:, 0, :]
             if a.requires_grad:
-                # d(loss)/du through bbar = delta * phi(u) * b and through
-                # abar = exp(u), built in the spent buffers work and G
-                du = np.multiply(slope, dv[s, None, None], out=work)
-                du *= bv[s, None, :]
-                du *= xv[s, :, None]
-                du *= G
-                G[1:] *= abar[1:]
-                G[1:] *= zs[:-1]
-                du[1:] += G[1:]
-                if z0 is not None:
-                    G[0] *= abar[0]
-                    G[0] *= z0
-                    du[0] += G[0]
-                a.grad += np.tensordot(dv[s], du, axes=1)
+                # sum_i G_i * bx_i * (delta_i - q_i) / a, then the decay's
+                # part G_i * delta_i * z_i
+                w = np.subtract(dv[s, None, None], q, out=q)
+                if series:
+                    u = dv[s, None, None] * av
+                    small = np.abs(u) < _SERIES_CUTOFF
+                    ds, us = np.broadcast_to(dv[s, None, None], u.shape)[small], u[small]
+                    w *= inv_a
+                    w[small] = -ds * ds * (0.5 + us / 6.0 + us * us / 24.0)
+                w *= bx
+                w *= G
+                ga = w.sum(axis=0)
+                if not series:
+                    ga *= inv_a
+                ga += np.tensordot(dv[s], np.multiply(zs, G, out=zs), axes=1)
+                a.grad += ga
         if skip is not None:
             if x.requires_grad:
                 x.grad += skip.data * gy

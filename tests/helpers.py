@@ -2,7 +2,8 @@
 composed-op references for the fused selective scan, the fused multi-head
 attention and the compensator, the compensator node on a general quadrature
 rule, the earlier form of the log-likelihood (a one-hot event term), the
-closed-form gated recurrence the scan reduces to, a point intensity query,
+closed-form gated recurrence the scan reduces to, (e^x - 1) / x with its
+derivative (the composed scan's discretization), a point intensity query,
 a writer of version-1 checkpoints, and `evaluate` one sequence at a time."""
 
 import json
@@ -112,11 +113,33 @@ def two_branch_sigmoid(x):
     return out
 
 
+def expm1_over_x_parts(x, exp_x=None):
+    """phi(x) = (exp(x) - 1) / x and, given exp_x = exp(x), its derivative.
+
+    Plain numpy on arrays. Both switch to a Taylor series for |x| < 1e-4,
+    where the closed forms cancel. phi'(x) = (exp(x) - phi(x)) / x; it is
+    returned as None when exp_x is None.
+    """
+    phi = np.abs(x, out=np.empty_like(x))   # an array even when 0-d
+    small = phi < 1e-4
+    xs = x[small]
+    safe = np.where(small, 1.0, x) if xs.size else x
+    np.expm1(safe, out=phi)
+    phi /= safe
+    phi[small] = 1.0 + xs / 2.0 + xs * xs / 6.0
+    if exp_x is None:
+        return phi, None
+    slope = np.subtract(exp_x, phi, out=np.empty_like(phi))
+    slope /= safe
+    slope[small] = 0.5 + xs / 3.0 + xs * xs / 8.0
+    return phi, slope
+
+
 def expm1_over_x(a):
-    """(exp(x) - 1) / x as an autograd op over ag.expm1_over_x_parts."""
+    """(exp(x) - 1) / x as an autograd op over expm1_over_x_parts."""
     a = ag.as_tensor(a)
     track = ag._track(a)
-    val, slope = ag.expm1_over_x_parts(a.data, np.exp(a.data) if track else None)
+    val, slope = expm1_over_x_parts(a.data, np.exp(a.data) if track else None)
     out = ag.Tensor(val, track, (a,))
     if out.requires_grad:
         def _bw():

@@ -3,11 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import (check_param_grads, expm1_over_x, numeric_grad, rel_err,
-                     two_branch_sigmoid)
+from helpers import (check_param_grads, expm1_over_x, expm1_over_x_parts,
+                     numeric_grad, rel_err, two_branch_sigmoid)
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.autograd import (DomainError, GraphError, Parameter,
                                    ShapeError, Tensor)
+from mamba_hawkes.model import IntensityHead
+from mamba_hawkes.ssm import selective_scan
 
 
 def test_softplus_with_scale_at_zero():
@@ -122,7 +124,7 @@ def test_elementwise_gradients_match_fd(name):
         elif name == "softplus":
             out = ag.softplus(x, other)  # gradient w.r.t. the scale too
         elif name == "expm1_over_x":
-            out = expm1_over_x(x)  # the test op over ag.expm1_over_x_parts
+            out = expm1_over_x(x)  # the test op over helpers.expm1_over_x_parts
         else:
             out = getattr(ag, name)(x)
         return ag.reduce_sum(ag.mul(out, w))
@@ -205,6 +207,22 @@ def test_shape_mismatch_error_names_both_shapes():
 def test_log_domain_error():
     with pytest.raises(DomainError, match="non-positive"):
         ag.log(Tensor(np.array([1.0, 0.0])))
+
+
+def test_domain_errors_print_the_minimum_as_a_plain_float():
+    # numpy 2 reprs a scalar as np.float64(...); the message shows the number
+    head = IntensityHead(2, 3, np.random.default_rng(0))
+    head.log_beta.data[:] = -800.0     # beta underflows to 0
+    calls = [lambda: ag.log(Tensor(np.array([1.0, 0.0]))),
+             lambda: ag.sqrt(Tensor(np.array([1.0, -2.0]))),
+             lambda: ag.softplus(Tensor(np.ones(2)), Tensor(np.array([1.0, 0.0]))),
+             lambda: head.integral(np.ones(2), Tensor(np.zeros((2, 2)))),
+             lambda: selective_scan(np.ones((2, 1)), np.array([0.5, -0.25]), -np.ones((1, 1)),
+                                    np.ones((2, 1)), np.ones((2, 1)))]
+    for call, low in zip(calls, ("0.0", "-2.0", "0.0", "0.0", "-0.25")):
+        with pytest.raises(DomainError) as err:
+            call()
+        assert "np.float64" not in str(err.value) and f"(min={low})" in str(err.value)
 
 
 def test_invalid_axis_error():
@@ -371,7 +389,7 @@ def test_expm1_over_x_series_branch_continuity():
     cutoff = 1e-4
     for sign in (1.0, -1.0):
         u = np.array([sign * cutoff * (1 - 1e-9), sign * cutoff * (1 + 1e-9)])
-        vals, slope = ag.expm1_over_x_parts(u, np.exp(u))
+        vals, slope = expm1_over_x_parts(u, np.exp(u))
         exact = np.expm1(u) / u
         assert np.max(np.abs(vals / exact - 1.0)) < 1e-10
         exact_slope = (u * np.exp(u) - np.expm1(u)) / (u * u)

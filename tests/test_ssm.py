@@ -85,6 +85,54 @@ def test_discretize_matches_quadrature_oracle():
             assert abs(bbar - integral * b) <= 1e-8 * max(abs(integral * b), 1e-300)
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_rate_gradient_agrees_across_the_series_cutoff(sign):
+    # one step, y = c * q * b * x, so dy/da = c * b * x * dq/da with dq/da =
+    # delta^2 (1/2 + u/3 + u^2/8 + u^3/30 + ...); |u| just below the cutoff
+    # takes the series, just above it the closed form, each rate alone and
+    # both in one call
+    delta, x, b, c = 0.5, 1.3, -0.7, 0.9
+    us = sign * 1e-4 * np.array([1 - 1e-9, 1 + 1e-9])
+    want = c * b * x * delta ** 2 * (0.5 + us / 3.0 + us * us / 8.0 + us ** 3 / 30.0)
+    for cols in ([0], [1], [0, 1]):
+        a = Parameter(us[None, cols] / delta)
+        y = selective_scan(Tensor([[x]]), Tensor([delta]), a, Tensor([[b] * len(cols)]),
+                           Tensor([[c] * len(cols)]))
+        ag.backward(ag.reduce_sum(y))
+        np.testing.assert_allclose(a.grad[0], want[cols], rtol=1e-10, atol=0)
+
+
+def test_zero_and_infinite_rates_give_finite_values_without_warnings():
+    # a = -exp(A_log) at A_log = -800 and +800 gives rates of exactly 0 and
+    # -inf. A zero rate's step is the limit abar = 1, bbar = delta * b, and
+    # an infinite one forgets the state at once; outputs and gradients match
+    # the composed oracle's
+    with np.errstate(over="ignore"):
+        a = -np.exp(np.array([[-800.0, 800.0, 0.2], [0.3, -800.0, 800.0]]))
+    assert 0.0 in a and -np.inf in a
+    L = C + 3
+    v = scan_inputs(np.random.default_rng(33), L, 2, 3)
+    v["delta"][L // 2] = 0.5    # only the zero rate takes the series branch
+    v["a"] = a
+    w = np.random.default_rng(34).normal(size=(L, 2))
+    out = []
+    for scan in (selective_scan, composed_scan):
+        params = {k: Parameter(v[k].copy()) for k in ("x", "a", "b", "c", "skip")}
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            y = scan(delta=Tensor(v["delta"]), **params)
+            ag.backward(ag.reduce_sum(ag.mul(y, w)))
+        out.append((y.data, {k: p.grad for k, p in params.items()}))
+    (y, grads), (y_ref, grads_ref) = out
+    assert np.all(np.isfinite(y)) and rel_err(y, y_ref) < 1e-12
+    for k in grads:
+        assert np.all(np.isfinite(grads[k])) and rel_err(grads[k], grads_ref[k]) < 1e-10, k
+    abar, bbar = zoh_step(0.7, -0.0, 2.0)
+    assert abar == 1.0 and bbar == 0.7 * 2.0
+    bbar = selective_scan(Tensor([[1.0]]), Tensor([0.7]), Tensor([[-np.inf]]),
+                          Tensor([[2.0]]), Tensor([[1.0]])).data
+    assert bbar[0, 0] == 0.0
+
+
 def test_discretize_rejects_nonpositive_step():
     with pytest.raises(DomainError, match="non-positive step"):
         zoh_step(0.0, -1.0)
