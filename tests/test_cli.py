@@ -464,6 +464,7 @@ def test_normalize_times_train_eval_predict_agree(tmp_path, capsys):
 GOOD = '{"K": 5, "events": [{"t": 1.0, "k": 1}, {"t": 1.5, "k": 5}, {"t": 2.5, "k": 2}]}\n'
 TIED = '{"K": 5, "events": [{"t": 1.0, "k": 1}, {"t": 1.0, "k": 2}, {"t": 2.0, "k": 3}]}\n'
 DECREASING = '{"K": 5, "events": [{"t": 2.0, "k": 1}, {"t": 1.0, "k": 2}]}\n'
+ALL_TIED = '{"K": 5, "events": [{"t": 1.0, "k": 1}, {"t": 1.0, "k": 2}]}\n'
 
 
 @pytest.fixture(scope="module")
@@ -478,6 +479,10 @@ def hostile_inputs(tmp_path_factory):
         (root / "data" / f"{split}.jsonl").write_text(GOOD * 2)
     (root / "tied" / "train.jsonl").write_text(TIED + GOOD)
     (root / "tied" / "dev.jsonl").write_text(DECREASING)
+    (root / "all_tied").mkdir()
+    (root / "all_tied" / "train.jsonl").write_text(ALL_TIED)
+    (root / "all_tied" / "dev.jsonl").write_text(GOOD)
+    (root / "normalize_times.json").write_text(json.dumps({"normalize_times": True}))
     (root / "tie_then_decreasing.jsonl").write_text(TIED + DECREASING)
     (root / "a_file").write_text("x\n")
     (root / "not_utf8").write_bytes(b'{"K": 5, "events": []}\xff\n')
@@ -561,6 +566,10 @@ HOSTILE = [
      "decreasing timestamps"),
     ("train-tie-then-dev-decreasing", ["train", "--data", "tied", "--out", "o"], 2,
      "decreasing timestamps"),
+    # every train gap a nudged tie: the data leave normalize_times no time scale
+    ("train-normalize-times-all-ties",
+     ["train", "--config", "normalize_times.json", "--data", "all_tied", "--out", "o"], 2,
+     "all_tied/train.jsonl: every gap is a tied timestamp"),
     *((f"config-{name}", ["train", "--config", f"{name}.json", "--data", "data", "--out", "o"],
        1, f"config field {name}") for name in HOSTILE_FIELDS),
     ("eval-quad-points-huge",

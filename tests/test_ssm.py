@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from helpers import (check_param_grads, composed_scan, evaluate_one_by_one,
-                     gated_decay_reference, rel_err)
+                     gated_decay_reference, rel_err, rms_norm_reference)
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.autograd import DomainError, GraphError, Parameter, ShapeError, Tensor
 from mamba_hawkes.data import Batch, Dataset, EventSequence
@@ -229,15 +229,109 @@ def test_scan_gradients_match_composed_oracle(L, D, N):
         assert rel_err(fused[k], composed[k]) < 1e-10, k
 
 
+@pytest.mark.parametrize("side", [1.0 - 1e-9, 1.0 + 1e-9])
+def test_scan_agrees_with_composed_oracle_across_the_exp_cutoff(side):
+    # min delta * |a| = _EXP_CUTOFF * side: at 1 + 1e-9 every step takes
+    # exp(u) - 1, at 1 - 1e-9 the smallest step keeps expm1 and the others
+    # (in the same chunks) take exp; y and all five gradients agree with
+    # the composed oracle either way
+    L, D, N = 2 * C + 3, 3, 4
+    rng = np.random.default_rng(35)
+    a = -np.exp(rng.normal(size=(D, N)))
+    delta = ssm._EXP_CUTOFF / np.abs(a).min() * rng.uniform(1.0, 3.0, size=L)
+    delta[C + 2] = ssm._EXP_CUTOFF * side / np.abs(a).min()
+    assert (delta.min() * np.abs(a).min() >= ssm._EXP_CUTOFF) == (side > 1.0)
+    values = dict(x=rng.normal(size=(L, D)), a=a, b=rng.normal(size=(L, N)),
+                  c=rng.normal(size=(L, N)), skip=rng.normal(size=D))
+    w = rng.normal(size=(L, D))
+    out = []
+    for scan in (selective_scan, composed_scan):
+        params = {k: Parameter(v.copy()) for k, v in values.items()}
+        y = scan(delta=Tensor(delta), **params)
+        ag.backward(ag.reduce_sum(ag.mul(y, w)))
+        out.append((y.data, {k: p.grad for k, p in params.items()}))
+    (y, grads), (y_ref, grads_ref) = out
+    assert rel_err(y, y_ref) < 1e-13
+    for k in values:
+        assert rel_err(grads[k], grads_ref[k]) < 1e-13, k
+
+
+def test_steps_take_exp_from_the_cutoff_and_expm1_below_it():
+    # with a = -1, bbar is -(e^-delta - 1) exactly; steps at or beyond the
+    # cutoff compute it as exp(u) - 1 and steps below it as expm1(u), which
+    # differ in the last bit at some of these points
+    beyond = ssm._EXP_CUTOFF * (1.0 + np.array([0.0, 1e-9, 0.2, 0.7, 3.0]))
+    below = ssm._EXP_CUTOFF * (1.0 - np.array([1e-9, 0.02, 0.1, 0.3, 0.6]))
+    for deltas, e_minus_1 in ((beyond, lambda u: np.exp(u) - 1.0), (below, np.expm1)):
+        u = -deltas
+        assert np.any(e_minus_1(u) != np.where(deltas >= ssm._EXP_CUTOFF, np.expm1(u),
+                                                np.exp(u) - 1.0))
+        bbar = np.array([zoh_step(d, -1.0)[1] for d in deltas])
+        np.testing.assert_array_equal(bbar, -e_minus_1(u))
+
+
+def test_exp_choice_is_made_per_step_so_calls_and_groups_agree():
+    # a step takes exp or expm1 by its own delta, whatever else its call or
+    # group holds: a sequence whose steps all clear the cutoff gives the same
+    # bits alone, beside one with a step below it, and after such a step in
+    # an earlier call that carried the state; and the step below it gives
+    # the same bits among the others as in a call of its own
+    rng = np.random.default_rng(38)
+    D, N, L = 8, 16, 2 * C + 5
+    a = -np.exp(rng.uniform(0.0, 1.0, size=(D, N)))     # every |a| >= 1
+    fast, mixed = (scan_inputs(rng, L, D, N) for _ in range(2))
+    fast["delta"] = rng.uniform(0.7, 2.0, size=L)
+    mixed["delta"][C + 1] = 0.3
+    for v in (fast, mixed):
+        v["a"] = a
+    alone = selective_scan(**fast).data
+    batch = {k: np.stack([fast[k], mixed[k]], axis=1) for k in ("x", "delta", "b", "c")}
+    y = selective_scan(**batch, a=a, skip=fast["skip"]).data
+    assert np.array_equal(y[:, 0], alone)
+    state = np.zeros((D, N))
+    head = dict(mixed, **{k: mixed[k][:C + 2] for k in ("x", "delta", "b", "c")})
+    selective_scan(**head, state=state)
+    whole = {k: np.concatenate([head[k], fast[k]]) for k in ("x", "delta", "b", "c")}
+    y = selective_scan(**dict(fast, **whole)).data[C + 2:]
+    assert np.array_equal(y, selective_scan(**fast, state=state).data)
+    state, parts = np.zeros((D, N)), []
+    for s in (slice(0, C + 1), slice(C + 1, C + 2), slice(C + 2, L)):
+        part = dict(mixed, **{k: mixed[k][s] for k in ("x", "delta", "b", "c")})
+        parts.append(selective_scan(**part, state=state).data)
+    assert np.array_equal(np.concatenate(parts), selective_scan(**mixed).data)
+
+
+def test_rms_norm_forward_is_bit_equal_to_plain_numpy():
+    rng = np.random.default_rng(36)
+    for shape in ((7, 16), (1, 64), (90, 64)):
+        x, scale = rng.normal(size=shape) * 3.0, rng.normal(size=shape[-1])
+        x[0] *= 1e-4      # eps matters in this row
+        out = ssm.rms_norm(Tensor(x), Parameter(scale))
+        assert np.array_equal(out.data, rms_norm_reference(x, scale))
+
+
+def test_rms_norm_is_one_node_with_gradients_matching_fd():
+    rng = np.random.default_rng(37)
+    x = Parameter(rng.normal(size=(5, 6)))
+    x.data[1] *= 0.05     # a row whose norm eps moves
+    scale = Parameter(rng.normal(size=6))
+    w = rng.normal(size=(5, 6))
+    out = ssm.rms_norm(x, scale)
+    assert out._parents == (x, scale)
+    errs = check_param_grads(lambda: ag.reduce_sum(ag.mul(ssm.rms_norm(x, scale), w)),
+                             [x, scale])
+    assert max(errs.values()) < 1e-7, errs
+
+
 def test_scan_is_one_graph_node_per_layer():
     # guard on graph size: the default model's whole loss graph on one sequence
-    # (184 nodes, with the scan and the compensator one node each)
+    # (158 nodes, with the scan, the compensator and each RMSNorm one node each)
     rng = np.random.default_rng(12)
     model = MambaHawkes(MhpConfig(K=5), seed=0)
     seq = EventSequence(np.cumsum(rng.exponential(1.0, size=30)),
                         rng.integers(1, 6, size=30), 5)
     nodes = ag.topo_order(model.losses(seq).total)
-    assert len(nodes) < 190, len(nodes)
+    assert len(nodes) < 165, len(nodes)
 
 
 def step_memory_in_state_arrays(L, n_layers=4):

@@ -483,6 +483,25 @@ def test_train_early_stopping(tmp_path):
     assert result.epochs_run == 3  # stopped after patience ran out
 
 
+@pytest.mark.parametrize("n_test", [0, 3])
+def test_train_loads_the_best_checkpoint_only_for_a_test_split(tmp_path, monkeypatch, n_test):
+    # dev improves only at epoch 1, so the model after epoch 3 is not the
+    # best one; the test metrics are the best checkpoint's, loaded once when
+    # there is a test split and not at all without one
+    write_benchmark(tmp_path / "data", seed=4, n_train=6, n_dev=2, n_test=n_test)
+    devs = iter([-1.0, -2.0, -3.0])
+    monkeypatch.setattr(train_mod, "dev_ll_per_event", lambda model, ds: next(devs))
+    loads = []
+    monkeypatch.setattr(train_mod, "load_checkpoint",
+                        lambda path: loads.append(path) or load_checkpoint(path))
+    result = train(desk_config(tmp_path / "data", tmp_path / "out", epochs=3, lr=1e-2))
+    assert (result.best_epoch, result.epochs_run) == (1, 3)
+    assert len(loads) == (1 if n_test else 0)
+    if n_test:
+        test = train_mod.load_split(tmp_path / "data", "test")
+        assert result.test_metrics == evaluate(load_checkpoint(result.checkpoint_path)[0], test)
+
+
 def test_train_nan_abort_names_batch(tmp_path, monkeypatch):
     write_benchmark(tmp_path / "data", seed=5, n_train=6, n_dev=2, n_test=0)
 
