@@ -227,12 +227,13 @@ def log(a):
 
 def _sigmoid(x):
     # exp(min(x, 0)) / (1 + exp(-|x|)), stable in both tails: exp never sees
-    # a positive argument
+    # a positive argument, and runs once, since exp(min(x, 0)) is exp(-|x|)
+    # where x < 0 and 1 elsewhere, which is max(exp(-|x|), x >= 0)
     e = np.abs(x, out=np.empty_like(x))     # an array even when 0-d
     np.exp(np.negative(e, out=e), out=e)
+    s = np.maximum(e, x >= 0.0, out=np.empty_like(e))
     e += 1.0
-    s = np.minimum(x, 0.0, out=np.empty_like(e))
-    return np.divide(np.exp(s, out=s), e, out=s)
+    return np.divide(s, e, out=s)
 
 
 def silu(a):

@@ -32,10 +32,7 @@ from .model import MambaHawkes, MhpConfig
 FORMAT = "mamba-hawkes-checkpoint"
 VERSION = 2
 
-_ARCHS = {
-    "mhp": (MhpConfig, MambaHawkes),
-    "mhp-e": (MhpEConfig, MambaHawkesHybrid),
-}
+_ARCHS = {"mhp": (MhpConfig, MambaHawkes), "mhp-e": (MhpEConfig, MambaHawkesHybrid)}
 
 
 def config_class(arch):
@@ -52,11 +49,8 @@ def build_model(arch, config_dict, seed=0):
 
 def checkpoint_payload(model, meta=None):
     return {
-        "format": FORMAT,
-        "version": VERSION,
-        "arch": model.arch,
-        "config": model.cfg.to_dict(),
-        "meta": dict(meta or {}),
+        "format": FORMAT, "version": VERSION, "arch": model.arch,
+        "config": model.cfg.to_dict(), "meta": dict(meta or {}),
         "params": {
             name: {"shape": list(p.shape),
                    "data": base64.b64encode(p.data.astype("<f8").tobytes()).decode("ascii")}

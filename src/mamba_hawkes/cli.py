@@ -173,11 +173,8 @@ def _cmd_predict(args):
         seq = scale_times(dataset, scale).sequences[args.line - 1]
     result = model.predict_next(seq)
     next_time = result.next_time / scale if scale else result.next_time
-    print(json.dumps({
-        "probs": [float(p) for p in result.probs],
-        "next_type": result.next_type,
-        "next_time": next_time,
-    }))
+    print(json.dumps({"probs": [float(p) for p in result.probs],
+                      "next_type": result.next_type, "next_time": next_time}))
     return 0
 
 

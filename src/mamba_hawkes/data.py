@@ -205,14 +205,8 @@ def benchmark_generator_config():
         alpha[(k + 1) % K, k] = 2.0   # cyclic cross-excitation, fast decay
         beta[(k + 1) % K, k] = 4.0
         alpha[k, k] = 0.1             # mild self-excitation
-    return HawkesGenConfig(
-        K=K,
-        mu=np.full(K, 0.13),
-        alpha=alpha,
-        beta_decay=beta,
-        horizon=40.0,
-        length_bounds=(20, 100),
-    )
+    return HawkesGenConfig(K=K, mu=np.full(K, 0.13), alpha=alpha, beta_decay=beta,
+                           horizon=40.0, length_bounds=(20, 100))
 
 
 def make_synthetic_benchmark(seed, n_train=1600, n_dev=200, n_test=200):

@@ -22,7 +22,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Module, Parameter, Tensor
 from .data import (MAX_D_CONV, MAX_D_MODEL, MAX_D_STATE, MAX_EXPAND, MAX_HIDDEN, MAX_LAYERS,
-                   MAX_TYPES)
+                   MAX_TYPES, EventSequence)
 from .ssm import MambaBlock, batch_groups, linear_init
 
 # F(u) = -Li2(-e^u), the antiderivative of softplus that vanishes at -inf, is
@@ -38,6 +38,8 @@ _PI2_6 = math.pi ** 2 / 6.0     # F(u) + F(-u) - u^2 / 2
 _SMALL_DU = 0.05
 
 DELTA_MIN, DELTA_MAX = 1e-6, 1e4    # bounds of the scan's step, the softplus'd gap
+
+_TILE = 64      # rows per tile of the head product, `MambaHawkes.heads`
 
 
 # the values each config annotation takes: a bool is no int, and a float
@@ -143,10 +145,6 @@ class IntensityHead(Module):
         self.b = Parameter(np.zeros(K))
         self.log_beta = Parameter(np.zeros(K))
 
-    def base_scores(self, hidden):
-        """w_k . h + b_k for every (position, type) pair -> [L, K]."""
-        return ag.add(ag.matmul(hidden, ag.transpose(self.W)), self.b)
-
     def intensities(self, offsets, scores):
         """Intensity at offsets past each interval start.
 
@@ -165,60 +163,66 @@ class IntensityHead(Module):
 
         Given `ends`, the intervals are those of several sequences in turn,
         sequence j's ending before ends[j], and it returns each sequence's
-        compensator, [len(ends)], without a graph: each is summed alone, as
-        a call on its intervals would sum it.
+        compensator, [len(ends)], each summed alone, as a call on its
+        intervals would sum it; a graph records only for one sequence.
 
         On interval i, lambda_k = beta_k softplus(u) with u running linearly
         from u0 = c_ik / beta_k to u0 + du, du = alpha_k gaps_i / beta_k, so
         the integral is beta_k gaps_i h, h the mean of softplus over that
         range: (F(u0 + du) - F(u0)) / du with F' = softplus, or, where |du| <
-        `_SMALL_DU` and that difference would cancel, its midpoint series. The
-        gradients are analytic, take the same branches and are written
-        through du, never as a division by alpha.
+        `_SMALL_DU` and that difference would cancel, its midpoint series.
+        Each branch runs only when some interval takes it (alpha = 0 takes
+        only the series). The gradients are analytic, take the same branches
+        and are written through du, never as a division by alpha.
         """
         beta = np.exp(self.log_beta.data)
         if np.any(beta <= 0.0):
             raise ag.DomainError(f"softplus scale must be positive (min={float(beta.min())})")
         g = gaps[:, None]
         du = self.alpha.data * g / beta
-        u = scores.data / beta
-        u = np.stack([u, u + du, u + 0.5 * du])         # start, end and midpoint m
-        w = np.log1p(np.exp(-np.abs(u)))                 # softplus(-|u|)
-        sp = np.maximum(u, 0.0) + w                      # softplus(u), stable
-        pos = (u[:2] > 0.0).astype(np.float64)
-        # F(u) = P(u) + tail(u): P = pos (u^2 / 2 + pi^2 / 6), and tail is
-        # F(-|u|) by the series, negated where u > 0
-        tail = _dilog_series(w[:2]) * (1.0 - 2.0 * pos)
-        up = u[:2] * pos
+        u0 = scores.data / beta
         small = np.abs(du) < _SMALL_DU
-        safe = np.where(small, 1.0, du)
-        dF = (0.5 * (up[1] - up[0]) * (up[1] + up[0]) + _PI2_6 * (pos[1] - pos[0])
-              + tail[1] - tail[0])
-        # sigma(m), 1 - sigma(m) and sigma'(m) = softplus''(m), stable in both tails
-        sig, rest, d2 = np.exp(u[2] - sp[2]), np.exp(-sp[2]), np.exp(u[2] - 2.0 * sp[2])
-        d4 = d2 * (1.0 - 6.0 * d2)                       # softplus''''(m)
-        du2 = du * du
-        h = np.where(small, sp[2] + du2 / 24.0 * d2 + du2 * du2 / 1920.0 * d4, dF / safe)
         track = ag._track(scores, self.alpha, self.log_beta)
-        if ends is not None:
+        # h and, when tracked, its parts dh/du0, dh/d(du) and h - u0 dh/du0 -
+        # du dh/d(du), which is d(beta h)/d(beta), of each branch taken
+        mid = end = None
+        if not small.all():
+            u = np.stack([u0, u0 + du])                  # start and end
+            w = np.log1p(np.exp(-np.abs(u)))             # softplus(-|u|)
+            sp = np.maximum(u, 0.0) + w                  # softplus(u), stable
+            pos = (u > 0.0).astype(np.float64)
+            # F(u) = P(u) + tail(u): P = pos (u^2 / 2 + pi^2 / 6), and tail is
+            # F(-|u|) by the series, negated where u > 0
+            tail = _dilog_series(w) * (1.0 - 2.0 * pos)
+            up = u * pos
+            safe = np.where(small, 1.0, du)
+            end = [(0.5 * (up[1] - up[0]) * (up[1] + up[0]) + _PI2_6 * (pos[1] - pos[0])
+                    + tail[1] - tail[0]) / safe]
             if track:
-                raise ag.GraphError("integral: per-sequence sums are for evaluation under "
-                                    "no_grad only")
-            return Tensor([g @ part @ beta for g, part in
-                           zip(np.split(gaps, ends[:-1]), np.split(h, ends[:-1]))])
-        value = gaps @ h @ beta
-        if not track:
-            return Tensor(value)
-        # parts: dh/du0, dh/d(du), and h - u0 dh/du0 - du dh/d(du), which is
-        # d(beta h)/d(beta); the midpoint series' h_m and h_du hold m fixed
-        d3 = d2 * (rest - sig)                           # softplus'''(m)
-        h_m = sig + du2 / 24.0 * d3 + du2 * du2 / 1920.0 * d3 * (1.0 - 12.0 * d2)
-        h_du = du / 12.0 * d2 + du * du2 / 480.0 * d4
-        uw = u[:2] * w[:2]            # u softplus(u) = 2 P - pos pi^2 / 3 + u w
-        parts = np.where(small, [h_m, 0.5 * h_m + h_du, h - u[2] * h_m - du * h_du],
-                         [(sp[1] - sp[0]) / safe, (sp[1] - h) / safe,
-                          (2.0 * (tail[1] - tail[0]) + 2.0 * _PI2_6 * (pos[1] - pos[0])
-                           - (uw[1] - uw[0])) / safe])
+                uw = u * w            # u softplus(u) = 2 P - pos pi^2 / 3 + u w
+                end += [(sp[1] - sp[0]) / safe, (sp[1] - end[0]) / safe,
+                        (2.0 * (tail[1] - tail[0]) + 2.0 * _PI2_6 * (pos[1] - pos[0])
+                         - (uw[1] - uw[0])) / safe]
+        if small.any():
+            m = u0 + 0.5 * du                            # the midpoint
+            spm = np.maximum(m, 0.0) + np.log1p(np.exp(-np.abs(m)))
+            # sigma(m), 1 - sigma(m) and sigma'(m) = softplus''(m), stable in both tails
+            sig, rest, d2 = np.exp(m - spm), np.exp(-spm), np.exp(m - 2.0 * spm)
+            d4 = d2 * (1.0 - 6.0 * d2)                   # softplus''''(m)
+            du2 = du * du
+            mid = [spm + du2 / 24.0 * d2 + du2 * du2 / 1920.0 * d4]
+            if track:   # the series' h_m and h_du hold m fixed
+                d3 = d2 * (rest - sig)                   # softplus'''(m)
+                h_m = sig + du2 / 24.0 * d3 + du2 * du2 / 1920.0 * d3 * (1.0 - 12.0 * d2)
+                h_du = du / 12.0 * d2 + du * du2 / 480.0 * d4
+                mid += [h_m, 0.5 * h_m + h_du, mid[0] - m * h_m - du * h_du]
+        h, *parts = end if mid is None else mid if end is None else np.where(small, mid, end)
+        value = np.array([gaps[s] @ h[s] @ beta
+                          for s in _spans([len(gaps)] if ends is None else ends)])
+        value = value[0] if ends is None else value
+        if track and value.size > 1:
+            raise ag.GraphError("integral: the sums of several sequences are for evaluation "
+                                "under no_grad only")
         return ag._node(value, (scores, self.alpha, self.log_beta),
                         lambda grad: grad * g * parts[0],
                         lambda grad: grad * (gaps * gaps @ parts[1]),
@@ -232,12 +236,6 @@ class PredictionHeads(Module):
         self.P_e = Parameter(linear_init(rng, d_model, K).T)  # [K, d_model]
         self.P_t = Parameter(linear_init(rng, d_model, 1).T)  # [1, d_model]
 
-    def logits(self, hidden):
-        return ag.matmul(hidden, ag.transpose(self.P_e))
-
-    def times(self, hidden):
-        return ag.reshape(ag.matmul(hidden, ag.transpose(self.P_t)), (-1,))
-
 
 class LossBreakdown(NamedTuple):
     event: Tensor
@@ -250,6 +248,30 @@ class Score(NamedTuple):
     log_likelihood: Tensor
     logits: Tensor       # [n-1, K], next-type logits after events 1..n-1
     gaps: Tensor         # [n-1], predicted gaps to events 2..n
+
+
+class HeadRows(NamedTuple):     # the column blocks of `MambaHawkes.heads` on m rows
+    scores: Tensor       # [m, K], base scores w_k . h + b_k
+    logits: Tensor       # [m, K], next-type logits
+    times: Tensor        # [m], predicted next-event times
+
+
+def _spans(ends):
+    """The slices of consecutive runs, run j ending before ends[j]."""
+    return [slice(a, b) for a, b in zip([0, *ends[:-1]], ends)]
+
+
+class GroupScores:
+    """`score_group`'s whole-group tensors: `log_likelihood` [S], one per
+    sequence, and `logits` [m, K] and `gaps` [m] of the `group`'s
+    intervals. Item j is sequence j's `Score`."""
+
+    def __init__(self, ll, logits, gaps, group):
+        self.log_likelihood, self.logits, self.gaps, self.group = ll, logits, gaps, group
+
+    def __getitem__(self, j):
+        s = self.group.spans[j]
+        return Score(self.log_likelihood[j], self.logits[s], self.gaps[s])
 
 
 class PredictionResult(NamedTuple):
@@ -269,10 +291,8 @@ class EncoderState:
     """
 
     def __init__(self):
-        self.held = None        # (timestamps, types) copied, or None
-        self.params = []
-        self.blocks = []
-        self.last = None
+        # (timestamps, types) copied, or None; then params, blocks and last
+        self.held, self.params, self.blocks, self.last = None, [], [], None
 
     def resume(self, model, seq):
         """How many leading events of seq the state holds for `model`.
@@ -303,36 +323,39 @@ class Group:
     padded past its last event with type 1 at gaps of 1, in rows that its
     own rows never read, since every op of the encoder is causal or
     row-wise. `timestamps` [L, B] and `type_indices` [L * B] stand in for
-    those of a sequence.
+    those of a sequence. A group of one is laid out as that sequence, with
+    `timestamps` [L], so that its pass takes the path that records a graph.
+    Its intervals, `gaps` and `next_types` (0-based) [m], are each
+    sequence's in turn, sequence j's in `spans[j]`, ending before cuts[j];
+    `starts` are the rows of their first events in the rows of `split`.
     """
 
     def __init__(self, seqs):
-        lengths = [len(s) for s in seqs]
-        L, B = max(lengths), len(lengths)
-        self.timestamps = np.empty((L, B))
-        types = np.zeros((L, B), dtype=np.int64)
-        for j, s in enumerate(seqs):
-            n = len(s)
-            self.timestamps[:n, j] = s.timestamps
-            self.timestamps[n:, j] = s.timestamps[-1] + np.arange(1.0, L - n + 1)
-            types[:n, j] = s.type_indices
-        self.type_indices = types.reshape(-1)
-        self.ends = np.cumsum(lengths)
-        # the pass's rows of each sequence in turn
-        self.rows = np.concatenate([np.arange(n) * B + j for j, n in enumerate(lengths)])
-
-    def unpad(self, x):
-        """The pass's rows x [L * B, .] of each sequence in turn, [sum of lengths, .]."""
-        return ag.gather(x, self.rows, axis=0)
+        n = np.array([len(s) for s in seqs])
+        L, B = n.max(), len(n)
+        self.ends = np.cumsum(n)
+        self.cuts = self.ends - np.arange(1, B + 1)
+        self.spans = _spans(self.cuts)
+        t = np.concatenate([s.timestamps for s in seqs])
+        k = np.concatenate([s.types for s in seqs]) - 1
+        self.starts = np.delete(np.arange(len(t)), self.ends - 1)
+        self.gaps = np.diff(t)[self.starts]
+        self.next_types = k[self.starts + 1]
+        self.firsts = t[self.ends - n]
+        self.rows = None        # the pass's rows of each sequence in turn, if padded
+        if B == 1:
+            self.timestamps, self.type_indices = t, k
+            return
+        i = np.arange(L)[:, None]
+        inside = i < n
+        at = np.minimum(i, n - 1) + self.ends - n       # each slot's event, or its last one
+        self.timestamps = np.where(inside, t[at], t[at] + (i - n + 1))
+        self.type_indices = np.where(inside, k[at], 0).reshape(-1)
+        self.rows = (i * B + np.arange(B)).T[inside.T]
 
     def split(self, x):
         """Rows of each sequence in turn, [sum of lengths, .], as one slice per sequence."""
-        return [x[a:b] for a, b in zip(np.r_[0, self.ends[:-1]], self.ends)]
-
-
-def _check_scorable(seq):
-    if len(seq) < 2:
-        raise ValueError("scoring needs at least two events")
+        return [x[rows] for rows in _spans(self.ends)]
 
 
 class MambaHawkes(Module):
@@ -368,10 +391,11 @@ class MambaHawkes(Module):
                 f"but the model has K={self.cfg.K}")
         return ag.transpose(ag.gather(self.embedding, idx, axis=1))
 
-    def deltas(self, seq):
+    def deltas(self, seq, before=0.0):
         """The scan's steps: softplus of each gap (the first gap is the first
-        timestamp), clamped so that no step is zero or overflows."""
-        return np.clip(np.logaddexp(0.0, np.diff(seq.timestamps, axis=0, prepend=0.0)),
+        timestamp less `before`, the time of any event before seq), clamped
+        so that no step is zero or overflows."""
+        return np.clip(np.logaddexp(0.0, np.diff(seq.timestamps, axis=0, prepend=before)),
                        DELTA_MIN, DELTA_MAX)
 
     def _stack(self):
@@ -384,54 +408,70 @@ class MambaHawkes(Module):
         a `group`'s pass come back as those of each sequence in turn."""
         for blk, state in zip(self.layers, states):
             x = blk(x, delta, state)
-        return x if group is None else group.unpad(x)
+        return x if group is None else ag.gather(x, group.rows, axis=0)
 
     def encode(self, seq, state=None):
         """Hidden state per event, [L, d_model]; row j sees only events <= j.
 
         With an `EncoderState` it returns the last event's row alone,
-        [1, d_model], and runs only the events after those the state holds
-        (`EncoderState.resume`), without recording a graph; the state then
-        holds seq. Without one, the state starts empty.
+        [1, d_model], and embeds and runs only the events after those the
+        state holds (`EncoderState.resume`), without recording a graph; the
+        state then holds seq. Without one, the state starts empty.
 
-        Given a `Group` of sequences in place of seq, under no_grad, it
-        encodes them in one pass that steps them all at once, and returns
-        the rows of each sequence in turn, [sum of lengths, d_model], each
-        bit for bit those of `encode` on that sequence alone.
+        Given a `Group` of two or more sequences in place of seq, under
+        no_grad, it encodes them in one pass that steps them all at once,
+        and returns the rows of each sequence in turn, [sum of lengths,
+        d_model], each bit for bit those of `encode` on that sequence alone.
+        A `Group` of one encodes as its sequence.
         """
         if state is None:
             x = self.embed(seq)
             delta = Tensor(self.deltas(seq))
-            group = seq if isinstance(seq, Group) else None
+            group = seq if isinstance(seq, Group) and seq.rows is not None else None
             return self.mlp(self._run_stack(x, delta, [None] * len(self._stack()), group))
         with ag.no_grad():
             start = state.resume(self, seq)
             if start < len(seq):
                 state.held = None   # until the blocks hold all of seq
-                x = self.embed(seq)[start:]
-                delta = Tensor(self.deltas(seq)[start:])
-                state.last = self._run_stack(x, delta, state.blocks)[len(seq) - start - 1:]
+                new = EventSequence(seq.timestamps[start:], seq.types[start:], seq.K)
+                delta = Tensor(self.deltas(new, seq.timestamps[start - 1] if start else 0.0))
+                state.last = self._run_stack(self.embed(new), delta, state.blocks)[-1:]
                 state.held = (seq.timestamps.copy(), seq.types.copy())
             return self.mlp(state.last)
+
+    def heads(self, hidden, rows=slice(None)):
+        """The intensity, next-type and next-time heads on hidden[rows], as
+        one graph node: the rows times the stacked [d_model, 2K + 1] weight
+        [W^T P_e^T P_t^T], plus b on the first K columns, in column blocks.
+
+        The product runs in zero-padded `_TILE`-row tiles, one batched matmul
+        over [tiles, _TILE, d_model]. A BLAS product of another row count
+        can round a row differently (OpenBLAS 0.3.31 did, against one
+        2500-row call); one of a fixed shape cannot, so a row's bits depend
+        on that row alone, in a group or scored alone.
+        """
+        K, params = self.cfg.K, (self.head.W, self.head.b, self.pred.P_e, self.pred.P_t)
+        x = hidden.data[rows]
+        stacked = np.concatenate([self.head.W.data, self.pred.P_e.data, self.pred.P_t.data])
+        tiles = np.zeros((-(-len(x) // _TILE) * _TILE, x.shape[1]))
+        tiles[:len(x)] = x
+        out = np.matmul(tiles.reshape(-1, _TILE, x.shape[1]), np.ascontiguousarray(stacked.T))
+        out = out.reshape(-1, 2 * K + 1)[:len(x)]
+        out[:, :K] += self.head.b.data
+
+        def grad_hidden(g):
+            gh = np.zeros_like(hidden.data)
+            gh[rows] = g @ stacked
+            return gh
+        node = ag._node(out, (hidden,) + params, grad_hidden, lambda g: g[:, :K].T @ x,
+                        lambda g: g[:, :K], lambda g: g[:, K:-1].T @ x, lambda g: g[:, -1:].T @ x)
+        return HeadRows(node[:, :K], node[:, K:-1], node[:, -1])
 
     # -- intensities and likelihood -----------------------------------------
 
     def score(self, seq):
-        """One encoder pass scored three ways: the log-likelihood (the intensity
-        integrated over [t_1, t_n] in closed form), the next-type logits
-        [n-1, K] and the predicted gaps [n-1], successive differences of
-        predicted times anchored at t_1. Differentiable end to end."""
-        _check_scorable(seq)
-        hidden = self.encode(seq)
-        scores = self.head.base_scores(hidden)
-        gaps = np.diff(seq.timestamps)
-        lam = self.head.intensities(gaps, scores[:-1])      # [n-1, K] at event times
-        own = np.arange(len(gaps)) * self.cfg.K + seq.type_indices[1:]
-        events = ag.reduce_sum(ag.log(ag.gather(ag.reshape(lam, (-1,)), own)))
-        ll = ag.sub(events, self.head.integral(gaps, scores[:-1]))
-        logits = self.pred.logits(hidden[:-1])
-        t_hat = ag.concat([Tensor(seq.timestamps[:1]), self.pred.times(hidden[:-1])], axis=0)
-        return Score(ll, logits, ag.sub(t_hat[1:], t_hat[:-1]))
+        """The `Score` of seq alone (`score_group`), differentiable end to end."""
+        return self.score_group([seq])[0]
 
     def groups(self, seqs):
         """Positions of seqs, sorted by length and cut into the groups that
@@ -440,37 +480,34 @@ class MambaHawkes(Module):
         return batch_groups([len(s) for s in seqs], blk.d_inner, blk.ssm.d_state)
 
     def score_group(self, seqs):
-        """`score` of each of seqs from one encoder pass over them all that
-        steps them at once (`encode` of a `Group`), without a graph: their
-        Scores in the order given, bit for bit those of `score`.
+        """One encoder pass (`encode` of a `Group`) scored three ways for
+        each of seqs: the log-likelihood (the intensity integrated over
+        [t_1, t_n] in closed form), the next-type logits [n-1, K] and the
+        predicted gaps [n-1], successive differences of predicted times
+        anchored at t_1; item j of the `GroupScores` is seqs[j]'s `Score`.
+        A group of one records a graph; with more, the batch axis raises
+        GraphError if a graph would record.
 
-        The embedding, the blocks' row-wise ops, the MLP, the intensities
-        and the compensator's terms run once over the group's rows; the
-        heads, whose weights enter transposed, and each sequence's sums of
-        its event terms and of its compensator's terms run per sequence, on
-        arrays of the shapes that `score` gives them, so that every value
-        keeps its bits.
+        The heads, intensities and compensator terms run once over the
+        group's rows, and a row's values depend on that row alone; only
+        each sequence's sums of event and compensator terms run per
+        sequence, over its slice. So each value has the bits of scoring
+        its sequence alone.
         """
-        for seq in seqs:
-            _check_scorable(seq)
+        if any(len(seq) < 2 for seq in seqs):
+            raise ValueError("scoring needs at least two events")
         group = Group(seqs)
-        with ag.no_grad():
-            hidden = group.split(self.encode(group))
-            scores = [self.head.base_scores(h) for h in hidden]
-            gaps = np.concatenate([np.diff(s.timestamps) for s in seqs])
-            starts = ag.concat([sc[:-1] for sc in scores])
-            lam = self.head.intensities(gaps, starts)
-            own = np.arange(len(gaps)) * self.cfg.K + np.concatenate(
-                [s.type_indices[1:] for s in seqs])
-            ends = group.ends - np.arange(1, len(seqs) + 1)    # of each one's intervals
-            events = np.split(ag.log(ag.gather(ag.reshape(lam, (-1,)), own)).data, ends[:-1])
-            compensators = self.head.integral(gaps, starts, ends).data
-            out = []
-            for seq, h, ev, comp in zip(seqs, hidden, events, compensators):
-                t_hat = np.concatenate([seq.timestamps[:1], self.pred.times(h[:-1]).data])
-                out.append(Score(Tensor(ev.sum() - comp), self.pred.logits(h[:-1]),
-                                 Tensor(t_hat[1:] - t_hat[:-1])))
-        return out
+        heads = self.heads(self.encode(group), group.starts)
+        lam = self.head.intensities(group.gaps, heads.scores)      # [m, K] at event times
+        own = np.arange(len(group.gaps)) * self.cfg.K + group.next_types
+        events = ag.log(ag.gather(ag.reshape(lam, (-1,)), own))
+        sums = ag._node(np.array([events.data[s].sum() for s in group.spans]), (events,),
+                        lambda g: np.repeat(g, np.diff(group.cuts, prepend=0)))
+        ll = ag.sub(sums, self.head.integral(group.gaps, heads.scores, group.cuts))
+        prev = np.arange(len(group.gaps)) + len(seqs) - 1   # each interval's previous time,
+        prev[[s.start for s in group.spans]] = np.arange(len(seqs))     # t_1 for a first one
+        t_hat = ag.concat([Tensor(group.firsts), heads.times])
+        return GroupScores(ll, heads.logits, ag.sub(heads.times, ag.gather(t_hat, prev)), group)
 
     # -- prediction and losses ----------------------------------------------
 
@@ -482,9 +519,9 @@ class MambaHawkes(Module):
         Not safe to call from several threads at once.
         """
         with ag.no_grad():
-            h_last = self.encode(seq, self._stream)
-            probs = ag.softmax(self.pred.logits(h_last), axis=1).data[0]
-            t_hat = float(self.pred.times(h_last).data[0])
+            heads = self.heads(self.encode(seq, self._stream))
+            probs = ag.softmax(heads.logits, axis=1).data[0]
+            t_hat = float(heads.times.data[0])
         return PredictionResult(probs, int(np.argmax(probs)) + 1, t_hat)
 
     def losses(self, seq):

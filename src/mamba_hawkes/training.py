@@ -167,9 +167,7 @@ def loss_on_batch(model, bat):
     total, the summed LL value and the scored events. `accumulate_gradients`
     calls it on one sequence at a time, so a graph never holds more than one
     sequence."""
-    total = None
-    ll_value = 0.0
-    n_events = 0
+    total, ll_value, n_events = None, 0.0, 0
     for seq in bat.unpadded():
         parts = model.losses(seq)
         total = parts.total if total is None else ag.add(total, parts.total)
@@ -192,8 +190,7 @@ def accumulate_gradients(model, bat):
     forward and backward seconds.
     """
     n = float(len(bat.unpadded()))
-    ll_value = 0.0
-    n_events = nodes = 0
+    ll_value, n_events, nodes = 0.0, 0, 0
     forward_seconds = backward_seconds = 0.0
     for seq in bat.unpadded():
         t_forward = time.perf_counter()
@@ -219,9 +216,11 @@ def evaluate(model, dataset, n_quad=None):
 
     The sequences are sorted by length and cut into groups (`model.groups`),
     and each group is scored in one pass under no_grad that steps all of its
-    sequences at once (`model.score_group`). Each sequence's values are bit
-    for bit those of `model.score`, and the totals add them in dataset
-    order, so the metrics are those of scoring one sequence at a time.
+    sequences at once (`model.score_group`). The correct types and squared
+    errors come from the group's whole arrays; each sequence's LL and sum of
+    squared errors are bit for bit those of `model.score` on it, and the
+    totals add them in dataset order, so the metrics are those of scoring
+    one sequence at a time.
 
     n_quad, the node count of the quadrature that the closed form replaced,
     is accepted and must be at least 2, but it changes nothing.
@@ -235,24 +234,22 @@ def evaluate(model, dataset, n_quad=None):
         raise ValueError(f"nothing to evaluate: split {dataset.split!r} has no sequences")
     lls, sq_errs = [0.0] * len(seqs), [0.0] * len(seqs)
     correct = 0
-    for group in model.groups(seqs):
-        for i, (ll, logits, pred_gaps) in zip(group, model.score_group([seqs[i] for i in group])):
-            seq = seqs[i]
-            lls[i] = float(ll.data)
-            correct += int(np.sum(np.argmax(logits.data, axis=1) + 1 == seq.types[1:]))
-            sq_errs[i] = float(np.sum((pred_gaps.data - np.diff(seq.timestamps)) ** 2))
+    with ag.no_grad():
+        for group in model.groups(seqs):
+            scored = model.score_group([seqs[i] for i in group])
+            g = scored.group
+            correct += int(np.sum(np.argmax(scored.logits.data, axis=1) == g.next_types))
+            sq = (scored.gaps.data - g.gaps) ** 2
+            for i, ll, part in zip(group, scored.log_likelihood.data, (sq[s] for s in g.spans)):
+                lls[i], sq_errs[i] = float(ll), float(part.sum())
     ll_sum = sq_err = 0.0
     for ll, sq in zip(lls, sq_errs):   # in dataset order
         ll_sum += ll
         sq_err += sq
     n_events = sum(len(seq) - 1 for seq in seqs)
-    return Metrics(
-        ll_per_event=ll_sum / n_events,
-        accuracy=100.0 * correct / n_events,
-        rmse=float(np.sqrt(sq_err / n_events)),
-        n_events=n_events,
-        n_sequences=len(dataset),
-    )
+    return Metrics(ll_per_event=ll_sum / n_events, accuracy=100.0 * correct / n_events,
+                   rmse=float(np.sqrt(sq_err / n_events)), n_events=n_events,
+                   n_sequences=len(dataset))
 
 
 def dev_ll_per_event(model, dataset):
@@ -380,15 +377,12 @@ def train(cfg):
 
     model = build_model(cfg.arch, cfg.model_config_dict(train_ds.K), seed=cfg.seed)
     params = model.parameters()
-    opt = Adam(params, lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-               eps=cfg.adam_eps)
+    opt = Adam(params, lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2, eps=cfg.adam_eps)
     shuffle_rng = np.random.default_rng(cfg.seed)
 
     os.makedirs(cfg.out, exist_ok=True)
     ckpt_path = os.path.join(cfg.out, "checkpoint.json")
-    rows = []
-    epoch_seconds = []
-    checkpoint_seconds = []
+    rows, epoch_seconds, checkpoint_seconds = [], [], []
     # per epoch: the gradient norm before clipping and the clip factor of
     # each step, the seconds spent in forward, backward and dev eval, train
     # events per forward and backward second, graph nodes per sequence and
@@ -398,17 +392,14 @@ def train(cfg):
                                        "train_events_per_second", "graph_nodes_per_sequence")}
     if resource is not None:
         epoch_log["peak_rss_mb"] = []
-    best_dev = -np.inf
-    best_epoch = 0
-    epochs_run = 0
+    best_dev, best_epoch, epochs_run = -np.inf, 0, 0
     sequences = list(train_ds)
 
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         order = shuffle_rng.permutation(len(sequences))
         batches = batch([sequences[i] for i in order], cfg.batch_size)
-        epoch_ll = 0.0
-        epoch_events = 0
+        epoch_ll, epoch_events = 0.0, 0
         norms, factors = [], []
         forward_seconds = backward_seconds = 0.0
         graph_nodes = 0

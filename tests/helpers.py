@@ -1,10 +1,11 @@
 """Shared test utilities: finite-difference oracles, error metrics,
 composed-op references for the fused selective scan, the fused multi-head
-attention and the compensator, the compensator node on a general quadrature
-rule, the earlier form of the log-likelihood (a one-hot event term), the
-closed-form gated recurrence the scan reduces to, (e^x - 1) / x with its
-derivative (the composed scan's discretization), a point intensity query,
-a writer of version-1 checkpoints, and `evaluate` one sequence at a time."""
+attention and the compensator, the compensator node with both of its
+branches on every interval and on a general quadrature rule, the earlier
+form of the log-likelihood (a one-hot event term), the closed-form gated
+recurrence the scan reduces to, (e^x - 1) / x with its derivative (the
+composed scan's discretization), a point intensity query, a writer of
+version-1 checkpoints, and `evaluate` one sequence at a time."""
 
 import json
 
@@ -13,6 +14,7 @@ import numpy as np
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.checkpoint import FORMAT
 from mamba_hawkes.hybrid import causal_mask
+from mamba_hawkes.model import _PI2_6, _SMALL_DU, _dilog_series
 from mamba_hawkes.training import Metrics
 
 
@@ -215,6 +217,43 @@ def composed_compensator(head, offsets, weights, scores):
     return ag.reduce_sum(ag.mul(total, weights))
 
 
+def both_branch_integral(head, gaps, scores):
+    """IntensityHead.integral computing both of its branches on every
+    interval, the difference of F and the midpoint series, and picking each
+    interval's with np.where: the oracle for the node, which computes only
+    the branches its intervals take, in its value and its three gradients."""
+    beta = np.exp(head.log_beta.data)
+    g = gaps[:, None]
+    du = head.alpha.data * g / beta
+    u = scores.data / beta
+    u = np.stack([u, u + du, u + 0.5 * du])         # start, end and midpoint m
+    w = np.log1p(np.exp(-np.abs(u)))
+    sp = np.maximum(u, 0.0) + w
+    pos = (u[:2] > 0.0).astype(np.float64)
+    tail = _dilog_series(w[:2]) * (1.0 - 2.0 * pos)
+    up = u[:2] * pos
+    small = np.abs(du) < _SMALL_DU
+    safe = np.where(small, 1.0, du)
+    dF = (0.5 * (up[1] - up[0]) * (up[1] + up[0]) + _PI2_6 * (pos[1] - pos[0])
+          + tail[1] - tail[0])
+    sig, rest, d2 = np.exp(u[2] - sp[2]), np.exp(-sp[2]), np.exp(u[2] - 2.0 * sp[2])
+    d4 = d2 * (1.0 - 6.0 * d2)
+    du2 = du * du
+    h = np.where(small, sp[2] + du2 / 24.0 * d2 + du2 * du2 / 1920.0 * d4, dF / safe)
+    d3 = d2 * (rest - sig)
+    h_m = sig + du2 / 24.0 * d3 + du2 * du2 / 1920.0 * d3 * (1.0 - 12.0 * d2)
+    h_du = du / 12.0 * d2 + du * du2 / 480.0 * d4
+    uw = u[:2] * w[:2]
+    parts = np.where(small, [h_m, 0.5 * h_m + h_du, h - u[2] * h_m - du * h_du],
+                     [(sp[1] - sp[0]) / safe, (sp[1] - h) / safe,
+                      (2.0 * (tail[1] - tail[0]) + 2.0 * _PI2_6 * (pos[1] - pos[0])
+                       - (uw[1] - uw[0])) / safe])
+    return ag._node(gaps @ h @ beta, (scores, head.alpha, head.log_beta),
+                    lambda grad: grad * g * parts[0],
+                    lambda grad: grad * (gaps * gaps @ parts[1]),
+                    lambda grad: grad * beta * (gaps @ parts[2]))
+
+
 # intervals x types x nodes in one block of rule_integral, so that its four
 # buffers stay in cache
 RULE_BLOCK_ELEMS = 16384
@@ -322,7 +361,7 @@ def intensity(model, t, j, hidden, seq):
     t_j = float(seq.timestamps[j])
     if t < t_j:
         raise ValueError(f"t={t} precedes the anchoring event at t_j={t_j}")
-    scores = model.head.base_scores(ag.reshape(hidden[j], (1, -1)))
+    scores = model.heads(ag.reshape(hidden[j], (1, -1))).scores
     lam = model.head.intensities(np.array([t - t_j]), scores)
     return ag.reshape(lam, (model.cfg.K,))
 

@@ -3,13 +3,15 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import spence
 
-from helpers import (RULE_BLOCK_ELEMS, check_param_grads, composed_compensator, intensity,
+from helpers import (RULE_BLOCK_ELEMS, both_branch_integral, check_param_grads,
+                     composed_compensator, intensity,
                      one_hot_log_likelihood, rel_err, rule_integral)
 from mamba_hawkes import autograd as ag
 from mamba_hawkes import model as model_module
 from mamba_hawkes.autograd import Parameter, Tensor
 from mamba_hawkes.checkpoint import build_model
 from mamba_hawkes.data import Dataset, EventSequence
+from mamba_hawkes.hybrid import MambaHawkesHybrid, MhpEConfig
 from mamba_hawkes.model import MambaHawkes, MhpConfig
 from mamba_hawkes.training import Adam, clip_gradients, evaluate
 
@@ -219,7 +221,7 @@ def test_training_rule_matches_adaptive_quadrature(seed):
     seq = make_seq(15, K, seed=60 + seed)
     with ag.no_grad():
         H = m.encode(seq)
-        scores = m.head.base_scores(H)
+        scores = m.heads(H).scores
         comp = m.head.integral(np.diff(seq.timestamps), scores[:-1]).item()
     ref = adaptive_compensator(m.head, np.diff(seq.timestamps), scores.data[:-1])
     assert abs(comp - ref) <= 1e-12 * ref, (comp, ref)
@@ -342,11 +344,13 @@ def test_score_equals_one_hot_log_likelihood_bit_for_bit(S, intervals, monkeypat
     seq = make_seq(intervals + 1, K, seed=33)
     scores = rng.normal(size=(intervals + 1, K))
     out = []
+    heads = m.heads
     for ll in (lambda sc: m.score(seq).log_likelihood,
                lambda sc: one_hot_log_likelihood(m.head, seq, sc)):
         m.zero_grad()
         sc = Parameter(scores.copy())
-        monkeypatch.setattr(m.head, "base_scores", lambda hidden: sc)
+        monkeypatch.setattr(m, "heads",
+                            lambda hidden, rows: heads(hidden, rows)._replace(scores=sc[:-1]))
         value = ll(sc)
         ag.backward(value)
         out.append([value.data, sc.grad, m.head.alpha.grad.copy(), m.head.log_beta.grad.copy()])
@@ -477,6 +481,44 @@ def test_compensator_edge_cases(edge):
     assert max(errs.values()) < 1e-6, errs
 
 
+@pytest.mark.parametrize("case", ["all small", "none small", "mixed"])
+def test_integral_computes_only_the_branches_its_intervals_take(case, monkeypatch):
+    # value and the three gradients bit for bit those of both branches on
+    # every interval; with every |du| below _SMALL_DU (alpha 0, as in a
+    # freshly built model) the dilogarithm never runs
+    K, n = 3, 40
+    m = tiny_model(K=K, seed=70)
+    rng = np.random.default_rng(71)
+    m.head.alpha.data = {"all small": np.zeros(K), "none small": np.array([0.5, -0.7, 1.2]),
+                         "mixed": rng.normal(0.0, 0.1, size=K)}[case]
+    m.head.log_beta.data = rng.normal(0.0, 0.3, size=K)
+    gaps = rng.uniform(0.2, 1.5, size=n)
+    small = np.abs(m.head.alpha.data * gaps[:, None] / np.exp(m.head.log_beta.data)) < 0.05
+    assert {"all small": small.all(), "none small": not small.any(),
+            "mixed": small.any() and not small.all()}[case]
+    scores = rng.normal(size=(n, K))
+    out = []
+    for integral in (m.head.integral, lambda g, sc: both_branch_integral(m.head, g, sc)):
+        if case == "all small" and integral == m.head.integral:
+            monkeypatch.setattr(model_module, "_dilog_series", None)
+        m.zero_grad()
+        sc = Parameter(scores.copy())
+        value = integral(gaps, sc)
+        ag.backward(value)
+        out.append([value.data, sc.grad, m.head.alpha.grad.copy(), m.head.log_beta.grad.copy()])
+        monkeypatch.undo()
+    for name, a, b in zip(("value", "scores", "alpha", "log_beta"), *out):
+        assert np.array_equal(a, b), name
+    # per sequence, each value has the bits of a call on its intervals alone
+    with ag.no_grad():
+        each = m.head.integral(gaps, Tensor(scores), np.array([13, 14, n])).data
+        alone = [m.head.integral(gaps[s], Tensor(scores[s])).data
+                 for s in (slice(0, 13), slice(13, 14), slice(14, n))]
+    assert each.tolist() == alone
+    with pytest.raises(ag.GraphError, match="no_grad"):
+        m.head.integral(gaps, Parameter(scores), np.array([13, n]))
+
+
 def test_evaluate_quad_points_change_nothing():
     # the node count evaluate still takes is checked and ignored
     m = tiny_model(K=2)
@@ -499,12 +541,99 @@ def test_loglik_event_term_gradient_sign():
     m = tiny_model(K=2, seed=13)
     seq = EventSequence(np.array([0.5, 1.0, 2.0]), np.array([1, 2, 2]), 2)
     m.zero_grad()
-    scores = m.head.base_scores(m.encode(seq))
+    scores = m.heads(m.encode(seq)).scores
     comp = m.head.integral(np.diff(seq.timestamps), scores[:-1])
     ag.backward(ag.add(m.score(seq).log_likelihood, comp))
     # both scored events have type 2; the type-2 bias must push log-lik up
     assert m.head.b.grad[1] > 0.0
     assert m.head.b.grad[0] == 0.0
+
+
+# -- the heads ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("K", [1, 2, 5, 11])
+@pytest.mark.parametrize("d_model", [16, 64])
+def test_heads_rows_keep_their_bits_at_every_row_count_and_offset(K, d_model):
+    # each row's base scores, logits and time depend on that row alone:
+    # 2- to 300-row calls equal the same rows of one 2000-row call
+    m = tiny_model(K=K, d_model=d_model, seed=80)
+    m.head.b.data = np.random.default_rng(81).normal(size=K)
+    hidden = Tensor(np.random.default_rng(82).normal(size=(2000, d_model)))
+    with ag.no_grad():
+        whole = [part.data for part in m.heads(hidden)]
+        for n in (2, 3, 5, 11, 17, 33, 63, 64, 65, 201, 300):
+            for off in (0, 1, 7, 63, 64, 100, 1700):
+                rows = np.arange(off, off + n)
+                for got in (m.heads(Tensor(hidden.data[off:off + n])), m.heads(hidden, rows)):
+                    for part, ref in zip(got, whole):
+                        assert np.array_equal(part.data, ref[off:off + n]), (n, off)
+
+
+def test_heads_are_one_node_with_gradients_matching_fd():
+    K, d = 3, 8
+    m = tiny_model(K=K, d_model=d, seed=83)
+    rng = np.random.default_rng(84)
+    m.head.b.data = rng.normal(size=K)
+    hidden = Parameter(rng.normal(size=(70, d)))
+    rows = np.array([0, 3, 4, 5, 9, 30, 64, 65, 69])
+    w = [rng.normal(size=(len(rows), K)), rng.normal(size=(len(rows), K)),
+         rng.normal(size=len(rows))]
+
+    heads = m.heads(hidden, rows)
+    node = heads.scores._parents[0]
+    assert heads.logits._parents[0] is node and heads.times._parents[0] is node
+    assert node._parents == (hidden, m.head.W, m.head.b, m.pred.P_e, m.pred.P_t)
+
+    def loss():
+        heads = m.heads(hidden, rows)
+        return ag.add(ag.add(ag.reduce_sum(ag.mul(heads.scores, w[0])),
+                             ag.reduce_sum(ag.mul(heads.logits, w[1]))),
+                      ag.reduce_sum(ag.mul(heads.times, w[2])))
+    params = [hidden, m.head.W, m.head.b, m.pred.P_e, m.pred.P_t]
+    errs = check_param_grads(loss, params)
+    assert max(errs.values()) < 1e-7, errs
+    assert not np.any(hidden.grad[np.setdiff1d(np.arange(70), rows)])
+
+
+@pytest.mark.parametrize("arch", ["mhp", "mhp-e"])
+def test_score_gradients_match_fd(arch):
+    # score is the group of one: a graph through the encoder, the heads node,
+    # the per-sequence sums and the compensator, checked on all three outputs
+    K = 3
+    if arch == "mhp":
+        m = tiny_model(K=K, d_model=8, d_state=2, seed=85)
+    else:
+        m = MambaHawkesHybrid(MhpEConfig(d_model=8, d_state=2, mamba_layers=1, attn_blocks=1,
+                                         n_heads=2, K=K), seed=85)
+    rng = np.random.default_rng(86)
+    m.head.alpha.data = rng.normal(0.0, 0.5, size=K)
+    seq = make_seq(7, K, seed=87)
+    w = [rng.normal(size=(6, K)), rng.normal(size=6)]
+
+    def loss():
+        ll, logits, gaps = m.score(seq)
+        return ag.add(ll, ag.add(ag.reduce_sum(ag.mul(logits, w[0])),
+                                 ag.reduce_sum(ag.mul(gaps, w[1]))))
+    errs = check_param_grads(loss, m.parameters())
+    assert max(errs.values()) < 1e-4, {k: v for k, v in errs.items() if v >= 1e-4}
+
+
+@pytest.mark.parametrize("arch", ["mhp", "mhp-e"])
+def test_a_tracked_group_of_two_raises_graph_error(arch):
+    K = 2
+    m = (tiny_model(K=K) if arch == "mhp" else
+         MambaHawkesHybrid(MhpEConfig(d_model=8, d_state=2, n_heads=2, K=K), seed=0))
+    seqs = [make_seq(5, K, seed=88), make_seq(8, K, seed=89)]
+    with pytest.raises(ag.GraphError, match="no_grad"):
+        m.score_group(seqs)
+    with ag.no_grad():
+        scored = m.score_group(seqs)
+    for j, seq in enumerate(seqs):
+        with ag.no_grad():
+            alone = m.score(seq)
+        for a, b in zip(scored[j], alone):
+            assert np.array_equal(a.data, b.data)
 
 
 # -- prediction ---------------------------------------------------------------
@@ -551,7 +680,7 @@ def test_trained_model_learns_alternation():
                              np.tile([1, 2], 20), K)
     H = m.encode(test_seq)
     with ag.no_grad():
-        logits = m.pred.logits(H[:len(test_seq) - 1]).data
+        logits = m.heads(H[:len(test_seq) - 1]).logits.data
     acc = np.mean(np.argmax(logits, axis=1) + 1 == test_seq.types[1:])
     assert acc > 0.95
 

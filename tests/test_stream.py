@@ -14,6 +14,7 @@ import pytest
 
 from mamba_hawkes import autograd as ag
 from mamba_hawkes import hybrid
+from mamba_hawkes.autograd import Tensor
 from mamba_hawkes.data import EventSequence
 from mamba_hawkes.hybrid import MambaHawkesHybrid, MhpEConfig
 from mamba_hawkes.model import MambaHawkes, MhpConfig
@@ -76,6 +77,36 @@ def test_growing_prefixes_match_a_fresh_model(arch):
         probs, t_hat = plain_prediction(model, seq)
         np.testing.assert_allclose(pred.probs, probs, rtol=0, atol=1e-12)
         assert abs(pred.next_time - t_hat) <= 1e-12 * abs(t_hat)
+
+
+def whole_prefix_encode(model, seq, state):
+    """Streaming `encode` that embeds and steps every event of seq, and
+    then keeps the rows after those the state holds."""
+    with ag.no_grad():
+        start = state.resume(model, seq)
+        if start < len(seq):
+            state.held = None
+            x = model.embed(seq)[start:]
+            delta = Tensor(model.deltas(seq)[start:])
+            state.last = model._run_stack(x, delta, state.blocks)[len(seq) - start - 1:]
+            state.held = (seq.timestamps.copy(), seq.types.copy())
+        return model.mlp(state.last)
+
+
+@pytest.mark.parametrize("arch", ["mhp", "mhp-e"])
+def test_streaming_embeds_only_the_new_events_and_predicts_the_same(arch, monkeypatch):
+    model, whole = build(arch), build(arch)
+    monkeypatch.setattr(whole, "encode",
+                        lambda seq, state=None: whole_prefix_encode(whole, seq, state))
+    seen, embed = [], model.embed
+    monkeypatch.setattr(model, "embed", lambda seq: seen.append(seq.types.copy()) or embed(seq))
+    events, n = stream(80, seed=8), 0
+    for step in (1, 1, 2, 5, 13, 21, 37):
+        seq = prefix(events, n + step)
+        pred, ref = model.predict_next(seq), whole.predict_next(seq)
+        assert len(seen) == 1 and np.array_equal(seen.pop(), seq.types[n:])
+        assert pred.probs.tobytes() == ref.probs.tobytes() and pred.next_time == ref.next_time
+        n += step
 
 
 @pytest.mark.parametrize("arch", ["mhp", "mhp-e"])

@@ -265,10 +265,10 @@ def test_evaluate_single_sequence_matches_per_sequence_formulas():
     ll = m.score(seq).log_likelihood.item()
     assert abs(metrics.ll_per_event - ll / (len(seq) - 1)) < 1e-12
     H = m.encode(seq)
-    logits = m.pred.logits(H[:len(seq) - 1]).data
+    logits = m.heads(H[:len(seq) - 1]).logits.data
     acc = 100.0 * np.mean(np.argmax(logits, axis=1) + 1 == seq.types[1:])
     np.testing.assert_allclose(metrics.accuracy, acc, rtol=1e-14)
-    t_hat = np.concatenate([seq.timestamps[:1], m.pred.times(H[:len(seq) - 1]).data])
+    t_hat = np.concatenate([seq.timestamps[:1], m.heads(H[:len(seq) - 1]).times.data])
     pred_gaps = np.diff(t_hat)
     rmse = np.sqrt(np.mean((pred_gaps - np.diff(seq.timestamps)) ** 2))
     np.testing.assert_allclose(metrics.rmse, rmse, rtol=1e-12)
@@ -317,6 +317,31 @@ def test_grouped_evaluate_equals_one_by_one(name, split):
         assert m.deltas(seqs[1])[0] == DELTA_MIN
     ds = Dataset(seqs, K, "test")
     assert len(m.groups(seqs)) < len(seqs) or len(seqs) == 1
+    assert evaluate(m, ds) == evaluate_one_by_one(m, ds)
+
+
+@pytest.mark.parametrize("arch", ["mhp", "mhp-e"])
+@pytest.mark.parametrize("K", [1, 11])
+def test_grouped_evaluate_equals_one_by_one_at_other_widths(arch, K):
+    # K 1 and 11 give the heads node 3 and 23 columns, and d_state 12 other
+    # group sizes; each sequence's Score from its group is bit for bit that
+    # of its own score call, and the whole Metrics is ==
+    if arch == "mhp":
+        m = MambaHawkes(MhpConfig(d_model=16, n_layers=2, d_state=12, K=K), seed=9)
+    else:
+        m = MambaHawkesHybrid(MhpEConfig(d_model=16, d_state=12, K=K), seed=9)
+    rng = np.random.default_rng(10)
+    m.head.alpha.data = rng.normal(0.0, 0.5, size=K)
+    seqs = [random_sequence(rng, n, K) for n in rng.permutation([2, 3, 9, 30, 64, 65, 77, 130])]
+    groups = m.groups(seqs)
+    assert len(groups) < len(seqs)
+    with ag.no_grad():
+        for group in groups:
+            scored = m.score_group([seqs[i] for i in group])
+            for j, i in enumerate(group):
+                for a, b in zip(scored[j], m.score(seqs[i])):
+                    assert np.array_equal(a.data, b.data)
+    ds = Dataset(seqs, K, "test")
     assert evaluate(m, ds) == evaluate_one_by_one(m, ds)
 
 
