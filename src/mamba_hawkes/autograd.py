@@ -263,11 +263,15 @@ def softplus(a, beta=1.0):
 
 
 def matmul(a, b):
-    """[m, k] @ [k, n] -> [m, n]; both operands must be 2-D."""
+    """[..., k] @ [k, n] -> [..., n]: one [m, k] @ [k, n] product over the
+    m rows of a, whatever its leading axes."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul needs [m, k] @ [k, n], got {a.shape} @ {b.shape}")
-    return _node(a.data @ b.data, (a, b), lambda g: g @ b.data.T, lambda g: a.data.T @ g)
+    if a.ndim < 2 or b.ndim != 2 or a.shape[-1] != b.shape[0]:
+        raise ShapeError(f"matmul needs [..., k] @ [k, n], got {a.shape} @ {b.shape}")
+    rows = a.data.reshape(-1, b.shape[0])
+    return _node((rows @ b.data).reshape(a.shape[:-1] + b.shape[1:]), (a, b),
+                 lambda g: (g.reshape(len(rows), -1) @ b.data.T).reshape(a.shape),
+                 lambda g: rows.T @ g.reshape(len(rows), -1))
 
 
 def _check_axis(axis, ndim, op):
@@ -368,8 +372,8 @@ def causal_conv1d(x, kernel, bias=None, left=None):
 
     out[t, ..., d] = sum_w kernel[w, d] * x[t - W + 1 + w, ..., d], zero-padded
     on the left; position t never reads inputs after t. kernel[-1] is the tap
-    on the current position. The batch axis is for evaluation only: recording
-    a graph through it raises GraphError.
+    on the current position. The kernel and bias gradients sum over every
+    leading axis.
 
     `left`, if given, is a [W - 1, ..., D] array of the inputs just before x,
     read instead of the zero padding and then overwritten with the last W - 1
@@ -388,8 +392,6 @@ def causal_conv1d(x, kernel, bias=None, left=None):
         raise ShapeError(f"causal_conv1d: empty kernel or input ({kernel.shape}, {x.shape})")
     b = as_tensor(bias) if bias is not None else None
     parents = (x, kernel) if b is None else (x, kernel, b)
-    if x.ndim == 3 and _track(*parents):
-        raise GraphError("causal_conv1d: the batch axis is for evaluation under no_grad only")
     if left is not None and left.shape != (W - 1,) + x.shape[1:]:
         raise ShapeError(f"causal_conv1d: left context must be [W - 1, ..., D]="
                          f"{(W - 1,) + x.shape[1:]}, got {left.shape}")
@@ -411,7 +413,8 @@ def causal_conv1d(x, kernel, bias=None, left=None):
             gxp[w:w + L] += kernel.data[w] * g
         return gxp[W - 1:]
     return _node(data, parents, grad_x,
-                 lambda g: np.stack([(xp[w:w + L] * g).sum(axis=0) for w in range(W)]),
+                 lambda g: np.stack([(xp[w:w + L] * g).reshape(-1, D).sum(axis=0)
+                                     for w in range(W)]),
                  lambda g: g)
 
 

@@ -140,7 +140,7 @@ def _cmd_eval(args):
     dataset = load_jsonl(path, args.split)
     check_two_events(dataset, path, "evaluation")
     if "time_scale" in meta:
-        dataset = scale_times(dataset, meta["time_scale"])
+        dataset = scale_times(dataset, meta["time_scale"], path)
     try:
         metrics = evaluate(model, dataset)
     except ValueError as e:
@@ -170,7 +170,7 @@ def _cmd_predict(args):
     seq = dataset.sequences[args.line - 1]
     scale = meta.get("time_scale")
     if scale:
-        seq = scale_times(dataset, scale).sequences[args.line - 1]
+        seq = scale_times(dataset, scale, args.events).sequences[args.line - 1]
     result = model.predict_next(seq)
     next_time = result.next_time / scale if scale else result.next_time
     print(json.dumps({"probs": [float(p) for p in result.probs],

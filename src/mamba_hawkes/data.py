@@ -6,8 +6,8 @@ JSONL schema, one sequence per line:
     {"K": <int, 1..MAX_TYPES>, "events": [{"t": <float>, "k": <int, 1-based>}, ...]}
 
 Timestamps must be strictly increasing within a line. Ties are resolved at
-load time by nudging duplicates up by 1e-9 per repeat (with a warning);
-decreasing timestamps are a hard error naming the line.
+load time by nudging each duplicate up by the larger of 1e-9 and one ulp
+(with a warning); decreasing timestamps are a hard error naming the line.
 """
 
 from __future__ import annotations
@@ -286,14 +286,18 @@ def _parse_line(line, lineno, path):
     times = np.asarray(times, dtype=np.float64)
     if np.any(np.diff(times) < 0.0):
         raise DataError(f"{path}:{lineno}: decreasing timestamps in field 'events'")
-    # break exact ties so every inter-event gap is positive downstream
+    # break exact ties so every inter-event gap is positive downstream; from
+    # 2^24 on, t + 1e-9 rounds back to t, so a tie moves by one ulp there
     dup = 0
     for i in range(1, len(times)):
         if times[i] <= times[i - 1]:
-            times[i] = times[i - 1] + 1e-9
+            times[i] = max(times[i - 1] + 1e-9, math.nextafter(times[i - 1], math.inf))
             dup += 1
+    if not math.isfinite(times[-1]):
+        raise DataError(f"{path}:{lineno}: a tie at the largest finite timestamp cannot be nudged")
     if dup:
-        logger.warning("%s:%d: nudged %d duplicate timestamps by 1e-9", path, lineno, dup)
+        logger.warning("%s:%d: nudged %d duplicate timestamps by 1e-9 or one ulp",
+                       path, lineno, dup)
     return EventSequence(times, np.asarray(types, dtype=np.int64), K), K, dup
 
 

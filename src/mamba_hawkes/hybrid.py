@@ -206,13 +206,9 @@ class MambaHawkesHybrid(MambaHawkes):
     def _stack(self):
         return self.layers + self.attn_layers
 
-    def _run_stack(self, x, delta, states, group=None):
-        x = super()._run_stack(x, delta, states, group)
-        if group is not None:   # attention runs on each sequence alone
-            parts = group.split(x)
-            for blk in self.attn_layers:
-                parts = [blk(part) for part in parts]
-            return ag.concat(parts)
+    def _run_stack(self, x, delta, states, group):
+        # attention runs on each sequence alone; a cache streams a group of one
+        parts = group.split(super()._run_stack(x, delta, states, group))
         for blk, cache in zip(self.attn_layers, states[len(self.layers):]):
-            x = blk(x) if cache is None else blk.attend(x, cache)
-        return x
+            parts = [blk(part) if cache is None else blk.attend(part, cache) for part in parts]
+        return ag.concat(parts)

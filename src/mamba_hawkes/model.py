@@ -164,7 +164,8 @@ class IntensityHead(Module):
         Given `ends`, the intervals are those of several sequences in turn,
         sequence j's ending before ends[j], and it returns each sequence's
         compensator, [len(ends)], each summed alone, as a call on its
-        intervals would sum it; a graph records only for one sequence.
+        intervals would sum it; backward repeats sequence j's gradient over
+        its intervals.
 
         On interval i, lambda_k = beta_k softplus(u) with u running linearly
         from u0 = c_ik / beta_k to u0 + du, du = alpha_k gaps_i / beta_k, so
@@ -217,16 +218,14 @@ class IntensityHead(Module):
                 h_du = du / 12.0 * d2 + du * du2 / 480.0 * d4
                 mid += [h_m, 0.5 * h_m + h_du, mid[0] - m * h_m - du * h_du]
         h, *parts = end if mid is None else mid if end is None else np.where(small, mid, end)
-        value = np.array([gaps[s] @ h[s] @ beta
-                          for s in _spans([len(gaps)] if ends is None else ends)])
+        spans = _spans([len(gaps)] if ends is None else ends)
+        value = np.array([gaps[s] @ h[s] @ beta for s in spans])
         value = value[0] if ends is None else value
-        if track and value.size > 1:
-            raise ag.GraphError("integral: the sums of several sequences are for evaluation "
-                                "under no_grad only")
+        counts = [s.stop - s.start for s in spans]      # each interval takes its sequence's grad
         return ag._node(value, (scores, self.alpha, self.log_beta),
-                        lambda grad: grad * g * parts[0],
-                        lambda grad: grad * (gaps * gaps @ parts[1]),
-                        lambda grad: grad * beta * (gaps @ parts[2]))
+                        lambda grad: np.repeat(grad, counts)[:, None] * g * parts[0],
+                        lambda grad: np.repeat(grad, counts) * gaps * gaps @ parts[1],
+                        lambda grad: beta * (np.repeat(grad, counts) * gaps @ parts[2]))
 
 
 class PredictionHeads(Module):
@@ -318,13 +317,13 @@ class EncoderState:
 class Group:
     """Sequences laid out for one encoder pass that steps them all at once.
 
-    The pass is time-major: its row i * B + j holds event i of sequence j,
-    out of B sequences whose longest has L events. A shorter sequence is
-    padded past its last event with type 1 at gaps of 1, in rows that its
-    own rows never read, since every op of the encoder is causal or
-    row-wise. `timestamps` [L, B] and `type_indices` [L * B] stand in for
-    those of a sequence. A group of one is laid out as that sequence, with
-    `timestamps` [L], so that its pass takes the path that records a graph.
+    The pass is time-major, [L, B, .]: step i of sequence j is its event i,
+    out of B sequences whose longest has L events; one sequence is a group
+    of one, [L, 1, .]. A shorter sequence is padded past its last event with
+    type 1 at gaps of 1, in steps that its own steps never read, since every
+    op of the encoder is causal or row-wise. `timestamps` [L, B] and
+    `type_indices` [L * B] (row i * B + j) stand in for those of a
+    sequence, and `rows` are the pass's rows of each sequence in turn.
     Its intervals, `gaps` and `next_types` (0-based) [m], are each
     sequence's in turn, sequence j's in `spans[j]`, ending before cuts[j];
     `starts` are the rows of their first events in the rows of `split`.
@@ -342,10 +341,6 @@ class Group:
         self.gaps = np.diff(t)[self.starts]
         self.next_types = k[self.starts + 1]
         self.firsts = t[self.ends - n]
-        self.rows = None        # the pass's rows of each sequence in turn, if padded
-        if B == 1:
-            self.timestamps, self.type_indices = t, k
-            return
         i = np.arange(L)[:, None]
         inside = i < n
         at = np.minimum(i, n - 1) + self.ends - n       # each slot's event, or its last one
@@ -402,40 +397,41 @@ class MambaHawkes(Module):
         """The encoder blocks, in the order `_run_stack` runs them."""
         return list(self.layers)
 
-    def _run_stack(self, x, delta, states, group=None):
-        """Run the blocks; `states` (one per block of `_stack`) are carried on
-        from and updated, and a None runs its block from empty. The rows of
-        a `group`'s pass come back as those of each sequence in turn."""
+    def _run_stack(self, x, delta, states, group):
+        """Run the blocks over a `Group`'s pass: x its rows [L * B, d_model],
+        delta its steps [L, B]; `states` (one per block of `_stack`) are
+        carried on from and updated, and a None runs its block from empty.
+        The rows come back as those of each sequence in turn."""
+        x = ag.reshape(x, delta.shape + (-1,))
         for blk, state in zip(self.layers, states):
             x = blk(x, delta, state)
-        return x if group is None else ag.gather(x, group.rows, axis=0)
+        return ag.gather(ag.reshape(x, (-1, x.shape[-1])), group.rows)
 
     def encode(self, seq, state=None):
         """Hidden state per event, [L, d_model]; row j sees only events <= j.
+
+        Every pass is a `Group`'s: seq is laid out as a group of one. Given
+        a `Group` in place of seq, it encodes its sequences in one pass that
+        steps them all at once, and returns the rows of each sequence in
+        turn, [sum of lengths, d_model], each bit for bit those of `encode`
+        on that sequence alone.
 
         With an `EncoderState` it returns the last event's row alone,
         [1, d_model], and embeds and runs only the events after those the
         state holds (`EncoderState.resume`), without recording a graph; the
         state then holds seq. Without one, the state starts empty.
-
-        Given a `Group` of two or more sequences in place of seq, under
-        no_grad, it encodes them in one pass that steps them all at once,
-        and returns the rows of each sequence in turn, [sum of lengths,
-        d_model], each bit for bit those of `encode` on that sequence alone.
-        A `Group` of one encodes as its sequence.
         """
         if state is None:
-            x = self.embed(seq)
-            delta = Tensor(self.deltas(seq))
-            group = seq if isinstance(seq, Group) and seq.rows is not None else None
-            return self.mlp(self._run_stack(x, delta, [None] * len(self._stack()), group))
+            group = seq if isinstance(seq, Group) else Group([seq])
+            return self.mlp(self._run_stack(self.embed(group), Tensor(self.deltas(group)),
+                                            [None] * len(self._stack()), group))
         with ag.no_grad():
             start = state.resume(self, seq)
             if start < len(seq):
                 state.held = None   # until the blocks hold all of seq
-                new = EventSequence(seq.timestamps[start:], seq.types[start:], seq.K)
+                new = Group([EventSequence(seq.timestamps[start:], seq.types[start:], seq.K)])
                 delta = Tensor(self.deltas(new, seq.timestamps[start - 1] if start else 0.0))
-                state.last = self._run_stack(self.embed(new), delta, state.blocks)[-1:]
+                state.last = self._run_stack(self.embed(new), delta, state.blocks, new)[-1:]
                 state.held = (seq.timestamps.copy(), seq.types.copy())
             return self.mlp(state.last)
 
@@ -485,8 +481,7 @@ class MambaHawkes(Module):
         [t_1, t_n] in closed form), the next-type logits [n-1, K] and the
         predicted gaps [n-1], successive differences of predicted times
         anchored at t_1; item j of the `GroupScores` is seqs[j]'s `Score`.
-        A group of one records a graph; with more, the batch axis raises
-        GraphError if a graph would record.
+        Any group records a graph; `score` is the group of one.
 
         The heads, intensities and compensator terms run once over the
         group's rows, and a row's values depend on that row alone; only

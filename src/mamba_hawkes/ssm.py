@@ -9,6 +9,7 @@ channel.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -36,18 +37,17 @@ def linear_init(rng, fan_in, fan_out):
     return rng.uniform(-bound, bound, size=(fan_in, fan_out))
 
 
-# Steps per chunk of the scan. Backward keeps one [D, N] state per chunk and
-# recomputes the chunk's steps from it. For one default mhp sequence of L 90
-# through forward and backward, the traced peak was 8.4 MiB at 4, 8.3 at 8,
-# 9.0 at 16, 11.1 at 32 and 12.6 at 64, and the step took 53, 49, 47, 57
-# and 65 ms (medians): 8 and 16 run about as fast, and 16 keeps half the states.
-_SCAN_CHUNK = 16
-
-# Elements of each array of a batched scan's chunk, [C, B, D, N]: the
-# default config's unbatched chunk (16 steps of 128 x 16). Scoring sorted
-# groups of B sequences in chunks of C steps ran 2.3x as fast as one
-# sequence at a time at the desk config for B x C = 8 x 8 and 16 x 4, but
-# 1.75x for 32 x 16; at the default config, 2 x 8 ran 1.17x, 4 x 16 0.94x.
+# Elements of each array of a scan's chunk, [C, (B,) D, N]: the default
+# config's chunk of one sequence, 16 steps of 128 x 16, so a chunk of B
+# sequences is _CHUNK_ELEMS // (B D N) steps. Backward keeps one state per
+# chunk and recomputes the chunk's steps from it. For one default mhp
+# sequence of L 90 through forward and backward, the traced peak was 8.4 MiB
+# at 4 steps, 8.3 at 8, 9.0 at 16, 11.1 at 32 and 12.6 at 64, and the step
+# took 53, 49, 47, 57 and 65 ms (medians): 8 and 16 run about as fast, and
+# 16 keeps half the states. Scoring sorted groups of B sequences in chunks
+# of C steps ran 2.3x as fast as one sequence at a time at the desk config
+# for B x C = 8 x 8 and 16 x 4, but 1.75x for 32 x 16; at the default
+# config, 2 x 8 ran 1.17x, 4 x 16 0.94x.
 _CHUNK_ELEMS = 16 * 128 * 16
 
 
@@ -85,11 +85,11 @@ _EXP_CUTOFF = 0.5
 
 
 def _scan_chunk(dv, av, inv_a, zero, slow, bv, xv, z0, bufs):
-    """Discretize steps [n] (or [n, B]) of the scan and run them from the
-    state z0 before them (zeros when None), in the first n rows of the
-    [C, (B,) D, N] buffers bufs[:4] (bx may share the states' buffer; bufs[4]
-    is a [(B,) D, N] scratch). Returns abar = e^u, q = (e^u - 1) / a = delta
-    * (e^u - 1) / u (so bbar = q * b; delta where the mask `zero` marks rates
+    """Discretize steps [n, ...] of the scan and run them from the state z0
+    before them (zeros when None), in the first n rows of the [C, ..., D, N]
+    buffers bufs[:4] (bx may share the states' buffer; bufs[4] is a
+    [..., D, N] scratch). Returns abar = e^u, q = (e^u - 1) / a = delta *
+    (e^u - 1) / u (so bbar = q * b; delta where the mask `zero` marks rates
     with no finite 1 / a), bx = x (outer) b and the states z, with u = delta
     * a; e^u - 1 is expm1(u) on the steps that the mask `slow` marks.
     """
@@ -138,23 +138,22 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
         differentiable in x, a, b, c and skip. The step sizes are data: a
         delta that requires grad raises GraphError.
 
-    The batch axis runs each sequence from its own state; a shorter one is
-    padded at its end, and padded steps never reach earlier ones. It is for
-    evaluation: recording a graph through it raises GraphError.
+    The batch axis runs each sequence from its own state, elementwise in B:
+    a shorter one is padded at its end, and padded steps never reach
+    earlier ones. The gradients of a and skip sum over it.
 
-    The steps run in chunks, each carrying its last state into the next:
-    _SCAN_CHUNK steps, or, with a batch axis, as many as keep [C, B, D, N]
-    within _CHUNK_ELEMS, in buffers allocated once per call; the chunk
-    length changes no output. The whole scan is one graph node. For backward
-    it keeps only the state after each chunk but the last,
-    [ceil(L / _SCAN_CHUNK) - 1, D, N]. The adjoint walks the chunks from
-    last to first: it recomputes the chunk's abar, q and states from the
-    state before it, by the forward's ops in the same order, and runs the
-    adjoint recurrence G_i = c_i * gy_i + abar_{i+1} * G_{i+1} over the
-    chunk, where G_i is the gradient reaching state z_i and the chunk after
-    hands back abar_{i+1} * G_{i+1} for its last step. So delta and a must
-    not change between forward and backward. Under no_grad the node keeps
-    nothing.
+    The steps run in chunks of C = _CHUNK_ELEMS // (B D N) steps (B = 1
+    without a batch axis), each carrying its last state into the next, in
+    buffers allocated once per call; the chunk length changes no output.
+    The whole scan is one graph node. For backward it keeps only the state
+    after each chunk but the last, [ceil(L / C) - 1, B, D, N]. The adjoint
+    walks the chunks from last to first: it recomputes the chunk's abar, q
+    and states from the state before it, by the forward's ops in the same
+    order, and runs the adjoint recurrence G_i = c_i * gy_i + abar_{i+1} *
+    G_{i+1} over the chunk, where G_i is the gradient reaching state z_i and
+    the chunk after hands back abar_{i+1} * G_{i+1} for its last step. So
+    delta and a must not change between forward and backward. Under no_grad
+    the node keeps nothing.
     """
     x, delta = ag.as_tensor(x), ag.as_tensor(delta)
     a, b, c = ag.as_tensor(a), ag.as_tensor(b), ag.as_tensor(c)
@@ -190,21 +189,19 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
     track = ag._track(*parents)
     if track and state is not None:
         raise ag.GraphError("selective_scan: a carried state is for streaming under no_grad only")
-    if track and x.ndim == 3:
-        raise ag.GraphError("selective_scan: the batch axis is for evaluation under no_grad only")
 
     xv, dv, av, bv, cv = x.data, delta.data, a.data, b.data, c.data
     # 1 / a where it is finite; zero rates (and subnormal ones) take q = delta
     amin, tiny = float(np.abs(av).min()), np.finfo(np.float64).tiny
     zero = np.abs(av) < tiny if amin < tiny else None
     inv_a = 1.0 / av if zero is None else np.divide(1.0, av, out=np.zeros_like(av), where=~zero)
-    C = min(L, _SCAN_CHUNK if x.ndim == 2 else max(1, _CHUNK_ELEMS // (x.shape[1] * D * N)))
+    C = min(L, max(1, _CHUNK_ELEMS // math.prod(state_shape)))
     chunks = [slice(lo, lo + C) for lo in range(0, L, C)]
     # each chunk's steps that keep expm1; -max(a) is min|a| if all a < 0
     dmin, decay = float(dv.min()), -float(av.max())
     marked = dv * decay < _EXP_CUTOFF if dmin * decay < _EXP_CUTOFF else None
     slow = [None if marked is None else marked[s] for s in chunks]
-    ends = np.empty((len(chunks) - 1, D, N)) if track else None
+    ends = np.empty((len(chunks) - 1,) + state_shape) if track else None
     abar_b, q_b, zs_b = (np.empty((C,) + state_shape) for _ in range(3))
     tmp, last = np.empty(state_shape), np.empty(state_shape)
     y = np.empty(x.shape)
@@ -226,44 +223,45 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
 
     def _bw():
         gy = out.grad
-        abar_b, q_b, bx_b, zs_b, g_b = (np.empty((C, D, N)) for _ in range(5))
+        abar_b, q_b, bx_b, zs_b, g_b = (np.empty((C,) + state_shape) for _ in range(5))
         # abar_i * G_i of the first step of the chunk after, and a scratch
-        carry, tmp = np.empty((D, N)), np.empty((D, N))
+        carry, tmp = np.empty(state_shape), np.empty(state_shape)
         for j in range(len(chunks) - 1, -1, -1):
             s = chunks[j]
             abar, q, bx, zs = _scan_chunk(dv[s], av, inv_a, zero, slow[j], bv[s], xv[s],
                                           ends[j - 1] if j else None,
                                           (abar_b, q_b, bx_b, zs_b, tmp))
             # adjoint recurrence: G[i] is d(loss)/d(z_i)
-            G = np.einsum("id,in->idn", gy[s], cv[s], out=g_b[:len(q)])
+            G = np.einsum("...d,...n->...dn", gy[s], cv[s], out=g_b[:len(q)])
             if j < len(chunks) - 1:
                 G[-1] += carry
             for i in range(len(G) - 2, -1, -1):
                 G[i] += np.multiply(abar[i + 1], G[i + 1], out=tmp)
             np.multiply(abar[0], G[0], out=carry)
             if c.requires_grad:
-                c.grad[s] += np.matmul(gy[s, None, :], zs)[:, 0, :]
+                c.grad[s] += np.matmul(gy[s][..., None, :], zs)[..., 0, :]
             h = np.multiply(G, q, out=abar)     # d(loss)/d(bx), in spent abar
             if x.requires_grad:
-                x.grad[s] += np.matmul(h, bv[s, :, None])[:, :, 0]
+                x.grad[s] += np.matmul(h, bv[s][..., None])[..., 0]
             if b.requires_grad:
-                b.grad[s] += np.matmul(xv[s, None, :], h)[:, 0, :]
+                b.grad[s] += np.matmul(xv[s][..., None, :], h)[..., 0, :]
             if a.requires_grad:
-                # sum_i G_i * bx_i * (delta_i - q_i) / a, then the decay's
-                # part G_i * delta_i * z_i
-                w = np.subtract(dv[s, None, None], q, out=q)
+                # sum over steps (and sequences) of G_i * bx_i * (delta_i -
+                # q_i) / a, then the decay's part G_i * delta_i * z_i
+                d = dv[s][..., None, None]
+                w = np.subtract(d, q, out=q)
                 if series:
-                    u = dv[s, None, None] * av
+                    u = d * av
                     small = np.abs(u) < _SERIES_CUTOFF
-                    ds, us = np.broadcast_to(dv[s, None, None], u.shape)[small], u[small]
+                    ds, us = np.broadcast_to(d, u.shape)[small], u[small]
                     w *= inv_a
                     w[small] = -ds * ds * (0.5 + us / 6.0 + us * us / 24.0)
                 w *= bx
                 w *= G
-                ga = w.sum(axis=0)
+                ga = w.reshape(-1, D, N).sum(axis=0)
                 if not series:
                     ga *= inv_a
-                ga += np.tensordot(dv[s], np.multiply(zs, G, out=zs), axes=1)
+                ga += np.tensordot(dv[s], np.multiply(zs, G, out=zs), axes=dv.ndim)
                 a.grad += ga
         if skip is not None:
             if x.requires_grad:
@@ -272,17 +270,6 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
                 skip.grad += ag._sum_to(gy * xv, skip.shape)
     out._backward = _bw
     return out
-
-
-def _by_step(t, delta):
-    """Rows [L * B, .] of a batch as [L, B, .], the shape of its steps delta
-    [L, B]; one sequence's rows (delta [L]) as they are."""
-    return t if delta.ndim == 1 else ag.reshape(t, delta.shape + (-1,))
-
-
-def _rows(t):
-    """A batch's [L, B, .] as its rows [L * B, .]; [L, .] as it is."""
-    return t if t.ndim == 2 else ag.reshape(t, (-1, t.shape[-1]))
 
 
 class SsmCore(Module):
@@ -304,20 +291,19 @@ class SsmCore(Module):
         self.D = Parameter(np.ones(d_inner))
 
     def __call__(self, x, delta, state=None):
-        """The scan of rows x (see `MambaBlock`) with steps delta."""
+        """The scan of x [L, B, d_inner] (see `MambaBlock`) with steps delta."""
         a = ag.neg(ag.exp(self.A_log))
         b = ag.matmul(x, self.W_B)
         c = ag.matmul(x, self.W_C)
-        x, b, c = (_by_step(t, delta) for t in (x, b, c))
-        return _rows(selective_scan(x, delta, a, b, c, skip=self.D, state=state))
+        return selective_scan(x, delta, a, b, c, skip=self.D, state=state)
 
 
 class MambaState(NamedTuple):
     """What a MambaBlock carries between calls on consecutive stretches of a
     sequence; both arrays are updated in place."""
 
-    conv: np.ndarray    # [d_conv - 1, d_inner] last inputs of the causal conv
-    z: np.ndarray       # [d_inner, d_state] scan state after the last event
+    conv: np.ndarray    # [d_conv - 1, 1, d_inner] last inputs of the causal conv
+    z: np.ndarray       # [1, d_inner, d_state] scan state after the last event
 
 
 class MambaBlock(Module):
@@ -331,11 +317,10 @@ class MambaBlock(Module):
     state holds: the conv reads their last inputs and the scan starts from
     their final state, and both are updated to include u.
 
-    u holds one row per event: [L, d_model] for one sequence with steps
-    delta [L], or, under no_grad, [L * B, d_model] for B sequences with
-    steps delta [L, B], row i * B + j holding event i of sequence j. The
-    conv and the scan step such a batch's sequences at once (their batch
-    axis); every other op is row-wise.
+    u is time-major, [L, B, d_model] for B sequences with steps delta
+    [L, B] (B = 1 for one sequence): u[i, j] is event i of sequence j. The
+    conv and the scan step the sequences at once (their batch axis); every
+    other op is row-wise.
     """
 
     def __init__(self, d_model, d_state, d_conv, expand, rng):
@@ -351,18 +336,16 @@ class MambaBlock(Module):
         self.out_proj = Parameter(linear_init(rng, self.d_inner, d_model))
 
     def empty_state(self):
-        return MambaState(np.zeros((self.d_conv - 1, self.d_inner)),
-                          np.zeros((self.d_inner, self.ssm.d_state)))
+        return MambaState(np.zeros((self.d_conv - 1, 1, self.d_inner)),
+                          np.zeros((1, self.d_inner, self.ssm.d_state)))
 
     def __call__(self, u, delta, state=None):
         conv_left, z0 = (None, None) if state is None else state
         xn = rms_norm(u, self.norm_scale)
         xz = ag.matmul(xn, self.in_proj)
-        x = xz[:, :self.d_inner]
-        z = xz[:, self.d_inner:]
-        x = ag.causal_conv1d(_by_step(x, delta), self.conv_kernel, self.conv_bias,
-                             left=conv_left)
-        x = ag.silu(_rows(x))
+        x = xz[..., :self.d_inner]
+        z = xz[..., self.d_inner:]
+        x = ag.silu(ag.causal_conv1d(x, self.conv_kernel, self.conv_bias, left=conv_left))
         y = self.ssm(x, delta, state=z0)
         y = ag.mul(y, ag.silu(z))
         return ag.add(ag.matmul(y, self.out_proj), u)

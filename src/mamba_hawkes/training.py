@@ -328,9 +328,16 @@ def check_two_events(dataset, path, use):
         raise DataError(f"{path}: sequence {short} has one event; {use} needs at least two")
 
 
-def scale_times(dataset, scale):
-    seqs = [EventSequence(s.timestamps * scale, s.types, s.K) for s in dataset]
-    return Dataset(seqs, dataset.K, dataset.split)
+def scale_times(dataset, scale, path):
+    """The dataset with every timestamp times `scale`; DataError naming
+    `path` when a scaled timestamp overflows or two of them merge."""
+    scaled = [s.timestamps * scale for s in dataset]
+    for i, t in enumerate(scaled, start=1):
+        if not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0.0):
+            raise DataError(f"{path}: sequence {i}: time scale {scale!r} takes its timestamps "
+                            "out of range or merges two of them")
+    return Dataset([EventSequence(t, s.types, s.K) for t, s in zip(scaled, dataset)],
+                   dataset.K, dataset.split)
 
 
 @dataclass
@@ -369,11 +376,13 @@ def train(cfg):
         gaps = np.concatenate([np.diff(s.timestamps) for s in train_ds])
         if train_ds.tie_nudges == len(gaps):
             raise DataError(f"{os.path.join(cfg.data, 'train.jsonl')}: every gap is a tied "
-                            "timestamp nudged by 1e-9, so normalize_times has no time scale")
+                            "timestamp nudged apart, so normalize_times has no time scale")
         scale = 1.0 / float(gaps.mean())
         meta["time_scale"] = scale
-        train_ds, dev_ds = scale_times(train_ds, scale), scale_times(dev_ds, scale)
-        test_ds = scale_times(test_ds, scale) if test_ds else None
+        def scaled(ds):
+            return scale_times(ds, scale, os.path.join(cfg.data, ds.split + ".jsonl"))
+        train_ds, dev_ds = scaled(train_ds), scaled(dev_ds)
+        test_ds = scaled(test_ds) if test_ds else None
 
     model = build_model(cfg.arch, cfg.model_config_dict(train_ds.K), seed=cfg.seed)
     params = model.parameters()

@@ -184,6 +184,15 @@ def composed_scan(x, delta, a, b, c, skip=None):
     return y
 
 
+def time_major(parts, L, pad):
+    """Per-sequence arrays [n_j, ...] as one [L, B, ...], padded with `pad`'s
+    values past each sequence's end."""
+    out = pad.copy()
+    for j, p in enumerate(parts):
+        out[:len(p), j] = p
+    return out
+
+
 def composed_attention(q, k, v, n_heads, past=0):
     """multi_head_attention built from generic autograd ops, one head at a
     time: slice the head's columns, score (q_h / sqrt(D/H)) k_h^T, add a

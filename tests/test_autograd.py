@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import (check_param_grads, expm1_over_x, expm1_over_x_parts,
-                     numeric_grad, rel_err, two_branch_sigmoid)
+                     numeric_grad, rel_err, time_major, two_branch_sigmoid)
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.autograd import (DomainError, GraphError, Parameter,
                                    ShapeError, Tensor)
@@ -436,13 +436,28 @@ def test_causal_conv_batch_axis_equals_per_sequence_calls(W):
     np.testing.assert_array_equal(np.concatenate(parts), ag.causal_conv1d(Tensor(x), k, b).data)
 
 
-def test_causal_conv_refuses_a_batch_axis_while_recording():
+def test_causal_conv_batch_axis_gradients_match_fd_and_per_sequence_calls():
+    # ragged B = 3, time-major: x gets each sequence's own gradient (none on
+    # padding), and the kernel and bias the sum of the sequences'
     rng = np.random.default_rng(15)
-    x = rng.normal(size=(5, 2, 3))
-    with pytest.raises(GraphError, match="no_grad"):
-        ag.causal_conv1d(Tensor(x), Parameter(rng.normal(size=(2, 3))))
-    with ag.no_grad():
-        ag.causal_conv1d(Tensor(x), Parameter(rng.normal(size=(2, 3))))
+    lengths, D, W = (5, 2, 4), 3, 3
+    L, B = max(lengths), len(lengths)
+    seqs = [rng.normal(size=(n, D)) for n in lengths]
+    ws = [rng.normal(size=(n, D)) for n in lengths]
+    x = Parameter(time_major(seqs, L, rng.normal(size=(L, B, D))))
+    w = time_major(ws, L, np.zeros((L, B, D)))
+    k, b = Parameter(rng.normal(size=(W, D))), Parameter(rng.normal(size=D))
+    errs = check_param_grads(lambda: ag.reduce_sum(ag.mul(ag.causal_conv1d(x, k, b), w)),
+                             [x, k, b])
+    assert max(errs.values()) < 1e-6, errs
+    alone = []
+    for s, wj in zip(seqs, ws):
+        one = [Parameter(s.copy()), Parameter(k.data.copy()), Parameter(b.data.copy())]
+        ag.backward(ag.reduce_sum(ag.mul(ag.causal_conv1d(*one), wj)))
+        alone.append([p.grad for p in one])
+    assert rel_err(x.grad, time_major([g[0] for g in alone], L, np.zeros(x.shape))) < 1e-12
+    assert rel_err(k.grad, sum(g[1] for g in alone)) < 1e-12
+    assert rel_err(b.grad, sum(g[2] for g in alone)) < 1e-12
 
 
 def test_add_names_shapes_that_do_not_broadcast():

@@ -69,6 +69,19 @@ def test_pipeline_generate_train_eval_predict(tmp_path, capsys):
     assert np.isfinite(payload["next_time"])
 
 
+def test_train_on_ties_at_epoch_scale_timestamps(tmp_path):
+    # ties at 1e8 and 1.7e9 (Unix-epoch seconds) are nudged apart by one ulp
+    data = tmp_path / "data"
+    data.mkdir()
+    for split, t0 in (("train", 1e8), ("dev", 1.7e9)):
+        events = [{"t": t0, "k": 1}, {"t": t0, "k": 2}, {"t": t0 + 30.0, "k": 1},
+                  {"t": t0 + 30.0, "k": 3}, {"t": t0 + 45.0, "k": 2}]
+        (data / f"{split}.jsonl").write_text(json.dumps({"K": 3, "events": events}) + "\n")
+    cfg = small_train_config(tmp_path, epochs=1)
+    assert run(["train", "--config", cfg, "--data", data, "--out", tmp_path / "out"]) == 0
+    assert json.loads((tmp_path / "out" / "metrics.json").read_text())["tie_nudges"] == 4
+
+
 def test_train_arch_flag_selects_hybrid(tmp_path):
     data = tmp_path / "data"
     run(["generate", "--seed", 1, "--out", data,
@@ -494,6 +507,22 @@ def hostile_inputs(tmp_path_factory):
                                                  attn_blocks=1, n_heads=2, K=5), seed=0),
                     root / "ckpt_e.json")
     (root / "lr_401_digits.json").write_text(json.dumps({"lr": 10**400}))  # beyond float range
+    # time scales that take timestamps past the float range or merge two of
+    # them: stored in a checkpoint, or drawn from a train split by normalize_times
+    for name, scale in (("huge", 1e300), ("tiny", 5e-324)):
+        payload = json.loads((root / "ckpt.json").read_text())
+        payload["meta"]["time_scale"] = scale
+        (root / f"ckpt_scale_{name}.json").write_text(json.dumps(payload))
+    (root / "t_1e10.jsonl").write_text('{"K": 5, "events": [{"t": 1e10, "k": 1}, '
+                                       '{"t": 2e10, "k": 2}]}\n')
+    for name, train_line, dev_line in (
+            ("subnormal_gaps", '{"K": 5, "events": [{"t": 1e-310, "k": 1}, {"t": 2e-310, "k": 2}]}',
+             GOOD),
+            ("merged_dev", '{"K": 5, "events": [{"t": 1.0, "k": 1}, {"t": 1e308, "k": 2}]}',
+             '{"K": 5, "events": [{"t": 1e-16, "k": 1}, {"t": 1.2e-16, "k": 2}]}\n')):
+        (root / name).mkdir()
+        (root / name / "train.jsonl").write_text(train_line + "\n")
+        (root / name / "dev.jsonl").write_text(dev_line)
     # integer literals longer than the interpreter converts (4300 digits by default)
     huge = "1" + "0" * 5000
     (root / "huge_int.json").write_text(f'{{"lr": {huge}}}')
@@ -570,6 +599,15 @@ HOSTILE = [
     ("train-normalize-times-all-ties",
      ["train", "--config", "normalize_times.json", "--data", "all_tied", "--out", "o"], 2,
      "all_tied/train.jsonl: every gap is a tied timestamp"),
+    # a time scale that overflows a timestamp or merges two of them
+    *((f"{cmd}-time-scale-{name}", [cmd, "--checkpoint", f"ckpt_scale_{name}.json", flag, data],
+       2, f"{data}: sequence 1: time scale")
+      for cmd, flag in (("eval", "--data"), ("predict", "--events"))
+      for name, data in (("huge", "t_1e10.jsonl"), ("tiny", "data/test.jsonl"))),
+    *((f"train-normalize-times-{data}",
+       ["train", "--config", "normalize_times.json", "--data", data, "--out", "o"], 2,
+       f"{data}/{split}.jsonl: sequence 1: time scale")
+      for data, split in (("subnormal_gaps", "train"), ("merged_dev", "dev"))),
     *((f"config-{name}", ["train", "--config", f"{name}.json", "--data", "data", "--out", "o"],
        1, f"config field {name}") for name in HOSTILE_FIELDS),
     ("eval-quad-points-huge",

@@ -253,6 +253,29 @@ def test_jsonl_duplicate_timestamps_nudged(tmp_path, caplog):
     np.testing.assert_allclose(t, [1.0, 1.0 + 1e-9, 1.0 + 2e-9])
 
 
+def test_jsonl_ties_at_epoch_scale_timestamps_move_by_one_ulp(tmp_path):
+    # from 2^24 on, t + 1e-9 rounds back to t, so such a tie moves to the
+    # next float up instead, and is counted like any other
+    path = tmp_path / "epoch.jsonl"
+    path.write_text("".join(json.dumps({"K": 2, "events": [{"t": t, "k": 1}] * 3 +
+                                        [{"t": t + 60.0, "k": 2}]}) + "\n"
+                            for t in (1e8, 1.7e9)))
+    ds = load_jsonl(path)
+    assert ds.tie_nudges == 4
+    for seq, t in zip(ds, (1e8, 1.7e9)):
+        up = np.nextafter(t, np.inf)
+        assert seq.timestamps.tolist() == [t, up, np.nextafter(up, np.inf), t + 60.0]
+
+
+def test_jsonl_tie_at_the_largest_float_is_a_data_error(tmp_path):
+    # no float lies above it to take the tie
+    path = tmp_path / "max.jsonl"
+    t = float(np.finfo(np.float64).max)
+    path.write_text(json.dumps({"K": 1, "events": [{"t": t, "k": 1}] * 2}) + "\n")
+    with pytest.raises(DataError, match=r"max.jsonl:1: a tie at the largest finite timestamp"):
+        load_jsonl(path)
+
+
 def test_jsonl_missing_file():
     with pytest.raises(FileNotFoundError):
         load_jsonl("/nonexistent/nope.jsonl")

@@ -515,8 +515,30 @@ def test_integral_computes_only_the_branches_its_intervals_take(case, monkeypatc
         alone = [m.head.integral(gaps[s], Tensor(scores[s])).data
                  for s in (slice(0, 13), slice(13, 14), slice(14, n))]
     assert each.tolist() == alone
-    with pytest.raises(ag.GraphError, match="no_grad"):
-        m.head.integral(gaps, Parameter(scores), np.array([13, n]))
+
+
+def test_a_tracked_integral_of_several_sequences_has_the_gradients_of_separate_calls():
+    # each sequence's compensator weighted by its own gradient: backward
+    # repeats that gradient over the sequence's intervals
+    K, n = 3, 40
+    m = tiny_model(K=K, seed=72)
+    rng = np.random.default_rng(73)
+    m.head.alpha.data = rng.normal(0.0, 0.1, size=K)     # both branches taken
+    m.head.log_beta.data = rng.normal(0.0, 0.3, size=K)
+    gaps, scores = rng.uniform(0.2, 1.5, size=n), rng.normal(size=(n, K))
+    ends, weights = np.array([13, 14, n]), rng.normal(size=3)
+    params = [m.head.alpha, m.head.log_beta]
+    m.zero_grad()
+    sc = Parameter(scores.copy())
+    ag.backward(ag.reduce_sum(ag.mul(m.head.integral(gaps, sc, ends), weights)))
+    got = [sc.grad] + [p.grad.copy() for p in params]
+    m.zero_grad()
+    sc = Parameter(scores.copy())
+    for s, wj in zip((slice(0, 13), slice(13, 14), slice(14, n)), weights):
+        ag.backward(ag.mul(m.head.integral(gaps[s], sc[s]), wj))
+    for name, a, b in zip(("scores", "alpha", "log_beta"), got,
+                          [sc.grad] + [p.grad for p in params]):
+        assert rel_err(a, b) < 1e-12, name
 
 
 def test_evaluate_quad_points_change_nothing():
@@ -620,20 +642,44 @@ def test_score_gradients_match_fd(arch):
 
 
 @pytest.mark.parametrize("arch", ["mhp", "mhp-e"])
-def test_a_tracked_group_of_two_raises_graph_error(arch):
-    K = 2
-    m = (tiny_model(K=K) if arch == "mhp" else
-         MambaHawkesHybrid(MhpEConfig(d_model=8, d_state=2, n_heads=2, K=K), seed=0))
-    seqs = [make_seq(5, K, seed=88), make_seq(8, K, seed=89)]
-    with pytest.raises(ag.GraphError, match="no_grad"):
-        m.score_group(seqs)
+def test_a_tracked_group_scores_and_differentiates_as_its_sequences_alone(arch):
+    # ragged sequences scored as one group while a graph records: the
+    # log-likelihoods, logits and gaps, and every parameter's gradient of a
+    # loss on all three, are those of scoring each sequence alone and adding
+    # up; under no_grad each value has the bits of its sequence's alone
+    K = 3
+    m = (tiny_model(K=K, d_model=8, d_state=2, seed=88) if arch == "mhp" else
+         MambaHawkesHybrid(MhpEConfig(d_model=8, d_state=2, mamba_layers=1, attn_blocks=1,
+                                      n_heads=2, K=K), seed=88))
+    rng = np.random.default_rng(89)
+    m.head.alpha.data = rng.normal(0.0, 0.5, size=K)
+    seqs = [make_seq(n, K, seed=90 + n) for n in (5, 23, 2, 11)]
+    w = [(rng.normal(size=(len(s) - 1, K)), rng.normal(size=len(s) - 1)) for s in seqs]
+
+    def loss(score, wl, wg):
+        ll, logits, gaps = score
+        return ag.add(ll, ag.add(ag.reduce_sum(ag.mul(logits, wl)),
+                                 ag.reduce_sum(ag.mul(gaps, wg))))
+    m.zero_grad()
+    scored = m.score_group(seqs)
+    total = loss(scored[0], *w[0])
+    for j in range(1, len(seqs)):
+        total = ag.add(total, loss(scored[j], *w[j]))
+    ag.backward(total)
+    grouped = [p.grad.copy() for p in m.parameters()]
+    m.zero_grad()
+    for j, seq in enumerate(seqs):
+        alone = m.score(seq)
+        for a, b in zip(scored[j], alone):
+            assert rel_err(a.data, b.data) < 1e-12
+        ag.backward(loss(alone, *w[j]))
+    for (name, p), g in zip(m.named_parameters(), grouped):
+        assert rel_err(g, p.grad) < 1e-12, name
     with ag.no_grad():
         scored = m.score_group(seqs)
-    for j, seq in enumerate(seqs):
-        with ag.no_grad():
-            alone = m.score(seq)
-        for a, b in zip(scored[j], alone):
-            assert np.array_equal(a.data, b.data)
+        for j, seq in enumerate(seqs):
+            for a, b in zip(scored[j], m.score(seq)):
+                assert np.array_equal(a.data, b.data)
 
 
 # -- prediction ---------------------------------------------------------------

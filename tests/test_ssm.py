@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from helpers import (check_param_grads, composed_scan, evaluate_one_by_one,
-                     gated_decay_reference, rel_err, rms_norm_reference)
+                     gated_decay_reference, rel_err, rms_norm_reference, time_major)
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.autograd import DomainError, GraphError, Parameter, ShapeError, Tensor
 from mamba_hawkes.data import Batch, Dataset, EventSequence
@@ -102,7 +102,7 @@ def test_rate_gradient_agrees_across_the_series_cutoff(sign):
         np.testing.assert_allclose(a.grad[0], want[cols], rtol=1e-10, atol=0)
 
 
-def test_zero_and_infinite_rates_give_finite_values_without_warnings():
+def test_zero_and_infinite_rates_give_finite_values_without_warnings(monkeypatch):
     # a = -exp(A_log) at A_log = -800 and +800 gives rates of exactly 0 and
     # -inf. A zero rate's step is the limit abar = 1, bbar = delta * b, and
     # an infinite one forgets the state at once; outputs and gradients match
@@ -111,6 +111,7 @@ def test_zero_and_infinite_rates_give_finite_values_without_warnings():
         a = -np.exp(np.array([[-800.0, 800.0, 0.2], [0.3, -800.0, 800.0]]))
     assert 0.0 in a and -np.inf in a
     L = C + 3
+    monkeypatch.setattr(ssm, "_CHUNK_ELEMS", C * 2 * 3)
     v = scan_inputs(np.random.default_rng(33), L, 2, 3)
     v["delta"][L // 2] = 0.5    # only the zero rate takes the series branch
     v["a"] = a
@@ -202,14 +203,18 @@ def test_scan_gradients_match_fd():
     assert max(errs.values()) < 1e-4, errs
 
 
-C = ssm._SCAN_CHUNK
+# steps per chunk of one default-config sequence (d_inner 128, d_state 16);
+# the tests below set _CHUNK_ELEMS so that their smaller scans run in chunks
+# of C steps too
+C = ssm._CHUNK_ELEMS // (128 * 16)
 
 
 @pytest.mark.parametrize("L,D,N", [(1, 2, 3), (7, 3, 2), (64, 8, 16),
                                    (C - 1, 3, 2), (C, 3, 2), (C + 1, 3, 2), (2 * C + 3, 3, 2)])
-def test_scan_gradients_match_composed_oracle(L, D, N):
+def test_scan_gradients_match_composed_oracle(L, D, N, monkeypatch):
     # the hand-written adjoint against the generic ops' backward rules, also
     # on either side of one and two chunk boundaries
+    monkeypatch.setattr(ssm, "_CHUNK_ELEMS", C * D * N)
     rng = np.random.default_rng(L)
     delta = rng.uniform(0.05, 2.0, size=L)
     delta[L // 2] = 1e-6
@@ -230,12 +235,13 @@ def test_scan_gradients_match_composed_oracle(L, D, N):
 
 
 @pytest.mark.parametrize("side", [1.0 - 1e-9, 1.0 + 1e-9])
-def test_scan_agrees_with_composed_oracle_across_the_exp_cutoff(side):
+def test_scan_agrees_with_composed_oracle_across_the_exp_cutoff(side, monkeypatch):
     # min delta * |a| = _EXP_CUTOFF * side: at 1 + 1e-9 every step takes
     # exp(u) - 1, at 1 - 1e-9 the smallest step keeps expm1 and the others
     # (in the same chunks) take exp; y and all five gradients agree with
     # the composed oracle either way
     L, D, N = 2 * C + 3, 3, 4
+    monkeypatch.setattr(ssm, "_CHUNK_ELEMS", C * D * N)
     rng = np.random.default_rng(35)
     a = -np.exp(rng.normal(size=(D, N)))
     delta = ssm._EXP_CUTOFF / np.abs(a).min() * rng.uniform(1.0, 3.0, size=L)
@@ -520,12 +526,13 @@ def scan_inputs(rng, L, D, N):
                 b=rng.normal(size=(L, N)), c=rng.normal(size=(L, N)), skip=rng.normal(size=D))
 
 
-def test_scan_carries_state_across_calls():
+def test_scan_carries_state_across_calls(monkeypatch):
     # the scan split at m, the state handed from the first call to the second,
     # gives the outputs and the final state of one call over the whole input,
     # bit for bit, wherever m falls among the chunks
     rng = np.random.default_rng(21)
     L, D, N = 3 * C + 5, 3, 4
+    monkeypatch.setattr(ssm, "_CHUNK_ELEMS", C * D * N)
     v = scan_inputs(rng, L, D, N)
     z0 = rng.normal(size=(D, N))
     whole = z0.copy()
@@ -561,8 +568,9 @@ def test_scan_chunk_length_moves_only_the_rate_gradient(monkeypatch, chunk):
         ag.backward(ag.reduce_sum(ag.mul(y, w)))
         return y.data, {k: p.grad for k, p in params.items()}
 
+    monkeypatch.setattr(ssm, "_CHUNK_ELEMS", C * D * N)
     y, grads = run()
-    monkeypatch.setattr(ssm, "_SCAN_CHUNK", L if chunk == "L" else chunk)
+    monkeypatch.setattr(ssm, "_CHUNK_ELEMS", (L if chunk == "L" else chunk) * D * N)
     y_c, grads_c = run()
     assert np.array_equal(y_c, y)
     for k in ("x", "b", "c", "skip"):
@@ -613,10 +621,11 @@ def test_scan_rejects_state_of_wrong_shape():
 
 
 def test_block_with_state_matches_one_call():
+    # a state is one sequence's, [L, 1, d_model] time-major
     rng = np.random.default_rng(24)
     blk = MambaBlock(d_model=6, d_state=3, d_conv=4, expand=2, rng=rng)
-    u = rng.normal(size=(17, 6))
-    delta = rng.uniform(0.1, 1.5, size=17)
+    u = rng.normal(size=(17, 1, 6))
+    delta = rng.uniform(0.1, 1.5, size=(17, 1))
     whole = blk(Tensor(u), Tensor(delta)).data
     state = blk.empty_state()
     with ag.no_grad():
@@ -626,15 +635,6 @@ def test_block_with_state_matches_one_call():
 
 
 # -- the batch axis ------------------------------------------------------------
-
-
-def time_major(parts, L, pad):
-    """Per-sequence arrays [n_j, ...] as one [L, B, ...], padded with `pad`'s
-    values past each sequence's end."""
-    out = pad.copy()
-    for j, p in enumerate(parts):
-        out[:len(p), j] = p
-    return out
 
 
 @pytest.mark.parametrize("chunk_elems", ["default", "3 steps"])
@@ -659,17 +659,39 @@ def test_scan_batch_axis_equals_per_sequence_calls(monkeypatch, chunk_elems):
             assert np.array_equal(y[:n, j], want[j]), (scale, j)
 
 
-def test_scan_refuses_a_batch_axis_while_recording():
-    # the batch axis has no adjoint: it is for evaluation under no_grad
+def test_scan_batch_axis_gradients_match_fd_and_per_sequence_calls(monkeypatch):
+    # ragged B = 3 in chunks of 4 steps, one step in the rate gradient's
+    # series branch: the adjoint runs each sequence alone, so padded steps
+    # get no gradient, x, b and c get each sequence's own, and a and skip
+    # the sum of the sequences'
     rng = np.random.default_rng(29)
-    v = scan_inputs(rng, 5, 2, 3)
-    batch = dict(x=np.stack([v["x"]] * 2, axis=1), delta=np.stack([v["delta"]] * 2, axis=1),
-                 b=np.stack([v["b"]] * 2, axis=1), c=np.stack([v["c"]] * 2, axis=1))
-    with pytest.raises(GraphError, match="no_grad"):
-        selective_scan(**batch, a=Parameter(v["a"]), skip=v["skip"])
-    with ag.no_grad():
-        y = selective_scan(**batch, a=Parameter(v["a"]), skip=v["skip"]).data
-    np.testing.assert_array_equal(y[:, 1], selective_scan(**v).data)
+    D, N, lengths = 2, 3, (9, 3, 6)
+    L, B = max(lengths), len(lengths)
+    monkeypatch.setattr(ssm, "_CHUNK_ELEMS", 4 * B * D * N)
+    seqs = [scan_inputs(rng, n, D, N) for n in lengths]
+    a = seqs[0]["a"]
+    pads = dict(x=rng.normal(size=(L, B, D)), delta=rng.uniform(0.05, 2.0, size=(L, B)),
+                b=rng.normal(size=(L, B, N)), c=rng.normal(size=(L, B, N)))
+    batch = {k: time_major([v[k] for v in seqs], L, pads[k]) for k in pads}
+    ws = [rng.normal(size=(n, D)) for n in lengths]
+    w = time_major(ws, L, np.zeros((L, B, D)))
+    params = dict(x=Parameter(batch["x"]), a=Parameter(a.copy()), b=Parameter(batch["b"]),
+                  c=Parameter(batch["c"]), skip=Parameter(seqs[0]["skip"].copy()))
+    errs = check_param_grads(
+        lambda: ag.reduce_sum(ag.mul(selective_scan(delta=Tensor(batch["delta"]), **params), w)),
+        list(params.values()))
+    assert max(errs.values()) < 1e-4, errs
+    alone = []
+    for v, wj in zip(seqs, ws):
+        one = {k: Parameter(v[k].copy()) for k in ("x", "b", "c")}
+        one.update(a=Parameter(a.copy()), skip=Parameter(seqs[0]["skip"].copy()))
+        ag.backward(ag.reduce_sum(ag.mul(selective_scan(delta=Tensor(v["delta"]), **one), wj)))
+        alone.append({k: p.grad for k, p in one.items()})
+    for k in ("x", "b", "c"):
+        want = time_major([g[k] for g in alone], L, np.zeros(params[k].shape))
+        assert rel_err(params[k].grad, want) < 1e-12, k
+    for k in ("a", "skip"):
+        assert rel_err(params[k].grad, sum(g[k] for g in alone)) < 1e-12, k
 
 
 def test_batch_groups_sort_by_length_and_cap_chunks_and_rows():

@@ -17,7 +17,7 @@ from mamba_hawkes import hybrid
 from mamba_hawkes.autograd import Tensor
 from mamba_hawkes.data import EventSequence
 from mamba_hawkes.hybrid import MambaHawkesHybrid, MhpEConfig
-from mamba_hawkes.model import MambaHawkes, MhpConfig
+from mamba_hawkes.model import Group, MambaHawkes, MhpConfig
 
 K = 3
 
@@ -87,8 +87,9 @@ def whole_prefix_encode(model, seq, state):
         if start < len(seq):
             state.held = None
             x = model.embed(seq)[start:]
-            delta = Tensor(model.deltas(seq)[start:])
-            state.last = model._run_stack(x, delta, state.blocks)[len(seq) - start - 1:]
+            delta = Tensor(model.deltas(seq)[start:, None])
+            new = Group([EventSequence(seq.timestamps[start:], seq.types[start:], K)])
+            state.last = model._run_stack(x, delta, state.blocks, new)[len(seq) - start - 1:]
             state.held = (seq.timestamps.copy(), seq.types.copy())
         return model.mlp(state.last)
 
@@ -99,7 +100,9 @@ def test_streaming_embeds_only_the_new_events_and_predicts_the_same(arch, monkey
     monkeypatch.setattr(whole, "encode",
                         lambda seq, state=None: whole_prefix_encode(whole, seq, state))
     seen, embed = [], model.embed
-    monkeypatch.setattr(model, "embed", lambda seq: seen.append(seq.types.copy()) or embed(seq))
+    # encode embeds a group of the new events, whose type_indices are 0-based
+    monkeypatch.setattr(model, "embed",
+                        lambda seq: seen.append(seq.type_indices + 1) or embed(seq))
     events, n = stream(80, seed=8), 0
     for step in (1, 1, 2, 5, 13, 21, 37):
         seq = prefix(events, n + step)
