@@ -11,21 +11,21 @@ byte-identical files. Version 1 stored `data` as a list of JSON numbers;
 Loading rejects, as DataError naming the file, anything that would only
 fail later: a malformed document, a `config` that fails the checks a config
 file gets (`MhpConfig.from_dict`: types, bounds and unknown keys), parameters
-that do not match the architecture, non-finite parameter values, a `meta`
-that is not an object, a `meta.time_scale` that is not a finite positive
-number and a `meta.best_epoch` that is not a non-negative integer.
+that do not match the architecture, non-finite parameter values (in version
+1, also values that no float holds), a `meta` that is not an object, a
+`meta.time_scale` that is not a finite positive number and a
+`meta.best_epoch` that is not a non-negative integer.
 """
 
 from __future__ import annotations
 
 import base64
 import json
-import math
 import os
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, finite_float, read_json
 from .hybrid import MambaHawkesHybrid, MhpEConfig
 from .model import MambaHawkes, MhpConfig
 
@@ -87,12 +87,9 @@ def _stored_values(rec, version):
 def _check_meta(path, meta):
     if not isinstance(meta, dict):
         raise DataError(f"{path}: checkpoint 'meta' must be an object")
-    if "time_scale" in meta:
-        scale = meta["time_scale"]
-        if (isinstance(scale, bool) or not isinstance(scale, (int, float))
-                or not math.isfinite(scale) or scale <= 0):
-            raise DataError(f"{path}: meta.time_scale must be a finite positive "
-                            f"number, got {scale!r}")
+    scale = meta.get("time_scale", 1.0)
+    if finite_float(scale) is None or scale <= 0:
+        raise DataError(f"{path}: meta.time_scale must be a finite positive number, got {scale!r}")
     epoch = meta.get("best_epoch", 0)
     if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
         raise DataError(f"{path}: meta.best_epoch must be a non-negative integer, got {epoch!r}")
@@ -101,18 +98,8 @@ def _check_meta(path, meta):
 
 def load_checkpoint(path):
     """Rebuild the model from a checkpoint file; returns (model, meta)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{path}: invalid checkpoint JSON ({e.msg})") from None
-        except UnicodeDecodeError as e:
-            raise DataError(f"{path}: checkpoint is not UTF-8 ({e.reason})") from None
-        except ValueError:  # an integer literal longer than the interpreter converts
-            raise DataError(
-                f"{path}: invalid checkpoint JSON (integer literal too long)") from None
-        except RecursionError:
-            raise DataError(f"{path}: invalid checkpoint JSON (nested too deeply)") from None
+    with open(path, "rb") as fh:
+        payload = read_json(fh.read(), path, "checkpoint JSON")
     if not isinstance(payload, dict) or payload.get("format") != FORMAT:
         raise DataError(f"{path}: not a {FORMAT} file")
     version = payload.get("version")
@@ -139,7 +126,8 @@ def load_checkpoint(path):
         try:
             arr = _stored_values(rec, version)
             shape = list(rec["shape"])
-        except (KeyError, TypeError, ValueError) as e:  # binascii.Error is a ValueError
+        # binascii.Error is a ValueError; a version-1 value that no float holds, an OverflowError
+        except (KeyError, TypeError, ValueError, OverflowError) as e:
             raise DataError(f"{path}: invalid record for {name} ({e!r})") from None
         if list(p.shape) != shape or arr.size != p.size:
             raise DataError(

@@ -15,7 +15,8 @@ import sys
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .data import MAX_QUAD_POINTS, DataError, load_jsonl, make_synthetic_benchmark, save_jsonl
+from .data import (MAX_QUAD_POINTS, DataError, Dataset, load_jsonl, make_synthetic_benchmark,
+                   read_json, save_jsonl)
 from .training import (NumericsError, TrainConfig, check_two_events, evaluate,
                        scale_times, train, write_metrics)
 
@@ -94,19 +95,12 @@ def _cmd_train(args):
     overrides = {}
     if args.config:
         try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                overrides = json.load(fh)
+            with open(args.config, "rb") as fh:
+                overrides = read_json(fh.read(), f"config file {args.config}")
         except OSError as e:
             raise UsageError(f"cannot read config file {args.config}: {e.strerror}") from None
-        except json.JSONDecodeError as e:
-            raise UsageError(f"invalid JSON in config file {args.config}: {e.msg}") from None
-        except UnicodeDecodeError as e:
-            raise UsageError(f"config file {args.config} is not UTF-8 ({e.reason})") from None
-        except ValueError:  # an integer literal longer than the interpreter converts
-            raise UsageError(f"invalid JSON in config file {args.config}: "
-                             f"integer literal too long") from None
-        except RecursionError:
-            raise UsageError(f"config file {args.config} is nested too deeply") from None
+        except DataError as e:
+            raise UsageError(str(e)) from None
         if not isinstance(overrides, dict):
             raise UsageError(f"config file {args.config} must contain a JSON object")
     for flag in ("data", "out", "arch", "seed", "epochs"):
@@ -170,7 +164,7 @@ def _cmd_predict(args):
     seq = dataset.sequences[args.line - 1]
     scale = meta.get("time_scale")
     if scale:
-        seq = scale_times(dataset, scale, args.events).sequences[args.line - 1]
+        seq, = scale_times(Dataset([seq], dataset.K), scale, args.events, first=args.line)
     result = model.predict_next(seq)
     next_time = result.next_time / scale if scale else result.next_time
     print(json.dumps({"probs": [float(p) for p in result.probs],

@@ -240,8 +240,10 @@ def save_jsonl(dataset, path):
             fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
 
 
-def _finite_float(value):
-    """A JSON number as a finite float, else None (also for booleans and strings)."""
+def finite_float(value):
+    """A JSON number as a finite float, else None (also for a bool, a string
+    and an integer that no float holds): the rule every number read from an
+    outside file passes."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return None
     try:
@@ -251,15 +253,26 @@ def _finite_float(value):
     return value if math.isfinite(value) else None
 
 
-def _parse_line(line, lineno, path):
+def read_json(raw, source, what="JSON"):
+    """The document in the bytes `raw` of a data line, config file or
+    checkpoint. Every refusal (text that is not UTF-8, malformed JSON, an
+    integer literal longer than the interpreter converts, nesting too deep
+    for the decoder) raises one DataError naming `source` and the reason."""
     try:
-        rec = json.loads(line)
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as e:
+        reason = f"not UTF-8 text: {e.reason}"
     except json.JSONDecodeError as e:
-        raise DataError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
-    except ValueError:  # an integer literal longer than the interpreter converts
-        raise DataError(f"{path}:{lineno}: invalid JSON (integer literal too long)") from None
+        reason = e.msg
+    except ValueError:  # the digit limit of int()
+        reason = "integer literal too long"
     except RecursionError:
-        raise DataError(f"{path}:{lineno}: invalid JSON (nested too deeply)") from None
+        reason = "nested too deeply"
+    raise DataError(f"{source}: invalid {what} ({reason})")
+
+
+def _parse_line(line, lineno, path):
+    rec = read_json(line, f"{path}:{lineno}")
     if not isinstance(rec, dict) or "K" not in rec:
         raise DataError(f"{path}:{lineno}: missing field 'K'")
     if "events" not in rec or not isinstance(rec["events"], list) or not rec["events"]:
@@ -277,7 +290,7 @@ def _parse_line(line, lineno, path):
         if isinstance(ev["k"], bool) or not 1 <= ev["k"] <= K:
             raise DataError(f"{path}:{lineno}: field 'k' out of range 1..{K} at event {i}, "
                             f"got {ev['k']!r}")
-        t = _finite_float(ev["t"])
+        t = finite_float(ev["t"])
         if t is None:
             raise DataError(f"{path}:{lineno}: field 't' must be a finite number at event {i}, "
                             f"got {ev['t']!r}")
@@ -303,20 +316,18 @@ def _parse_line(line, lineno, path):
 
 def load_jsonl(path, split=""):
     sequences, K, nudges = [], None, 0
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                seq, k, dup = _parse_line(line, lineno, path)
-                nudges += dup
-                if K is None:
-                    K = k
-                elif k != K:
-                    raise DataError(f"{path}:{lineno}: inconsistent 'K' ({k} != {K})")
-                sequences.append(seq)
-        except UnicodeDecodeError as e:
-            raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()   # at \n, \r and \r\n, as a text file reads
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        seq, k, dup = _parse_line(line, lineno, path)
+        nudges += dup
+        if K is None:
+            K = k
+        elif k != K:
+            raise DataError(f"{path}:{lineno}: inconsistent 'K' ({k} != {K})")
+        sequences.append(seq)
     if not sequences:
         raise DataError(f"{path}: no sequences found")
     return Dataset(sequences, K, split, tie_nudges=nudges)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from sys import float_info
 from typing import NamedTuple
 
 import numpy as np
@@ -22,7 +21,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Module, Parameter, Tensor
 from .data import (MAX_D_CONV, MAX_D_MODEL, MAX_D_STATE, MAX_EXPAND, MAX_HIDDEN, MAX_LAYERS,
-                   MAX_TYPES, EventSequence)
+                   MAX_TYPES, EventSequence, finite_float)
 from .ssm import MambaBlock, batch_groups, linear_init
 
 # F(u) = -Li2(-e^u), the antiderivative of softplus that vanishes at -inf, is
@@ -42,9 +41,9 @@ DELTA_MIN, DELTA_MAX = 1e-6, 1e4    # bounds of the scan's step, the softplus'd 
 _TILE = 64      # rows per tile of the head product, `MambaHawkes.heads`
 
 
-# the values each config annotation takes: a bool is no int, and a float
-# field takes an int only within float range
-_TYPES = {"int": int, "float": (int, float), "str": str, "bool": bool}
+# the values each config annotation but float takes (a bool is no int); a
+# float field takes what `finite_float` takes
+_TYPES = {"int": int, "str": str, "bool": bool}
 
 
 def _dilog_series(w):
@@ -83,10 +82,11 @@ class MhpConfig:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if f.init and (isinstance(v, bool) != (f.type == "bool")
-                           or not isinstance(v, _TYPES[f.type])
-                           or f.type == "float" and isinstance(v, int) and abs(v) > float_info.max):
-                raise ValueError(f"config field {f.name} must be of type {f.type}, got {v!r}")
+            if f.init and (finite_float(v) is None if f.type == "float"
+                           else isinstance(v, bool) != (f.type == "bool")
+                           or not isinstance(v, _TYPES[f.type])):
+                raise ValueError(f"config field {f.name} must be of type {f.type}"
+                                 f"{' and finite' if f.type == 'float' else ''}, got {v!r}")
         for name, test, rule in self.rules():
             if not test(getattr(self, name)):
                 raise ValueError(f"config field {name} must be {rule}, got {getattr(self, name)!r}")
@@ -100,7 +100,7 @@ class MhpConfig:
                 ("n_layers", *in_range(1, MAX_LAYERS)),
                 ("K", *in_range(1, MAX_TYPES)),
                 ("mlp_hidden", *in_range(0, MAX_HIDDEN)),
-                *((w, lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+                *((w, lambda v: v >= 0, ">= 0")
                   for w in ("event_loss_weight", "time_loss_weight")))
 
     @classmethod

@@ -328,16 +328,18 @@ def check_two_events(dataset, path, use):
         raise DataError(f"{path}: sequence {short} has one event; {use} needs at least two")
 
 
-def scale_times(dataset, scale, path):
+def scale_times(dataset, scale, path, first=1):
     """The dataset with every timestamp times `scale`; DataError naming
-    `path` when a scaled timestamp overflows or two of them merge."""
-    scaled = [s.timestamps * scale for s in dataset]
-    for i, t in enumerate(scaled, start=1):
-        if not np.all(np.isfinite(t)) or np.any(np.diff(t) <= 0.0):
+    `path` and the sequence, counted from `first`, when a scaled timestamp
+    overflows or two of them merge."""
+    scaled = []
+    for i, s in enumerate(dataset, start=first):
+        try:
+            scaled.append(EventSequence(s.timestamps * scale, s.types, s.K))
+        except ValueError:
             raise DataError(f"{path}: sequence {i}: time scale {scale!r} takes its timestamps "
-                            "out of range or merges two of them")
-    return Dataset([EventSequence(t, s.types, s.K) for t, s in zip(scaled, dataset)],
-                   dataset.K, dataset.split)
+                            "out of range or merges two of them") from None
+    return Dataset(scaled, dataset.K, dataset.split)
 
 
 @dataclass

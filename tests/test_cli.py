@@ -1,4 +1,5 @@
 import base64
+import dataclasses
 import json
 import os
 import subprocess
@@ -478,6 +479,7 @@ GOOD = '{"K": 5, "events": [{"t": 1.0, "k": 1}, {"t": 1.5, "k": 5}, {"t": 2.5, "
 TIED = '{"K": 5, "events": [{"t": 1.0, "k": 1}, {"t": 1.0, "k": 2}, {"t": 2.0, "k": 3}]}\n'
 DECREASING = '{"K": 5, "events": [{"t": 2.0, "k": 1}, {"t": 1.0, "k": 2}]}\n'
 ALL_TIED = '{"K": 5, "events": [{"t": 1.0, "k": 1}, {"t": 1.0, "k": 2}]}\n'
+T_1E10 = '{"K": 5, "events": [{"t": 1e10, "k": 1}, {"t": 2e10, "k": 2}]}\n'
 
 
 @pytest.fixture(scope="module")
@@ -509,12 +511,13 @@ def hostile_inputs(tmp_path_factory):
     (root / "lr_401_digits.json").write_text(json.dumps({"lr": 10**400}))  # beyond float range
     # time scales that take timestamps past the float range or merge two of
     # them: stored in a checkpoint, or drawn from a train split by normalize_times
-    for name, scale in (("huge", 1e300), ("tiny", 5e-324)):
+    for name, scale in (("huge", 1e300), ("tiny", 5e-324), ("401_digits", 10**400)):
         payload = json.loads((root / "ckpt.json").read_text())
         payload["meta"]["time_scale"] = scale
         (root / f"ckpt_scale_{name}.json").write_text(json.dumps(payload))
-    (root / "t_1e10.jsonl").write_text('{"K": 5, "events": [{"t": 1e10, "k": 1}, '
-                                       '{"t": 2e10, "k": 2}]}\n')
+    (root / "t_1e10.jsonl").write_text(T_1E10)
+    (root / "good.jsonl").write_text(GOOD)
+    (root / "good_then_t_1e10.jsonl").write_text(GOOD + T_1E10)
     for name, train_line, dev_line in (
             ("subnormal_gaps", '{"K": 5, "events": [{"t": 1e-310, "k": 1}, {"t": 2e-310, "k": 2}]}',
              GOOD),
@@ -529,6 +532,11 @@ def hostile_inputs(tmp_path_factory):
     (root / "huge_int.jsonl").write_text(f'{{"K": 5, "events": [{{"t": {huge}, "k": 1}}]}}\n')
     (root / "ckpt_huge_int.json").write_text(
         (root / "ckpt.json").read_text().replace('"d_model": 8', f'"d_model": {huge}', 1))
+    model, _ = load_checkpoint(root / "ckpt.json")
+    write_v1_checkpoint(model, root / "ckpt_v1_401_digits.json")
+    payload = json.loads((root / "ckpt_v1_401_digits.json").read_text())
+    payload["params"]["embedding"]["data"][0] = 10**400     # beyond float range
+    (root / "ckpt_v1_401_digits.json").write_text(json.dumps(payload))
     for name, fields in [*((name, HOSTILE_FIELDS[name]) for name in HOSTILE_MODEL_FIELDS),
                          *((name, f) for name, (f, _) in HOSTILE_CHECKPOINT_CONFIGS.items())]:
         fields = dict(fields)
@@ -556,8 +564,12 @@ HOSTILE_FIELDS = {
     "eval_quad_points": {"eval_quad_points": 10**11},
     "event_loss_weight": {"event_loss_weight": -1},
     "time_loss_weight": {"time_loss_weight": float("nan")},
+    "lr": {"lr": float("inf")},
+    "adam_eps": {"adam_eps": float("inf")},
+    "clip_norm": {"clip_norm": float("inf")},
 }
-HOSTILE_MODEL_FIELDS = [name for name in HOSTILE_FIELDS if name != "eval_quad_points"]
+HOSTILE_MODEL_FIELDS = [name for name in HOSTILE_FIELDS
+                        if name in {f.name for f in dataclasses.fields(MhpEConfig)}]
 
 # checkpoint configs that no config file holds, or of the wrong type, written
 # into copies of ckpt.json or ckpt_e.json: name -> (config fields, stderr fragment)
@@ -604,6 +616,17 @@ HOSTILE = [
        2, f"{data}: sequence 1: time scale")
       for cmd, flag in (("eval", "--data"), ("predict", "--events"))
       for name, data in (("huge", "t_1e10.jsonl"), ("tiny", "data/test.jsonl"))),
+    # predict scales only its line: line 1 of this file scales, line 2 does not
+    ("predict-time-scale-huge-line-2",
+     ["predict", "--checkpoint", "ckpt_scale_huge.json", "--events", "good_then_t_1e10.jsonl",
+      "--line", 2], 2, "good_then_t_1e10.jsonl: sequence 2: time scale"),
+    *((f"{cmd}-time-scale-401-digits",
+       [cmd, "--checkpoint", "ckpt_scale_401_digits.json", flag, "data/test.jsonl"], 2,
+       "ckpt_scale_401_digits.json: meta.time_scale must be a finite positive number")
+      for cmd, flag in (("eval", "--data"), ("predict", "--events"))),
+    ("checkpoint-v1-value-401-digits",
+     ["eval", "--checkpoint", "ckpt_v1_401_digits.json", "--data", "data"], 2,
+     "ckpt_v1_401_digits.json: invalid record for embedding"),
     *((f"train-normalize-times-{data}",
        ["train", "--config", "normalize_times.json", "--data", data, "--out", "o"], 2,
        f"{data}/{split}.jsonl: sequence 1: time scale")
@@ -620,7 +643,7 @@ HOSTILE = [
      "config field lr"),
     ("config-integer-5001-digits",
      ["train", "--config", "huge_int.json", "--data", "data", "--out", "o"], 1,
-     "huge_int.json: integer literal too long"),
+     "config file huge_int.json: invalid JSON (integer literal too long)"),
     ("checkpoint-integer-5001-digits",
      ["eval", "--checkpoint", "ckpt_huge_int.json", "--data", "data"], 2,
      "ckpt_huge_int.json: invalid checkpoint JSON (integer literal too long)"),
@@ -642,6 +665,16 @@ def test_hostile_invocation_exits_with_one_stderr_line(hostile_inputs, args, cod
     assert proc.returncode == code, proc.stderr
     assert len(proc.stderr.splitlines()) == 1 and fragment in proc.stderr, proc.stderr
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+
+
+def test_predict_scales_only_its_line(hostile_inputs, capsys):
+    # line 2's timestamps overflow at time scale 1e300; line 1's do not
+    printed = []
+    for events in ("good_then_t_1e10.jsonl", "good.jsonl"):
+        assert run(["predict", "--checkpoint", hostile_inputs / "ckpt_scale_huge.json",
+                    "--events", hostile_inputs / events, "--line", 1]) == 0
+        printed.append(capsys.readouterr().out.splitlines()[-1])
+    assert printed[0] == printed[1]
 
 
 def test_predict_logs_to_stdout_and_prints_its_json_last(hostile_inputs):

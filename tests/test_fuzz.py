@@ -1,0 +1,205 @@
+"""Seeded fuzz of the three JSON readers through the command line.
+
+After Miller, Fredriksen & So, "An empirical study of the reliability of
+UNIX utilities" (CACM 33(12), 1990): valid inputs (a JSONL line, a config
+file, and version-1 and version-2 checkpoints) are mutated, and `train`,
+`eval` and `predict` run on each mutant in process. Every run must keep the
+exit-code contract: no exception escapes, the code is 0, 1, 2 or 3, a
+nonzero code comes with exactly one stderr line and no warning, and no run
+logs an error (the stderr line reports it; log records go to stdout).
+
+Each input gets `RANDOM_CASES` mutations drawn from `SEED` (a flipped bit,
+a truncation, a deleted key, a value of another type, or deep nesting),
+and then every token of `TOKENS` in place of every number it holds.
+"""
+
+import json
+import logging
+import logging.handlers
+import random
+import warnings
+
+import pytest
+
+from helpers import write_v1_checkpoint
+from mamba_hawkes.checkpoint import save_checkpoint
+from mamba_hawkes.cli import main
+from mamba_hawkes.model import MambaHawkes, MhpConfig
+
+SEED = 1990
+RANDOM_CASES = 40      # per input
+TOKENS = ["1" + "0" * 400, "1e400", "-1e308", "1e-320", "-0.0", "NaN", "Infinity", "true",
+          '"1"', "[]", "{}"]
+SWAPS = ["x", 7, 2.5, True, None, [], {}]     # values of each JSON type
+NESTING = 10000
+MARK = "@@mutant@@"   # stands for the raw text that replaces a value
+
+LINE = {"K": 2, "events": [{"t": 0.5, "k": 1}, {"t": 1.25, "k": 2}, {"t": 2.0, "k": 1}]}
+CONFIG = {"d_model": 4, "d_state": 2, "n_layers": 1, "lr": 1e-3, "batch_size": 2,
+          "adam_eps": 1e-8, "clip_norm": 5.0, "time_loss_weight": 1e-4,
+          "eval_quad_points": 8, "seed": 0, "normalize_times": True}
+
+
+def sites(doc, path=()):
+    """Paths to the values of doc: every key of an object, but only the first
+    two elements of an array and the first record of `params`, whose other
+    entries are alike."""
+    if isinstance(doc, dict):
+        keys = list(doc)[:1] if path == ("params",) else list(doc)
+        children = [(k, doc[k]) for k in keys]
+    elif isinstance(doc, list):
+        children = list(enumerate(doc[:2]))
+    else:
+        children = []
+    out = [path]
+    for key, value in children:
+        out += sites(value, path + (key,))
+    return out
+
+
+def replaced(doc, path, value):
+    """JSON text of doc with the value at path replaced by `value`; a str
+    value that starts with MARK goes in as raw text."""
+    doc = json.loads(json.dumps(doc))
+    _at(doc, path[:-1])[path[-1]] = value
+    text = json.dumps(doc)
+    if isinstance(value, str) and value.startswith(MARK):
+        text = text.replace(json.dumps(value), value[len(MARK):])
+    return text
+
+
+def number_sites(doc):
+    return [p for p in sites(doc) if p and isinstance(_at(doc, p), (int, float))
+            and not isinstance(_at(doc, p), bool)]
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def random_mutant(doc, rng):
+    """(description, bytes) of one mutation of doc drawn from rng."""
+    raw = json.dumps(doc).encode()
+    kind = rng.choice(["flip", "truncate", "delete", "swap", "nest"])
+    if kind == "flip":
+        i, bit = rng.randrange(len(raw)), rng.randrange(8)
+        return f"flip bit {bit} of byte {i}", raw[:i] + bytes([raw[i] ^ 1 << bit]) + raw[i + 1:]
+    if kind == "truncate":
+        n = rng.randrange(len(raw))
+        return f"truncate to {n} bytes", raw[:n]
+    if kind == "delete":
+        path = rng.choice([p for p in sites(doc) if isinstance(_at(doc, p), dict)
+                           and _at(doc, p)])
+        key = rng.choice(list(_at(doc, path)))
+        mutant = json.loads(raw)
+        del _at(mutant, path)[key]
+        return f"delete {path + (key,)}", json.dumps(mutant).encode()
+    path = rng.choice(sites(doc)[1:])
+    if kind == "swap":
+        old = _at(doc, path)
+        value = rng.choice([v for v in SWAPS if type(v) is not type(old)])
+        return f"{path} = {value!r}", replaced(doc, path, value).encode()
+    nested = MARK + "[" * NESTING + "]" * NESTING
+    return f"{path} nested {NESTING} deep", replaced(doc, path, nested).encode()
+
+
+def mutants(doc):
+    """Every (description, bytes) mutant of doc: the random ones, then the tokens."""
+    rng = random.Random(SEED)
+    out = [random_mutant(doc, rng) for _ in range(RANDOM_CASES)]
+    for path in number_sites(doc):
+        out += [(f"{path} = {token if len(token) < 20 else f'{len(token)}-digit integer'}",
+                 replaced(doc, path, MARK + token).encode()) for token in TOKENS]
+    return out
+
+
+def contract_breach(args, capsys):
+    """What a run of the CLI on args breaks of the exit-code contract, or None.
+
+    pytest takes warnings and log records before capsys sees them, so the
+    run records them itself."""
+    capsys.readouterr()
+    handler, root = logging.handlers.BufferingHandler(capacity=10**6), logging.getLogger()
+    root.addHandler(handler)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([str(a) for a in args])
+    except Exception as e:     # an escaping exception is the finding
+        return f"raised {type(e).__name__}: {e}"
+    finally:
+        root.removeHandler(handler)
+    err = capsys.readouterr().err.splitlines()
+    errors = [r.getMessage() for r in handler.buffer if r.levelno >= logging.ERROR]
+    if code not in (0, 1, 2, 3):
+        return f"exit code {code}"
+    if errors:
+        return f"logged errors {errors}"
+    if code and (len(err) != 1 or caught):
+        return f"exit {code} with stderr {err} and warnings {[str(w.message) for w in caught]}"
+    return None
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    model = MambaHawkes(MhpConfig(d_model=4, d_state=2, n_layers=1, K=2), seed=0)
+    meta = {"best_epoch": 1, "time_scale": 0.5}
+    save_checkpoint(model, root / "v2.json", meta=meta)
+    write_v1_checkpoint(model, root / "v1.json", meta=meta)
+    (root / "data").mkdir()
+    for split in ("train", "dev"):
+        (root / "data" / f"{split}.jsonl").write_text(json.dumps(LINE) + "\n")
+    (root / "config.json").write_text(json.dumps(CONFIG))
+    return root
+
+
+def breaches(root, doc, name, commands, capsys):
+    """Each mutant of doc written to root/name, and what each command
+    (a function of that path) breaks on it."""
+    found = []
+    for what, raw in mutants(doc):
+        (root / name).write_bytes(raw)
+        for args in commands(root / name):
+            breach = contract_breach(args, capsys)
+            if breach:
+                found.append(f"{what}: {args[0]}: {breach}")
+    return found
+
+
+def _train(root, config, data):
+    return ["train", "--config", config, "--data", data, "--out", root / "out", "--epochs", 1]
+
+
+def test_fuzz_data_line(inputs, capsys):
+    data = inputs / "mutant_data"
+    data.mkdir()
+    (data / "dev.jsonl").write_bytes((inputs / "data" / "dev.jsonl").read_bytes())
+
+    def commands(path):
+        (data / "train.jsonl").write_bytes(path.read_bytes() + b"\n")
+        return [["eval", "--checkpoint", inputs / "v2.json", "--data", path],
+                ["predict", "--checkpoint", inputs / "v2.json", "--events", path],
+                _train(inputs, inputs / "config.json", data)]
+
+    found = breaches(inputs, LINE, "mutant.jsonl", commands, capsys)
+    assert not found, "\n".join(found[:10])
+
+
+def test_fuzz_config(inputs, capsys):
+    found = breaches(inputs, CONFIG, "mutant_config.json",
+                     lambda path: [_train(inputs, path, inputs / "data")], capsys)
+    assert not found, "\n".join(found[:10])
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_fuzz_checkpoint(inputs, capsys, version):
+    doc = json.loads((inputs / f"v{version}.json").read_text())
+    good = inputs / "data" / "dev.jsonl"
+    found = breaches(inputs, doc, "mutant_checkpoint.json",
+                     lambda path: [["eval", "--checkpoint", path, "--data", good],
+                                   ["predict", "--checkpoint", path, "--events", good]],
+                     capsys)
+    assert not found, "\n".join(found[:10])
