@@ -9,10 +9,12 @@ byte-identical files. Version 1 stored `data` as a list of JSON numbers;
 `load_checkpoint` still reads it to the same bits.
 
 Loading rejects, as DataError naming the file, anything that would only
-fail later: a malformed document, a `config` that fails the checks a config
-file gets (`MhpConfig.from_dict`: types, bounds and unknown keys), parameters
-that do not match the architecture, non-finite parameter values (in version
-1, also values that no float holds), a `meta` that is not an object, a
+fail later: a malformed document, a `version` that is not the integer 1 or
+2, a `config` that fails the checks a config file gets
+(`MhpConfig.from_dict`: types, bounds and unknown keys), parameters that do
+not match the architecture, non-finite parameter values (in version 1, also
+values that are not JSON numbers or that no float holds), a `meta` that is
+not an object, a
 `meta.time_scale` that is not a finite positive number and a
 `meta.best_epoch` that is not a non-negative integer.
 """
@@ -79,7 +81,10 @@ def save_checkpoint(model, path, meta=None):
 def _stored_values(rec, version):
     """The flat float64 values of one parameter record."""
     if version == 1:
-        return np.asarray(rec["data"], dtype=np.float64).reshape(-1)
+        values = rec["data"]
+        if not isinstance(values, list) or not all(type(v) in (int, float) for v in values):
+            raise TypeError("version-1 data must be a list of JSON numbers")
+        return np.array(values, dtype=np.float64)
     raw = base64.b64decode(rec["data"], validate=True)
     return np.frombuffer(raw, "<f8").astype(np.float64)  # owned, writable copy of read-only bytes
 
@@ -103,7 +108,7 @@ def load_checkpoint(path):
     if not isinstance(payload, dict) or payload.get("format") != FORMAT:
         raise DataError(f"{path}: not a {FORMAT} file")
     version = payload.get("version")
-    if version not in (1, VERSION):
+    if type(version) is not int or version not in (1, VERSION):     # True == 1 == 1.0
         raise DataError(f"{path}: unsupported checkpoint version {version!r} "
                         f"(this build reads 1 and {VERSION})")
     config, stored = payload.get("config"), payload.get("params")

@@ -168,23 +168,24 @@ class AttentionBlock(Module):
     def __call__(self, x):
         return self.attend(x)
 
-    def attend(self, x, cache=None):
+    def attend(self, x, cache=None, last=False):
         """The block on positions x that follow those in `cache`, whose keys
         and values they attend to as well; x's keys and values are appended
         to it. A cache is for streaming: with one, recording a graph raises
-        GraphError. Without a cache, x are the only positions."""
+        GraphError. Without a cache, x are the only positions. With `last`,
+        only x's last row runs past its key and value, and comes back alone."""
         a = rms_norm(x, self.norm1)
-        q = ag.matmul(a, self.W_q)
         k = ag.matmul(a, self.W_k)
         v = ag.matmul(a, self.W_v)
-        past = 0
+        if last:
+            x, a = x[-1:], a[-1:]
+        q = ag.matmul(a, self.W_q)
         if cache is not None:
             if ag._track(q, k, v):
                 raise ag.GraphError("attend: a cache is for streaming under no_grad only")
-            past = len(cache.k)
             cache.append(k.data, v.data)
             k, v = Tensor(cache.k), Tensor(cache.v)
-        ctx = multi_head_attention(q, k, v, self.n_heads, past)
+        ctx = multi_head_attention(q, k, v, self.n_heads, len(k) - len(q))
         x = ag.add(x, ag.matmul(ctx, self.W_o))
         f = rms_norm(x, self.norm2)
         ff = ag.add(ag.matmul(ag.silu(ag.add(ag.matmul(f, self.W_ff1), self.b_ff1)),
@@ -210,5 +211,6 @@ class MambaHawkesHybrid(MambaHawkes):
         # attention runs on each sequence alone; a cache streams a group of one
         parts = group.split(super()._run_stack(x, delta, states, group))
         for blk, cache in zip(self.attn_layers, states[len(self.layers):]):
-            parts = [blk(part) if cache is None else blk.attend(part, cache) for part in parts]
-        return ag.concat(parts)
+            parts = [blk(part) if cache is None
+                     else blk.attend(part, cache, blk is self.attn_layers[-1]) for part in parts]
+        return parts[0] if len(parts) == 1 else ag.concat(parts)

@@ -283,21 +283,23 @@ class EncoderState:
     """What the encoder carries from the last sequence it ran: one state per
     block (a MambaBlock's conv inputs and scan state, an AttentionBlock's
     keys and values), the events they hold, the stack's output row at the
-    last of them, and copies of the encoder parameters (embedding and
-    blocks) they were computed with.
+    last of them, a copy of each encoder parameter (embedding and blocks)
+    they were computed with, and `scratch`, views shaped like them of one
+    bool array as long as the largest, into which `resume` compares them.
 
     It holds no reference to a model, so dropping a model frees it at once.
     """
 
     def __init__(self):
-        # (timestamps, types) copied, or None; then params, blocks and last
-        self.held, self.params, self.blocks, self.last = None, [], [], None
+        # (timestamps, types) copied, or None; then params, scratch, blocks and last
+        self.held, self.params, self.scratch, self.blocks, self.last = None, [], [], [], None
 
     def resume(self, model, seq):
         """How many leading events of seq the state holds for `model`.
 
         That is all of its events when they are a prefix of seq (in
-        timestamps and types) and every encoder parameter equals its copy.
+        timestamps and types) and every encoder parameter equals its copy in
+        shape and by value, compared without temporaries to the first mismatch.
         Otherwise it is 0, and the state is emptied and copies them anew.
         """
         params = [model.embedding] + [p for blk in model._stack() for p in blk.parameters()]
@@ -306,10 +308,13 @@ class EncoderState:
             n = len(t)
             if (n <= len(seq) and np.array_equal(t, seq.timestamps[:n])
                     and np.array_equal(k, seq.types[:n])
-                    and all(np.array_equal(p.data, q) for p, q in zip(params, self.params))):
+                    and all(p.data.shape == q.shape and not np.not_equal(p.data, q, out=s).any()
+                            for p, q, s in zip(params, self.params, self.scratch))):
                 return n
         self.held = None
         self.params = [p.data.copy() for p in params]
+        scratch = np.empty(max(q.size for q in self.params), dtype=bool)
+        self.scratch = [scratch[:q.size].reshape(q.shape) for q in self.params]
         self.blocks = [blk.empty_state() for blk in model._stack()]
         return 0
 
@@ -324,23 +329,24 @@ class Group:
     op of the encoder is causal or row-wise. `timestamps` [L, B] and
     `type_indices` [L * B] (row i * B + j) stand in for those of a
     sequence, and `rows` are the pass's rows of each sequence in turn.
-    Its intervals, `gaps` and `next_types` (0-based) [m], are each
-    sequence's in turn, sequence j's in `spans[j]`, ending before cuts[j];
-    `starts` are the rows of their first events in the rows of `split`.
+    With `intervals`, for scoring, it holds each sequence's first time
+    (`firsts`) and intervals, `gaps` and `next_types` (0-based) [m], in turn:
+    sequence j's in `spans[j]`, ending before cuts[j], first events at rows `starts`.
     """
 
-    def __init__(self, seqs):
+    def __init__(self, seqs, intervals=False):
         n = np.array([len(s) for s in seqs])
         L, B = n.max(), len(n)
         self.ends = np.cumsum(n)
-        self.cuts = self.ends - np.arange(1, B + 1)
-        self.spans = _spans(self.cuts)
         t = np.concatenate([s.timestamps for s in seqs])
         k = np.concatenate([s.types for s in seqs]) - 1
-        self.starts = np.delete(np.arange(len(t)), self.ends - 1)
-        self.gaps = np.diff(t)[self.starts]
-        self.next_types = k[self.starts + 1]
-        self.firsts = t[self.ends - n]
+        if intervals:
+            self.cuts = self.ends - np.arange(1, B + 1)
+            self.spans = _spans(self.cuts)
+            self.starts = np.delete(np.arange(len(t)), self.ends - 1)
+            self.gaps = np.diff(t)[self.starts]
+            self.next_types = k[self.starts + 1]
+            self.firsts = t[self.ends - n]
         i = np.arange(L)[:, None]
         inside = i < n
         at = np.minimum(i, n - 1) + self.ends - n       # each slot's event, or its last one
@@ -350,7 +356,7 @@ class Group:
 
     def split(self, x):
         """Rows of each sequence in turn, [sum of lengths, .], as one slice per sequence."""
-        return [x[rows] for rows in _spans(self.ends)]
+        return [x] if len(self.ends) == 1 else [x[rows] for rows in _spans(self.ends)]
 
 
 class MambaHawkes(Module):
@@ -405,7 +411,8 @@ class MambaHawkes(Module):
         x = ag.reshape(x, delta.shape + (-1,))
         for blk, state in zip(self.layers, states):
             x = blk(x, delta, state)
-        return ag.gather(ag.reshape(x, (-1, x.shape[-1])), group.rows)
+        x = ag.reshape(x, (-1, x.shape[-1]))
+        return x if delta.shape[1] == 1 else ag.gather(x, group.rows)
 
     def encode(self, seq, state=None):
         """Hidden state per event, [L, d_model]; row j sees only events <= j.
@@ -418,8 +425,9 @@ class MambaHawkes(Module):
 
         With an `EncoderState` it returns the last event's row alone,
         [1, d_model], and embeds and runs only the events after those the
-        state holds (`EncoderState.resume`), without recording a graph; the
-        state then holds seq. Without one, the state starts empty.
+        state holds (`EncoderState.resume`), as a group of one without
+        intervals or a graph; a hybrid's last block runs only that row past
+        its keys and values. The state then holds seq; without one, it starts empty.
         """
         if state is None:
             group = seq if isinstance(seq, Group) else Group([seq])
@@ -491,7 +499,7 @@ class MambaHawkes(Module):
         """
         if any(len(seq) < 2 for seq in seqs):
             raise ValueError("scoring needs at least two events")
-        group = Group(seqs)
+        group = Group(seqs, intervals=True)
         heads = self.heads(self.encode(group), group.starts)
         lam = self.head.intensities(group.gaps, heads.scores)      # [m, K] at event times
         own = np.arange(len(group.gaps)) * self.cfg.K + group.next_types

@@ -228,8 +228,13 @@ MALFORMED_CHECKPOINTS = {  # breakage -> what the one stderr line must name
     "data not base64": "embedding",
     "byte count off shape": "embedding",
     "unknown version": "version 3",
+    "version true": "version True",
+    "version 1.0": "version 1.0",
+    "version 2.0": "version 2.0",
     "nan parameter v1": "embedding holds non-finite",
     "nan parameter v2": "embedding holds non-finite",
+    "bool value v1": "invalid record for embedding",
+    "string value v1": "invalid record for embedding",
     "list meta": "'meta'",
     "time_scale x": "time_scale",
     "time_scale nan": "time_scale",
@@ -262,10 +267,15 @@ def test_malformed_checkpoint_exits_2(tmp_path, capsys, breakage):
         embedding["data"] = base64.b64encode(model.embedding.data.tobytes()[:-8]).decode()
     elif breakage == "unknown version":
         payload["version"] = 3
-    elif breakage == "nan parameter v1":
+    elif breakage.startswith("version"):
+        payload["version"] = {"version true": True, "version 1.0": 1.0,
+                              "version 2.0": 2.0}[breakage]
+    elif breakage.endswith("v1"):
         write_v1_checkpoint(model, tmp_path / "v1.json")
         payload = json.loads((tmp_path / "v1.json").read_text())
-        payload["params"]["embedding"]["data"][3] = float("nan")
+        payload["params"]["embedding"]["data"][3] = {"nan parameter v1": float("nan"),
+                                                     "bool value v1": True,
+                                                     "string value v1": "1e3"}[breakage]
     elif breakage == "nan parameter v2":
         poisoned = model.embedding.data.copy()
         poisoned[1, 2] = np.nan

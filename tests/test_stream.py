@@ -80,8 +80,9 @@ def test_growing_prefixes_match_a_fresh_model(arch):
 
 
 def whole_prefix_encode(model, seq, state):
-    """Streaming `encode` that embeds and steps every event of seq, and
-    then keeps the rows after those the state holds."""
+    """Streaming `encode` that embeds and steps every event of seq, runs
+    the stack on the rows after those the state holds, and keeps the last
+    row of what it returns."""
     with ag.no_grad():
         start = state.resume(model, seq)
         if start < len(seq):
@@ -89,7 +90,7 @@ def whole_prefix_encode(model, seq, state):
             x = model.embed(seq)[start:]
             delta = Tensor(model.deltas(seq)[start:, None])
             new = Group([EventSequence(seq.timestamps[start:], seq.types[start:], K)])
-            state.last = model._run_stack(x, delta, state.blocks, new)[len(seq) - start - 1:]
+            state.last = model._run_stack(x, delta, state.blocks, new)[-1:]
             state.held = (seq.timestamps.copy(), seq.types.copy())
         return model.mlp(state.last)
 
@@ -181,6 +182,41 @@ def test_a_failure_after_the_caches_appended_leaves_no_stale_state(monkeypatch):
     for n in (20, 25):
         seq = prefix(events, n)
         assert_same(model.predict_next(seq), fresh_prediction(model, seq))
+
+
+def test_the_last_attention_block_runs_the_last_row_alone(monkeypatch):
+    model = build("mhp-e")
+    events = stream(30, seed=9)
+    attention, calls = hybrid.multi_head_attention, []
+
+    def recording(q, k, *args):
+        calls.append((len(q), len(k)))
+        return attention(q, k, *args)
+
+    monkeypatch.setattr(hybrid, "multi_head_attention", recording)
+    for n, new in ((10, 10), (17, 7)):   # from empty, then 7 events after 10 held ones
+        seq = prefix(events, n)
+        calls.clear()
+        pred = model.predict_next(seq)
+        # every block keys all the new rows; the last one queries the last row alone
+        assert calls == [(new, n), (1, n)], calls
+        assert [len(c.k) for c in model._stream.blocks[len(model.layers):]] == [n, n]
+        assert_same(pred, fresh_prediction(model, seq))
+
+
+@pytest.mark.parametrize("arch", ["mhp", "mhp-e"])
+def test_a_parameter_rebound_to_another_shape_reaches_the_next_query(arch):
+    events = stream(40, seed=10)
+    model = build(arch)
+    model.predict_next(prefix(events, 20))
+    scale = dict(model.named_parameters())["layers.1.norm_scale"]
+    # a shape that broadcasts, then the full shape with the same values; each
+    # first query is the held sequence, so it compares the parameters
+    for data, lengths in ((np.full(1, 1.5), (20, 30)), (np.full(scale.shape, 1.5), (30, 40))):
+        scale.data = data
+        for n in lengths:
+            seq = prefix(events, n)
+            assert_same(model.predict_next(seq), fresh_prediction(model, seq))
 
 
 def encoder_params(model):
