@@ -15,8 +15,7 @@ import sys
 import numpy as np
 
 from .checkpoint import load_checkpoint
-from .data import (MAX_QUAD_POINTS, DataError, Dataset, load_jsonl, make_synthetic_benchmark,
-                   read_json, save_jsonl)
+from .data import DataError, Dataset, load_jsonl, make_synthetic_benchmark, read_json, save_jsonl
 from .training import (NumericsError, TrainConfig, check_two_events, evaluate,
                        scale_times, train, write_metrics)
 
@@ -27,8 +26,8 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        # argparse defaults to status 2; usage errors here are status 1
-        self.print_usage(sys.stderr)
+        # argparse prints the usage too and exits 2; a usage error here is
+        # one stderr line and status 1
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
@@ -60,8 +59,6 @@ def _build_parser():
                     help="directory with <split>.jsonl, or a single JSONL file")
     ev.add_argument("--split", default="test")
     ev.add_argument("--out", help="optional directory for eval_metrics.{csv,json}")
-    ev.add_argument("--quad-points", type=int,
-                    help=f"accepted in 2..{MAX_QUAD_POINTS}, no effect: the likelihood is exact")
 
     pr = sub.add_parser("predict",
                         help="next-event distribution and time for a sequence prefix")
@@ -126,8 +123,6 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    if args.quad_points is not None and not 2 <= args.quad_points <= MAX_QUAD_POINTS:
-        raise UsageError(f"--quad-points must be in 2..{MAX_QUAD_POINTS}, got {args.quad_points}")
     model, meta = load_checkpoint(args.checkpoint)
     path = (os.path.join(args.data, f"{args.split}.jsonl") if os.path.isdir(args.data)
             else args.data)

@@ -32,7 +32,7 @@ MAX_D_CONV = 64
 MAX_LAYERS = 64            # n_layers, mamba_layers and attn_blocks
 MAX_HEADS = 64
 MAX_HIDDEN = 4096          # mlp_hidden and ff_width, the widths of the position-wise MLPs
-MAX_QUAD_POINTS = 16384    # bound on eval_quad_points and --quad-points, which change nothing
+MAX_QUAD_POINTS = 16384    # bound on eval_quad_points, which changes nothing
 
 
 class DataError(ValueError):

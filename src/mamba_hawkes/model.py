@@ -21,7 +21,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import Module, Parameter, Tensor
 from .data import (MAX_D_CONV, MAX_D_MODEL, MAX_D_STATE, MAX_EXPAND, MAX_HIDDEN, MAX_LAYERS,
-                   MAX_TYPES, EventSequence, finite_float)
+                   MAX_TYPES, finite_float)
 from .ssm import MambaBlock, batch_groups, linear_init
 
 # F(u) = -Li2(-e^u), the antiderivative of softplus that vanishes at -inf, is
@@ -354,6 +354,16 @@ class Group:
         self.type_indices = np.where(inside, k[at], 0).reshape(-1)
         self.rows = (i * B + np.arange(B)).T[inside.T]
 
+    @classmethod
+    def one(cls, timestamps, types):
+        """The group of one of a sequence's timestamps and 1-based types, laid
+        out from the arrays as they are, without intervals: the events were
+        checked when their sequence was built."""
+        group = cls.__new__(cls)
+        group.ends, group.rows = np.array([len(types)]), np.arange(len(types))
+        group.timestamps, group.type_indices = timestamps[:, None], types - 1
+        return group
+
     def split(self, x):
         """Rows of each sequence in turn, [sum of lengths, .], as one slice per sequence."""
         return [x] if len(self.ends) == 1 else [x[rows] for rows in _spans(self.ends)]
@@ -425,9 +435,10 @@ class MambaHawkes(Module):
 
         With an `EncoderState` it returns the last event's row alone,
         [1, d_model], and embeds and runs only the events after those the
-        state holds (`EncoderState.resume`), as a group of one without
-        intervals or a graph; a hybrid's last block runs only that row past
-        its keys and values. The state then holds seq; without one, it starts empty.
+        state holds (`EncoderState.resume`), as a group of one laid out from
+        seq's slices (`Group.one`), without intervals or a graph; a hybrid's
+        last block runs only that row past its keys and values. The state
+        then holds seq; without one, it starts empty.
         """
         if state is None:
             group = seq if isinstance(seq, Group) else Group([seq])
@@ -437,7 +448,7 @@ class MambaHawkes(Module):
             start = state.resume(self, seq)
             if start < len(seq):
                 state.held = None   # until the blocks hold all of seq
-                new = Group([EventSequence(seq.timestamps[start:], seq.types[start:], seq.K)])
+                new = Group.one(seq.timestamps[start:], seq.types[start:])
                 delta = Tensor(self.deltas(new, seq.timestamps[start - 1] if start else 0.0))
                 state.last = self._run_stack(self.embed(new), delta, state.blocks, new)[-1:]
                 state.held = (seq.timestamps.copy(), seq.types.copy())

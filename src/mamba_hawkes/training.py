@@ -357,7 +357,7 @@ def train(cfg):
     """Minimize the mean total loss with Adam; early-stop on dev LL.
 
     Writes metrics.csv (one row per epoch and split), metrics.json (summary
-    with real wall-clock timings), and checkpoint.json (best dev epoch) into
+    with real wall-clock timings), and checkpoint.ckpt (best dev epoch) into
     cfg.out. Returns a TrainResult.
     """
     t_start = time.perf_counter()
@@ -392,7 +392,7 @@ def train(cfg):
     shuffle_rng = np.random.default_rng(cfg.seed)
 
     os.makedirs(cfg.out, exist_ok=True)
-    ckpt_path = os.path.join(cfg.out, "checkpoint.json")
+    ckpt_path = os.path.join(cfg.out, "checkpoint.ckpt")
     rows, epoch_seconds, checkpoint_seconds = [], [], []
     # per epoch: the gradient norm before clipping and the clip factor of
     # each step, the seconds spent in forward, backward and dev eval, train

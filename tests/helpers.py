@@ -4,15 +4,19 @@ attention and the compensator, the compensator node with both of its
 branches on every interval and on a general quadrature rule, the earlier
 form of the log-likelihood (a one-hot event term), the closed-form gated
 recurrence the scan reduces to, (e^x - 1) / x with its derivative (the
-composed scan's discretization), a point intensity query, a writer of
-version-1 checkpoints, and `evaluate` one sequence at a time."""
+composed scan's discretization), a point intensity query, writers of the
+version-1 and version-2 JSON checkpoints, a reader and a framer of the
+checkpoint container, and `evaluate` one sequence at a time."""
 
+import base64
 import json
+import pathlib
+import struct
 
 import numpy as np
 
 from mamba_hawkes import autograd as ag
-from mamba_hawkes.checkpoint import FORMAT
+from mamba_hawkes.checkpoint import FORMAT, MAGIC
 from mamba_hawkes.hybrid import causal_mask
 from mamba_hawkes.model import _PI2_6, _SMALL_DU, _dilog_series
 from mamba_hawkes.training import Metrics
@@ -375,23 +379,65 @@ def intensity(model, t, j, hidden, seq):
     return ag.reshape(lam, (model.cfg.K,))
 
 
-def write_v1_checkpoint(model, path, meta=None):
-    """Write `model` as a version-1 checkpoint: each parameter's data is a
-    list of JSON numbers (shortest round-trip repr) instead of base64 bytes."""
-    payload = {
+def json_checkpoint(model, version, meta=None):
+    """`model` as a document of the JSON checkpoints that came before the
+    container: each parameter's data is a list of JSON numbers (shortest
+    round-trip repr) in version 1, and the base64 text of its little-endian
+    float64 bytes (C order) in version 2."""
+    def data(p):
+        if version == 1:
+            return p.data.reshape(-1).tolist()
+        return base64.b64encode(p.data.astype("<f8").tobytes()).decode("ascii")
+    return {
         "format": FORMAT,
-        "version": 1,
+        "version": version,
         "arch": model.arch,
         "config": model.cfg.to_dict(),
         "meta": dict(meta or {}),
-        "params": {
-            name: {"shape": list(p.shape), "data": p.data.reshape(-1).tolist()}
-            for name, p in model.named_parameters()
-        },
+        "params": {name: {"shape": list(p.shape), "data": data(p)}
+                   for name, p in model.named_parameters()},
     }
+
+
+def _write_json(path, doc):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
+        json.dump(doc, fh)
         fh.write("\n")
+
+
+def write_v1_checkpoint(model, path, meta=None):
+    """Write `model` as a version-1 checkpoint, byte for byte as saving did then."""
+    _write_json(path, json_checkpoint(model, 1, meta))
+
+
+def write_v2_checkpoint(model, path, meta=None):
+    """Write `model` as a version-2 checkpoint, byte for byte as saving did then."""
+    _write_json(path, json_checkpoint(model, 2, meta))
+
+
+def container(header, data=b""):
+    """Checkpoint container bytes: the magic, the header's length as 8
+    little-endian bytes, the header (a document, or its raw bytes), `data`."""
+    if not isinstance(header, bytes):
+        header = json.dumps(header).encode()
+    return MAGIC + struct.pack("<Q", len(header)) + header + data
+
+
+def read_container(path):
+    """(header document, data section bytes) of a checkpoint container."""
+    raw = pathlib.Path(path).read_bytes()
+    assert raw.startswith(MAGIC), raw[:len(MAGIC)]
+    start = len(MAGIC) + 8
+    end = start + struct.unpack_from("<Q", raw, len(MAGIC))[0]
+    return json.loads(raw[start:end]), raw[end:]
+
+
+def edit_container(path, edit, out=None):
+    """Apply `edit` to the header document of the container at path, and
+    write the container re-framed to `out` (default: path)."""
+    header, data = read_container(path)
+    edit(header)
+    pathlib.Path(out or path).write_bytes(container(header, data))
 
 
 def evaluate_one_by_one(model, dataset, n_quad=None):

@@ -245,13 +245,12 @@ def test_criterion_9_pipeline_determinism(tmp_path_factory):
             lr=1e-3, batch_size=4, epochs=3, seed=11, eval_quad_points=256)))
         assert cli_main(["train", "--config", str(cfg), "--data", str(data),
                          "--out", str(out)]) == 0
-        assert cli_main(["eval", "--checkpoint", str(out / "checkpoint.json"),
-                         "--data", str(data), "--split", "test", "--out", str(ev),
-                         "--quad-points", "256"]) == 0
+        assert cli_main(["eval", "--checkpoint", str(out / "checkpoint.ckpt"),
+                         "--data", str(data), "--split", "test", "--out", str(ev)]) == 0
         outputs.append({
             "train_csv": (out / "metrics.csv").read_bytes(),
             "eval_csv": (ev / "eval_metrics.csv").read_bytes(),
-            "checkpoint": (out / "checkpoint.json").read_bytes(),
+            "checkpoint": (out / "checkpoint.ckpt").read_bytes(),
         })
     elapsed = time.perf_counter() - t0
     same = all(outputs[0][k] == outputs[1][k] for k in outputs[0])

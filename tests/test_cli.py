@@ -2,6 +2,7 @@ import base64
 import dataclasses
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import write_v1_checkpoint
-from mamba_hawkes.checkpoint import checkpoint_payload, load_checkpoint, save_checkpoint
+from helpers import (container, edit_container, json_checkpoint, read_container,
+                     write_v1_checkpoint)
+from mamba_hawkes.checkpoint import load_checkpoint, save_checkpoint
 from mamba_hawkes.cli import main
 from mamba_hawkes.data import MAX_TYPES, EventSequence, load_jsonl
 from mamba_hawkes.hybrid import MambaHawkesHybrid, MhpEConfig
@@ -49,19 +51,19 @@ def test_pipeline_generate_train_eval_predict(tmp_path, capsys):
 
     cfg = small_train_config(tmp_path)
     assert run(["train", "--config", cfg, "--data", data, "--out", out]) == 0
-    assert os.path.exists(out / "checkpoint.json")
+    assert os.path.exists(out / "checkpoint.ckpt")
     assert os.path.exists(out / "metrics.csv")
 
     evald = tmp_path / "evald"
-    assert run(["eval", "--checkpoint", out / "checkpoint.json", "--data", data,
-                "--split", "test", "--out", evald, "--quad-points", 128]) == 0
+    assert run(["eval", "--checkpoint", out / "checkpoint.ckpt", "--data", data,
+                "--split", "test", "--out", evald]) == 0
     assert os.path.exists(evald / "eval_metrics.csv")
     lines = (evald / "eval_metrics.csv").read_text().splitlines()
     assert lines[0] == "epoch,split,ll_per_event,accuracy,rmse,seconds"
     assert ",test," in lines[1]
 
     capsys.readouterr()
-    assert run(["predict", "--checkpoint", out / "checkpoint.json",
+    assert run(["predict", "--checkpoint", out / "checkpoint.ckpt",
                 "--events", data / "test.jsonl", "--line", 2]) == 0
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert len(payload["probs"]) == 5
@@ -93,7 +95,7 @@ def test_train_arch_flag_selects_hybrid(tmp_path):
     out = tmp_path / "run"
     assert run(["train", "--config", cfg, "--data", data, "--out", out,
                 "--arch", "mhp-e"]) == 0
-    ckpt = json.load(open(out / "checkpoint.json"))
+    ckpt, _ = read_container(out / "checkpoint.ckpt")
     assert ckpt["arch"] == "mhp-e"
     assert any(name.startswith("attn_layers.0.") for name in ckpt["params"])
 
@@ -181,7 +183,7 @@ def test_predict_line_out_of_range_exits_1(tmp_path, capsys):
     cfg = small_train_config(tmp_path, epochs=1)
     out = tmp_path / "run"
     run(["train", "--config", cfg, "--data", data, "--out", out])
-    code = run(["predict", "--checkpoint", out / "checkpoint.json",
+    code = run(["predict", "--checkpoint", out / "checkpoint.ckpt",
                 "--events", data / "test.jsonl", "--line", 99])
     assert code == 1
     assert "out of range" in capsys.readouterr().err
@@ -220,14 +222,16 @@ def test_epochs_flag_zero_exits_1(tmp_path, capsys):
     assert "epochs" in capsys.readouterr().err
 
 
-MALFORMED_CHECKPOINTS = {  # breakage -> what the one stderr line must name
+# breakage -> what the one stderr line must name; a "container" breakage is of
+# a version-3 file, the others of a version-2 (or, "v1", version-1) document
+MALFORMED_CHECKPOINTS = {
     "unknown config key": "d_modle",
     "no params": "'params'",
     "unknown arch": "mhp-x",
     "record without data": "embedding",
     "data not base64": "embedding",
     "byte count off shape": "embedding",
-    "unknown version": "version 3",
+    "unknown version": "checkpoint version 3 ",
     "version true": "version True",
     "version 1.0": "version 1.0",
     "version 2.0": "version 2.0",
@@ -245,15 +249,48 @@ MALFORMED_CHECKPOINTS = {  # breakage -> what the one stderr line must name
     "best_epoch 2.7": "meta.best_epoch",
     "best_epoch -1": "meta.best_epoch",
     "best_epoch true": "meta.best_epoch",
+    "container wrong magic": "invalid checkpoint JSON (not UTF-8",
+    "container header past the end": "checkpoint header runs past the end of the file",
+    "container data one float short": "the data section holds 7728 bytes, "
+                                      "the header's shapes need 7736",
+    "container data one float long": "the data section holds 7744 bytes, "
+                                     "the header's shapes need 7736",
+    "container nan value": "embedding holds non-finite",
+    "container version 2": "checkpoint version 2 ",
+    "container version true": "checkpoint version True",
+    "container missing name": "missing=['embedding']",
 }
+
+
+def broken_container(model, breakage, path):
+    """Write model's version-3 checkpoint to path with one container breakage."""
+    save_checkpoint(model, path)
+    header, data = read_container(path)
+    if breakage == "container nan value":
+        data = data[:24] + struct.pack("<d", float("nan")) + data[32:]
+    elif breakage.startswith("container version"):
+        header["version"] = {"container version 2": 2, "container version true": True}[breakage]
+    elif breakage == "container missing name":
+        del header["params"]["embedding"]
+        data = data[8 * model.embedding.size:]     # the first bytes of the data section
+    elif breakage.startswith("container data"):
+        data = data[:-8] if breakage.endswith("short") else data + data[-8:]
+    raw = container(header, data)
+    if breakage == "container wrong magic":
+        raw = bytes([raw[0] ^ 1]) + raw[1:]
+    elif breakage == "container header past the end":
+        raw = raw[:8] + struct.pack("<Q", len(raw) - 15) + raw[16:]
+    path.write_bytes(raw)
 
 
 @pytest.mark.parametrize("breakage", list(MALFORMED_CHECKPOINTS))
 def test_malformed_checkpoint_exits_2(tmp_path, capsys, breakage):
     model = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=5), seed=0)
-    payload = checkpoint_payload(model)
+    payload = json_checkpoint(model, 2)
     embedding = payload["params"]["embedding"]
-    if breakage == "unknown config key":
+    if breakage.startswith("container"):
+        pass
+    elif breakage == "unknown config key":
         payload["config"]["d_modle"] = 8
     elif breakage == "no params":
         del payload["params"]
@@ -289,8 +326,12 @@ def test_malformed_checkpoint_exits_2(tmp_path, capsys, breakage):
     else:
         payload["meta"]["time_scale"] = {"time_scale x": "x", "time_scale nan": float("nan"),
                                          "time_scale 0": 0}[breakage]
-    path = tmp_path / "checkpoint.json"
-    path.write_text(json.dumps(payload))
+    if breakage.startswith("container"):
+        path = tmp_path / "checkpoint.ckpt"
+        broken_container(model, breakage, path)
+    else:
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(payload))
     for command in (["eval", "--checkpoint", path, "--data", tmp_path],
                     ["predict", "--checkpoint", path, "--events", tmp_path / "e.jsonl"]):
         assert run(command) == 2
@@ -353,7 +394,7 @@ def test_generate_skips_empty_split_and_train_runs(tmp_path):
 
 
 def tiny_checkpoint(tmp_path, K=2):
-    path = tmp_path / "checkpoint.json"
+    path = tmp_path / "checkpoint.ckpt"
     save_checkpoint(MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=K), seed=0), path)
     return path
 
@@ -434,24 +475,12 @@ def test_config_setting_a_removed_field_exits_1(tmp_path, capsys, field):
 def test_eval_checkpoint_with_a_removed_field_exits_2(tmp_path, capsys, field):
     # a checkpoint written while the model config still had the field
     path = tiny_checkpoint(tmp_path)
-    payload = json.loads(path.read_text())
-    payload["config"][field] = REMOVED_FIELDS[field]
-    path.write_text(json.dumps(payload))
+    edit_container(path, lambda header: header["config"].update({field: REMOVED_FIELDS[field]}))
     data = tmp_path / "test.jsonl"
     data.write_text('{"K": 2, "events": [{"t": 1.0, "k": 1}, {"t": 1.5, "k": 2}]}\n')
     assert run(["eval", "--checkpoint", path, "--data", data]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and str(path) in err and field in err, err
-
-
-@pytest.mark.parametrize("points", [1, 0, -3])
-def test_eval_quad_points_below_2_exits_1(tmp_path, capsys, points):
-    data = tmp_path / "test.jsonl"
-    data.write_text('{"K": 2, "events": [{"t": 1.0, "k": 1}, {"t": 1.5, "k": 2}]}\n')
-    assert run(["eval", "--checkpoint", tiny_checkpoint(tmp_path), "--data", data,
-                "--quad-points", points]) == 1
-    err = capsys.readouterr().err
-    assert len(err.strip().splitlines()) == 1 and "--quad-points" in err, err
 
 
 def test_normalize_times_train_eval_predict_agree(tmp_path, capsys):
@@ -460,19 +489,19 @@ def test_normalize_times_train_eval_predict_agree(tmp_path, capsys):
     assert run(["train", "--config", small_train_config(tmp_path, normalize_times=True),
                 "--data", data, "--out", out]) == 0
     summary = json.loads((out / "metrics.json").read_text())
-    model, meta = load_checkpoint(out / "checkpoint.json")
+    model, meta = load_checkpoint(out / "checkpoint.ckpt")
     scale = meta["time_scale"]
     assert scale > 0.0 and scale != 1.0
 
     # eval rescales the raw test split by the checkpoint's time_scale
-    assert run(["eval", "--checkpoint", out / "checkpoint.json", "--data", data,
-                "--out", tmp_path / "evald", "--quad-points", 128]) == 0
+    assert run(["eval", "--checkpoint", out / "checkpoint.ckpt", "--data", data,
+                "--out", tmp_path / "evald"]) == 0
     evald = json.loads((tmp_path / "evald" / "eval_metrics.json").read_text())
     assert evald["metrics"] == summary["test"]
 
     # predict runs on the scaled sequence and reports its time in raw units
     capsys.readouterr()
-    assert run(["predict", "--checkpoint", out / "checkpoint.json",
+    assert run(["predict", "--checkpoint", out / "checkpoint.ckpt",
                 "--events", data / "test.jsonl", "--line", 2]) == 0
     printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     seq = load_jsonl(data / "test.jsonl").sequences[1]
@@ -496,7 +525,7 @@ T_1E10 = '{"K": 5, "events": [{"t": 1e10, "k": 1}, {"t": 2e10, "k": 2}]}\n'
 def hostile_inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("hostile")
     save_checkpoint(MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=5), seed=0),
-                    root / "ckpt.json")
+                    root / "ckpt.ckpt")
     (root / "data").mkdir()
     (root / "tied").mkdir()
     (root / "a_dir").mkdir()
@@ -517,14 +546,13 @@ def hostile_inputs(tmp_path_factory):
         (root / f"{name}.json").write_text(json.dumps(fields))
     save_checkpoint(MambaHawkesHybrid(MhpEConfig(d_model=8, d_state=4, mamba_layers=1,
                                                  attn_blocks=1, n_heads=2, K=5), seed=0),
-                    root / "ckpt_e.json")
+                    root / "ckpt_e.ckpt")
     (root / "lr_401_digits.json").write_text(json.dumps({"lr": 10**400}))  # beyond float range
     # time scales that take timestamps past the float range or merge two of
     # them: stored in a checkpoint, or drawn from a train split by normalize_times
     for name, scale in (("huge", 1e300), ("tiny", 5e-324), ("401_digits", 10**400)):
-        payload = json.loads((root / "ckpt.json").read_text())
-        payload["meta"]["time_scale"] = scale
-        (root / f"ckpt_scale_{name}.json").write_text(json.dumps(payload))
+        edit_container(root / "ckpt.ckpt", lambda header: header["meta"].update(time_scale=scale),
+                       root / f"ckpt_scale_{name}.ckpt")
     (root / "t_1e10.jsonl").write_text(T_1E10)
     (root / "good.jsonl").write_text(GOOD)
     (root / "good_then_t_1e10.jsonl").write_text(GOOD + T_1E10)
@@ -540,9 +568,10 @@ def hostile_inputs(tmp_path_factory):
     huge = "1" + "0" * 5000
     (root / "huge_int.json").write_text(f'{{"lr": {huge}}}')
     (root / "huge_int.jsonl").write_text(f'{{"K": 5, "events": [{{"t": {huge}, "k": 1}}]}}\n')
-    (root / "ckpt_huge_int.json").write_text(
-        (root / "ckpt.json").read_text().replace('"d_model": 8', f'"d_model": {huge}', 1))
-    model, _ = load_checkpoint(root / "ckpt.json")
+    header, data = read_container(root / "ckpt.ckpt")
+    text = json.dumps(header).replace('"d_model": 8', f'"d_model": {huge}', 1)
+    (root / "ckpt_huge_int.ckpt").write_bytes(container(text.encode(), data))
+    model, _ = load_checkpoint(root / "ckpt.ckpt")
     write_v1_checkpoint(model, root / "ckpt_v1_401_digits.json")
     payload = json.loads((root / "ckpt_v1_401_digits.json").read_text())
     payload["params"]["embedding"]["data"][0] = 10**400     # beyond float range
@@ -550,16 +579,15 @@ def hostile_inputs(tmp_path_factory):
     for name, fields in [*((name, HOSTILE_FIELDS[name]) for name in HOSTILE_MODEL_FIELDS),
                          *((name, f) for name, (f, _) in HOSTILE_CHECKPOINT_CONFIGS.items())]:
         fields = dict(fields)
-        base = "ckpt_e.json" if fields.pop("arch", "mhp") == "mhp-e" else "ckpt.json"
-        payload = json.loads((root / base).read_text())
-        payload["config"].update(fields)
-        (root / f"ckpt_{name}.json").write_text(json.dumps(payload))
+        base = "ckpt_e.ckpt" if fields.pop("arch", "mhp") == "mhp-e" else "ckpt.ckpt"
+        edit_container(root / base, lambda header: header["config"].update(fields),
+                       root / f"ckpt_{name}.ckpt")
     return root
 
 
 # config values refused where they enter, naming the field: each is written as
-# a config file, and those of a model's config into copies of ckpt.json (mhp)
-# or ckpt_e.json (mhp-e)
+# a config file, and those of a model's config into copies of ckpt.ckpt (mhp)
+# or ckpt_e.ckpt (mhp-e)
 HOSTILE_FIELDS = {
     "d_model": {"d_model": 10**9},
     "d_state": {"d_state": 10**8},
@@ -582,7 +610,7 @@ HOSTILE_MODEL_FIELDS = [name for name in HOSTILE_FIELDS
                         if name in {f.name for f in dataclasses.fields(MhpEConfig)}]
 
 # checkpoint configs that no config file holds, or of the wrong type, written
-# into copies of ckpt.json or ckpt_e.json: name -> (config fields, stderr fragment)
+# into copies of ckpt.ckpt or ckpt_e.ckpt: name -> (config fields, stderr fragment)
 HOSTILE_CHECKPOINT_CONFIGS = {
     "K-huge": ({"K": 10**9}, "config field K"),
     "n_heads-float": ({"arch": "mhp-e", "n_heads": 2.0}, "config field n_heads"),
@@ -597,23 +625,23 @@ HOSTILE = [
     ("generate-out-is-a-file", ["generate", "--out", "a_file", "--n-train", 1], 2, "a_file"),
     ("train-out-is-a-file", ["train", "--data", "data", "--out", "a_file"], 2, "a_file"),
     ("eval-out-is-a-file",
-     ["eval", "--checkpoint", "ckpt.json", "--data", "data", "--out", "a_file"], 2, "a_file"),
+     ["eval", "--checkpoint", "ckpt.ckpt", "--data", "data", "--out", "a_file"], 2, "a_file"),
     ("checkpoint-is-a-directory", ["eval", "--checkpoint", "a_dir", "--data", "data"], 2, "a_dir"),
-    ("events-is-a-directory", ["predict", "--checkpoint", "ckpt.json", "--events", "a_dir"],
+    ("events-is-a-directory", ["predict", "--checkpoint", "ckpt.ckpt", "--events", "a_dir"],
      2, "a_dir"),
     ("config-is-a-directory", ["train", "--config", "a_dir"], 1, "a_dir"),
     ("config-is-missing", ["train", "--config", "no_such.json"], 1, "no_such.json"),
-    ("data-not-utf8", ["eval", "--checkpoint", "ckpt.json", "--data", "not_utf8"], 2, "not_utf8"),
+    ("data-not-utf8", ["eval", "--checkpoint", "ckpt.ckpt", "--data", "not_utf8"], 2, "not_utf8"),
     ("checkpoint-not-utf8", ["eval", "--checkpoint", "not_utf8", "--data", "data"], 2,
      "not_utf8"),
     ("config-not-utf8", ["train", "--config", "not_utf8"], 1, "not_utf8"),
-    ("eval-K7", ["eval", "--checkpoint", "ckpt.json", "--data", "k7.jsonl"], 2, "k7.jsonl"),
-    ("predict-K7-type6", ["predict", "--checkpoint", "ckpt.json", "--events", "k7.jsonl"], 2,
+    ("eval-K7", ["eval", "--checkpoint", "ckpt.ckpt", "--data", "k7.jsonl"], 2, "k7.jsonl"),
+    ("predict-K7-type6", ["predict", "--checkpoint", "ckpt.ckpt", "--events", "k7.jsonl"], 2,
      "k7.jsonl"),
     ("predict-K7-types-within-5",
-     ["predict", "--checkpoint", "ckpt.json", "--events", "k7_low.jsonl"], 2, "k7_low.jsonl"),
+     ["predict", "--checkpoint", "ckpt.ckpt", "--events", "k7_low.jsonl"], 2, "k7_low.jsonl"),
     ("eval-tie-then-decreasing",
-     ["eval", "--checkpoint", "ckpt.json", "--data", "tie_then_decreasing.jsonl"], 2,
+     ["eval", "--checkpoint", "ckpt.ckpt", "--data", "tie_then_decreasing.jsonl"], 2,
      "decreasing timestamps"),
     ("train-tie-then-dev-decreasing", ["train", "--data", "tied", "--out", "o"], 2,
      "decreasing timestamps"),
@@ -622,17 +650,17 @@ HOSTILE = [
      ["train", "--config", "normalize_times.json", "--data", "all_tied", "--out", "o"], 2,
      "all_tied/train.jsonl: every gap is a tied timestamp"),
     # a time scale that overflows a timestamp or merges two of them
-    *((f"{cmd}-time-scale-{name}", [cmd, "--checkpoint", f"ckpt_scale_{name}.json", flag, data],
+    *((f"{cmd}-time-scale-{name}", [cmd, "--checkpoint", f"ckpt_scale_{name}.ckpt", flag, data],
        2, f"{data}: sequence 1: time scale")
       for cmd, flag in (("eval", "--data"), ("predict", "--events"))
       for name, data in (("huge", "t_1e10.jsonl"), ("tiny", "data/test.jsonl"))),
     # predict scales only its line: line 1 of this file scales, line 2 does not
     ("predict-time-scale-huge-line-2",
-     ["predict", "--checkpoint", "ckpt_scale_huge.json", "--events", "good_then_t_1e10.jsonl",
+     ["predict", "--checkpoint", "ckpt_scale_huge.ckpt", "--events", "good_then_t_1e10.jsonl",
       "--line", 2], 2, "good_then_t_1e10.jsonl: sequence 2: time scale"),
     *((f"{cmd}-time-scale-401-digits",
-       [cmd, "--checkpoint", "ckpt_scale_401_digits.json", flag, "data/test.jsonl"], 2,
-       "ckpt_scale_401_digits.json: meta.time_scale must be a finite positive number")
+       [cmd, "--checkpoint", "ckpt_scale_401_digits.ckpt", flag, "data/test.jsonl"], 2,
+       "ckpt_scale_401_digits.ckpt: meta.time_scale must be a finite positive number")
       for cmd, flag in (("eval", "--data"), ("predict", "--events"))),
     ("checkpoint-v1-value-401-digits",
      ["eval", "--checkpoint", "ckpt_v1_401_digits.json", "--data", "data"], 2,
@@ -643,10 +671,17 @@ HOSTILE = [
       for data, split in (("subnormal_gaps", "train"), ("merged_dev", "dev"))),
     *((f"config-{name}", ["train", "--config", f"{name}.json", "--data", "data", "--out", "o"],
        1, f"config field {name}") for name in HOSTILE_FIELDS),
+    # argparse refusals, each one line: the flag --quad-points is gone
     ("eval-quad-points-huge",
-     ["eval", "--checkpoint", "ckpt.json", "--data", "data", "--quad-points", 10**11], 1,
-     "--quad-points"),
-    *((f"checkpoint-{name}", ["eval", "--checkpoint", f"ckpt_{name}.json", "--data", "data"],
+     ["eval", "--checkpoint", "ckpt.ckpt", "--data", "data", "--quad-points", 10**11], 1,
+     "unrecognized arguments: --quad-points"),
+    ("eval-unknown-flag", ["eval", "--checkpoint", "x", "--data", "y", "--bogus", 3], 1,
+     "mamba-hawkes: error: unrecognized arguments: --bogus 3"),
+    ("generate-seed-not-an-integer", ["generate", "--seed", "abc", "--out", "z"], 1,
+     "argument --seed: invalid int value: 'abc'"),
+    ("train-unknown-arch", ["train", "--arch", "foo"], 1, "argument --arch: invalid choice: 'foo'"),
+    ("no-command", [], 1, "the following arguments are required: command"),
+    *((f"checkpoint-{name}", ["eval", "--checkpoint", f"ckpt_{name}.ckpt", "--data", "data"],
        2, f"config field {name}") for name in HOSTILE_MODEL_FIELDS),
     ("config-lr-401-digits",
      ["train", "--config", "lr_401_digits.json", "--data", "data", "--out", "o"], 1,
@@ -655,15 +690,15 @@ HOSTILE = [
      ["train", "--config", "huge_int.json", "--data", "data", "--out", "o"], 1,
      "config file huge_int.json: invalid JSON (integer literal too long)"),
     ("checkpoint-integer-5001-digits",
-     ["eval", "--checkpoint", "ckpt_huge_int.json", "--data", "data"], 2,
-     "ckpt_huge_int.json: invalid checkpoint JSON (integer literal too long)"),
+     ["eval", "--checkpoint", "ckpt_huge_int.ckpt", "--data", "data"], 2,
+     "ckpt_huge_int.ckpt: invalid checkpoint JSON (integer literal too long)"),
     ("data-integer-5001-digits",
-     ["eval", "--checkpoint", "ckpt.json", "--data", "huge_int.jsonl"], 2,
+     ["eval", "--checkpoint", "ckpt.ckpt", "--data", "huge_int.jsonl"], 2,
      "huge_int.jsonl:1: invalid JSON (integer literal too long)"),
-    *((f"checkpoint-{name}", ["eval", "--checkpoint", f"ckpt_{name}.json", "--data", "data"],
+    *((f"checkpoint-{name}", ["eval", "--checkpoint", f"ckpt_{name}.ckpt", "--data", "data"],
        2, fragment) for name, (_, fragment) in HOSTILE_CHECKPOINT_CONFIGS.items()),
     *((f"predict-checkpoint-{name}",
-       ["predict", "--checkpoint", f"ckpt_{name}.json", "--events", "data/test.jsonl"],
+       ["predict", "--checkpoint", f"ckpt_{name}.ckpt", "--events", "data/test.jsonl"],
        2, fragment) for name, (_, fragment) in HOSTILE_CHECKPOINT_CONFIGS.items()),
 ]
 
@@ -681,7 +716,7 @@ def test_predict_scales_only_its_line(hostile_inputs, capsys):
     # line 2's timestamps overflow at time scale 1e300; line 1's do not
     printed = []
     for events in ("good_then_t_1e10.jsonl", "good.jsonl"):
-        assert run(["predict", "--checkpoint", hostile_inputs / "ckpt_scale_huge.json",
+        assert run(["predict", "--checkpoint", hostile_inputs / "ckpt_scale_huge.ckpt",
                     "--events", hostile_inputs / events, "--line", 1]) == 0
         printed.append(capsys.readouterr().out.splitlines()[-1])
     assert printed[0] == printed[1]
@@ -689,7 +724,7 @@ def test_predict_scales_only_its_line(hostile_inputs, capsys):
 
 def test_predict_logs_to_stdout_and_prints_its_json_last(hostile_inputs):
     (hostile_inputs / "tied_only.jsonl").write_text(TIED)
-    proc = run_process(["predict", "--checkpoint", "ckpt.json", "--events", "tied_only.jsonl"],
+    proc = run_process(["predict", "--checkpoint", "ckpt.ckpt", "--events", "tied_only.jsonl"],
                        hostile_inputs)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     lines = proc.stdout.splitlines()

@@ -1,33 +1,40 @@
-"""Seeded fuzz of the three JSON readers through the command line.
+"""Seeded fuzz of the file readers through the command line.
 
 After Miller, Fredriksen & So, "An empirical study of the reliability of
 UNIX utilities" (CACM 33(12), 1990): valid inputs (a JSONL line, a config
-file, and version-1 and version-2 checkpoints) are mutated, and `train`,
-`eval` and `predict` run on each mutant in process. Every run must keep the
-exit-code contract: no exception escapes, the code is 0, 1, 2 or 3, a
-nonzero code comes with exactly one stderr line and no warning, and no run
-logs an error (the stderr line reports it; log records go to stdout).
+file, version-1 and version-2 JSON checkpoints and a version-3 checkpoint
+container) are mutated, and `train`, `eval` and `predict` run on each mutant
+in process. Every run must keep the exit-code contract: no exception
+escapes, the code is 0, 1, 2 or 3, a nonzero code comes with exactly one
+stderr line and no warning, and no run logs an error (the stderr line
+reports it; log records go to stdout).
 
-Each input gets `RANDOM_CASES` mutations drawn from `SEED` (a flipped bit,
-a truncation, a deleted key, a value of another type, or deep nesting),
-and then every token of `TOKENS` in place of every number it holds.
+Each JSON document gets `RANDOM_CASES` mutations drawn from `SEED` (a
+flipped bit, a truncation, a deleted key, a value of another type, or deep
+nesting), and then every token of `TOKENS` in place of every number it
+holds. A container's header gets the same mutations, each re-framed with
+its correct length; then each section of the container (magic, length
+field, header, data) gets `FRAME_CASES` bytes changed and is truncated at
+its start, middle and last byte.
 """
 
 import json
 import logging
 import logging.handlers
 import random
+import struct
 import warnings
 
 import pytest
 
-from helpers import write_v1_checkpoint
+from helpers import container, read_container, write_v1_checkpoint, write_v2_checkpoint
 from mamba_hawkes.checkpoint import save_checkpoint
 from mamba_hawkes.cli import main
 from mamba_hawkes.model import MambaHawkes, MhpConfig
 
 SEED = 1990
 RANDOM_CASES = 40      # per input
+FRAME_CASES = 8        # changed bytes per container section
 TOKENS = ["1" + "0" * 400, "1e400", "-1e308", "1e-320", "-0.0", "NaN", "Infinity", "true",
           '"1"', "[]", "{}"]
 SWAPS = ["x", 7, 2.5, True, None, [], {}]     # values of each JSON type
@@ -115,6 +122,22 @@ def mutants(doc):
     return out
 
 
+def frame_mutants(raw):
+    """Every (description, bytes) mutant of the container raw's framing: a
+    byte of each section changed to another value, and truncations."""
+    rng = random.Random(SEED)
+    header_end = 16 + struct.unpack_from("<Q", raw, 8)[0]
+    out = []
+    for name, (a, b) in {"magic": (0, 8), "length": (8, 16), "header": (16, header_end),
+                         "data": (header_end, len(raw))}.items():
+        for _ in range(FRAME_CASES):
+            i, x = rng.randrange(a, b), rng.randrange(1, 256)
+            out.append((f"{name}: byte {i} xor {x}", raw[:i] + bytes([raw[i] ^ x]) + raw[i + 1:]))
+        out += [(f"{name}: truncate to {n} bytes", raw[:n])
+                for n in sorted({a, (a + b) // 2, b - 1})]
+    return out
+
+
 def contract_breach(args, capsys):
     """What a run of the CLI on args breaks of the exit-code contract, or None.
 
@@ -147,7 +170,8 @@ def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     model = MambaHawkes(MhpConfig(d_model=4, d_state=2, n_layers=1, K=2), seed=0)
     meta = {"best_epoch": 1, "time_scale": 0.5}
-    save_checkpoint(model, root / "v2.json", meta=meta)
+    save_checkpoint(model, root / "v3.ckpt", meta=meta)
+    write_v2_checkpoint(model, root / "v2.json", meta=meta)
     write_v1_checkpoint(model, root / "v1.json", meta=meta)
     (root / "data").mkdir()
     for split in ("train", "dev"):
@@ -156,11 +180,11 @@ def inputs(tmp_path_factory):
     return root
 
 
-def breaches(root, doc, name, commands, capsys):
-    """Each mutant of doc written to root/name, and what each command
-    (a function of that path) breaks on it."""
+def breaches(root, cases, name, commands, capsys):
+    """Each (description, bytes) case written to root/name, and what each
+    command (a function of that path) breaks on it."""
     found = []
-    for what, raw in mutants(doc):
+    for what, raw in cases:
         (root / name).write_bytes(raw)
         for args in commands(root / name):
             breach = contract_breach(args, capsys)
@@ -180,26 +204,36 @@ def test_fuzz_data_line(inputs, capsys):
 
     def commands(path):
         (data / "train.jsonl").write_bytes(path.read_bytes() + b"\n")
-        return [["eval", "--checkpoint", inputs / "v2.json", "--data", path],
-                ["predict", "--checkpoint", inputs / "v2.json", "--events", path],
+        return [["eval", "--checkpoint", inputs / "v3.ckpt", "--data", path],
+                ["predict", "--checkpoint", inputs / "v3.ckpt", "--events", path],
                 _train(inputs, inputs / "config.json", data)]
 
-    found = breaches(inputs, LINE, "mutant.jsonl", commands, capsys)
+    found = breaches(inputs, mutants(LINE), "mutant.jsonl", commands, capsys)
     assert not found, "\n".join(found[:10])
 
 
 def test_fuzz_config(inputs, capsys):
-    found = breaches(inputs, CONFIG, "mutant_config.json",
+    found = breaches(inputs, mutants(CONFIG), "mutant_config.json",
                      lambda path: [_train(inputs, path, inputs / "data")], capsys)
     assert not found, "\n".join(found[:10])
+
+
+def _load(root):
+    good = root / "data" / "dev.jsonl"
+    return lambda path: [["eval", "--checkpoint", path, "--data", good],
+                         ["predict", "--checkpoint", path, "--events", good]]
 
 
 @pytest.mark.parametrize("version", [1, 2])
 def test_fuzz_checkpoint(inputs, capsys, version):
     doc = json.loads((inputs / f"v{version}.json").read_text())
-    good = inputs / "data" / "dev.jsonl"
-    found = breaches(inputs, doc, "mutant_checkpoint.json",
-                     lambda path: [["eval", "--checkpoint", path, "--data", good],
-                                   ["predict", "--checkpoint", path, "--events", good]],
-                     capsys)
+    found = breaches(inputs, mutants(doc), "mutant_checkpoint.json", _load(inputs), capsys)
+    assert not found, "\n".join(found[:10])
+
+
+def test_fuzz_checkpoint_container(inputs, capsys):
+    header, data = read_container(inputs / "v3.ckpt")
+    cases = [(f"header {what}", container(text, data)) for what, text in mutants(header)]
+    cases += frame_mutants((inputs / "v3.ckpt").read_bytes())
+    found = breaches(inputs, cases, "mutant_checkpoint.ckpt", _load(inputs), capsys)
     assert not found, "\n".join(found[:10])

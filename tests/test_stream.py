@@ -114,6 +114,25 @@ def test_streaming_embeds_only_the_new_events_and_predicts_the_same(arch, monkey
 
 
 @pytest.mark.parametrize("arch", ["mhp", "mhp-e"])
+def test_the_streaming_step_checks_no_event_again(arch, monkeypatch):
+    # the query's events were checked when its sequence was built; the step
+    # lays out the new ones as Group([EventSequence(...)]) would, without one
+    t, k = stream(30, seed=4)
+    for start in (0, 7, 29):
+        one, ref = Group.one(t[start:], k[start:]), Group([EventSequence(t[start:], k[start:], K)])
+        for field in ("timestamps", "type_indices", "rows", "ends"):
+            a, b = getattr(one, field), getattr(ref, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+    model, queries = build(arch), [prefix((t, k), n) for n in (1, 2, 9, 30)]
+    built, post_init = [], EventSequence.__post_init__
+    monkeypatch.setattr(EventSequence, "__post_init__",
+                        lambda seq: built.append(len(seq.types)) or post_init(seq))
+    for seq in queries:
+        model.predict_next(seq)
+    assert built == []
+
+
+@pytest.mark.parametrize("arch", ["mhp", "mhp-e"])
 def test_switching_repeating_and_shortening(arch):
     model = build(arch)
     a, b = stream(40, seed=2), stream(40, seed=3)

@@ -1,4 +1,3 @@
-import base64
 import dataclasses
 import json
 import os
@@ -6,13 +5,13 @@ import os
 import numpy as np
 import pytest
 
-from helpers import evaluate_one_by_one, write_v1_checkpoint
+from helpers import (container, evaluate_one_by_one, json_checkpoint, read_container,
+                     write_v1_checkpoint, write_v2_checkpoint)
 import mamba_hawkes.checkpoint as ckpt_mod
 import mamba_hawkes.training as train_mod
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.autograd import Parameter
-from mamba_hawkes.checkpoint import (build_model, checkpoint_payload,
-                                     load_checkpoint, save_checkpoint)
+from mamba_hawkes.checkpoint import build_model, load_checkpoint, save_checkpoint
 from mamba_hawkes.data import (Batch, DataError, Dataset, EventSequence,
                                make_synthetic_benchmark, save_jsonl)
 from mamba_hawkes.hybrid import MambaHawkesHybrid, MhpEConfig
@@ -481,9 +480,9 @@ def test_train_same_seed_identical_outputs(tmp_path):
         cfg = desk_config(tmp_path / "data", tmp_path / run, epochs=2, seed=5)
         train(cfg)
         outs.append({name: open(os.path.join(tmp_path, run, name), "rb").read()
-                     for name in ("metrics.csv", "checkpoint.json")})
+                     for name in ("metrics.csv", "checkpoint.ckpt")})
     assert outs[0]["metrics.csv"] == outs[1]["metrics.csv"]
-    assert outs[0]["checkpoint.json"] == outs[1]["checkpoint.json"]
+    assert outs[0]["checkpoint.ckpt"] == outs[1]["checkpoint.ckpt"]
 
 
 def test_train_ll_non_decreasing_first_epochs(tmp_path):
@@ -581,72 +580,87 @@ def test_metrics_csv_formatting():
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path):
-    m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=2, K=3), seed=7)
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(m, path, meta={"best_epoch": 4})
-    loaded, meta = load_checkpoint(path)
-    assert meta == {"best_epoch": 4}
-    assert loaded.arch == "mhp"
-    for (na, pa), (nb, pb) in zip(m.named_parameters(), loaded.named_parameters()):
-        assert na == nb
-        assert np.array_equal(pa.data, pb.data)  # bit-exact
-    path2 = tmp_path / "ckpt2.json"
-    save_checkpoint(loaded, path2, meta=meta)
-    assert path.read_bytes() == path2.read_bytes()
+    # a small mhp, then the default mhp and mhp-e
+    for m in (MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=2, K=3), seed=7),
+              build_model("mhp", {}, seed=2), build_model("mhp-e", {}, seed=2)):
+        path = tmp_path / "ckpt.ckpt"
+        save_checkpoint(m, path, meta={"best_epoch": 4})
+        loaded, meta = load_checkpoint(path)
+        assert meta == {"best_epoch": 4}
+        assert loaded.arch == m.arch
+        for (na, pa), (nb, pb) in zip(m.named_parameters(), loaded.named_parameters()):
+            assert na == nb
+            assert np.array_equal(pa.data, pb.data)  # bit-exact
+            assert pb.data.flags.writeable   # a copy: the file's bytes are read-only
+        path2 = tmp_path / "ckpt2.ckpt"
+        save_checkpoint(loaded, path2, meta=meta)
+        assert path.read_bytes() == path2.read_bytes()
 
 
 def test_checkpoint_records_hybrid_arch(tmp_path):
     m = build_model("mhp-e", {"d_model": 8, "d_state": 4, "K": 2, "n_heads": 2,
                               "mamba_layers": 1, "attn_blocks": 1})
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt.ckpt"
     save_checkpoint(m, path)
-    payload = json.load(open(path))
-    assert payload["arch"] == "mhp-e"
+    header, _ = read_container(path)
+    assert header["arch"] == "mhp-e"
     loaded, _ = load_checkpoint(path)
     assert loaded.arch == "mhp-e"
     assert len(loaded.attn_layers) == 1
 
 
-def test_checkpoint_stores_base64_float64_bytes(tmp_path):
+def test_checkpoint_stores_raw_little_endian_float64_bytes(tmp_path):
     m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=2), seed=1)
-    payload = checkpoint_payload(m)
-    assert payload["version"] == 2
-    rec = payload["params"]["embedding"]
-    raw = base64.b64decode(rec["data"], validate=True)
-    assert rec["shape"] == [8, 2]
-    assert raw == m.embedding.data.astype("<f8").tobytes()
+    save_checkpoint(m, tmp_path / "ckpt.ckpt")
+    header, data = read_container(tmp_path / "ckpt.ckpt")
+    assert header["version"] == 3
+    assert list(header["params"]) == [name for name, _ in m.named_parameters()]
+    assert header["params"]["embedding"] == [8, 2]
+    assert data[:8 * m.embedding.size] == m.embedding.data.astype("<f8").tobytes()
 
 
-def test_checkpoint_loads_version_1_bit_exactly(tmp_path):
+def check_json_checkpoint_loads_and_resaves(tmp_path, version):
+    """A version-1 or -2 file loads to the model's bits and meta, and saving
+    what it loaded writes the bytes that saving the model writes."""
     m = build_model("mhp-e", {"d_model": 8, "d_state": 4, "K": 3, "n_heads": 2,
                               "mamba_layers": 1, "attn_blocks": 1}, seed=5)
-    old = tmp_path / "v1.json"
-    write_v1_checkpoint(m, old, meta={"best_epoch": 3, "time_scale": 0.5})
-    assert json.load(open(old))["version"] == 1
-    loaded, meta = load_checkpoint(old)
-    assert meta == {"best_epoch": 3, "time_scale": 0.5}
+    meta = {"best_epoch": 3, "time_scale": 0.5}
+    old = tmp_path / f"v{version}.json"
+    (write_v1_checkpoint if version == 1 else write_v2_checkpoint)(m, old, meta=meta)
+    assert json.load(open(old))["version"] == version
+    loaded, got = load_checkpoint(old)
+    assert got == meta
     for (na, pa), (nb, pb) in zip(m.named_parameters(), loaded.named_parameters()):
         assert na == nb
         assert np.array_equal(pa.data, pb.data)  # bit-exact
-    new = tmp_path / "v2.json"
-    save_checkpoint(loaded, new, meta=meta)
-    assert json.load(open(new))["version"] == 2
-    again, _ = load_checkpoint(new)
-    for (_, pa), (_, pb) in zip(m.named_parameters(), again.named_parameters()):
-        assert np.array_equal(pa.data, pb.data)
+    save_checkpoint(loaded, tmp_path / "resaved.ckpt", meta=got)
+    save_checkpoint(m, tmp_path / "direct.ckpt", meta=meta)
+    assert read_container(tmp_path / "resaved.ckpt")[0]["version"] == 3
+    assert (tmp_path / "resaved.ckpt").read_bytes() == (tmp_path / "direct.ckpt").read_bytes()
+
+
+def test_checkpoint_loads_version_1_bit_exactly(tmp_path):
+    check_json_checkpoint_loads_and_resaves(tmp_path, 1)
+
+
+def test_checkpoint_loads_version_2_bit_exactly(tmp_path):
+    check_json_checkpoint_loads_and_resaves(tmp_path, 2)
 
 
 def test_default_checkpoint_under_12_bytes_per_parameter(tmp_path):
+    # exactly the container: magic and length (16 bytes), header, 8 bytes a value
     m = MambaHawkes(MhpConfig(), seed=0)
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt.ckpt"
     save_checkpoint(m, path)
+    header, _ = read_container(path)
     n_params = sum(p.size for p in m.parameters())
-    assert os.path.getsize(path) < 12 * n_params  # about 21 as decimal number lists
+    assert os.path.getsize(path) == 16 + len(json.dumps(header).encode()) + 8 * n_params
+    assert os.path.getsize(path) < 8.02 * n_params    # about 21 as decimal number lists
 
 
 def test_checkpoint_rejects_mismatched_params(tmp_path):
     m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=2), seed=0)
-    payload = checkpoint_payload(m)
+    payload = json_checkpoint(m, 2)
     del payload["params"]["embedding"]
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
@@ -656,19 +670,22 @@ def test_checkpoint_rejects_mismatched_params(tmp_path):
 
 
 def test_checkpoint_bytes_match_json_dump(tmp_path):
+    # the container built independently: json.dumps of the header, then the bytes
     m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=2, K=3), seed=3)
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(m, path, meta={"best_epoch": 2, "dev_ll_per_event": -1.25})
-    ref = tmp_path / "ref.json"
-    with open(ref, "w", encoding="utf-8") as fh:
-        json.dump(checkpoint_payload(m, {"best_epoch": 2, "dev_ll_per_event": -1.25}), fh)
-        fh.write("\n")
-    assert path.read_bytes() == ref.read_bytes()
+    meta = {"best_epoch": 2, "dev_ll_per_event": -1.25}
+    path = tmp_path / "ckpt.ckpt"
+    save_checkpoint(m, path, meta=meta)
+    header = {"format": "mamba-hawkes-checkpoint", "version": 3, "arch": "mhp",
+              "config": m.cfg.to_dict(), "meta": meta,
+              "params": {name: list(p.shape) for name, p in m.named_parameters()}}
+    data = b"".join(p.data.astype("<f8").tobytes() for p in m.parameters())
+    assert path.read_bytes() == container(header, data)
+    assert path.read_bytes()[:8] == b"\x89MHP\r\n\x1a\n"
 
 
 def test_checkpoint_failed_write_keeps_previous(tmp_path, monkeypatch):
     m = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=3), seed=4)
-    path = tmp_path / "ckpt.json"
+    path = tmp_path / "ckpt.ckpt"
     save_checkpoint(m, path, meta={"best_epoch": 1})
     before = path.read_bytes()
 
@@ -692,4 +709,4 @@ def test_checkpoint_failed_write_keeps_previous(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="No space left"):
         save_checkpoint(m, path, meta={"best_epoch": 2})
     assert path.read_bytes() == before
-    assert sorted(os.listdir(tmp_path)) == ["ckpt.json"]
+    assert sorted(os.listdir(tmp_path)) == ["ckpt.ckpt"]
