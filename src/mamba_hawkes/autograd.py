@@ -292,15 +292,6 @@ def reduce_sum(a, axis=None, keepdims=False):
                  lambda g: np.broadcast_to(g if kept else np.expand_dims(g, axes), a.shape))
 
 
-def softmax(a, axis=-1):
-    a = as_tensor(a)
-    _check_axis(axis, a.ndim, "softmax")
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
-    return _node(s, (a,), lambda g: s * (g - (g * s).sum(axis=axis, keepdims=True)))
-
-
 def log_softmax(a, axis=-1):
     a = as_tensor(a)
     _check_axis(axis, a.ndim, "log_softmax")

@@ -162,6 +162,9 @@ def _cmd_predict(args):
         seq, = scale_times(Dataset([seq], dataset.K), scale, args.events, first=args.line)
     result = model.predict_next(seq)
     next_time = result.next_time / scale if scale else result.next_time
+    if not (np.isfinite(next_time) and np.isfinite(result.probs).all()):
+        raise DataError(f"{args.checkpoint}: prediction is not finite (next time {next_time}, "
+                        f"meta.time_scale {scale!r})")
     print(json.dumps({"probs": [float(p) for p in result.probs],
                       "next_type": result.next_type, "next_time": next_time}))
     return 0

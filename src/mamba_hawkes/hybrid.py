@@ -208,8 +208,9 @@ class MambaHawkesHybrid(MambaHawkes):
         return self.layers + self.attn_layers
 
     def _run_stack(self, x, delta, states, group):
-        # attention runs on each sequence alone; a cache streams a group of one
-        parts = group.split(super()._run_stack(x, delta, states, group))
+        # attention runs on each sequence alone; a cache streams one sequence
+        x = super()._run_stack(x, delta, states, group)
+        parts = [x] if delta.shape[1] == 1 else group.split(x)
         for blk, cache in zip(self.attn_layers, states[len(self.layers):]):
             parts = [blk(part) if cache is None
                      else blk.attend(part, cache, blk is self.attn_layers[-1]) for part in parts]

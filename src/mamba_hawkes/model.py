@@ -327,26 +327,25 @@ class Group:
     of one, [L, 1, .]. A shorter sequence is padded past its last event with
     type 1 at gaps of 1, in steps that its own steps never read, since every
     op of the encoder is causal or row-wise. `timestamps` [L, B] and
-    `type_indices` [L * B] (row i * B + j) stand in for those of a
-    sequence, and `rows` are the pass's rows of each sequence in turn.
-    With `intervals`, for scoring, it holds each sequence's first time
-    (`firsts`) and intervals, `gaps` and `next_types` (0-based) [m], in turn:
-    sequence j's in `spans[j]`, ending before cuts[j], first events at rows `starts`.
+    `type_indices` [L * B] (row i * B + j) are the pass's inputs, and
+    `rows` are the pass's rows of each sequence in turn. For scoring it
+    holds each sequence's first time (`firsts`) and intervals, `gaps` and
+    `next_types` (0-based) [m], in turn: sequence j's in `spans[j]`, ending
+    before cuts[j], first events at rows `starts`.
     """
 
-    def __init__(self, seqs, intervals=False):
+    def __init__(self, seqs):
         n = np.array([len(s) for s in seqs])
         L, B = n.max(), len(n)
         self.ends = np.cumsum(n)
         t = np.concatenate([s.timestamps for s in seqs])
         k = np.concatenate([s.types for s in seqs]) - 1
-        if intervals:
-            self.cuts = self.ends - np.arange(1, B + 1)
-            self.spans = _spans(self.cuts)
-            self.starts = np.delete(np.arange(len(t)), self.ends - 1)
-            self.gaps = np.diff(t)[self.starts]
-            self.next_types = k[self.starts + 1]
-            self.firsts = t[self.ends - n]
+        self.cuts = self.ends - np.arange(1, B + 1)
+        self.spans = _spans(self.cuts)
+        self.starts = np.delete(np.arange(len(t)), self.ends - 1)
+        self.gaps = np.diff(t)[self.starts]
+        self.next_types = k[self.starts + 1]
+        self.firsts = t[self.ends - n]
         i = np.arange(L)[:, None]
         inside = i < n
         at = np.minimum(i, n - 1) + self.ends - n       # each slot's event, or its last one
@@ -354,19 +353,9 @@ class Group:
         self.type_indices = np.where(inside, k[at], 0).reshape(-1)
         self.rows = (i * B + np.arange(B)).T[inside.T]
 
-    @classmethod
-    def one(cls, timestamps, types):
-        """The group of one of a sequence's timestamps and 1-based types, laid
-        out from the arrays as they are, without intervals: the events were
-        checked when their sequence was built."""
-        group = cls.__new__(cls)
-        group.ends, group.rows = np.array([len(types)]), np.arange(len(types))
-        group.timestamps, group.type_indices = timestamps[:, None], types - 1
-        return group
-
     def split(self, x):
         """Rows of each sequence in turn, [sum of lengths, .], as one slice per sequence."""
-        return [x] if len(self.ends) == 1 else [x[rows] for rows in _spans(self.ends)]
+        return [x[rows] for rows in _spans(self.ends)]
 
 
 class MambaHawkes(Module):
@@ -394,19 +383,19 @@ class MambaHawkes(Module):
 
     # -- encoding ----------------------------------------------------------
 
-    def embed(self, seq):
-        idx = seq.type_indices
+    def embed(self, idx):
+        """The embedding rows of 0-based type indices idx, [len(idx), d_model]."""
         if idx.max() >= self.cfg.K:
             raise ValueError(
                 f"event type out of range: sequence contains type {int(idx.max()) + 1} "
                 f"but the model has K={self.cfg.K}")
         return ag.transpose(ag.gather(self.embedding, idx, axis=1))
 
-    def deltas(self, seq, before=0.0):
-        """The scan's steps: softplus of each gap (the first gap is the first
-        timestamp less `before`, the time of any event before seq), clamped
-        so that no step is zero or overflows."""
-        return np.clip(np.logaddexp(0.0, np.diff(seq.timestamps, axis=0, prepend=before)),
+    def deltas(self, timestamps, before=0.0):
+        """The scan's steps: softplus of each gap along axis 0 (the first gap
+        is the first timestamp less `before`, the time of any event before
+        them), clamped so that no step is zero or overflows."""
+        return np.clip(np.logaddexp(0.0, np.diff(timestamps, axis=0, prepend=before)),
                        DELTA_MIN, DELTA_MAX)
 
     def _stack(self):
@@ -414,10 +403,11 @@ class MambaHawkes(Module):
         return list(self.layers)
 
     def _run_stack(self, x, delta, states, group):
-        """Run the blocks over a `Group`'s pass: x its rows [L * B, d_model],
-        delta its steps [L, B]; `states` (one per block of `_stack`) are
-        carried on from and updated, and a None runs its block from empty.
-        The rows come back as those of each sequence in turn."""
+        """Run the blocks over a pass of B sequences: x its rows [L * B,
+        d_model], delta its steps [L, B]; `states` (one per block of
+        `_stack`) are carried on from and updated, and a None runs its block
+        from empty. The rows come back as those of each sequence in turn,
+        which only a `group` of B > 1 reorders; one sequence needs none."""
         x = ag.reshape(x, delta.shape + (-1,))
         for blk, state in zip(self.layers, states):
             x = blk(x, delta, state)
@@ -427,7 +417,7 @@ class MambaHawkes(Module):
     def encode(self, seq, state=None):
         """Hidden state per event, [L, d_model]; row j sees only events <= j.
 
-        Every pass is a `Group`'s: seq is laid out as a group of one. Given
+        A pass without a state is a `Group`'s, seq a group of one. Given
         a `Group` in place of seq, it encodes its sequences in one pass that
         steps them all at once, and returns the rows of each sequence in
         turn, [sum of lengths, d_model], each bit for bit those of `encode`
@@ -435,22 +425,24 @@ class MambaHawkes(Module):
 
         With an `EncoderState` it returns the last event's row alone,
         [1, d_model], and embeds and runs only the events after those the
-        state holds (`EncoderState.resume`), as a group of one laid out from
-        seq's slices (`Group.one`), without intervals or a graph; a hybrid's
-        last block runs only that row past its keys and values. The state
-        then holds seq; without one, it starts empty.
+        state holds (`EncoderState.resume`), handing the stack seq's slices
+        as they are, without a group or a graph; a hybrid's last block runs
+        only that row past its keys and values. The state then holds seq;
+        without one, it starts empty.
         """
         if state is None:
             group = seq if isinstance(seq, Group) else Group([seq])
-            return self.mlp(self._run_stack(self.embed(group), Tensor(self.deltas(group)),
+            return self.mlp(self._run_stack(self.embed(group.type_indices),
+                                            Tensor(self.deltas(group.timestamps)),
                                             [None] * len(self._stack()), group))
         with ag.no_grad():
             start = state.resume(self, seq)
             if start < len(seq):
                 state.held = None   # until the blocks hold all of seq
-                new = Group.one(seq.timestamps[start:], seq.types[start:])
-                delta = Tensor(self.deltas(new, seq.timestamps[start - 1] if start else 0.0))
-                state.last = self._run_stack(self.embed(new), delta, state.blocks, new)[-1:]
+                delta = Tensor(self.deltas(seq.timestamps[start:, None],
+                                           seq.timestamps[start - 1] if start else 0.0))
+                state.last = self._run_stack(self.embed(seq.types[start:] - 1), delta,
+                                             state.blocks, None)[-1:]
                 state.held = (seq.timestamps.copy(), seq.types.copy())
             return self.mlp(state.last)
 
@@ -510,7 +502,7 @@ class MambaHawkes(Module):
         """
         if any(len(seq) < 2 for seq in seqs):
             raise ValueError("scoring needs at least two events")
-        group = Group(seqs, intervals=True)
+        group = Group(seqs)
         heads = self.heads(self.encode(group), group.starts)
         lam = self.head.intensities(group.gaps, heads.scores)      # [m, K] at event times
         own = np.arange(len(group.gaps)) * self.cfg.K + group.next_types
@@ -534,7 +526,8 @@ class MambaHawkes(Module):
         """
         with ag.no_grad():
             heads = self.heads(self.encode(seq, self._stream))
-            probs = ag.softmax(heads.logits, axis=1).data[0]
+            probs = np.exp(heads.logits.data[0] - heads.logits.data[0].max())
+            probs /= probs.sum()
             t_hat = float(heads.times.data[0])
         return PredictionResult(probs, int(np.argmax(probs)) + 1, t_hat)
 

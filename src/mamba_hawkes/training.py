@@ -111,8 +111,8 @@ class Metrics:
             raise ValueError(f"log-likelihood per event is not finite: {self.ll_per_event}")
         if self.accuracy is not None and not 0.0 <= self.accuracy <= 100.0:
             raise ValueError(f"accuracy must be a percentage, got {self.accuracy}")
-        if self.rmse is not None and self.rmse < 0.0:
-            raise ValueError(f"rmse must be non-negative, got {self.rmse}")
+        if self.rmse is not None and not 0.0 <= self.rmse < np.inf:
+            raise ValueError(f"rmse must be finite and non-negative, got {self.rmse}")
 
 
 class Adam:
@@ -470,7 +470,11 @@ def train(cfg):
 
     test_metrics = None
     if test_ds is not None:   # on the best checkpoint, which only this needs
-        test_metrics = evaluate(load_checkpoint(ckpt_path)[0], test_ds)
+        best = load_checkpoint(ckpt_path)[0]
+        try:
+            test_metrics = evaluate(best, test_ds)
+        except ValueError as e:  # as on the dev split
+            raise NumericsError(f"test evaluation failed: {e}") from None
         rows.append((best_epoch, "test", test_metrics.ll_per_event,
                      test_metrics.accuracy, test_metrics.rmse, 0.0))
 

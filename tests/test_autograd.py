@@ -61,26 +61,6 @@ def test_matmul_shape_errors():
         ag.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
 
-def test_softmax_symmetry():
-    out = ag.softmax(Tensor(np.zeros(3)), axis=0)
-    np.testing.assert_allclose(out.data, np.full(3, 1.0 / 3.0), rtol=1e-15)
-
-
-def test_softmax_sums_to_one():
-    rng = np.random.default_rng(2)
-    out = ag.softmax(Tensor(rng.normal(size=(5, 7)) * 10), axis=1)
-    np.testing.assert_allclose(out.data.sum(axis=1), np.ones(5), atol=1e-12)
-
-
-def test_softmax_gradient_matches_fd():
-    rng = np.random.default_rng(3)
-    x = Parameter(rng.normal(size=(4, 5)))
-    w = rng.normal(size=(4, 5))
-    errs = check_param_grads(
-        lambda: ag.reduce_sum(ag.mul(ag.softmax(x, axis=1), w)), [x])
-    assert max(errs.values()) < 1e-4
-
-
 def test_log_softmax_gradient_matches_fd():
     rng = np.random.default_rng(4)
     x = Parameter(rng.normal(size=(3, 6)))

@@ -381,6 +381,34 @@ def test_numeric_abort_prints_one_line_and_no_numpy_warning(tmp_path):
     assert "Warning" not in proc.stderr
 
 
+# a gap of 1e300 that the best model cannot score (its intensity underflows
+# to 0 there), and one of 1e200 that a model with alpha at 0 scores with a
+# finite LL but whose squared time error overflows, so its rmse is infinite;
+# a learning rate of 1e-300 keeps alpha within 1e-300 of 0
+UNSCORABLE = '{"K": 5, "events": [{"t": 0.0, "k": 1}, {"t": 1e300, "k": 2}]}\n'
+RMSE_INF = '{"K": 5, "events": [{"t": 0.0, "k": 1}, {"t": 1e200, "k": 2}]}\n'
+
+
+@pytest.mark.parametrize("split,line,lr,fragment", [
+    ("test", UNSCORABLE, 1e-4,
+     "numeric abort: test evaluation failed: log of non-positive value"),
+    ("test", RMSE_INF, 1e-300, "numeric abort: test evaluation failed: rmse must be finite"),
+    ("dev", RMSE_INF, 1e-300,
+     "numeric abort: dev evaluation failed at epoch 1: rmse must be finite")],
+    ids=["test-unscorable", "test-rmse-inf", "dev-rmse-inf"])
+def test_train_evaluation_that_fails_exits_3_with_one_line(tmp_path, capsys, split, line, lr,
+                                                            fragment):
+    data = tmp_path / "data"
+    run(["generate", "--seed", 1, "--out", data, "--n-train", 4, "--n-dev", 2, "--n-test", 0])
+    (data / f"{split}.jsonl").write_text(line)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"d_model": 8, "n_layers": 1, "epochs": 1, "lr": lr}))
+    capsys.readouterr()
+    assert run(["train", "--config", cfg, "--data", data, "--out", tmp_path / "o"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(fragment), err
+
+
 def test_generate_skips_empty_split_and_train_runs(tmp_path):
     data = tmp_path / "data"
     assert run(["generate", "--seed", 3, "--out", data,
@@ -554,6 +582,15 @@ def hostile_inputs(tmp_path_factory):
         edit_container(root / "ckpt.ckpt", lambda header: header["meta"].update(time_scale=scale),
                        root / f"ckpt_scale_{name}.ckpt")
     (root / "t_1e10.jsonl").write_text(T_1E10)
+    # finite parameters whose logits overflow: every hidden entry is about
+    # 1e308 and every logit a sum of 8 of them, so the probabilities are NaN
+    overflowing = MambaHawkes(MhpConfig(d_model=8, d_state=4, n_layers=1, K=5), seed=0)
+    overflowing.mlp.b2.data[:] = 1e308
+    overflowing.pred.P_e.data[:] = 1.0
+    save_checkpoint(overflowing, root / "ckpt_overflowing.ckpt")
+    (root / "one_event.jsonl").write_text('{"K": 5, "events": [{"t": 1.0, "k": 2}]}\n')
+    (root / "gap_1.jsonl").write_text(
+        '{"K": 5, "events": [{"t": 1.0, "k": 1}, {"t": 2.0, "k": 2}]}\n')
     (root / "good.jsonl").write_text(GOOD)
     (root / "good_then_t_1e10.jsonl").write_text(GOOD + T_1E10)
     for name, train_line, dev_line in (
@@ -654,6 +691,16 @@ HOSTILE = [
        2, f"{data}: sequence 1: time scale")
       for cmd, flag in (("eval", "--data"), ("predict", "--events"))
       for name, data in (("huge", "t_1e10.jsonl"), ("tiny", "data/test.jsonl"))),
+    # a prediction or a score that overflows, in data units or in the model
+    ("predict-time-scale-tiny-next-time-inf",
+     ["predict", "--checkpoint", "ckpt_scale_tiny.ckpt", "--events", "one_event.jsonl"], 2,
+     "ckpt_scale_tiny.ckpt: prediction is not finite (next time -inf, meta.time_scale 5e-324)"),
+    ("predict-logits-overflow",
+     ["predict", "--checkpoint", "ckpt_overflowing.ckpt", "--events", "one_event.jsonl"], 2,
+     "ckpt_overflowing.ckpt: prediction is not finite"),
+    ("eval-time-scale-huge-rmse-inf",
+     ["eval", "--checkpoint", "ckpt_scale_huge.ckpt", "--data", "gap_1.jsonl", "--out", "o"],
+     2, "gap_1.jsonl: rmse must be finite and non-negative, got inf"),
     # predict scales only its line: line 1 of this file scales, line 2 does not
     ("predict-time-scale-huge-line-2",
      ["predict", "--checkpoint", "ckpt_scale_huge.ckpt", "--events", "good_then_t_1e10.jsonl",

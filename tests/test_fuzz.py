@@ -16,6 +16,10 @@ holds. A container's header gets the same mutations, each re-framed with
 its correct length; then each section of the container (magic, length
 field, header, data) gets `FRAME_CASES` bytes changed and is truncated at
 its start, middle and last byte.
+
+The flags get the same contract: `FLAG_CASES` argument lists per subcommand,
+drawn from `SEED` out of `flag_values`, with flags left out, flags without a
+value, unknown flags and those of other subcommands.
 """
 
 import json
@@ -160,7 +164,7 @@ def contract_breach(args, capsys):
         return f"exit code {code}"
     if errors:
         return f"logged errors {errors}"
-    if code and (len(err) != 1 or caught):
+    if code and (len(err) != 1 or caught) or len(err) > 1:
         return f"exit {code} with stderr {err} and warnings {[str(w.message) for w in caught]}"
     return None
 
@@ -236,4 +240,77 @@ def test_fuzz_checkpoint_container(inputs, capsys):
     cases = [(f"header {what}", container(text, data)) for what, text in mutants(header)]
     cases += frame_mutants((inputs / "v3.ckpt").read_bytes())
     found = breaches(inputs, cases, "mutant_checkpoint.ckpt", _load(inputs), capsys)
+    assert not found, "\n".join(found[:10])
+
+
+# -- command-line flags ------------------------------------------------------
+
+FLAG_CASES = 100       # argument lists per subcommand
+KEEP_FLAG = 0.85       # the chance that a flag is drawn at all
+GOOD_VALUE = 0.85      # the chance that a drawn flag takes a good value
+# empty, non-numeric, negative and fractional values, then huge ones, the
+# last beyond the digits that int() converts; --n-* counts and --epochs take
+# only the first kind and at most 3, so that a run that takes them does
+# little work
+SMALL_BAD = ["", "abc", "-1", "2.5"]
+BAD = SMALL_BAD + ["9" * 30, "1" + "0" * 5000]
+COUNTS = ["0", "1", "3"]
+TINY = {"d_model": 4, "d_state": 2, "batch_size": 2, "epochs": 1, "seed": 0}
+STRANGE = ["--bogus", "-x", "--quad-points", "-h", "extra"]
+
+
+def flag_values(root):
+    """Each subcommand's flags, each with its good values and its bad ones:
+    a path that does not exist, a file where a directory belongs or one of
+    another kind, and the values of `BAD`."""
+    missing, a_file, events = root / "no_such", root / "config.json", root / "data" / "dev.jsonl"
+    paths, outs = [missing, a_file, ""], [a_file, ""]     # a missing out directory is made
+    counts = (COUNTS, SMALL_BAD)
+    return {
+        "generate": {"--seed": (["0", "7", "9" * 30], BAD), "--out": ([root / "gen"], outs),
+                     "--n-train": counts, "--n-dev": counts, "--n-test": counts},
+        "train": {"--config": ([root / "tiny.json"], [missing, root / "data", events]),
+                  "--data": ([root / "data"], paths), "--out": ([root / "run"], outs),
+                  "--arch": (["mhp", "mhp-e"], ["foo", ""]), "--seed": (["0", "9" * 30], BAD),
+                  "--epochs": (COUNTS[1:], ["0", *SMALL_BAD])},
+        "eval": {"--checkpoint": ([root / "v3.ckpt"], [events, *paths]),
+                 "--data": ([root / "data", events], paths),
+                 "--split": (["dev", "train"], ["test", "", "../data/dev"]),
+                 "--out": ([root / "evald"], outs)},
+        "predict": {"--checkpoint": ([root / "v3.ckpt"], [events, *paths]),
+                    "--events": ([events], [root / "data", *paths]),
+                    "--line": (["1"], ["2", "0", *BAD])},
+    }
+
+
+# drawn in every list: without them generate writes 2000 sequences and
+# train runs the default config for 50 epochs
+ALWAYS = {"generate": ["--n-train", "--n-dev", "--n-test"], "train": ["--config"]}
+
+
+def draw_argv(command, values, rng):
+    """One argument list for command: each of its flags with a good or a
+    bad value, or left out; maybe a strange token, and maybe the last value
+    dropped."""
+    argv = [command]
+    for flag, (good, bad) in values[command].items():
+        if flag in ALWAYS.get(command, []) or rng.random() < KEEP_FLAG:
+            argv += [flag, str(rng.choice(good if rng.random() < GOOD_VALUE else bad))]
+    if rng.random() < 0.1:
+        argv.append(rng.choice(STRANGE + [f for v in values.values() for f in v]))
+    if rng.random() < 0.05:
+        argv.pop()
+    return argv
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "eval", "predict"])
+def test_fuzz_flags(inputs, capsys, command):
+    (inputs / "tiny.json").write_text(json.dumps(TINY))
+    rng, values = random.Random(f"{SEED}-{command}"), flag_values(inputs)
+    found = []
+    for _ in range(FLAG_CASES):
+        argv = draw_argv(command, values, rng)
+        breach = contract_breach(argv, capsys)
+        if breach:
+            found.append(f"{argv}: {breach}")
     assert not found, "\n".join(found[:10])

@@ -42,10 +42,9 @@ def constant_intensity_model(K, rates, d_model=8):
 
 
 def deltas_of_gaps(gaps):
-    """MambaHawkes.deltas of a sequence whose events are `gaps` apart, the
-    first one at time gaps[0]."""
-    t = np.cumsum(gaps)
-    return tiny_model().deltas(EventSequence(t, np.ones(len(t), dtype=int), 2))
+    """MambaHawkes.deltas of timestamps `gaps` apart, the first one at time
+    gaps[0]."""
+    return tiny_model().deltas(np.cumsum(gaps))
 
 
 def test_raw_deltas_first_gap_is_first_timestamp():
@@ -67,7 +66,7 @@ def test_embed_identity_matrix_gives_one_hot_rows():
     m = tiny_model(K=4, d_model=4)
     m.embedding.data = np.eye(4)
     seq = EventSequence(np.array([1.0, 2.0]), np.array([2, 1]), 4)
-    out = m.embed(seq).data
+    out = m.embed(seq.type_indices).data
     np.testing.assert_array_equal(out[0], np.eye(4)[1])
     np.testing.assert_array_equal(out[1], np.eye(4)[0])
 
@@ -75,17 +74,17 @@ def test_embed_identity_matrix_gives_one_hot_rows():
 def test_embed_single_event_shape():
     m = tiny_model(K=3)
     seq = EventSequence(np.array([0.7]), np.array([2]), 3)
-    assert m.embed(seq).shape == (1, 8)
+    assert m.embed(seq.type_indices).shape == (1, 8)
 
 
 def test_embed_gradient_counts_occurrences():
     m = tiny_model(K=3, d_model=4)
     seq = EventSequence(np.array([1.0, 2.0, 3.0, 4.0]), np.array([2, 2, 1, 2]), 3)
     m.zero_grad()
-    ag.backward(ag.reduce_sum(m.embed(seq)))
+    ag.backward(ag.reduce_sum(m.embed(seq.type_indices)))
     np.testing.assert_array_equal(m.embedding.grad,
                                   np.outer(np.ones(4), [1.0, 3.0, 0.0]))
-    errs = check_param_grads(lambda: ag.reduce_sum(m.embed(seq)), [m.embedding])
+    errs = check_param_grads(lambda: ag.reduce_sum(m.embed(seq.type_indices)), [m.embedding])
     assert max(errs.values()) < 1e-4
 
 
@@ -93,7 +92,7 @@ def test_embed_type_out_of_range():
     m = tiny_model(K=2)
     seq = EventSequence(np.array([1.0]), np.array([3]), 3)
     with pytest.raises(ValueError, match="out of range"):
-        m.embed(seq)
+        m.embed(seq.type_indices)
 
 
 # -- encoding -----------------------------------------------------------------

@@ -17,7 +17,7 @@ from mamba_hawkes import hybrid
 from mamba_hawkes.autograd import Tensor
 from mamba_hawkes.data import EventSequence
 from mamba_hawkes.hybrid import MambaHawkesHybrid, MhpEConfig
-from mamba_hawkes.model import Group, MambaHawkes, MhpConfig
+from mamba_hawkes.model import MambaHawkes, MhpConfig
 
 K = 3
 
@@ -87,10 +87,9 @@ def whole_prefix_encode(model, seq, state):
         start = state.resume(model, seq)
         if start < len(seq):
             state.held = None
-            x = model.embed(seq)[start:]
-            delta = Tensor(model.deltas(seq)[start:, None])
-            new = Group([EventSequence(seq.timestamps[start:], seq.types[start:], K)])
-            state.last = model._run_stack(x, delta, state.blocks, new)[-1:]
+            x = model.embed(seq.type_indices)[start:]
+            delta = Tensor(model.deltas(seq.timestamps)[start:, None])
+            state.last = model._run_stack(x, delta, state.blocks, None)[-1:]
             state.held = (seq.timestamps.copy(), seq.types.copy())
         return model.mlp(state.last)
 
@@ -101,9 +100,8 @@ def test_streaming_embeds_only_the_new_events_and_predicts_the_same(arch, monkey
     monkeypatch.setattr(whole, "encode",
                         lambda seq, state=None: whole_prefix_encode(whole, seq, state))
     seen, embed = [], model.embed
-    # encode embeds a group of the new events, whose type_indices are 0-based
-    monkeypatch.setattr(model, "embed",
-                        lambda seq: seen.append(seq.type_indices + 1) or embed(seq))
+    # encode embeds the 0-based type indices of the new events
+    monkeypatch.setattr(model, "embed", lambda idx: seen.append(idx + 1) or embed(idx))
     events, n = stream(80, seed=8), 0
     for step in (1, 1, 2, 5, 13, 21, 37):
         seq = prefix(events, n + step)
@@ -115,21 +113,28 @@ def test_streaming_embeds_only_the_new_events_and_predicts_the_same(arch, monkey
 
 @pytest.mark.parametrize("arch", ["mhp", "mhp-e"])
 def test_the_streaming_step_checks_no_event_again(arch, monkeypatch):
-    # the query's events were checked when its sequence was built; the step
-    # lays out the new ones as Group([EventSequence(...)]) would, without one
-    t, k = stream(30, seed=4)
-    for start in (0, 7, 29):
-        one, ref = Group.one(t[start:], k[start:]), Group([EventSequence(t[start:], k[start:], K)])
-        for field in ("timestamps", "type_indices", "rows", "ends"):
-            a, b = getattr(one, field), getattr(ref, field)
-            assert a.dtype == b.dtype and np.array_equal(a, b), field
-    model, queries = build(arch), [prefix((t, k), n) for n in (1, 2, 9, 30)]
+    # the query's events were checked when its sequence was built
+    model, queries = build(arch), [prefix(stream(30, seed=4), n) for n in (1, 2, 9, 30)]
     built, post_init = [], EventSequence.__post_init__
     monkeypatch.setattr(EventSequence, "__post_init__",
                         lambda seq: built.append(len(seq.types)) or post_init(seq))
     for seq in queries:
         model.predict_next(seq)
     assert built == []
+
+
+@pytest.mark.parametrize("arch", ["mhp", "mhp-e"])
+def test_the_streaming_step_hands_the_stack_plain_arrays(arch, monkeypatch):
+    # the new events' rows and steps [new, 1], and no group: one sequence
+    # needs no row gather or split
+    model, events = build(arch), stream(30, seed=11)
+    handed, run_stack = [], model._run_stack
+    monkeypatch.setattr(model, "_run_stack", lambda x, delta, states, group: handed.append(
+        (x.shape, delta.shape, group)) or run_stack(x, delta, states, group))
+    for n, new in ((9, 9), (20, 11), (21, 1)):
+        model.predict_next(prefix(events, n))
+        assert handed.pop() == ((new, 8), (new, 1), None)
+    assert handed == []
 
 
 @pytest.mark.parametrize("arch", ["mhp", "mhp-e"])

@@ -313,7 +313,7 @@ def test_grouped_evaluate_equals_one_by_one(name, split):
         first = random_sequence(rng, 25, K)
         seqs.insert(1, EventSequence(first.timestamps - first.timestamps[0] - 20.0,
                                      first.types, K))
-        assert m.deltas(seqs[1])[0] == DELTA_MIN
+        assert m.deltas(seqs[1].timestamps)[0] == DELTA_MIN
     ds = Dataset(seqs, K, "test")
     assert len(m.groups(seqs)) < len(seqs) or len(seqs) == 1
     assert evaluate(m, ds) == evaluate_one_by_one(m, ds)
@@ -381,6 +381,9 @@ def test_metrics_validation():
         Metrics(ll_per_event=float("nan"))
     with pytest.raises(ValueError, match="percentage"):
         Metrics(ll_per_event=0.0, accuracy=150.0)
+    for rmse in (float("inf"), float("nan"), -1.0):
+        with pytest.raises(ValueError, match="rmse must be finite and non-negative"):
+            Metrics(ll_per_event=0.0, rmse=rmse)
 
 
 def test_poisson_baseline_fitter():
