@@ -64,7 +64,8 @@ def _build_parser():
                         help="next-event distribution and time for a sequence prefix")
     pr.add_argument("--checkpoint", required=True)
     pr.add_argument("--events", required=True, help="JSONL file with the prefix sequence")
-    pr.add_argument("--line", type=int, default=1, help="1-based line to use")
+    pr.add_argument("--line", type=int, default=1,
+                    help="use the N-th sequence (1-based); blank lines do not count")
     return parser
 
 

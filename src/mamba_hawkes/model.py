@@ -1,9 +1,9 @@
 """Marked event-sequence model: type embedding, gap-driven selective-SSM
 stack, conditional intensities, log-likelihood, and next-event heads.
 
-`MambaHawkes.score` writes the log-likelihood of a sequence as the log
-intensity of each event's own type minus the compensator, the total
-intensity integrated over the observed window by one node,
+`MambaHawkes.score` writes the log-likelihood of a sequence as the sum over
+its intervals of the log intensity of the next event's own type minus the
+interval's compensator, the total intensity integrated over it by one node,
 `IntensityHead.integral`. Within an interval each intensity is a softplus of
 a linear function of time, so the integral has a closed form, through the
 dilogarithm; the training loss and reported likelihoods both use it, with
@@ -155,17 +155,13 @@ class IntensityHead(Module):
         arg = ag.add(ag.mul(off_t, self.alpha), scores)
         return ag.softplus(arg, ag.exp(self.log_beta))
 
-    def integral(self, gaps, scores, ends=None):
-        """The compensator: sum_i of the total intensity sum_k lambda_k
-        integrated over [0, gaps_i] in closed form. scores [n, K] are the base
-        scores at the interval starts. One graph node on scores, alpha and
-        log_beta over [n, K] arrays, which keeps three of them for backward.
-
-        Given `ends`, the intervals are those of several sequences in turn,
-        sequence j's ending before ends[j], and it returns each sequence's
-        compensator, [len(ends)], each summed alone, as a call on its
-        intervals would sum it; backward repeats sequence j's gradient over
-        its intervals.
+    def integral(self, gaps, scores):
+        """Each interval's compensator, [n]: the total intensity sum_k
+        lambda_k integrated over [0, gaps_i] in closed form. scores [n, K] are
+        the base scores at the interval starts. One graph node on scores,
+        alpha and log_beta over [n, K] arrays, which keeps three of them for
+        backward. Interval i's value is gaps_i times the row sum of h_i *
+        beta, so its bits depend on that row alone.
 
         On interval i, lambda_k = beta_k softplus(u) with u running linearly
         from u0 = c_ik / beta_k to u0 + du, du = alpha_k gaps_i / beta_k, so
@@ -218,14 +214,10 @@ class IntensityHead(Module):
                 h_du = du / 12.0 * d2 + du * du2 / 480.0 * d4
                 mid += [h_m, 0.5 * h_m + h_du, mid[0] - m * h_m - du * h_du]
         h, *parts = end if mid is None else mid if end is None else np.where(small, mid, end)
-        spans = _spans([len(gaps)] if ends is None else ends)
-        value = np.array([gaps[s] @ h[s] @ beta for s in spans])
-        value = value[0] if ends is None else value
-        counts = [s.stop - s.start for s in spans]      # each interval takes its sequence's grad
-        return ag._node(value, (scores, self.alpha, self.log_beta),
-                        lambda grad: np.repeat(grad, counts)[:, None] * g * parts[0],
-                        lambda grad: np.repeat(grad, counts) * gaps * gaps @ parts[1],
-                        lambda grad: beta * (np.repeat(grad, counts) * gaps @ parts[2]))
+        return ag._node(gaps * (h * beta).sum(axis=1), (scores, self.alpha, self.log_beta),
+                        lambda grad: grad[:, None] * g * parts[0],
+                        lambda grad: grad * gaps * gaps @ parts[1],
+                        lambda grad: beta * (grad * gaps @ parts[2]))
 
 
 class PredictionHeads(Module):
@@ -494,11 +486,11 @@ class MambaHawkes(Module):
         anchored at t_1; item j of the `GroupScores` is seqs[j]'s `Score`.
         Any group records a graph; `score` is the group of one.
 
-        The heads, intensities and compensator terms run once over the
-        group's rows, and a row's values depend on that row alone; only
-        each sequence's sums of event and compensator terms run per
-        sequence, over its slice. So each value has the bits of scoring
-        its sequence alone.
+        The heads, intensities and each interval's log intensity less its
+        compensator run once over the group's rows, and a row's values
+        depend on that row alone; only each sequence's sum of those terms
+        runs per sequence, over its slice. So each value has the bits of
+        scoring its sequence alone.
         """
         if any(len(seq) < 2 for seq in seqs):
             raise ValueError("scoring needs at least two events")
@@ -506,10 +498,10 @@ class MambaHawkes(Module):
         heads = self.heads(self.encode(group), group.starts)
         lam = self.head.intensities(group.gaps, heads.scores)      # [m, K] at event times
         own = np.arange(len(group.gaps)) * self.cfg.K + group.next_types
-        events = ag.log(ag.gather(ag.reshape(lam, (-1,)), own))
-        sums = ag._node(np.array([events.data[s].sum() for s in group.spans]), (events,),
-                        lambda g: np.repeat(g, np.diff(group.cuts, prepend=0)))
-        ll = ag.sub(sums, self.head.integral(group.gaps, heads.scores, group.cuts))
+        terms = ag.sub(ag.log(ag.gather(ag.reshape(lam, (-1,)), own)),
+                       self.head.integral(group.gaps, heads.scores))
+        ll = ag._node(np.array([terms.data[s].sum() for s in group.spans]), (terms,),
+                      lambda g: np.repeat(g, np.diff(group.cuts, prepend=0)))
         prev = np.arange(len(group.gaps)) + len(seqs) - 1   # each interval's previous time,
         prev[[s.start for s in group.spans]] = np.arange(len(seqs))     # t_1 for a first one
         t_hat = ag.concat([Tensor(group.firsts), heads.times])

@@ -76,33 +76,32 @@ def batch_groups(lengths, d_inner, d_state):
 # series -delta^2 (1/2 + u/6 + u^2/24), where the closed form cancels
 _SERIES_CUTOFF = 1e-4
 
-# A step whose every u = delta * a is at most -_EXP_CUTOFF takes e^u - 1 as
-# exp(u) - 1 (numpy's exp is SIMD, expm1 is not). exp's error e gives e^u - 1
-# an error of e * e^u / (1 - e^u), at most 1.55 e at u = -0.5 and less below,
-# and the subtraction adds nothing for e^u >= 1/2 (Sterbenz) and half an ulp
-# below. Nearer 0 that factor grows as 1 / |u|, so such steps keep expm1.
+# Each element u = delta * a <= -_EXP_CUTOFF takes e^u - 1 as exp(u) - 1
+# (numpy's exp is SIMD, expm1 is not). exp's error e gives e^u - 1 an error of
+# e * e^u / (1 - e^u), at most 1.55 e at u = -0.5 and less below, and the
+# subtraction adds nothing for e^u >= 1/2 (Sterbenz) and half an ulp below.
+# Nearer 0 that factor grows as 1 / |u|, so each element above keeps expm1.
 _EXP_CUTOFF = 0.5
 
 
-def _scan_chunk(dv, av, inv_a, zero, slow, bv, xv, z0, bufs):
+def _scan_chunk(dv, av, inv_a, zero, near, bv, xv, z0, bufs):
     """Discretize steps [n, ...] of the scan and run them from the state z0
     before them (zeros when None), in the first n rows of the [C, ..., D, N]
     buffers bufs[:4] (bx may share the states' buffer; bufs[4] is a
     [..., D, N] scratch). Returns abar = e^u, q = (e^u - 1) / a = delta *
     (e^u - 1) / u (so bbar = q * b; delta where the mask `zero` marks rates
     with no finite 1 / a), bx = x (outer) b and the states z, with u = delta
-    * a; e^u - 1 is expm1(u) on the steps that the mask `slow` marks.
+    * a; if `near`, e^u - 1 is expm1(u) at each u > -_EXP_CUTOFF.
     """
     abar, q, bx, zs = (buf[:len(dv)] for buf in bufs[:4])
     # einsum writes these outer products in about 0.6 of a broadcast's time
     u = np.einsum("...,dn->...dn", dv, av, out=q)
-    if slow is not None and slow.all():
-        np.add(np.expm1(u, out=q), 1.0, out=abar)
-    else:
-        em = None if slow is None else np.expm1(u[slow])
-        np.subtract(np.exp(u, out=abar), 1.0, out=q)
-        if em is not None:
-            q[slow], abar[slow] = em, em + 1.0
+    if near:
+        close = u > -_EXP_CUTOFF
+        em = np.expm1(u[close])     # before q, which holds u, is overwritten
+    np.subtract(np.exp(u, out=abar), 1.0, out=q)
+    if near:
+        q[close], abar[close] = em, em + 1.0
     q *= inv_a
     if zero is not None:
         np.copyto(q, dv[..., None, None], where=zero)
@@ -197,17 +196,16 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
     inv_a = 1.0 / av if zero is None else np.divide(1.0, av, out=np.zeros_like(av), where=~zero)
     C = min(L, max(1, _CHUNK_ELEMS // math.prod(state_shape)))
     chunks = [slice(lo, lo + C) for lo in range(0, L, C)]
-    # each chunk's steps that keep expm1; -max(a) is min|a| if all a < 0
+    # whether any element may keep expm1; -max(a) is min|a| if all a < 0
     dmin, decay = float(dv.min()), -float(av.max())
-    marked = dv * decay < _EXP_CUTOFF if dmin * decay < _EXP_CUTOFF else None
-    slow = [None if marked is None else marked[s] for s in chunks]
+    near = dmin * decay < _EXP_CUTOFF
     ends = np.empty((len(chunks) - 1,) + state_shape) if track else None
     abar_b, q_b, zs_b = (np.empty((C,) + state_shape) for _ in range(3))
     tmp, last = np.empty(state_shape), np.empty(state_shape)
     y = np.empty(x.shape)
     z = state
     for j, s in enumerate(chunks):
-        zs = _scan_chunk(dv[s], av, inv_a, zero, slow[j], bv[s], xv[s], z,
+        zs = _scan_chunk(dv[s], av, inv_a, zero, near, bv[s], xv[s], z,
                          (abar_b, q_b, zs_b, zs_b, tmp))[3]
         np.matmul(zs, cv[s][..., None], out=y[s][..., None])
         z = ends[j] if track and j < len(ends) else last   # a copy: zs_b is reused
@@ -228,7 +226,7 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
         carry, tmp = np.empty(state_shape), np.empty(state_shape)
         for j in range(len(chunks) - 1, -1, -1):
             s = chunks[j]
-            abar, q, bx, zs = _scan_chunk(dv[s], av, inv_a, zero, slow[j], bv[s], xv[s],
+            abar, q, bx, zs = _scan_chunk(dv[s], av, inv_a, zero, near, bv[s], xv[s],
                                           ends[j - 1] if j else None,
                                           (abar_b, q_b, bx_b, zs_b, tmp))
             # adjoint recurrence: G[i] is d(loss)/d(z_i)

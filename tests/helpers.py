@@ -261,10 +261,10 @@ def both_branch_integral(head, gaps, scores):
                      [(sp[1] - sp[0]) / safe, (sp[1] - h) / safe,
                       (2.0 * (tail[1] - tail[0]) + 2.0 * _PI2_6 * (pos[1] - pos[0])
                        - (uw[1] - uw[0])) / safe])
-    return ag._node(gaps @ h @ beta, (scores, head.alpha, head.log_beta),
-                    lambda grad: grad * g * parts[0],
-                    lambda grad: grad * (gaps * gaps @ parts[1]),
-                    lambda grad: grad * beta * (gaps @ parts[2]))
+    return ag._node(gaps * (h * beta).sum(axis=1), (scores, head.alpha, head.log_beta),
+                    lambda grad: grad[:, None] * g * parts[0],
+                    lambda grad: grad * gaps * gaps @ parts[1],
+                    lambda grad: beta * (grad * gaps @ parts[2]))
 
 
 # intervals x types x nodes in one block of rule_integral, so that its four
@@ -311,14 +311,14 @@ def rule_integral(head, gaps, nodes, w, scores):
 def one_hot_log_likelihood(head, seq, scores):
     """The log-likelihood as MambaHawkes.score wrote it before it gathered
     the event term: the observed type's intensity picked by a one-hot
-    multiply-and-sum, minus the compensator. scores [n, K] are the base
-    scores at every event."""
+    multiply-and-sum, less each interval's compensator, summed. scores [n, K]
+    are the base scores at every event."""
     gaps = np.diff(seq.timestamps)
     lam = head.intensities(gaps, scores[:-1])
     hot = np.zeros(lam.shape)
     hot[np.arange(len(gaps)), seq.type_indices[1:]] = 1.0
-    events = ag.reduce_sum(ag.log(ag.reduce_sum(ag.mul(lam, hot), axis=1)))
-    return ag.sub(events, head.integral(gaps, scores[:-1]))
+    events = ag.log(ag.reduce_sum(ag.mul(lam, hot), axis=1))
+    return ag.reduce_sum(ag.sub(events, head.integral(gaps, scores[:-1])))
 
 
 def thin_once_reference(cfg, rng):

@@ -189,6 +189,24 @@ def test_predict_line_out_of_range_exits_1(tmp_path, capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_predict_line_counts_sequences_not_lines(tmp_path, capsys):
+    # blank lines do not count: with line 2 blank, --line 2 is the sequence
+    # on line 3, and --line 3 is past the file's two sequences
+    first = '{"K": 2, "events": [{"t": 1.0, "k": 1}, {"t": 1.5, "k": 2}]}'
+    second = '{"K": 2, "events": [{"t": 0.5, "k": 2}, {"t": 2.0, "k": 2}, {"t": 4.0, "k": 1}]}'
+    data = tmp_path / "events.jsonl"
+    data.write_text(f"{first}\n\n{second}\n")
+    ckpt = tiny_checkpoint(tmp_path)
+    assert run(["predict", "--checkpoint", ckpt, "--events", data, "--line", 2]) == 0
+    printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    third = EventSequence(np.array([0.5, 2.0, 4.0]), np.array([2, 2, 1]), 2)
+    want = load_checkpoint(ckpt)[0].predict_next(third)
+    assert printed == {"probs": [float(p) for p in want.probs],
+                       "next_type": want.next_type, "next_time": want.next_time}
+    assert run(["predict", "--checkpoint", ckpt, "--events", data, "--line", 3]) == 1
+    assert capsys.readouterr().err == "error: --line 3 out of range (file has 2 sequences)\n"
+
+
 @pytest.mark.parametrize("bad", [
     {"clip_norm": 0}, {"batch_size": 0}, {"d_model": 0},
     {"eval_quad_points": 1}, {"lr": -1}, {"epochs": 0}, {"K": 3},
@@ -478,6 +496,39 @@ def test_eval_one_event_sequence_exits_2_naming_file_and_sequence(tmp_path, caps
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
     assert f"{data}: sequence 2 has one event" in err, err
+
+
+def test_huge_inputs_keep_the_exit_code_contract(tmp_path, capsys):
+    # one data line of 10^5 events (3.4 MB) through eval and predict with a
+    # desk mhp checkpoint; a config file of more than 8 MB with an unknown
+    # key; and the data line cut off inside a number
+    rng = np.random.default_rng(11)
+    n = 10 ** 5
+    t, k = np.cumsum(rng.uniform(0.01, 2.0, size=n)), rng.integers(1, 6, size=n)
+    line = json.dumps({"K": 5, "events": [{"t": float(a), "k": int(b)} for a, b in zip(t, k)]})
+    data, ckpt = tmp_path / "long.jsonl", tmp_path / "desk.ckpt"
+    data.write_text(line + "\n")
+    save_checkpoint(MambaHawkes(MhpConfig(d_model=16, n_layers=2, K=5), seed=0), ckpt)
+    assert run(["eval", "--checkpoint", ckpt, "--data", data, "--out", tmp_path / "ev"]) == 0
+    metrics = json.loads((tmp_path / "ev" / "eval_metrics.json").read_text())["metrics"]
+    assert np.isfinite(metrics["ll_per_event"]) and np.isfinite(metrics["rmse"])
+    capsys.readouterr()
+    assert run(["predict", "--checkpoint", ckpt, "--events", data]) == 0
+    printed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert np.isfinite(printed["probs"]).all() and np.isfinite(printed["next_time"])
+
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"d_model": 8, "padding": "x" * (9 * 2 ** 20)}))
+    assert config.stat().st_size > 8 * 2 ** 20
+    assert run(["train", "--config", config, "--data", tmp_path, "--out", tmp_path / "o"]) == 1
+    assert capsys.readouterr().err == "error: unknown config field(s): padding\n"
+
+    cut = line[:line.index(".", len(line) // 2) + 3]
+    data.write_text(cut + "\n")
+    for args in (["eval", "--data", data], ["predict", "--events", data]):
+        assert run([args[0], "--checkpoint", ckpt, *args[1:]]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1 and str(data) in err, err
 
 
 def test_train_seed_beyond_int64_exits_0(tmp_path):

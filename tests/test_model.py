@@ -221,7 +221,7 @@ def test_training_rule_matches_adaptive_quadrature(seed):
     with ag.no_grad():
         H = m.encode(seq)
         scores = m.heads(H).scores
-        comp = m.head.integral(np.diff(seq.timestamps), scores[:-1]).item()
+        comp = ag.reduce_sum(m.head.integral(np.diff(seq.timestamps), scores[:-1])).item()
     ref = adaptive_compensator(m.head, np.diff(seq.timestamps), scores.data[:-1])
     assert abs(comp - ref) <= 1e-12 * ref, (comp, ref)
 
@@ -276,7 +276,7 @@ def assert_compensators_agree(m, seq, scores, S):
     nodes, w = trapezoid(S)
     (exact, *exact_grads), (oracle, *oracle_grads), (blocked, *blocked_grads) = (
         value_and_grads(m.head, comp, scores[:-1])
-        for comp in (lambda sc: m.head.integral(gaps, sc),
+        for comp in (lambda sc: ag.reduce_sum(m.head.integral(gaps, sc)),
                      lambda sc: composed_compensator(m.head, gaps[:, None] * nodes,
                                                      gaps[:, None] * w, sc),
                      lambda sc: rule_integral(m.head, gaps, nodes, w, sc)))
@@ -418,7 +418,7 @@ def test_compensator_matches_extrapolated_trapezoid_at_large_S(alpha_scale):
     m.head.log_beta.data = rng.normal(0.0, 0.5, size=K)
     gaps = rng.uniform(0.2, 1.5, size=n)
     scores = rng.normal(size=(n, K))
-    exact = value_and_grads(m.head, lambda sc: m.head.integral(gaps, sc), scores)
+    exact = value_and_grads(m.head, lambda sc: ag.reduce_sum(m.head.integral(gaps, sc)), scores)
     coarse, fine = [value_and_grads(m.head, lambda sc, rule=trapezoid(s):
                                     rule_integral(m.head, gaps, *rule, sc), scores)
                     for s in (S, 2 * S - 1)]
@@ -436,7 +436,7 @@ def test_compensator_gradients_match_fd_on_both_sides_of_the_branch(ratio):
     m.head.alpha.data = ratio * model_module._SMALL_DU * np.array([1.0, -1.0, 1.0])
     gaps = np.ones(n)
     scores = Parameter(np.random.default_rng(37).normal(0.0, 3.0, size=(n, K)))
-    errs = check_param_grads(lambda: m.head.integral(gaps, scores),
+    errs = check_param_grads(lambda: ag.reduce_sum(m.head.integral(gaps, scores)),
                              [scores, m.head.alpha, m.head.log_beta])
     assert max(errs.values()) < 1e-7, errs
 
@@ -451,7 +451,8 @@ def test_compensator_branches_agree_where_they_meet():
     sides = []
     for f in (1.0 - 1e-12, 1.0 + 1e-12):
         m.head.alpha.data = f * model_module._SMALL_DU * np.array([1.0, -1.0])
-        sides.append(value_and_grads(m.head, lambda sc: m.head.integral(gaps, sc), scores))
+        sides.append(value_and_grads(m.head, lambda sc: ag.reduce_sum(m.head.integral(gaps, sc)),
+                                     scores))
     for name, a, b in zip(("value", "scores", "alpha", "log_beta"), *sides):
         assert rel_err(a, b, floor=1e-300) < 1e-10, name
 
@@ -472,10 +473,10 @@ def test_compensator_edge_cases(edge):
     scores = Parameter(rng.normal(size=(n, K)) if u0 is None else np.full((n, K), u0) * beta)
     gaps = rng.uniform(0.2, 1.5, size=n)
     with ag.no_grad():
-        comp = m.head.integral(gaps, scores).item()
+        comp = ag.reduce_sum(m.head.integral(gaps, scores)).item()
     ref = adaptive_compensator(m.head, gaps, scores.data)
     assert abs(comp - ref) <= 1e-12 * ref, (comp, ref)
-    errs = check_param_grads(lambda: m.head.integral(gaps, scores),
+    errs = check_param_grads(lambda: ag.reduce_sum(m.head.integral(gaps, scores)),
                              [scores, m.head.alpha, m.head.log_beta])
     assert max(errs.values()) < 1e-6, errs
 
@@ -503,22 +504,38 @@ def test_integral_computes_only_the_branches_its_intervals_take(case, monkeypatc
         m.zero_grad()
         sc = Parameter(scores.copy())
         value = integral(gaps, sc)
-        ag.backward(value)
+        ag.backward(ag.reduce_sum(value))
         out.append([value.data, sc.grad, m.head.alpha.grad.copy(), m.head.log_beta.grad.copy()])
         monkeypatch.undo()
     for name, a, b in zip(("value", "scores", "alpha", "log_beta"), *out):
         assert np.array_equal(a, b), name
-    # per sequence, each value has the bits of a call on its intervals alone
+
+
+@pytest.mark.parametrize("K", [5, 11])
+def test_integral_of_concatenated_sequences_equals_each_call_bit_for_bit(K):
+    # each interval's value is a row sum of its own [K] row, so sequences of
+    # 1, 7, 64 and 300 intervals called at once give the bits of each
+    # sequence's own call and of each interval's (a BLAS product h @ beta
+    # rounds a row differently with the row count)
+    m = tiny_model(K=K, seed=74)
+    rng = np.random.default_rng(75)
+    m.head.alpha.data = rng.normal(0.0, 0.1, size=K)     # both branches taken
+    m.head.log_beta.data = rng.normal(0.0, 0.3, size=K)
+    counts = [1, 7, 64, 300]
+    gaps, scores = rng.uniform(0.2, 1.5, size=sum(counts)), rng.normal(size=(sum(counts), K))
     with ag.no_grad():
-        each = m.head.integral(gaps, Tensor(scores), np.array([13, 14, n])).data
+        whole = m.head.integral(gaps, Tensor(scores)).data
         alone = [m.head.integral(gaps[s], Tensor(scores[s])).data
-                 for s in (slice(0, 13), slice(13, 14), slice(14, n))]
-    assert each.tolist() == alone
+                 for s in (slice(a - n, a) for a, n in zip(np.cumsum(counts), counts))]
+        one = [m.head.integral(gaps[i:i + 1], Tensor(scores[i:i + 1])).data
+               for i in range(len(gaps))]
+    assert np.array_equal(whole, np.concatenate(alone))
+    assert np.array_equal(whole, np.concatenate(one))
 
 
 def test_a_tracked_integral_of_several_sequences_has_the_gradients_of_separate_calls():
-    # each sequence's compensator weighted by its own gradient: backward
-    # repeats that gradient over the sequence's intervals
+    # each sequence's compensator weighted by its own gradient, which
+    # reaches each of the sequence's intervals
     K, n = 3, 40
     m = tiny_model(K=K, seed=72)
     rng = np.random.default_rng(73)
@@ -529,12 +546,13 @@ def test_a_tracked_integral_of_several_sequences_has_the_gradients_of_separate_c
     params = [m.head.alpha, m.head.log_beta]
     m.zero_grad()
     sc = Parameter(scores.copy())
-    ag.backward(ag.reduce_sum(ag.mul(m.head.integral(gaps, sc, ends), weights)))
+    per_interval = np.repeat(weights, np.diff(ends, prepend=0))
+    ag.backward(ag.reduce_sum(ag.mul(m.head.integral(gaps, sc), per_interval)))
     got = [sc.grad] + [p.grad.copy() for p in params]
     m.zero_grad()
     sc = Parameter(scores.copy())
     for s, wj in zip((slice(0, 13), slice(13, 14), slice(14, n)), weights):
-        ag.backward(ag.mul(m.head.integral(gaps[s], sc[s]), wj))
+        ag.backward(ag.mul(ag.reduce_sum(m.head.integral(gaps[s], sc[s])), wj))
     for name, a, b in zip(("scores", "alpha", "log_beta"), got,
                           [sc.grad] + [p.grad for p in params]):
         assert rel_err(a, b) < 1e-12, name
@@ -563,7 +581,7 @@ def test_loglik_event_term_gradient_sign():
     seq = EventSequence(np.array([0.5, 1.0, 2.0]), np.array([1, 2, 2]), 2)
     m.zero_grad()
     scores = m.heads(m.encode(seq)).scores
-    comp = m.head.integral(np.diff(seq.timestamps), scores[:-1])
+    comp = ag.reduce_sum(m.head.integral(np.diff(seq.timestamps), scores[:-1]))
     ag.backward(ag.add(m.score(seq).log_likelihood, comp))
     # both scored events have type 2; the type-2 bias must push log-lik up
     assert m.head.b.grad[1] > 0.0

@@ -40,3 +40,44 @@ def test_json_is_read_only_in_data_read_json():
                   if isinstance(node, ast.ImportFrom) and node.module == "json"]
     assert reader, "data.read_json calls no json reader"
     assert not found, f"json read outside data.read_json: {', '.join(found)}"
+
+
+# numpy.random names that build a seeded Generator; every other name of the
+# module draws from, seeds or reads numpy's global random state
+SEEDED = {"default_rng", "SeedSequence"}
+
+
+def _global_random_uses(tree):
+    """Line numbers under tree of np.random.<name> / numpy.random.<name>
+    and of imports from numpy.random, for a name outside SEEDED, and of
+    `from numpy import random`."""
+    found = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr not in SEEDED
+                and isinstance(node.value, ast.Attribute) and node.value.attr == "random"
+                and isinstance(node.value.value, ast.Name)
+                and node.value.value.id in ("np", "numpy")):
+            found.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (
+                node.module == "numpy.random" and {a.name for a in node.names} - SEEDED
+                or node.module == "numpy" and "random" in {a.name for a in node.names}):
+            found.add(node.lineno)
+    return found
+
+
+def test_src_draws_only_from_seeded_generators():
+    # byte-identical seeded runs rest on every draw coming from a Generator
+    # built from the run's seed: no np.random.seed, no np.random.<draw>
+    found = [f"{path.relative_to(SRC)}:{lineno}" for path in sorted(SRC.rglob("*.py"))
+             for lineno in sorted(_global_random_uses(ast.parse(path.read_text("utf-8"))))]
+    assert not found, f"numpy's global random state used in src/: {', '.join(found)}"
+
+
+def test_the_random_rule_sees_global_draws_and_seeds():
+    tree = ast.parse("import numpy as np\n"
+                     "rng = np.random.default_rng(np.random.SeedSequence(1))\n"
+                     "np.random.seed(0)\n"
+                     "x = np.random.normal(size=3)\n"
+                     "from numpy.random import rand\n"
+                     "from numpy import random\n")
+    assert _global_random_uses(tree) == {3, 4, 5, 6}

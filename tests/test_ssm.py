@@ -236,10 +236,10 @@ def test_scan_gradients_match_composed_oracle(L, D, N, monkeypatch):
 
 @pytest.mark.parametrize("side", [1.0 - 1e-9, 1.0 + 1e-9])
 def test_scan_agrees_with_composed_oracle_across_the_exp_cutoff(side, monkeypatch):
-    # min delta * |a| = _EXP_CUTOFF * side: at 1 + 1e-9 every step takes
-    # exp(u) - 1, at 1 - 1e-9 the smallest step keeps expm1 and the others
-    # (in the same chunks) take exp; y and all five gradients agree with
-    # the composed oracle either way
+    # min delta * |a| = _EXP_CUTOFF * side: at 1 + 1e-9 every element takes
+    # exp(u) - 1, at 1 - 1e-9 the smallest step's element of the smallest
+    # |a| keeps expm1 and the others (in the same chunks) take exp; y and
+    # all five gradients agree with the composed oracle either way
     L, D, N = 2 * C + 3, 3, 4
     monkeypatch.setattr(ssm, "_CHUNK_ELEMS", C * D * N)
     rng = np.random.default_rng(35)
@@ -276,18 +276,46 @@ def test_steps_take_exp_from_the_cutoff_and_expm1_below_it():
         np.testing.assert_array_equal(bbar, -e_minus_1(u))
 
 
-def test_exp_choice_is_made_per_step_so_calls_and_groups_agree():
-    # a step takes exp or expm1 by its own delta, whatever else its call or
-    # group holds: a sequence whose steps all clear the cutoff gives the same
-    # bits alone, beside one with a step below it, and after such a step in
-    # an earlier call that carried the state; and the step below it gives
-    # the same bits among the others as in a call of its own
+def test_steps_whose_rates_straddle_the_cutoff_choose_per_element():
+    # one step whose u = delta * a lie on both sides of -_EXP_CUTOFF: each
+    # element with u <= -_EXP_CUTOFF gives exp(u) - 1's bits, each above it
+    # expm1's, in bbar (the state after one step from zeros with x = b = 1)
+    # and in abar (the next step, with x = 0, multiplies the state by it)
+    rng = np.random.default_rng(40)
+    D, N = 4, 8
+    a = -rng.uniform(1.0, 3.0, size=(D, N))
+    a[1, 5] = -0.3
+    for delta in (0.5, 0.9, 1.1, 1.59):
+        u = delta * a
+        near = u > -ssm._EXP_CUTOFF
+        assert near.any() and not near.all()
+        e_minus_1 = np.where(near, np.expm1(u), np.exp(u) - 1.0)
+        assert np.any(e_minus_1 != np.expm1(u))
+        state = np.zeros((D, N))
+        selective_scan(np.ones((1, D)), np.array([delta]), a, np.ones((1, N)),
+                       np.ones((1, N)), state=state)
+        bbar = e_minus_1 * (1.0 / a)
+        assert np.array_equal(state, bbar)
+        selective_scan(np.zeros((1, D)), np.array([delta]), a, np.ones((1, N)),
+                       np.ones((1, N)), state=state)
+        assert np.array_equal(state, np.where(near, np.expm1(u) + 1.0, np.exp(u)) * bbar)
+
+
+def test_exp_choice_is_made_per_element_so_calls_and_groups_agree():
+    # an element takes exp or expm1 by its own u = delta * a, whatever else
+    # its step, call or group holds: a sequence whose elements all clear the
+    # cutoff gives the same bits alone, beside one with a step of both kinds
+    # of element, and after such a step in an earlier call that carried the
+    # state; and that step gives the same bits among the others as in a
+    # call of its own
     rng = np.random.default_rng(38)
     D, N, L = 8, 16, 2 * C + 5
     a = -np.exp(rng.uniform(0.0, 1.0, size=(D, N)))     # every |a| >= 1
     fast, mixed = (scan_inputs(rng, L, D, N) for _ in range(2))
     fast["delta"] = rng.uniform(0.7, 2.0, size=L)
     mixed["delta"][C + 1] = 0.3
+    near = mixed["delta"][C + 1] * a > -ssm._EXP_CUTOFF
+    assert near.any() and not near.all()
     for v in (fast, mixed):
         v["a"] = a
     alone = selective_scan(**fast).data
