@@ -1,7 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Every operation that participates in training records its parents and a
-backward closure on the output tensor, almost always through ``_node``;
+backward closure on the output tensor, through ``_node`` or, for an op
+written over whole arrays with its own pullback, ``lift``;
 calling ``backward`` on a scalar loss walks the recorded graph once in
 reverse topological order and accumulates gradients into leaf tensors.
 Graphs are built per forward pass and freed after backward. A ``Module``
@@ -141,17 +142,13 @@ def _track(*tensors):
 
 
 def _binary(a, b, op):
-    """Both operands as tensors, checked to broadcast against each other
-    (at no cost when the shapes are equal or one operand is 0-d)."""
+    """Both operands as tensors, checked to broadcast against each other:
+    each pair of trailing axes is equal or has a 1."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.shape == b.shape or not a.ndim or not b.ndim:
-        return a, b
-    try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
-        raise ShapeError(
-            f"{op}: shapes {a.shape} and {b.shape} are not broadcastable"
-        ) from None
+    if a.shape != b.shape:
+        for m, n in zip(a.shape[::-1], b.shape[::-1]):
+            if m != n and m != 1 and n != 1:
+                raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} are not broadcastable")
     return a, b
 
 
@@ -178,6 +175,33 @@ def _node(data, parents, *grads):
             for p, grad in zip(parents, grads):
                 if p.requires_grad:
                     p.grad += _sum_to(grad(out.grad), p.shape)
+        out._backward = _bw
+    return out
+
+
+def any_tensor(*xs):
+    """Whether any of xs is a Tensor (an op given one builds a graph node)."""
+    return any(isinstance(x, Tensor) for x in xs)
+
+
+def lift(op, inputs, *args):
+    """`op` run on the arrays of `inputs` (Tensors, arrays or None), as one
+    graph node on the Tensors among them.
+
+    op(*arrays, *args, pullback=p) returns (output, back), back None unless
+    p; back(g) returns the gradient of each input, in order and in its
+    shape, from the output's g. p is whether the node records a graph.
+    """
+    inputs = tuple(None if x is None else as_tensor(x) for x in inputs)
+    parents = tuple(t for t in inputs if t is not None)
+    track = _track(*parents)
+    y, back = op(*(None if t is None else t.data for t in inputs), *args, pullback=track)
+    out = Tensor(y, track, parents)
+    if track:
+        def _bw():
+            for t, g in zip(inputs, back(out.grad)):
+                if t is not None and t.requires_grad:
+                    t.grad += g
         out._backward = _bw
     return out
 
@@ -236,10 +260,15 @@ def _sigmoid(x):
     return np.divide(s, e, out=s)
 
 
+def _silu_grad(g, x, s):
+    """The gradient reaching x of silu(x) = x * s, s = sigmoid(x), from its g."""
+    return g * s * (1.0 + x * (1.0 - s))
+
+
 def silu(a):
     a = as_tensor(a)
     s = _sigmoid(a.data)
-    return _node(a.data * s, (a,), lambda g: g * s * (1.0 + a.data * (1.0 - s)))
+    return _node(a.data * s, (a,), lambda g: _silu_grad(g, a.data, s))
 
 
 def softplus(a, beta=1.0):
@@ -272,6 +301,18 @@ def matmul(a, b):
     return _node((rows @ b.data).reshape(a.shape[:-1] + b.shape[1:]), (a, b),
                  lambda g: (g.reshape(len(rows), -1) @ b.data.T).reshape(a.shape),
                  lambda g: rows.T @ g.reshape(len(rows), -1))
+
+
+def _linear(x, w):
+    """x [..., k] @ w [k, n] as one [m, k] @ [k, n] product over x's m rows,
+    the product `matmul` runs."""
+    return (x.reshape(-1, len(w)) @ w).reshape(x.shape[:-1] + w.shape[1:])
+
+
+def _linear_back(g, x, w):
+    """The gradients of x and w of `_linear(x, w)` from the output's g."""
+    rows, g = x.reshape(-1, len(w)), g.reshape(-1, w.shape[1])
+    return (g @ w.T).reshape(x.shape), rows.T @ g
 
 
 def _check_axis(axis, ndim, op):
@@ -357,7 +398,7 @@ def concat(tensors, axis=0):
                  *(lambda g, key=key: g[key] for key in keys))
 
 
-def causal_conv1d(x, kernel, bias=None, left=None):
+def causal_conv1d(x, kernel, bias=None, left=None, pullback=False):
     """Depthwise causal convolution over a [L, D] sequence, or over B
     sequences at once, time-major: x [L, B, D].
 
@@ -370,8 +411,17 @@ def causal_conv1d(x, kernel, bias=None, left=None):
     read instead of the zero padding and then overwritten with the last W - 1
     inputs, so that a call on the next stretch of the sequence carries on
     from it. It is a constant: no gradient reaches it.
+
+    Given arrays it returns (out, back), back None unless `pullback`:
+    back(g) returns the gradients of x, kernel and bias (None without a
+    bias). Given a Tensor among x, kernel and bias, it returns one graph node.
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
+    if any_tensor(x, kernel, bias):
+        return lift(_causal_conv1d, (x, kernel, bias), left)
+    return _causal_conv1d(x, kernel, bias, left, pullback=pullback)
+
+
+def _causal_conv1d(x, kernel, bias, left, pullback):
     if x.ndim not in (2, 3) or kernel.ndim != 2:
         raise ShapeError(f"causal_conv1d expects [L, D] or [L, B, D] and [W, D], "
                          f"got {x.shape}, {kernel.shape}")
@@ -381,32 +431,30 @@ def causal_conv1d(x, kernel, bias=None, left=None):
         raise ShapeError(f"causal_conv1d: channel mismatch between x {x.shape} and kernel {kernel.shape}")
     if W < 1 or L < 1:
         raise ShapeError(f"causal_conv1d: empty kernel or input ({kernel.shape}, {x.shape})")
-    b = as_tensor(bias) if bias is not None else None
-    parents = (x, kernel) if b is None else (x, kernel, b)
     if left is not None and left.shape != (W - 1,) + x.shape[1:]:
         raise ShapeError(f"causal_conv1d: left context must be [W - 1, ..., D]="
                          f"{(W - 1,) + x.shape[1:]}, got {left.shape}")
     xp = np.empty((L + W - 1,) + x.shape[1:])
     xp[:W - 1] = 0.0 if left is None else left
-    xp[W - 1:] = x.data
+    xp[W - 1:] = x
     if left is not None:
         left[...] = xp[L:]
-    data = np.multiply(kernel.data[0], xp[:L])
-    tap = np.empty_like(data)
+    out = np.multiply(kernel[0], xp[:L])
+    tap = np.empty_like(out)
     for w in range(1, W):
-        data += np.multiply(kernel.data[w], xp[w:w + L], out=tap)
-    if b is not None:
-        data += b.data
+        out += np.multiply(kernel[w], xp[w:w + L], out=tap)
+    if bias is not None:
+        out += bias
+    if not pullback:
+        return out, None
 
-    def grad_x(g):
+    def back(g):
         gxp = np.zeros_like(xp)
         for w in range(W):
-            gxp[w:w + L] += kernel.data[w] * g
-        return gxp[W - 1:]
-    return _node(data, parents, grad_x,
-                 lambda g: np.stack([(xp[w:w + L] * g).reshape(-1, D).sum(axis=0)
-                                     for w in range(W)]),
-                 lambda g: g)
+            gxp[w:w + L] += kernel[w] * g
+        gk = np.stack([(xp[w:w + L] * g).reshape(-1, D).sum(axis=0) for w in range(W)])
+        return gxp[W - 1:], gk, None if bias is None else _sum_to(g, bias.shape)
+    return out, back
 
 
 # ---------------------------------------------------------------------------

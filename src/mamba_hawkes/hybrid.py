@@ -50,23 +50,33 @@ def causal_mask(L):
     return np.where(np.tri(L, dtype=bool), 0.0, -1e30)
 
 
-def multi_head_attention(q, k, v, n_heads, past=0):
-    """Causal softmax attention of all n_heads heads at once, as one graph node.
+def multi_head_attention(q, k, v, n_heads, past=0, mask=None, pullback=False):
+    """Causal softmax attention of all n_heads heads at once.
 
     q is [L, D], the queries of L new positions; k and v are [past + L, D],
     the keys and values of `past` earlier positions and then the new ones.
     Every query sees all earlier positions and the new ones up to its own.
-    Head h uses columns h*D/H..(h+1)*D/H, and the [L, D] result holds each
-    head's softmax(q_h k_h^T / sqrt(D/H)) v_h in its columns. The heads run
-    as batched matmuls on [H, ., D/H] views. The scale goes on q, and the
-    row sums divide the [H, L, D/H] product with v, not the weights.
-    Backward is the softmax-attention adjoint, for q, k and v, on the same
-    arrays. For it the node keeps only each row's softmax max and sum,
-    [H, L, 1] each, and recomputes the [H, L, past + L] weights from q, k
-    and them by the forward's ops in the same order; under no_grad it keeps
-    nothing.
+    `mask` is a `causal_mask` of at least L rows, whose first [L, L] block
+    is read (one is built when None). Head h uses columns h*D/H..(h+1)*D/H,
+    and the [L, D] result holds each head's softmax(q_h k_h^T / sqrt(D/H))
+    v_h in its columns. The heads run as batched matmuls on [H, ., D/H]
+    views. The scale goes on q, and the row sums divide the [H, L, D/H]
+    product with v, not the weights.
+
+    Given arrays it returns (out, back), back None unless `pullback`:
+    back(g) returns the gradients of q, k and v by the softmax-attention
+    adjoint on the same arrays. Given a Tensor among q, k and v, it returns
+    one graph node. For backward it keeps only each row's softmax max and
+    sum, [H, L, 1] each, and recomputes the [H, L, past + L] weights from
+    q, k and them by the forward's ops in the same order, with a mask of its
+    own, so it keeps no [L, L] array.
     """
-    q, k, v = ag.as_tensor(q), ag.as_tensor(k), ag.as_tensor(v)
+    if ag.any_tensor(q, k, v):
+        return ag.lift(_attention, (q, k, v), n_heads, past, mask)
+    return _attention(q, k, v, n_heads, past, mask, pullback=pullback)
+
+
+def _attention(q, k, v, n_heads, past, mask, pullback):
     L, D = q.shape
     P = past + L
     if k.shape != (P, D) or v.shape != (P, D):
@@ -83,13 +93,14 @@ def multi_head_attention(q, k, v, n_heads, past=0):
     def merge(a):      # [H, n, dh] -> [n, D]
         return a.transpose(1, 0, 2).reshape(a.shape[1], D)
 
-    qh, kh, vh = heads(q.data * scale), heads(k.data), heads(v.data)
+    qh, kh, vh = heads(q * scale), heads(k), heads(v)
 
-    def weights(top=None, tot=None):
-        """exp of the [H, L, P] scores less each row's max, and each row's
-        max and sum of them (computed here unless given)."""
+    def weights(m, top=None, tot=None):
+        """exp of the [H, L, P] scores, masked by the [L, L] m, less each
+        row's max, and each row's max and sum of them (computed here unless
+        given)."""
         p = np.matmul(qh, kh.transpose(0, 2, 1))
-        p[:, :, past:] += causal_mask(L)
+        p[:, :, past:] += m
         if top is None:
             top = p.max(axis=-1, keepdims=True)
         p -= top
@@ -98,29 +109,23 @@ def multi_head_attention(q, k, v, n_heads, past=0):
             tot = p.sum(axis=-1, keepdims=True)
         return p, top, tot
 
-    p, top, tot = weights()
-    parents = (q, k, v)
+    p, top, tot = weights(causal_mask(L) if mask is None else mask[:L, :L])
     ctx = np.matmul(p, vh)
     ctx /= tot
-    out = Tensor(merge(ctx), ag._track(*parents), parents)
-    if not out.requires_grad:
-        return out
+    if not pullback:
+        return merge(ctx), None
 
-    def _bw():
-        p = weights(top, tot)[0]
+    def back(g):
+        p = weights(causal_mask(L), top, tot)[0]
         p /= tot
-        g = heads(out.grad)
-        if v.requires_grad:
-            v.grad += merge(np.matmul(p.transpose(0, 2, 1), g))
+        g = heads(g)
+        gv = merge(np.matmul(p.transpose(0, 2, 1), g))
         gs = np.matmul(g, vh.transpose(0, 2, 1))       # d(loss)/d(p)
         gs -= (gs * p).sum(axis=-1, keepdims=True)
         gs *= p                                         # d(loss)/d(scores)
-        if q.requires_grad:
-            q.grad += merge(np.matmul(gs, kh)) * scale
-        if k.requires_grad:
-            k.grad += merge(np.matmul(qh.transpose(0, 2, 1), gs).transpose(0, 2, 1))
-    out._backward = _bw
-    return out
+        return (merge(np.matmul(gs, kh)) * scale,
+                merge(np.matmul(qh.transpose(0, 2, 1), gs).transpose(0, 2, 1)), gv)
+    return merge(ctx), back
 
 
 class KVCache:
@@ -145,6 +150,59 @@ class KVCache:
         self.k, self.v = self._buf[:, :m]
 
 
+def attention_block(x, norm1, w_q, w_k, w_v, w_o, norm2, w_ff1, b_ff1, w_ff2, b_ff2, n_heads,
+                    cache=None, last=False, mask=None, pullback=False):
+    """AttentionBlock's forward on arrays: positions x [L, d_model] and the
+    block's parameters, in the order of its `parameters()`.
+
+    norm -> q, k, v -> attention -> W_o, plus x; then norm -> MLP, plus
+    that, by the ops and in the order of the composition of generic nodes
+    that this replaced, so every value has its bits. `cache`, `last` and
+    `mask` are those of `AttentionBlock.attend`.
+
+    Returns (out, back), back None unless `pullback` (which takes neither a
+    cache nor `last`): back(g) returns the gradients of x and of each
+    parameter, in order, through the adjoints of rms_norm and
+    multi_head_attention.
+    """
+    a, norm1_back = rms_norm(x, norm1, pullback=pullback)
+    k, v = a @ w_k, a @ w_v
+    if last:
+        x, a = x[-1:], a[-1:]
+    q = a @ w_q
+    if cache is not None:
+        cache.append(k, v)
+        k, v = cache.k, cache.v
+    ctx, attn_back = multi_head_attention(q, k, v, n_heads, len(k) - len(q), mask, pullback)
+    x1 = x + ctx @ w_o
+    f, norm2_back = rms_norm(x1, norm2, pullback=pullback)
+    pre = f @ w_ff1 + b_ff1
+    s = ag._sigmoid(pre)
+    h = pre * s
+    out = x1 + (h @ w_ff2 + b_ff2)
+    if not pullback:
+        return out, None
+
+    def back(g):
+        gh, g_ff2 = ag._linear_back(g, h, w_ff2)
+        gpre = ag._silu_grad(gh, pre, s)
+        gf, g_ff1 = ag._linear_back(gpre, f, w_ff1)
+        gx1, g_norm2 = norm2_back(gf)
+        gx1 += g
+        gctx, g_o = ag._linear_back(gx1, ctx, w_o)
+        gq, gk, gv = attn_back(gctx)
+        ga, g_q = ag._linear_back(gq, a, w_q)
+        gak, g_k = ag._linear_back(gk, a, w_k)
+        gav, g_v = ag._linear_back(gv, a, w_v)
+        ga += gak
+        ga += gav
+        gx, g_norm1 = norm1_back(ga)
+        gx += gx1
+        return (gx, g_norm1, g_q, g_k, g_v, g_o, g_norm2, g_ff1, gpre.sum(axis=0), g_ff2,
+                g.sum(axis=0))
+    return out, back
+
+
 class AttentionBlock(Module):
     """Pre-norm multi-head causal self-attention plus a position-wise MLP."""
 
@@ -166,31 +224,22 @@ class AttentionBlock(Module):
         return KVCache(self.d_model)
 
     def __call__(self, x):
-        return self.attend(x)
+        """The block on positions x, a Tensor, as one graph node
+        (`attention_block`)."""
+        return ag.lift(attention_block, (x, *self.parameters()), self.n_heads)
 
-    def attend(self, x, cache=None, last=False):
-        """The block on positions x that follow those in `cache`, whose keys
-        and values they attend to as well; x's keys and values are appended
-        to it. A cache is for streaming: with one, recording a graph raises
-        GraphError. Without a cache, x are the only positions. With `last`,
-        only x's last row runs past its key and value, and comes back alone."""
-        a = rms_norm(x, self.norm1)
-        k = ag.matmul(a, self.W_k)
-        v = ag.matmul(a, self.W_v)
-        if last:
-            x, a = x[-1:], a[-1:]
-        q = ag.matmul(a, self.W_q)
-        if cache is not None:
-            if ag._track(q, k, v):
-                raise ag.GraphError("attend: a cache is for streaming under no_grad only")
-            cache.append(k.data, v.data)
-            k, v = Tensor(cache.k), Tensor(cache.v)
-        ctx = multi_head_attention(q, k, v, self.n_heads, len(k) - len(q))
-        x = ag.add(x, ag.matmul(ctx, self.W_o))
-        f = rms_norm(x, self.norm2)
-        ff = ag.add(ag.matmul(ag.silu(ag.add(ag.matmul(f, self.W_ff1), self.b_ff1)),
-                              self.W_ff2), self.b_ff2)
-        return ag.add(x, ff)
+    def attend(self, x, cache, last=False, mask=None):
+        """The block on positions x, an array, that follow those in `cache`,
+        whose keys and values they attend to as well; x's keys and values
+        are appended to it (streaming). It returns an array and builds no
+        Tensor; a Tensor x is refused, before it appends. With `last`, only
+        x's last row runs past its key and value, and comes back alone.
+        `mask` is a `causal_mask` of at least len(x) rows, which one pass
+        builds once for all its blocks."""
+        if isinstance(x, Tensor):
+            raise ag.GraphError("attend: a cache is for streaming, on arrays, not on a Tensor")
+        return attention_block(x, *(p.data for p in self.parameters()), self.n_heads,
+                               cache, last, mask)[0]
 
 
 class MambaHawkesHybrid(MambaHawkes):
@@ -210,8 +259,12 @@ class MambaHawkesHybrid(MambaHawkes):
     def _run_stack(self, x, delta, states, group):
         # attention runs on each sequence alone; a cache streams one sequence
         x = super()._run_stack(x, delta, states, group)
+        if states is not None:
+            mask = causal_mask(len(x))
+            for blk, cache in zip(self.attn_layers, states[len(self.layers):]):
+                x = blk.attend(x, cache, blk is self.attn_layers[-1], mask)
+            return x
         parts = [x] if delta.shape[1] == 1 else group.split(x)
-        for blk, cache in zip(self.attn_layers, states[len(self.layers):]):
-            parts = [blk(part) if cache is None
-                     else blk.attend(part, cache, blk is self.attn_layers[-1]) for part in parts]
+        for blk in self.attn_layers:
+            parts = [blk(part) for part in parts]
         return parts[0] if len(parts) == 1 else ag.concat(parts)

@@ -395,14 +395,21 @@ class MambaHawkes(Module):
         return list(self.layers)
 
     def _run_stack(self, x, delta, states, group):
-        """Run the blocks over a pass of B sequences: x its rows [L * B,
-        d_model], delta its steps [L, B]; `states` (one per block of
-        `_stack`) are carried on from and updated, and a None runs its block
-        from empty. The rows come back as those of each sequence in turn,
-        which only a `group` of B > 1 reorders; one sequence needs none."""
+        """Run the blocks over a pass of B sequences with steps delta, an
+        array [L, B]: x, its rows [L * B, d_model], is a Tensor, and each
+        block one graph node, when `states` is None, and an array when
+        `states` (one per block of `_stack`) are carried on from and updated
+        (streaming, which builds no Tensor). The rows come back as those of
+        each sequence in turn, which only a `group` of B > 1 reorders; one
+        sequence needs none."""
+        if states is not None:
+            x = x.reshape(delta.shape + (-1,))
+            for blk, state in zip(self.layers, states):
+                x = blk(x, delta, state)
+            return x.reshape(-1, x.shape[-1])
         x = ag.reshape(x, delta.shape + (-1,))
-        for blk, state in zip(self.layers, states):
-            x = blk(x, delta, state)
+        for blk in self.layers:
+            x = blk(x, delta)
         x = ag.reshape(x, (-1, x.shape[-1]))
         return x if delta.shape[1] == 1 else ag.gather(x, group.rows)
 
@@ -418,22 +425,21 @@ class MambaHawkes(Module):
         With an `EncoderState` it returns the last event's row alone,
         [1, d_model], and embeds and runs only the events after those the
         state holds (`EncoderState.resume`), handing the stack seq's slices
-        as they are, without a group or a graph; a hybrid's last block runs
-        only that row past its keys and values. The state then holds seq;
-        without one, it starts empty.
+        as they are, without a group, a graph or a Tensor inside the
+        blocks; a hybrid's last block runs only that row past its keys and
+        values. The state then holds seq; without one, it starts empty.
         """
         if state is None:
             group = seq if isinstance(seq, Group) else Group([seq])
             return self.mlp(self._run_stack(self.embed(group.type_indices),
-                                            Tensor(self.deltas(group.timestamps)),
-                                            [None] * len(self._stack()), group))
+                                            self.deltas(group.timestamps), None, group))
         with ag.no_grad():
             start = state.resume(self, seq)
             if start < len(seq):
                 state.held = None   # until the blocks hold all of seq
-                delta = Tensor(self.deltas(seq.timestamps[start:, None],
-                                           seq.timestamps[start - 1] if start else 0.0))
-                state.last = self._run_stack(self.embed(seq.types[start:] - 1), delta,
+                delta = self.deltas(seq.timestamps[start:, None],
+                                    seq.timestamps[start - 1] if start else 0.0)
+                state.last = self._run_stack(self.embed(seq.types[start:] - 1).data, delta,
                                              state.blocks, None)[-1:]
                 state.held = (seq.timestamps.copy(), seq.types.copy())
             return self.mlp(state.last)

@@ -18,18 +18,34 @@ from . import autograd as ag
 from .autograd import Module, Parameter, Tensor
 
 
-def rms_norm(x, scale, eps=1e-5):
-    """Root-mean-square normalization over the last axis, learned scale only,
-    as one graph node: xn * scale with xn = x / r, r = sqrt(mean(x^2) + eps)."""
-    x, scale = ag.as_tensor(x), ag.as_tensor(scale)
-    r = np.sqrt(np.mean(x.data * x.data, axis=-1, keepdims=True) + eps)
-    xn = x.data / r
+def rms_norm(x, scale, eps=1e-5, pullback=False):
+    """Root-mean-square normalization over the last axis, learned scale only:
+    xn * scale with xn = x / r, r = sqrt(mean(x^2) + eps), the mean taken as
+    the sum over the axis divided by its length (np.mean's add-reduce and
+    true divide, without its wrapper).
 
-    def grad_x(g):      # (gs - xn * mean(gs * xn)) / r with gs = g * scale
-        gs = g * scale.data
-        gs -= xn * np.mean(gs * xn, axis=-1, keepdims=True)
-        return np.divide(gs, r, out=gs)
-    return ag._node(xn * scale.data, (x, scale), grad_x, lambda g: g * xn)
+    Given arrays it returns (out, back), back None unless `pullback`:
+    back(g) returns the gradients of x and scale. Given a Tensor among x and
+    scale, it returns one graph node.
+    """
+    if ag.any_tensor(x, scale):
+        return ag.lift(_rms_norm, (x, scale), eps)
+    return _rms_norm(x, scale, eps, pullback=pullback)
+
+
+def _rms_norm(x, scale, eps, pullback):
+    D = x.shape[-1]
+    r = np.sqrt((x * x).sum(axis=-1, keepdims=True) / D + eps)
+    xn = x / r
+    out = xn * scale
+    if not pullback:
+        return out, None
+
+    def back(g):        # (gs - xn * mean(gs * xn)) / r with gs = g * scale
+        gs = g * scale
+        gs -= xn * ((gs * xn).sum(axis=-1, keepdims=True) / D)
+        return np.divide(gs, r, out=gs), ag._sum_to(g * xn, scale.shape)
+    return out, back
 
 
 def linear_init(rng, fan_in, fan_out):
@@ -114,7 +130,7 @@ def _scan_chunk(dv, av, inv_a, zero, near, bv, xv, z0, bufs):
     return abar, q, bx, zs
 
 
-def selective_scan(x, delta, a, b, c, skip=None, state=None):
+def selective_scan(x, delta, a, b, c, skip=None, state=None, pullback=False):
     """Run the time-variant recurrence z_i = abar_i * z_{i-1} + bbar_i * x_i.
 
     Args:
@@ -130,12 +146,17 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
             first step (zeros when None). It is overwritten with the state
             after the last step, so that a call on the next stretch of the
             sequence carries on from it. It is for streaming only: passing
-            one while the node records a graph raises GraphError.
+            one with a pullback, or while the node records a graph, raises
+            GraphError, since no gradient reaches it.
+        pullback: on arrays, whether to return the pullback (below).
 
     Returns:
-        [L, D] outputs y_i = c_i . z_i (+ skip * x_i) ([L, B, D]),
-        differentiable in x, a, b, c and skip. The step sizes are data: a
-        delta that requires grad raises GraphError.
+        [L, D] outputs y_i = c_i . z_i (+ skip * x_i) ([L, B, D]). Given
+        arrays, the pair (y, back), back None unless `pullback`: back(gy)
+        returns the gradients of x, a, b, c and skip (None without skip).
+        Given a Tensor among x, a, b, c and skip, y as one graph node,
+        differentiable in them. The step sizes are data: a delta that
+        requires grad raises GraphError.
 
     The batch axis runs each sequence from its own state, elementwise in B:
     a shorter one is padded at its end, and padded steps never reach
@@ -144,18 +165,24 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
     The steps run in chunks of C = _CHUNK_ELEMS // (B D N) steps (B = 1
     without a batch axis), each carrying its last state into the next, in
     buffers allocated once per call; the chunk length changes no output.
-    The whole scan is one graph node. For backward it keeps only the state
-    after each chunk but the last, [ceil(L / C) - 1, B, D, N]. The adjoint
-    walks the chunks from last to first: it recomputes the chunk's abar, q
-    and states from the state before it, by the forward's ops in the same
-    order, and runs the adjoint recurrence G_i = c_i * gy_i + abar_{i+1} *
-    G_{i+1} over the chunk, where G_i is the gradient reaching state z_i and
-    the chunk after hands back abar_{i+1} * G_{i+1} for its last step. So
-    delta and a must not change between forward and backward. Under no_grad
-    the node keeps nothing.
+    For backward it keeps only the state after each chunk but the last,
+    [ceil(L / C) - 1, B, D, N]. The adjoint walks the chunks from last to
+    first: it recomputes the chunk's abar, q and states from the state
+    before it, by the forward's ops in the same order, and runs the adjoint
+    recurrence G_i = c_i * gy_i + abar_{i+1} * G_{i+1} over the chunk, where
+    G_i is the gradient reaching state z_i and the chunk after hands back
+    abar_{i+1} * G_{i+1} for its last step. So delta and a must not change
+    between forward and backward. Without a pullback it keeps nothing.
     """
-    x, delta = ag.as_tensor(x), ag.as_tensor(delta)
-    a, b, c = ag.as_tensor(a), ag.as_tensor(b), ag.as_tensor(c)
+    if ag.any_tensor(x, delta, a, b, c, skip):
+        delta = ag.as_tensor(delta)
+        if ag._track(delta):
+            raise ag.GraphError("selective_scan: step sizes are data; delta must not require grad")
+        return ag.lift(_selective_scan, (x, a, b, c, skip), delta.data, state)
+    return _selective_scan(x, a, b, c, skip, delta, state, pullback=pullback)
+
+
+def _selective_scan(x, a, b, c, skip, delta, state, pullback):
     if x.ndim not in (2, 3):
         raise ag.ShapeError(f"selective_scan: x must be [L, D] or [L, B, D], got {x.shape}")
     steps, D = x.shape[:-1], x.shape[-1]
@@ -173,105 +200,92 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None):
         raise ag.ShapeError(
             f"selective_scan: b/c must be {steps + (N,)}, got {b.shape} and {c.shape}"
         )
-    if np.any(delta.data <= 0.0):
+    if np.any(delta <= 0.0):
         raise ag.DomainError(
-            f"selective_scan: non-positive step size (min={float(delta.data.min())})"
+            f"selective_scan: non-positive step size (min={float(delta.min())})"
         )
     state_shape = steps[1:] + (D, N)
     if state is not None and state.shape != state_shape:
         raise ag.ShapeError(f"selective_scan: state must be {state_shape}, got {state.shape}")
-    if skip is not None:
-        skip = ag.as_tensor(skip)
-    if ag._track(delta):
-        raise ag.GraphError("selective_scan: step sizes are data; delta must not require grad")
-    parents = (x, a, b, c) + (() if skip is None else (skip,))
-    track = ag._track(*parents)
-    if track and state is not None:
+    if state is not None and pullback:
         raise ag.GraphError("selective_scan: a carried state is for streaming under no_grad only")
 
-    xv, dv, av, bv, cv = x.data, delta.data, a.data, b.data, c.data
     # 1 / a where it is finite; zero rates (and subnormal ones) take q = delta
-    amin, tiny = float(np.abs(av).min()), np.finfo(np.float64).tiny
-    zero = np.abs(av) < tiny if amin < tiny else None
-    inv_a = 1.0 / av if zero is None else np.divide(1.0, av, out=np.zeros_like(av), where=~zero)
+    amin, tiny = float(np.abs(a).min()), np.finfo(np.float64).tiny
+    zero = np.abs(a) < tiny if amin < tiny else None
+    inv_a = 1.0 / a if zero is None else np.divide(1.0, a, out=np.zeros_like(a), where=~zero)
     C = min(L, max(1, _CHUNK_ELEMS // math.prod(state_shape)))
     chunks = [slice(lo, lo + C) for lo in range(0, L, C)]
     # whether any element may keep expm1; -max(a) is min|a| if all a < 0
-    dmin, decay = float(dv.min()), -float(av.max())
+    dmin, decay = float(delta.min()), -float(a.max())
     near = dmin * decay < _EXP_CUTOFF
-    ends = np.empty((len(chunks) - 1,) + state_shape) if track else None
+    ends = np.empty((len(chunks) - 1,) + state_shape) if pullback else None
     abar_b, q_b, zs_b = (np.empty((C,) + state_shape) for _ in range(3))
     tmp, last = np.empty(state_shape), np.empty(state_shape)
     y = np.empty(x.shape)
     z = state
     for j, s in enumerate(chunks):
-        zs = _scan_chunk(dv[s], av, inv_a, zero, near, bv[s], xv[s], z,
+        zs = _scan_chunk(delta[s], a, inv_a, zero, near, b[s], x[s], z,
                          (abar_b, q_b, zs_b, zs_b, tmp))[3]
-        np.matmul(zs, cv[s][..., None], out=y[s][..., None])
-        z = ends[j] if track and j < len(ends) else last   # a copy: zs_b is reused
+        np.matmul(zs, c[s][..., None], out=y[s][..., None])
+        z = ends[j] if pullback and j < len(ends) else last   # a copy: zs_b is reused
         z[...] = zs[-1]
     if state is not None:
         state[...] = z
     if skip is not None:
-        y += skip.data * xv
-    out = Tensor(y, track, parents)
-    if not track:
-        return out
+        y += skip * x
+    if not pullback:
+        return y, None
     series = dmin * amin < _SERIES_CUTOFF
 
-    def _bw():
-        gy = out.grad
+    def back(gy):
+        gx, ga, gb, gc = np.zeros(x.shape), np.zeros(a.shape), np.zeros(b.shape), np.zeros(c.shape)
         abar_b, q_b, bx_b, zs_b, g_b = (np.empty((C,) + state_shape) for _ in range(5))
         # abar_i * G_i of the first step of the chunk after, and a scratch
         carry, tmp = np.empty(state_shape), np.empty(state_shape)
         for j in range(len(chunks) - 1, -1, -1):
             s = chunks[j]
-            abar, q, bx, zs = _scan_chunk(dv[s], av, inv_a, zero, near, bv[s], xv[s],
+            abar, q, bx, zs = _scan_chunk(delta[s], a, inv_a, zero, near, b[s], x[s],
                                           ends[j - 1] if j else None,
                                           (abar_b, q_b, bx_b, zs_b, tmp))
             # adjoint recurrence: G[i] is d(loss)/d(z_i)
-            G = np.einsum("...d,...n->...dn", gy[s], cv[s], out=g_b[:len(q)])
+            G = np.einsum("...d,...n->...dn", gy[s], c[s], out=g_b[:len(q)])
             if j < len(chunks) - 1:
                 G[-1] += carry
             for i in range(len(G) - 2, -1, -1):
                 G[i] += np.multiply(abar[i + 1], G[i + 1], out=tmp)
             np.multiply(abar[0], G[0], out=carry)
-            if c.requires_grad:
-                c.grad[s] += np.matmul(gy[s][..., None, :], zs)[..., 0, :]
+            gc[s] += np.matmul(gy[s][..., None, :], zs)[..., 0, :]
             h = np.multiply(G, q, out=abar)     # d(loss)/d(bx), in spent abar
-            if x.requires_grad:
-                x.grad[s] += np.matmul(h, bv[s][..., None])[..., 0]
-            if b.requires_grad:
-                b.grad[s] += np.matmul(xv[s][..., None, :], h)[..., 0, :]
-            if a.requires_grad:
-                # sum over steps (and sequences) of G_i * bx_i * (delta_i -
-                # q_i) / a, then the decay's part G_i * delta_i * z_i
-                d = dv[s][..., None, None]
-                w = np.subtract(d, q, out=q)
-                if series:
-                    u = d * av
-                    small = np.abs(u) < _SERIES_CUTOFF
-                    ds, us = np.broadcast_to(d, u.shape)[small], u[small]
-                    w *= inv_a
-                    w[small] = -ds * ds * (0.5 + us / 6.0 + us * us / 24.0)
-                w *= bx
-                w *= G
-                ga = w.reshape(-1, D, N).sum(axis=0)
-                if not series:
-                    ga *= inv_a
-                ga += np.tensordot(dv[s], np.multiply(zs, G, out=zs), axes=dv.ndim)
-                a.grad += ga
-        if skip is not None:
-            if x.requires_grad:
-                x.grad += skip.data * gy
-            if skip.requires_grad:
-                skip.grad += ag._sum_to(gy * xv, skip.shape)
-    out._backward = _bw
-    return out
+            gx[s] += np.matmul(h, b[s][..., None])[..., 0]
+            gb[s] += np.matmul(x[s][..., None, :], h)[..., 0, :]
+            # sum over steps (and sequences) of G_i * bx_i * (delta_i - q_i)
+            # / a, then the decay's part G_i * delta_i * z_i
+            d = delta[s][..., None, None]
+            w = np.subtract(d, q, out=q)
+            if series:
+                u = d * a
+                small = np.abs(u) < _SERIES_CUTOFF
+                ds, us = np.broadcast_to(d, u.shape)[small], u[small]
+                w *= inv_a
+                w[small] = -ds * ds * (0.5 + us / 6.0 + us * us / 24.0)
+            w *= bx
+            w *= G
+            gs = w.reshape(-1, D, N).sum(axis=0)
+            if not series:
+                gs *= inv_a
+            gs += np.tensordot(delta[s], np.multiply(zs, G, out=zs), axes=delta.ndim)
+            ga += gs
+        if skip is None:
+            return gx, ga, gb, gc, None
+        gx += skip * gy
+        return gx, ga, gb, gc, ag._sum_to(gy * x, skip.shape)
+    return y, back
 
 
 class SsmCore(Module):
-    """Learnable pieces of the scan: decay rates, B/C projections, feedthrough.
+    """Learnable pieces of the scan: decay rates, B/C projections, feedthrough,
+    which `mamba_block` reads.
 
     The decay matrix is stored as A_log with a = -exp(A_log), so every rate is
     strictly negative and abar = exp(delta * a) stays inside (0, 1) for any
@@ -288,13 +302,6 @@ class SsmCore(Module):
         self.W_C = Parameter(linear_init(rng, d_inner, d_state))
         self.D = Parameter(np.ones(d_inner))
 
-    def __call__(self, x, delta, state=None):
-        """The scan of x [L, B, d_inner] (see `MambaBlock`) with steps delta."""
-        a = ag.neg(ag.exp(self.A_log))
-        b = ag.matmul(x, self.W_B)
-        c = ag.matmul(x, self.W_C)
-        return selective_scan(x, delta, a, b, c, skip=self.D, state=state)
-
 
 class MambaState(NamedTuple):
     """What a MambaBlock carries between calls on consecutive stretches of a
@@ -304,16 +311,64 @@ class MambaState(NamedTuple):
     z: np.ndarray       # [1, d_inner, d_state] scan state after the last event
 
 
+def mamba_block(u, scale, in_proj, kernel, bias, a_log, w_b, w_c, skip, out_proj, delta,
+                state=None, pullback=False):
+    """MambaBlock's forward on arrays: u, the block's parameters in the
+    order of its `parameters()`, and the steps delta.
+
+    norm -> in-proj -> causal conv -> SiLU -> scan -> gate -> out-proj, plus
+    the residual u, by the ops and in the order of the composition of
+    generic nodes that this replaced, so every value has its bits. With a
+    `MambaState` the conv and the scan carry on from it (streaming).
+
+    Returns (out, back), back None unless `pullback`: back(g) returns the
+    gradients of u and of each parameter, in order, through the adjoints of
+    rms_norm, causal_conv1d and selective_scan.
+    """
+    conv_left, z0 = (None, None) if state is None else state
+    d_inner = kernel.shape[1]
+    xn, norm_back = rms_norm(u, scale, pullback=pullback)
+    xz = ag._linear(xn, in_proj)
+    x, z = xz[..., :d_inner], xz[..., d_inner:]
+    xc, conv_back = ag.causal_conv1d(x, kernel, bias, conv_left, pullback=pullback)
+    sc = ag._sigmoid(xc)
+    xs = xc * sc
+    ea = np.exp(a_log)                  # a = -exp(A_log)
+    b, c = ag._linear(xs, w_b), ag._linear(xs, w_c)
+    y, scan_back = selective_scan(xs, delta, -ea, b, c, skip, z0, pullback=pullback)
+    sz = ag._sigmoid(z)
+    gate = z * sz
+    yg = y * gate
+    out = ag._linear(yg, out_proj) + u
+    if not pullback:
+        return out, None
+
+    def back(g):        # each [L, B, .] gradient is dropped once it is spent
+        gyg, g_out = ag._linear_back(g, yg, out_proj)
+        gz = ag._silu_grad(gyg * y, z, sz)
+        gxs, ga, gb, gc, g_skip = scan_back(np.multiply(gyg, gate, out=gyg))
+        del gyg
+        gx, g_wb = ag._linear_back(gb, xs, w_b)
+        gxs += gx
+        gx, g_wc = ag._linear_back(gc, xs, w_c)
+        gxs += gx
+        del gx
+        gx, g_kernel, g_bias = conv_back(ag._silu_grad(gxs, xc, sc))
+        del gxs
+        gxn, g_in = ag._linear_back(np.concatenate([gx, gz], axis=-1), xn, in_proj)
+        del gx, gz
+        gu, g_scale = norm_back(gxn)
+        gu += g
+        return gu, g_scale, g_in, g_kernel, g_bias, -ga * ea, g_wb, g_wc, g_skip, g_out
+    return out, back
+
+
 class MambaBlock(Module):
     """Pre-norm gated block: in-proj -> causal conv -> SiLU -> scan -> gate -> out-proj.
 
     The step sizes come from event time gaps and are shared by every channel;
     they are computed before the convolution, so the conv mixes channel
     streams over positions but never the gaps themselves.
-
-    Called with a `MambaState`, the block carries on from the events that
-    state holds: the conv reads their last inputs and the scan starts from
-    their final state, and both are updated to include u.
 
     u is time-major, [L, B, d_model] for B sequences with steps delta
     [L, B] (B = 1 for one sequence): u[i, j] is event i of sequence j. The
@@ -338,12 +393,14 @@ class MambaBlock(Module):
                           np.zeros((1, self.d_inner, self.ssm.d_state)))
 
     def __call__(self, u, delta, state=None):
-        conv_left, z0 = (None, None) if state is None else state
-        xn = rms_norm(u, self.norm_scale)
-        xz = ag.matmul(xn, self.in_proj)
-        x = xz[..., :self.d_inner]
-        z = xz[..., self.d_inner:]
-        x = ag.silu(ag.causal_conv1d(x, self.conv_kernel, self.conv_bias, left=conv_left))
-        y = self.ssm(x, delta, state=z0)
-        y = ag.mul(y, ag.silu(z))
-        return ag.add(ag.matmul(y, self.out_proj), u)
+        """The block on u, a Tensor, as one graph node (`mamba_block`); delta
+        is an array. Given a `MambaState` it streams instead: it carries on
+        from the events that state holds (the conv reads their last inputs,
+        the scan starts from their final state) and updates it to include
+        u; u is then an array, and so is the result, and no Tensor is built.
+        """
+        if state is None:
+            return ag.lift(mamba_block, (u, *self.parameters()), delta)
+        if isinstance(u, Tensor):
+            raise ag.GraphError("MambaBlock: a state is for streaming, on arrays, not on a Tensor")
+        return mamba_block(u, *(p.data for p in self.parameters()), delta, state)[0]

@@ -126,16 +126,28 @@ class Adam:
         self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self):
+        """Update m, v and each parameter's data in place, by the operations
+        of m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g and
+        p -= lr m_hat / (sqrt(v_hat) + eps) in their order, so the bits are
+        those of those expressions."""
         self.t += 1
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self.m, self.v):
             if p.grad is None:
                 continue
             g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1 - self.beta2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= self.beta1
+            m += (1 - self.beta1) * g
+            gg = (1 - self.beta2) * g
+            gg *= g
+            v *= self.beta2
+            v += gg
+            update = m / (1 - self.beta1 ** self.t)
+            update *= self.lr
+            den = np.divide(v, 1 - self.beta2 ** self.t, out=gg)
+            np.sqrt(den, out=den)
+            den += self.eps
+            update /= den
+            p.data -= update
 
 
 def clip_gradients(params, max_norm):

@@ -1,6 +1,7 @@
 """Shared test utilities: finite-difference oracles, error metrics,
 composed-op references for the fused selective scan, the fused multi-head
-attention and the compensator, the compensator node with both of its
+attention, the fused Mamba and attention blocks and the compensator, Adam's
+step as it was before it updated in place, the compensator node with both of its
 branches on every interval and on a general quadrature rule, the earlier
 form of the log-likelihood (a one-hot event term), the closed-form gated
 recurrence the scan reduces to, (e^x - 1) / x with its derivative (the
@@ -17,8 +18,9 @@ import numpy as np
 
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.checkpoint import FORMAT, MAGIC
-from mamba_hawkes.hybrid import causal_mask
+from mamba_hawkes.hybrid import causal_mask, multi_head_attention
 from mamba_hawkes.model import _PI2_6, _SMALL_DU, _dilog_series
+from mamba_hawkes.ssm import rms_norm, selective_scan
 from mamba_hawkes.training import Metrics
 
 
@@ -186,6 +188,67 @@ def composed_scan(x, delta, a, b, c, skip=None):
     if skip is not None:
         y = ag.add(y, ag.mul(ag.as_tensor(skip), x))
     return y
+
+
+def composed_mamba_block(blk, u, delta, state=None):
+    """MambaBlock as the 15 generic nodes it was built from before it was
+    one node: rms_norm, in_proj, two column slices, causal_conv1d, SiLU, the
+    rates -exp(A_log), the B and C projections, selective_scan, SiLU of the
+    gate, the gate product, out_proj and the residual. u and delta are
+    Tensors; with a `MambaState` (under no_grad) the conv and the scan carry
+    on from it. The oracle for the fused node's forward and adjoint and for
+    the streaming step."""
+    conv_left, z0 = (None, None) if state is None else state
+    xn = rms_norm(u, blk.norm_scale)
+    xz = ag.matmul(xn, blk.in_proj)
+    x, z = xz[..., :blk.d_inner], xz[..., blk.d_inner:]
+    x = ag.silu(ag.causal_conv1d(x, blk.conv_kernel, blk.conv_bias, left=conv_left))
+    core = blk.ssm
+    a = ag.neg(ag.exp(core.A_log))
+    y = selective_scan(x, delta, a, ag.matmul(x, core.W_B), ag.matmul(x, core.W_C),
+                       skip=core.D, state=z0)
+    y = ag.mul(y, ag.silu(z))
+    return ag.add(ag.matmul(y, blk.out_proj), u)
+
+
+def composed_attention_block(blk, x, cache=None, last=False):
+    """AttentionBlock as the generic nodes it was built from before it was
+    one node: rms_norm, the q, k and v projections, multi_head_attention,
+    W_o and the residual, then rms_norm, the MLP and its residual. With a
+    `KVCache` (under no_grad) x's keys and values are appended and attended
+    to with the held ones, and with `last` only x's last row runs past them.
+    The oracle for the fused node and for the streaming step."""
+    a = rms_norm(x, blk.norm1)
+    k = ag.matmul(a, blk.W_k)
+    v = ag.matmul(a, blk.W_v)
+    if last:
+        x, a = x[-1:], a[-1:]
+    q = ag.matmul(a, blk.W_q)
+    if cache is not None:
+        cache.append(k.data, v.data)
+        k, v = ag.Tensor(cache.k), ag.Tensor(cache.v)
+    ctx = multi_head_attention(q, k, v, blk.n_heads, len(k) - len(q))
+    x = ag.add(x, ag.matmul(ctx, blk.W_o))
+    f = rms_norm(x, blk.norm2)
+    ff = ag.add(ag.matmul(ag.silu(ag.add(ag.matmul(f, blk.W_ff1), blk.b_ff1)), blk.W_ff2),
+                blk.b_ff2)
+    return ag.add(x, ff)
+
+
+def adam_step_reference(opt):
+    """One step of `opt` as `Adam.step` wrote it before it updated in place,
+    each expression making new arrays for m, v and the parameter: the oracle
+    for its bits."""
+    opt.t += 1
+    for i, p in enumerate(opt.params):
+        if p.grad is None:
+            continue
+        g = p.grad
+        opt.m[i] = opt.beta1 * opt.m[i] + (1 - opt.beta1) * g
+        opt.v[i] = opt.beta2 * opt.v[i] + (1 - opt.beta2) * g * g
+        m_hat = opt.m[i] / (1 - opt.beta1 ** opt.t)
+        v_hat = opt.v[i] / (1 - opt.beta2 ** opt.t)
+        p.data = p.data - opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
 
 
 def time_major(parts, L, pad):

@@ -446,3 +446,10 @@ def test_add_names_shapes_that_do_not_broadcast():
         ag.add(np.ones((2, 3)), np.ones(4))
     with pytest.raises(ShapeError, match=r"^add: shapes \(2, 3\) and \(3, 3\) are not broadcastable$"):
         ag.add(np.ones((2, 3)), np.ones((3, 3)))
+    # the check on trailing axes refuses exactly the pairs numpy refuses
+    for sa, sb in itertools.product(_all_shapes(), _all_shapes()):
+        try:
+            np.broadcast_shapes(sa, sb)
+        except ValueError:
+            with pytest.raises(ShapeError, match="are not broadcastable"):
+                ag.mul(np.ones(sa), np.ones(sb))

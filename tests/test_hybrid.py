@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from helpers import check_param_grads, composed_attention, rel_err
+from helpers import check_param_grads, composed_attention, composed_attention_block, rel_err
 from mamba_hawkes import autograd as ag
 from mamba_hawkes import hybrid
 from mamba_hawkes.autograd import Tensor
@@ -142,11 +142,48 @@ def test_attend_with_cache_matches_one_call():
     x = rng.normal(size=(13, 8))
     whole = blk(Tensor(x)).data
     cache = blk.empty_state()
-    with ag.no_grad():
-        parts = [blk.attend(Tensor(x[lo:hi]), cache).data
-                 for lo, hi in ((0, 1), (1, 5), (5, 13))]
+    parts = [blk.attend(x[lo:hi], cache) for lo, hi in ((0, 1), (1, 5), (5, 13))]
     np.testing.assert_allclose(np.concatenate(parts), whole, rtol=0, atol=1e-13)
     assert cache.k.shape == cache.v.shape == (13, 8)
+
+
+@pytest.mark.parametrize("L", [1, 9])
+def test_fused_attention_block_matches_the_composed_nodes(L):
+    # one node with the composed nodes' forward bits, and their gradients to 1e-12
+    rng = np.random.default_rng(15)
+    blk = AttentionBlock(d_model=8, n_heads=2, ff_dim=12, rng=rng)
+    for p in blk.parameters():      # away from the initial ones and zeros
+        p.data = p.data + rng.normal(scale=0.3, size=p.shape)
+    x = ag.Parameter(rng.normal(size=(L, 8)))
+    w = rng.normal(size=(L, 8))
+    inputs = [x] + blk.parameters()
+    results = []
+    for make in (lambda: blk(x), lambda: composed_attention_block(blk, x)):
+        for t in inputs:
+            t.zero_grad()
+        out = make()
+        ag.backward(ag.reduce_sum(ag.mul(out, w)))
+        results.append((out.data, [t.grad.copy() for t in inputs]))
+    (fused, fused_grads), (composed, composed_grads) = results
+    assert np.array_equal(fused, composed)
+    for (name, _), g, want in zip([("x", x)] + blk.named_parameters(), fused_grads,
+                                  composed_grads):
+        assert rel_err(g, want) <= 1e-12, name
+
+
+def test_streaming_attention_matches_the_composed_nodes_bit_for_bit():
+    # a carried cache, a pass mask larger than the stretch, and a last row
+    # run alone: the fused step on arrays gives the composed nodes' bits
+    rng = np.random.default_rng(16)
+    blk = AttentionBlock(d_model=8, n_heads=4, ff_dim=16, rng=rng)
+    x = rng.normal(size=(15, 8))
+    ours, theirs = blk.empty_state(), blk.empty_state()
+    for (lo, hi), last in zip(((0, 3), (3, 4), (4, 10), (10, 15)), (False, True, True, False)):
+        y = blk.attend(x[lo:hi], ours, last, causal_mask(hi - lo + 2))
+        with ag.no_grad():
+            want = composed_attention_block(blk, Tensor(x[lo:hi]), theirs, last)
+        assert isinstance(y, np.ndarray) and np.array_equal(y, want.data)
+        assert np.array_equal(ours.k, theirs.k) and np.array_equal(ours.v, theirs.v)
 
 
 def attention_inputs(L, past, D, seed):
@@ -192,12 +229,11 @@ def stream_through(blk, x, sizes):
     """blk.attend on consecutive stretches of x of the given sizes; the
     outputs and, after each append, the cache's key view."""
     cache, parts, views, lo = blk.empty_state(), [], [], 0
-    with ag.no_grad():
-        for n in sizes:
-            parts.append(blk.attend(Tensor(x[lo:lo + n]), cache).data)
-            lo += n
-            assert cache.k.shape == cache.v.shape == (lo, blk.d_model)
-            views.append(cache.k)
+    for n in sizes:
+        parts.append(blk.attend(x[lo:lo + n], cache))
+        lo += n
+        assert cache.k.shape == cache.v.shape == (lo, blk.d_model)
+        views.append(cache.k)
     return np.concatenate(parts), views
 
 
@@ -216,7 +252,8 @@ def test_streamed_cache_appends_in_place_and_matches_one_call(monkeypatch):
     # so a stretch of x agrees with one call to rounding ...
     np.testing.assert_allclose(streamed, whole, rtol=0, atol=1e-13)
     # ... and bit for bit with the per-head composition over the same stretches
-    monkeypatch.setattr(hybrid, "multi_head_attention", composed_attention)
+    monkeypatch.setattr(hybrid, "multi_head_attention", lambda q, k, v, n_heads, past, *_: (
+        composed_attention(q, k, v, n_heads, past).data, None))
     assert np.array_equal(stream_through(blk, x, sizes)[0], streamed)
 
 

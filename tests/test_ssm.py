@@ -1,11 +1,13 @@
+import contextlib
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from helpers import (check_param_grads, composed_scan, evaluate_one_by_one,
-                     gated_decay_reference, rel_err, rms_norm_reference, time_major)
+from helpers import (check_param_grads, composed_mamba_block, composed_scan,
+                     evaluate_one_by_one, gated_decay_reference, rel_err, rms_norm_reference,
+                     time_major)
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.autograd import DomainError, GraphError, Parameter, ShapeError, Tensor
 from mamba_hawkes.data import Batch, Dataset, EventSequence
@@ -318,21 +320,21 @@ def test_exp_choice_is_made_per_element_so_calls_and_groups_agree():
     assert near.any() and not near.all()
     for v in (fast, mixed):
         v["a"] = a
-    alone = selective_scan(**fast).data
+    alone = selective_scan(**fast)[0]
     batch = {k: np.stack([fast[k], mixed[k]], axis=1) for k in ("x", "delta", "b", "c")}
-    y = selective_scan(**batch, a=a, skip=fast["skip"]).data
+    y = selective_scan(**batch, a=a, skip=fast["skip"])[0]
     assert np.array_equal(y[:, 0], alone)
     state = np.zeros((D, N))
     head = dict(mixed, **{k: mixed[k][:C + 2] for k in ("x", "delta", "b", "c")})
     selective_scan(**head, state=state)
     whole = {k: np.concatenate([head[k], fast[k]]) for k in ("x", "delta", "b", "c")}
-    y = selective_scan(**dict(fast, **whole)).data[C + 2:]
-    assert np.array_equal(y, selective_scan(**fast, state=state).data)
+    y = selective_scan(**dict(fast, **whole))[0][C + 2:]
+    assert np.array_equal(y, selective_scan(**fast, state=state)[0])
     state, parts = np.zeros((D, N)), []
     for s in (slice(0, C + 1), slice(C + 1, C + 2), slice(C + 2, L)):
         part = dict(mixed, **{k: mixed[k][s] for k in ("x", "delta", "b", "c")})
-        parts.append(selective_scan(**part, state=state).data)
-    assert np.array_equal(np.concatenate(parts), selective_scan(**mixed).data)
+        parts.append(selective_scan(**part, state=state)[0])
+    assert np.array_equal(np.concatenate(parts), selective_scan(**mixed)[0])
 
 
 def test_rms_norm_forward_is_bit_equal_to_plain_numpy():
@@ -359,13 +361,14 @@ def test_rms_norm_is_one_node_with_gradients_matching_fd():
 
 def test_scan_is_one_graph_node_per_layer():
     # guard on graph size: the default model's whole loss graph on one sequence
-    # (158 nodes, with the scan, the compensator and each RMSNorm one node each)
+    # (98 nodes, 53 of them leaves, with each Mamba block and the compensator
+    # one node each; 154 when the blocks were 15 nodes each)
     rng = np.random.default_rng(12)
     model = MambaHawkes(MhpConfig(K=5), seed=0)
     seq = EventSequence(np.cumsum(rng.exponential(1.0, size=30)),
                         rng.integers(1, 6, size=30), 5)
     nodes = ag.topo_order(model.losses(seq).total)
-    assert len(nodes) < 165, len(nodes)
+    assert len(nodes) <= 98, len(nodes)
 
 
 def step_memory_in_state_arrays(L, n_layers=4):
@@ -494,7 +497,7 @@ def test_block_zero_input_zero_output():
     rng = np.random.default_rng(6)
     blk = MambaBlock(d_model=8, d_state=4, d_conv=4, expand=2, rng=rng)
     u = Tensor(np.zeros((5, 8)))
-    delta = Tensor(np.full(5, 0.7))
+    delta = np.full(5, 0.7)
     out = blk(u, delta)
     np.testing.assert_array_equal(out.data, np.zeros((5, 8)))
 
@@ -504,7 +507,7 @@ def test_block_zero_input_zero_output():
 def test_block_shape_contract(L, d_model):
     rng = np.random.default_rng(7)
     blk = MambaBlock(d_model=d_model, d_state=4, d_conv=4, expand=2, rng=rng)
-    out = blk(Tensor(rng.normal(size=(L, d_model))), Tensor(rng.uniform(0.1, 1.0, L)))
+    out = blk(Tensor(rng.normal(size=(L, d_model))), rng.uniform(0.1, 1.0, L))
     assert out.shape == (L, d_model)
 
 
@@ -512,7 +515,7 @@ def test_block_causality_bit_identical():
     rng = np.random.default_rng(8)
     blk = MambaBlock(d_model=6, d_state=3, d_conv=4, expand=2, rng=rng)
     u = rng.normal(size=(9, 6))
-    delta = Tensor(rng.uniform(0.1, 1.0, 9))
+    delta = rng.uniform(0.1, 1.0, 9)
     base = blk(Tensor(u), delta).data
     for t in (0, 3, 8):
         bumped = u.copy()
@@ -530,8 +533,59 @@ def test_block_gradients_match_fd():
     w = rng.normal(size=(3, 4))
     params = [p for _, p in blk.named_parameters()]
     errs = check_param_grads(
-        lambda: ag.reduce_sum(ag.mul(blk(Tensor(u), Tensor(delta)), w)), params)
+        lambda: ag.reduce_sum(ag.mul(blk(Tensor(u), delta), w)), params)
     assert max(errs.values()) < 1e-4, errs
+
+
+def block_grads(make_out, inputs, w):
+    """The output of make_out() and the gradients of inputs through sum(out * w)."""
+    for t in inputs:
+        t.zero_grad()
+    out = make_out()
+    ag.backward(ag.reduce_sum(ag.mul(out, w)))
+    return out.data, [t.grad.copy() for t in inputs]
+
+
+@pytest.mark.parametrize("B", [1, 3])
+def test_fused_block_matches_the_composed_nodes(B):
+    # one node with the 15 nodes' forward bits, and their gradients to
+    # 1e-12, in chunks of 4 steps so that the scan carries state between them
+    rng = np.random.default_rng(40)
+    blk = MambaBlock(d_model=6, d_state=3, d_conv=4, expand=2, rng=rng)
+    for p in blk.parameters():      # away from the initial ones and zeros
+        p.data = p.data + rng.normal(scale=0.3, size=p.shape)
+    L = 11
+    u = Parameter(rng.normal(size=(L, B, 6)))
+    delta = rng.uniform(0.05, 1.5, size=(L, B))
+    w = rng.normal(size=(L, B, 6))
+    inputs = [u] + blk.parameters()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ssm, "_CHUNK_ELEMS", 4 * B * blk.d_inner * blk.ssm.d_state)
+        nodes = ag.topo_order(blk(u, delta))
+        fused, fused_grads = block_grads(lambda: blk(u, delta), inputs, w)
+        composed, composed_grads = block_grads(
+            lambda: composed_mamba_block(blk, u, Tensor(delta)), inputs, w)
+    assert [n for n in nodes if n._parents] == nodes[-1:]
+    assert np.array_equal(fused, composed)
+    for (name, _), g, want in zip([("u", u)] + blk.named_parameters(), fused_grads,
+                                  composed_grads):
+        assert rel_err(g, want) <= 1e-12, name
+
+
+def test_streaming_block_matches_the_composed_nodes_bit_for_bit():
+    # a carried state: the fused step on arrays gives the composed nodes'
+    # outputs and states bit for bit, stretch after stretch
+    rng = np.random.default_rng(41)
+    blk = MambaBlock(d_model=6, d_state=3, d_conv=3, expand=2, rng=rng)
+    u = rng.normal(size=(19, 1, 6))
+    delta = rng.uniform(0.05, 1.5, size=(19, 1))
+    ours, theirs = blk.empty_state(), blk.empty_state()
+    for lo, hi in ((0, 1), (1, 3), (3, 12), (12, 19)):
+        y = blk(u[lo:hi], delta[lo:hi], ours)
+        with ag.no_grad():
+            want = composed_mamba_block(blk, Tensor(u[lo:hi]), Tensor(delta[lo:hi]), theirs)
+        assert isinstance(y, np.ndarray) and np.array_equal(y, want.data)
+        assert np.array_equal(ours.conv, theirs.conv) and np.array_equal(ours.z, theirs.z)
 
 
 def test_ssm_core_parameter_stability_invariant():
@@ -564,18 +618,18 @@ def test_scan_carries_state_across_calls(monkeypatch):
     v = scan_inputs(rng, L, D, N)
     z0 = rng.normal(size=(D, N))
     whole = z0.copy()
-    y = selective_scan(**v, state=whole).data
+    y = selective_scan(**v, state=whole)[0]
     for m in (1, 9, C + 5, 2 * C + 1, L - 1):
         state = z0.copy()
         first = {k: v[k] if k in ("a", "skip") else v[k][:m] for k in v}
         rest = {k: v[k] if k in ("a", "skip") else v[k][m:] for k in v}
-        y1 = selective_scan(**first, state=state).data
-        y2 = selective_scan(**rest, state=state).data
+        y1 = selective_scan(**first, state=state)[0]
+        y2 = selective_scan(**rest, state=state)[0]
         np.testing.assert_array_equal(np.concatenate([y1, y2]), y)
         np.testing.assert_array_equal(state, whole)
     # a zero initial state is no initial state
-    plain = selective_scan(**v).data
-    np.testing.assert_allclose(selective_scan(**v, state=np.zeros((D, N))).data, plain,
+    plain = selective_scan(**v)[0]
+    np.testing.assert_allclose(selective_scan(**v, state=np.zeros((D, N)))[0], plain,
                                rtol=0, atol=1e-15)
     np.testing.assert_allclose(naive_scan(v["x"], v["delta"], v["a"], v["b"], v["c"], v["skip"]),
                                plain, rtol=0, atol=1e-12)
@@ -626,20 +680,26 @@ def test_scan_refuses_a_state_while_recording():
 
 
 def test_attend_refuses_a_cache_while_recording():
-    # no gradient reaches the keys and values a cache holds, so a recorded
-    # call through one is refused before it appends, as the scan refuses a state
+    # no gradient reaches the keys and values a cache holds, so a call
+    # through one runs on arrays, and a Tensor, which may record a graph, is
+    # refused before it appends, as the scan refuses a state while recording
+    # and a Mamba block a Tensor with a state
     rng = np.random.default_rng(13)
     blk = AttentionBlock(d_model=8, n_heads=2, ff_dim=16, rng=rng)
     x = rng.normal(size=(7, 8))
     cache = blk.empty_state()
-    with ag.no_grad():
-        blk.attend(Tensor(x[:4]), cache)
-    with pytest.raises(GraphError, match="no_grad"):
-        blk.attend(Tensor(x[4:]), cache)
+    blk.attend(x[:4], cache)
+    for mode in (ag.no_grad, contextlib.nullcontext):
+        with mode(), pytest.raises(GraphError, match="on arrays"):
+            blk.attend(Tensor(x[4:]), cache)
     assert cache.k.shape == cache.v.shape == (4, 8)
-    with ag.no_grad():
-        blk.attend(Tensor(x[4:]), cache)
+    blk.attend(x[4:], cache)
     assert cache.k.shape == (7, 8)
+    mamba = MambaBlock(d_model=8, d_state=2, d_conv=3, expand=2, rng=rng)
+    state = mamba.empty_state()
+    with pytest.raises(GraphError, match="on arrays"):
+        mamba(Tensor(x[:, None]), np.ones((7, 1)), state)
+    assert not state.conv.any() and not state.z.any()
 
 
 def test_scan_rejects_state_of_wrong_shape():
@@ -654,11 +714,9 @@ def test_block_with_state_matches_one_call():
     blk = MambaBlock(d_model=6, d_state=3, d_conv=4, expand=2, rng=rng)
     u = rng.normal(size=(17, 1, 6))
     delta = rng.uniform(0.1, 1.5, size=(17, 1))
-    whole = blk(Tensor(u), Tensor(delta)).data
+    whole = blk(Tensor(u), delta).data
     state = blk.empty_state()
-    with ag.no_grad():
-        parts = [blk(Tensor(u[lo:hi]), Tensor(delta[lo:hi]), state).data
-                 for lo, hi in ((0, 2), (2, 3), (3, 11), (11, 17))]
+    parts = [blk(u[lo:hi], delta[lo:hi], state) for lo, hi in ((0, 2), (2, 3), (3, 11), (11, 17))]
     np.testing.assert_allclose(np.concatenate(parts), whole, rtol=0, atol=1e-13)
 
 
@@ -676,12 +734,12 @@ def test_scan_batch_axis_equals_per_sequence_calls(monkeypatch, chunk_elems):
         monkeypatch.setattr(ssm, "_CHUNK_ELEMS", 3 * B * D * N)
     seqs = [scan_inputs(rng, n, D, N) for n in lengths]
     a, skip = seqs[0]["a"], seqs[0]["skip"]
-    want = [selective_scan(**dict(v, a=a, skip=skip)).data for v in seqs]
+    want = [selective_scan(**dict(v, a=a, skip=skip))[0] for v in seqs]
     for scale in (1.0, 1e3):   # two paddings, one far from the data
         pads = dict(x=rng.normal(size=(L, B, D)), delta=rng.uniform(0.05, 2.0, size=(L, B)),
                     b=rng.normal(size=(L, B, N)), c=rng.normal(size=(L, B, N)))
         batch = {k: time_major([v[k] for v in seqs], L, scale * pads[k]) for k in pads}
-        y = selective_scan(**batch, a=a, skip=skip).data
+        y = selective_scan(**batch, a=a, skip=skip)[0]
         assert y.shape == (L, B, D)
         for j, n in enumerate(lengths):
             assert np.array_equal(y[:n, j], want[j]), (scale, j)

@@ -18,6 +18,7 @@ from mamba_hawkes.autograd import Tensor
 from mamba_hawkes.data import EventSequence
 from mamba_hawkes.hybrid import MambaHawkesHybrid, MhpEConfig
 from mamba_hawkes.model import MambaHawkes, MhpConfig
+from mamba_hawkes.ssm import MambaBlock
 
 K = 3
 
@@ -87,8 +88,8 @@ def whole_prefix_encode(model, seq, state):
         start = state.resume(model, seq)
         if start < len(seq):
             state.held = None
-            x = model.embed(seq.type_indices)[start:]
-            delta = Tensor(model.deltas(seq.timestamps)[start:, None])
+            x = model.embed(seq.type_indices).data[start:]
+            delta = model.deltas(seq.timestamps)[start:, None]
             state.last = model._run_stack(x, delta, state.blocks, None)[-1:]
             state.held = (seq.timestamps.copy(), seq.types.copy())
         return model.mlp(state.last)
@@ -135,6 +136,31 @@ def test_the_streaming_step_hands_the_stack_plain_arrays(arch, monkeypatch):
         model.predict_next(prefix(events, n))
         assert handed.pop() == ((new, 8), (new, 1), None)
     assert handed == []
+
+
+@pytest.mark.parametrize("arch", ["mhp", "mhp-e"])
+def test_the_streaming_step_builds_no_tensor_inside_the_blocks(arch, monkeypatch):
+    # each block runs its forward on arrays with its state or cache: the
+    # Tensors a query builds (embedding, MLP, heads) are all outside them
+    model, events = build(arch), stream(30, seed=12)
+    inside, built, ran = [], [], set()
+    init = Tensor.__init__
+    monkeypatch.setattr(Tensor, "__init__",
+                        lambda t, *args, **kw: built.append(bool(inside)) or init(t, *args, **kw))
+    for cls, name in ((MambaBlock, "__call__"), (hybrid.AttentionBlock, "attend")):
+        def entered(blk, *args, run=getattr(cls, name)):
+            inside.append(blk)
+            ran.add(type(blk))
+            try:
+                return run(blk, *args)
+            finally:
+                inside.pop()
+        monkeypatch.setattr(cls, name, entered)
+    for n in (9, 20, 21):
+        model.predict_next(prefix(events, n))
+        assert built and not any(built), built
+        built.clear()
+    assert ran == {type(blk) for blk in model._stack()}
 
 
 @pytest.mark.parametrize("arch", ["mhp", "mhp-e"])

@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from helpers import (container, evaluate_one_by_one, json_checkpoint, read_container,
-                     write_v1_checkpoint, write_v2_checkpoint)
+from helpers import (adam_step_reference, container, evaluate_one_by_one, json_checkpoint,
+                     read_container, write_v1_checkpoint, write_v2_checkpoint)
 import mamba_hawkes.checkpoint as ckpt_mod
 import mamba_hawkes.training as train_mod
 from mamba_hawkes import autograd as ag
@@ -99,6 +99,29 @@ def test_adam_single_step_matches_formula():
     v_hat = (0.001 * g * g) / (1 - 0.999)
     expect = np.array([1.0, -2.0]) - 0.1 * m_hat / (np.sqrt(v_hat) + 1e-8)
     np.testing.assert_allclose(p.data, expect, rtol=1e-12)
+
+
+def test_adam_step_in_place_has_the_bits_of_its_expressions():
+    # m, v and each parameter's data are updated in place, with the bits of
+    # the expressions the step wrote before (kept as adam_step_reference)
+    rng = np.random.default_rng(31)
+    shapes = [(3, 4), (5,), (2, 1)]
+    ours = [Parameter(rng.normal(size=s)) for s in shapes]
+    ref = [Parameter(p.data.copy()) for p in ours]
+    opts = [Adam(ps, lr=0.05, beta1=0.8, beta2=0.99, eps=1e-7) for ps in (ours, ref)]
+    arrays = [p.data for p in ours] + opts[0].m + opts[0].v
+    for _ in range(3):
+        for p, q in zip(ours, ref):
+            p.grad = rng.normal(size=p.shape) * rng.choice([1e-9, 1.0, 1e6])
+            q.grad = p.grad.copy()
+        ours[1].grad = ref[1].grad = None       # a parameter no gradient reached
+        opts[0].step()
+        adam_step_reference(opts[1])
+        for p, q in zip(ours, ref):
+            assert p.data.tobytes() == q.data.tobytes()
+        for a, b in zip(opts[0].m + opts[0].v, opts[1].m + opts[1].v):
+            assert a.tobytes() == b.tobytes()
+    assert all(a is b for a, b in zip([p.data for p in ours] + opts[0].m + opts[0].v, arrays))
 
 
 def test_clip_scales_norm_only():
