@@ -179,11 +179,6 @@ def _node(data, parents, *grads):
     return out
 
 
-def any_tensor(*xs):
-    """Whether any of xs is a Tensor (an op given one builds a graph node)."""
-    return any(isinstance(x, Tensor) for x in xs)
-
-
 def lift(op, inputs, *args):
     """`op` run on the arrays of `inputs` (Tensors, arrays or None), as one
     graph node on the Tensors among them.
@@ -412,16 +407,9 @@ def causal_conv1d(x, kernel, bias=None, left=None, pullback=False):
     inputs, so that a call on the next stretch of the sequence carries on
     from it. It is a constant: no gradient reaches it.
 
-    Given arrays it returns (out, back), back None unless `pullback`:
-    back(g) returns the gradients of x, kernel and bias (None without a
-    bias). Given a Tensor among x, kernel and bias, it returns one graph node.
+    Returns (out, back), back None unless `pullback`: back(g) returns the
+    gradients of x, kernel and bias (None without a bias).
     """
-    if any_tensor(x, kernel, bias):
-        return lift(_causal_conv1d, (x, kernel, bias), left)
-    return _causal_conv1d(x, kernel, bias, left, pullback=pullback)
-
-
-def _causal_conv1d(x, kernel, bias, left, pullback):
     if x.ndim not in (2, 3) or kernel.ndim != 2:
         raise ShapeError(f"causal_conv1d expects [L, D] or [L, B, D] and [W, D], "
                          f"got {x.shape}, {kernel.shape}")

@@ -63,20 +63,13 @@ def multi_head_attention(q, k, v, n_heads, past=0, mask=None, pullback=False):
     views. The scale goes on q, and the row sums divide the [H, L, D/H]
     product with v, not the weights.
 
-    Given arrays it returns (out, back), back None unless `pullback`:
-    back(g) returns the gradients of q, k and v by the softmax-attention
-    adjoint on the same arrays. Given a Tensor among q, k and v, it returns
-    one graph node. For backward it keeps only each row's softmax max and
-    sum, [H, L, 1] each, and recomputes the [H, L, past + L] weights from
-    q, k and them by the forward's ops in the same order, with a mask of its
-    own, so it keeps no [L, L] array.
+    Returns (out, back), back None unless `pullback`: back(g) returns the
+    gradients of q, k and v by the softmax-attention adjoint on the same
+    arrays. For backward it keeps only each row's softmax max and sum,
+    [H, L, 1] each, and recomputes the [H, L, past + L] weights from q, k
+    and them by the forward's ops in the same order, with a mask of its own,
+    so it keeps no [L, L] array.
     """
-    if ag.any_tensor(q, k, v):
-        return ag.lift(_attention, (q, k, v), n_heads, past, mask)
-    return _attention(q, k, v, n_heads, past, mask, pullback=pullback)
-
-
-def _attention(q, k, v, n_heads, past, mask, pullback):
     L, D = q.shape
     P = past + L
     if k.shape != (P, D) or v.shape != (P, D):

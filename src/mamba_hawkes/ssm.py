@@ -24,16 +24,9 @@ def rms_norm(x, scale, eps=1e-5, pullback=False):
     the sum over the axis divided by its length (np.mean's add-reduce and
     true divide, without its wrapper).
 
-    Given arrays it returns (out, back), back None unless `pullback`:
-    back(g) returns the gradients of x and scale. Given a Tensor among x and
-    scale, it returns one graph node.
+    Returns (out, back), back None unless `pullback`: back(g) returns the
+    gradients of x and scale.
     """
-    if ag.any_tensor(x, scale):
-        return ag.lift(_rms_norm, (x, scale), eps)
-    return _rms_norm(x, scale, eps, pullback=pullback)
-
-
-def _rms_norm(x, scale, eps, pullback):
     D = x.shape[-1]
     r = np.sqrt((x * x).sum(axis=-1, keepdims=True) / D + eps)
     xn = x / r
@@ -130,33 +123,31 @@ def _scan_chunk(dv, av, inv_a, zero, near, bv, xv, z0, bufs):
     return abar, q, bx, zs
 
 
-def selective_scan(x, delta, a, b, c, skip=None, state=None, pullback=False):
+def selective_scan(x, a, b, c, skip, delta, state=None, pullback=False):
     """Run the time-variant recurrence z_i = abar_i * z_{i-1} + bbar_i * x_i.
 
     Args:
         x: [L, D] input stream, or [L, B, D] for B sequences at once,
             time-major (the batch axis; see below).
-        delta: [L] strictly positive step sizes, shared across channels
-            ([L, B] with a batch axis).
         a: [D, N] diagonal decay rates (negative for stability).
         b: [L, N] per-step input projections ([L, B, N]).
         c: [L, N] per-step output projections ([L, B, N]).
-        skip: optional [D] direct feedthrough added as skip * x.
+        skip: [D] direct feedthrough added as skip * x, or None.
+        delta: [L] strictly positive step sizes, shared across channels
+            ([L, B] with a batch axis). They are data: no gradient reaches
+            them.
         state: optional [D, N] array ([B, D, N]), the state z_0 before the
             first step (zeros when None). It is overwritten with the state
             after the last step, so that a call on the next stretch of the
             sequence carries on from it. It is for streaming only: passing
-            one with a pullback, or while the node records a graph, raises
-            GraphError, since no gradient reaches it.
-        pullback: on arrays, whether to return the pullback (below).
+            one with a pullback raises GraphError, since no gradient
+            reaches it.
+        pullback: whether to return the pullback (below).
 
     Returns:
-        [L, D] outputs y_i = c_i . z_i (+ skip * x_i) ([L, B, D]). Given
-        arrays, the pair (y, back), back None unless `pullback`: back(gy)
-        returns the gradients of x, a, b, c and skip (None without skip).
-        Given a Tensor among x, a, b, c and skip, y as one graph node,
-        differentiable in them. The step sizes are data: a delta that
-        requires grad raises GraphError.
+        (y, back): the [L, D] outputs y_i = c_i . z_i (+ skip * x_i)
+        ([L, B, D]), and back None unless `pullback`: back(gy) returns the
+        gradients of x, a, b, c and skip (None without skip).
 
     The batch axis runs each sequence from its own state, elementwise in B:
     a shorter one is padded at its end, and padded steps never reach
@@ -174,15 +165,6 @@ def selective_scan(x, delta, a, b, c, skip=None, state=None, pullback=False):
     abar_{i+1} * G_{i+1} for its last step. So delta and a must not change
     between forward and backward. Without a pullback it keeps nothing.
     """
-    if ag.any_tensor(x, delta, a, b, c, skip):
-        delta = ag.as_tensor(delta)
-        if ag._track(delta):
-            raise ag.GraphError("selective_scan: step sizes are data; delta must not require grad")
-        return ag.lift(_selective_scan, (x, a, b, c, skip), delta.data, state)
-    return _selective_scan(x, a, b, c, skip, delta, state, pullback=pullback)
-
-
-def _selective_scan(x, a, b, c, skip, delta, state, pullback):
     if x.ndim not in (2, 3):
         raise ag.ShapeError(f"selective_scan: x must be [L, D] or [L, B, D], got {x.shape}")
     steps, D = x.shape[:-1], x.shape[-1]
@@ -200,7 +182,7 @@ def _selective_scan(x, a, b, c, skip, delta, state, pullback):
         raise ag.ShapeError(
             f"selective_scan: b/c must be {steps + (N,)}, got {b.shape} and {c.shape}"
         )
-    if np.any(delta <= 0.0):
+    if not np.all(delta > 0.0):
         raise ag.DomainError(
             f"selective_scan: non-positive step size (min={float(delta.min())})"
         )
@@ -335,7 +317,7 @@ def mamba_block(u, scale, in_proj, kernel, bias, a_log, w_b, w_c, skip, out_proj
     xs = xc * sc
     ea = np.exp(a_log)                  # a = -exp(A_log)
     b, c = ag._linear(xs, w_b), ag._linear(xs, w_c)
-    y, scan_back = selective_scan(xs, delta, -ea, b, c, skip, z0, pullback=pullback)
+    y, scan_back = selective_scan(xs, -ea, b, c, skip, delta, z0, pullback=pullback)
     sz = ag._sigmoid(z)
     gate = z * sz
     yg = y * gate

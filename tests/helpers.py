@@ -162,8 +162,9 @@ def rms_norm_reference(x, scale, eps=1e-5):
     return x / np.sqrt((x * x).mean(axis=-1, keepdims=True) + eps) * scale
 
 
-def composed_scan(x, delta, a, b, c, skip=None):
-    """selective_scan built from elementwise autograd ops, one step at a time.
+def composed_scan(x, a, b, c, skip, delta):
+    """selective_scan built from elementwise autograd ops, one step at a time,
+    its arguments in selective_scan's order.
 
     Records about three graph nodes per step; its gradients come from the
     generic ops' backward rules, so it is an oracle for the fused scan's
@@ -194,19 +195,20 @@ def composed_mamba_block(blk, u, delta, state=None):
     """MambaBlock as the 15 generic nodes it was built from before it was
     one node: rms_norm, in_proj, two column slices, causal_conv1d, SiLU, the
     rates -exp(A_log), the B and C projections, selective_scan, SiLU of the
-    gate, the gate product, out_proj and the residual. u and delta are
-    Tensors; with a `MambaState` (under no_grad) the conv and the scan carry
-    on from it. The oracle for the fused node's forward and adjoint and for
+    gate, the gate product, out_proj and the residual, the array ops made
+    nodes by `ag.lift`. u is a Tensor and delta an array; with a
+    `MambaState` (under no_grad) the conv and the scan carry on from it. The
+    oracle for the fused node's forward and adjoint and for
     the streaming step."""
     conv_left, z0 = (None, None) if state is None else state
-    xn = rms_norm(u, blk.norm_scale)
+    xn = ag.lift(rms_norm, (u, blk.norm_scale))
     xz = ag.matmul(xn, blk.in_proj)
     x, z = xz[..., :blk.d_inner], xz[..., blk.d_inner:]
-    x = ag.silu(ag.causal_conv1d(x, blk.conv_kernel, blk.conv_bias, left=conv_left))
+    x = ag.silu(ag.lift(ag.causal_conv1d, (x, blk.conv_kernel, blk.conv_bias), conv_left))
     core = blk.ssm
     a = ag.neg(ag.exp(core.A_log))
-    y = selective_scan(x, delta, a, ag.matmul(x, core.W_B), ag.matmul(x, core.W_C),
-                       skip=core.D, state=z0)
+    y = ag.lift(selective_scan, (x, a, ag.matmul(x, core.W_B), ag.matmul(x, core.W_C), core.D),
+                delta, z0)
     y = ag.mul(y, ag.silu(z))
     return ag.add(ag.matmul(y, blk.out_proj), u)
 
@@ -214,11 +216,12 @@ def composed_mamba_block(blk, u, delta, state=None):
 def composed_attention_block(blk, x, cache=None, last=False):
     """AttentionBlock as the generic nodes it was built from before it was
     one node: rms_norm, the q, k and v projections, multi_head_attention,
-    W_o and the residual, then rms_norm, the MLP and its residual. With a
+    W_o and the residual, then rms_norm, the MLP and its residual, the
+    array ops made nodes by `ag.lift`. With a
     `KVCache` (under no_grad) x's keys and values are appended and attended
     to with the held ones, and with `last` only x's last row runs past them.
     The oracle for the fused node and for the streaming step."""
-    a = rms_norm(x, blk.norm1)
+    a = ag.lift(rms_norm, (x, blk.norm1))
     k = ag.matmul(a, blk.W_k)
     v = ag.matmul(a, blk.W_v)
     if last:
@@ -227,9 +230,9 @@ def composed_attention_block(blk, x, cache=None, last=False):
     if cache is not None:
         cache.append(k.data, v.data)
         k, v = ag.Tensor(cache.k), ag.Tensor(cache.v)
-    ctx = multi_head_attention(q, k, v, blk.n_heads, len(k) - len(q))
+    ctx = ag.lift(multi_head_attention, (q, k, v), blk.n_heads, len(k) - len(q))
     x = ag.add(x, ag.matmul(ctx, blk.W_o))
-    f = rms_norm(x, blk.norm2)
+    f = ag.lift(rms_norm, (x, blk.norm2))
     ff = ag.add(ag.matmul(ag.silu(ag.add(ag.matmul(f, blk.W_ff1), blk.b_ff1)), blk.W_ff2),
                 blk.b_ff2)
     return ag.add(x, ff)

@@ -17,7 +17,6 @@ from scipy.integrate import quad
 from helpers import (fd_noise_floor, fd_param_grads, gated_decay_reference,
                      global_grad_rel_err)
 from mamba_hawkes import autograd as ag
-from mamba_hawkes.autograd import Tensor
 from mamba_hawkes.cli import main as cli_main
 from mamba_hawkes.data import (Dataset, EventSequence, HawkesGenConfig, batch,
                                load_jsonl, simulate_hawkes)
@@ -70,9 +69,8 @@ def test_criterion_1_gated_decay_exactness():
         t = np.cumsum(rng.uniform(0.05, 2.0, size=L))
         x = rng.normal(size=L)
         delta = np.diff(t, prepend=0.0)  # raw gaps, gap_1 = t_1
-        y = selective_scan(Tensor(x.reshape(L, 1)), Tensor(delta),
-                           Tensor(np.array([[-1.0]])), Tensor(np.ones((L, 1))),
-                           Tensor(np.ones((L, 1)))).data.reshape(-1)
+        y = selective_scan(x.reshape(L, 1), np.array([[-1.0]]), np.ones((L, 1)),
+                           np.ones((L, 1)), None, delta)[0].reshape(-1)
         z = gated_decay_reference(t, x)
         worst = max(worst, float(np.max(np.abs(y - z))))
     elapsed = time.perf_counter() - t0
@@ -93,8 +91,8 @@ def test_criterion_2_zoh_quadrature_oracle():
             a = sign * mag / delta
             b = float(rng.normal())
             # with L = D = N = 1 and x = c = 1 the scan's output is bbar exactly
-            bbar = selective_scan(Tensor([[1.0]]), Tensor([delta]), Tensor([[a]]),
-                                  Tensor([[b]]), Tensor([[1.0]])).data[0, 0]
+            bbar = selective_scan(np.array([[1.0]]), np.array([[a]]), np.array([[b]]),
+                                  np.array([[1.0]]), None, np.array([delta]))[0][0, 0]
             integral, _ = quad(lambda s: np.exp(a * s), 0.0, delta,
                                epsabs=1e-14, epsrel=1e-12)
             rel = abs(bbar - integral * b) / max(abs(integral * b), 1e-300)

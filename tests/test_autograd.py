@@ -9,6 +9,7 @@ from helpers import (check_param_grads, expm1_over_x, expm1_over_x_parts,
 from mamba_hawkes import autograd as ag
 from mamba_hawkes.autograd import (DomainError, GraphError, Parameter,
                                    ShapeError, Tensor)
+from mamba_hawkes import hybrid, ssm
 from mamba_hawkes.model import IntensityHead
 from mamba_hawkes.ssm import selective_scan
 
@@ -191,8 +192,8 @@ def test_domain_errors_print_the_minimum_as_a_plain_float():
     calls = [lambda: ag.log(Tensor(np.array([1.0, 0.0]))),
              lambda: ag.softplus(Tensor(np.ones(2)), Tensor(np.array([1.0, 0.0]))),
              lambda: head.integral(np.ones(2), Tensor(np.zeros((2, 2)))),
-             lambda: selective_scan(np.ones((2, 1)), np.array([0.5, -0.25]), -np.ones((1, 1)),
-                                    np.ones((2, 1)), np.ones((2, 1)))]
+             lambda: selective_scan(np.ones((2, 1)), -np.ones((1, 1)), np.ones((2, 1)),
+                                    np.ones((2, 1)), None, np.array([0.5, -0.25]))]
     for call, low in zip(calls, ("0.0", "0.0", "0.0", "-0.25")):
         with pytest.raises(DomainError) as err:
             call()
@@ -322,28 +323,27 @@ def test_slice_concat_reshape_transpose_gradients():
 
 def test_causal_conv_identity_tap():
     rng = np.random.default_rng(10)
-    x = Tensor(rng.normal(size=(6, 3)))
+    x = rng.normal(size=(6, 3))
     k = np.zeros((4, 3))
     k[-1] = 1.0
-    out = ag.causal_conv1d(x, Tensor(k))
-    np.testing.assert_array_equal(out.data, x.data)
+    out = ag.causal_conv1d(x, k)[0]
+    np.testing.assert_array_equal(out, x)
 
 
 def test_causal_conv_hand_computed():
-    out = ag.causal_conv1d(Tensor(np.array([[1.0], [2.0], [3.0]])),
-                           Tensor(np.array([[1.0], [1.0]])))
-    np.testing.assert_array_equal(out.data, [[1.0], [3.0], [5.0]])
+    out = ag.causal_conv1d(np.array([[1.0], [2.0], [3.0]]), np.array([[1.0], [1.0]]))[0]
+    np.testing.assert_array_equal(out, [[1.0], [3.0], [5.0]])
 
 
 def test_causal_conv_causality_bit_identical():
     rng = np.random.default_rng(11)
     x = rng.normal(size=(8, 2))
-    k = Tensor(rng.normal(size=(4, 2)))
-    base = ag.causal_conv1d(Tensor(x), k).data
+    k = rng.normal(size=(4, 2))
+    base = ag.causal_conv1d(x, k)[0]
     for t in range(8):
         bumped = x.copy()
         bumped[t] += 1.0
-        out = ag.causal_conv1d(Tensor(bumped), k).data
+        out = ag.causal_conv1d(bumped, k)[0]
         assert np.array_equal(out[:t], base[:t])
         assert not np.array_equal(out[t], base[t])
 
@@ -355,7 +355,7 @@ def test_causal_conv_gradients_match_fd():
     b = Parameter(rng.normal(size=3))
     w = rng.normal(size=(5, 3))
     errs = check_param_grads(
-        lambda: ag.reduce_sum(ag.mul(ag.causal_conv1d(x, k, b), w)), [x, k, b])
+        lambda: ag.reduce_sum(ag.mul(ag.lift(ag.causal_conv1d, (x, k, b)), w)), [x, k, b])
     assert max(errs.values()) < 1e-4
 
 
@@ -380,15 +380,15 @@ def test_parameter_is_leaf():
 def test_causal_conv_left_context_carries_across_calls(W):
     rng = np.random.default_rng(13)
     x = rng.normal(size=(9, 3))
-    k, b = Tensor(rng.normal(size=(W, 3))), Tensor(rng.normal(size=3))
-    whole = ag.causal_conv1d(Tensor(x), k, b).data
+    k, b = rng.normal(size=(W, 3)), rng.normal(size=3)
+    whole = ag.causal_conv1d(x, k, b)[0]
     left = np.zeros((W - 1, 3))
-    parts = [ag.causal_conv1d(Tensor(x[lo:hi]), k, b, left=left).data
+    parts = [ag.causal_conv1d(x[lo:hi], k, b, left=left)[0]
              for lo, hi in ((0, 1), (1, 6), (6, 9))]
     np.testing.assert_array_equal(np.concatenate(parts), whole)
     np.testing.assert_array_equal(left, x[9 - (W - 1):])
     with pytest.raises(ag.ShapeError, match="left context"):
-        ag.causal_conv1d(Tensor(x), k, b, left=np.zeros((W, 3)))
+        ag.causal_conv1d(x, k, b, left=np.zeros((W, 3)))
 
 
 @pytest.mark.parametrize("W", [1, 4])
@@ -399,21 +399,20 @@ def test_causal_conv_batch_axis_equals_per_sequence_calls(W):
     rng = np.random.default_rng(14)
     lengths, D = (6, 1, 9, 3), 3
     L, B = max(lengths), len(lengths)
-    k, b = Tensor(rng.normal(size=(W, D))), Tensor(rng.normal(size=D))
+    k, b = rng.normal(size=(W, D)), rng.normal(size=D)
     seqs = [rng.normal(size=(n, D)) for n in lengths]
-    want = [ag.causal_conv1d(Tensor(x), k, b).data for x in seqs]
+    want = [ag.causal_conv1d(x, k, b)[0] for x in seqs]
     for scale in (1.0, 1e6):
         x = scale * rng.normal(size=(L, B, D))
         for j, s in enumerate(seqs):
             x[:len(s), j] = s
-        out = ag.causal_conv1d(Tensor(x), k, b).data
+        out = ag.causal_conv1d(x, k, b)[0]
         assert out.shape == (L, B, D)
         for j, n in enumerate(lengths):
             assert np.array_equal(out[:n, j], want[j])
     left = np.zeros((W - 1, B, D))
-    parts = [ag.causal_conv1d(Tensor(x[lo:hi]), k, b, left=left).data
-             for lo, hi in ((0, 2), (2, L))]
-    np.testing.assert_array_equal(np.concatenate(parts), ag.causal_conv1d(Tensor(x), k, b).data)
+    parts = [ag.causal_conv1d(x[lo:hi], k, b, left=left)[0] for lo, hi in ((0, 2), (2, L))]
+    np.testing.assert_array_equal(np.concatenate(parts), ag.causal_conv1d(x, k, b)[0])
 
 
 def test_causal_conv_batch_axis_gradients_match_fd_and_per_sequence_calls():
@@ -427,13 +426,13 @@ def test_causal_conv_batch_axis_gradients_match_fd_and_per_sequence_calls():
     x = Parameter(time_major(seqs, L, rng.normal(size=(L, B, D))))
     w = time_major(ws, L, np.zeros((L, B, D)))
     k, b = Parameter(rng.normal(size=(W, D))), Parameter(rng.normal(size=D))
-    errs = check_param_grads(lambda: ag.reduce_sum(ag.mul(ag.causal_conv1d(x, k, b), w)),
+    errs = check_param_grads(lambda: ag.reduce_sum(ag.mul(ag.lift(ag.causal_conv1d, (x, k, b)), w)),
                              [x, k, b])
     assert max(errs.values()) < 1e-6, errs
     alone = []
     for s, wj in zip(seqs, ws):
         one = [Parameter(s.copy()), Parameter(k.data.copy()), Parameter(b.data.copy())]
-        ag.backward(ag.reduce_sum(ag.mul(ag.causal_conv1d(*one), wj)))
+        ag.backward(ag.reduce_sum(ag.mul(ag.lift(ag.causal_conv1d, one), wj)))
         alone.append([p.grad for p in one])
     assert rel_err(x.grad, time_major([g[0] for g in alone], L, np.zeros(x.shape))) < 1e-12
     assert rel_err(k.grad, sum(g[1] for g in alone)) < 1e-12
@@ -453,3 +452,89 @@ def test_add_names_shapes_that_do_not_broadcast():
         except ValueError:
             with pytest.raises(ShapeError, match="are not broadcastable"):
                 ag.mul(np.ones(sa), np.ones(sb))
+
+
+# -- lift: the one way an array op becomes a graph node ----------------------
+
+
+def affine(x, w, b, calls=None, pullback=False):
+    """x * w (+ b) in the array ops' convention, recording each `pullback`
+    it is asked for in `calls`."""
+    if calls is not None:
+        calls.append(pullback)
+    out = x * w if b is None else x * w + b
+    if not pullback:
+        return out, None
+    return out, lambda g: (g * w, g * x, None if b is None else g)
+
+
+def test_lift_gives_a_none_input_no_gradient():
+    x, w = Parameter(np.array([1.0, 2.0])), Parameter(np.array([3.0, -1.0]))
+    out = ag.lift(affine, (x, w, None))
+    assert out._parents == (x, w)
+    ag.backward(ag.reduce_sum(out))
+    assert np.array_equal(x.grad, w.data) and np.array_equal(w.grad, x.data)
+
+
+def test_lift_leaves_an_untracked_tensor_without_a_gradient():
+    x, w = Parameter(np.array([1.0, 2.0])), Tensor(np.array([3.0, -1.0]))
+    ag.backward(ag.reduce_sum(ag.lift(affine, (x, w, None))))
+    assert w.grad is None and np.array_equal(x.grad, w.data)
+
+
+def test_lift_adds_both_gradients_of_a_tensor_passed_twice():
+    x = Parameter(np.array([1.5, -2.0]))
+    ag.backward(ag.reduce_sum(ag.lift(affine, (x, x, np.ones(2)))))
+    assert np.array_equal(x.grad, 2.0 * x.data)
+
+
+def test_lift_asks_for_no_pullback_when_nothing_records():
+    x, w, calls = Parameter(np.ones(2)), Parameter(np.ones(2)), []
+    with ag.no_grad():
+        out = ag.lift(affine, (x, w, None), calls)
+    assert calls == [False] and out._parents == () and not out.requires_grad
+    ag.lift(affine, (Tensor(np.ones(2)), np.ones(2), None), calls)
+    ag.lift(affine, (x, w, None), calls)
+    assert calls == [False, False, True]
+
+
+LIFTED_OPS = ("rms_norm", "causal_conv1d", "selective_scan", "multi_head_attention",
+              "mamba_block", "attention_block")
+
+
+def lifted_op(name):
+    """(op, inputs, constants) of the array op `name` that `lift` takes,
+    with every optional input given."""
+    rng = np.random.default_rng(16)
+    L, B, D, N = 5, 2, 3, 4
+    mamba = ssm.MambaBlock(d_model=4, d_state=2, d_conv=3, expand=2, rng=rng)
+    attn = hybrid.AttentionBlock(d_model=4, n_heads=2, ff_dim=6, rng=rng)
+    return dict(
+        rms_norm=(ssm.rms_norm, (rng.normal(size=(L, D)), rng.normal(size=D)), ()),
+        causal_conv1d=(ag.causal_conv1d, (rng.normal(size=(L, B, D)), rng.normal(size=(3, D)),
+                            rng.normal(size=D)), ()),
+        selective_scan=(selective_scan, (rng.normal(size=(L, B, D)),
+                                         -np.exp(rng.normal(size=(D, N))),
+                                         rng.normal(size=(L, B, N)), rng.normal(size=(L, B, N)),
+                                         rng.normal(size=D)),
+                        (rng.uniform(0.1, 1.0, size=(L, B)),)),
+        multi_head_attention=(hybrid.multi_head_attention,
+                              (rng.normal(size=(L, 4)), rng.normal(size=(L + 2, 4)),
+                               rng.normal(size=(L + 2, 4))), (2, 2)),
+        mamba_block=(ssm.mamba_block,
+                     (rng.normal(size=(L, B, 4)), *(p.data for p in mamba.parameters())),
+                     (rng.uniform(0.1, 1.0, size=(L, B)),)),
+        attention_block=(hybrid.attention_block,
+                         (rng.normal(size=(L, 4)), *(p.data for p in attn.parameters())), (2,)),
+    )[name]
+
+
+@pytest.mark.parametrize("name", LIFTED_OPS)
+def test_every_lifted_op_returns_one_gradient_per_input_in_its_shape(name):
+    # lift zips the inputs with back's gradients, so a missing one would be
+    # dropped without a word
+    op, inputs, constants = lifted_op(name)
+    out, back = op(*inputs, *constants, pullback=True)
+    grads = back(np.ones(out.shape))
+    assert len(grads) == len(inputs)
+    assert [np.shape(g) for g in grads] == [x.shape for x in inputs]

@@ -29,9 +29,9 @@ def test_single_token_attention_is_value_projection():
     out = blk(Tensor(x)).data
 
     # softmax over one position is 1, so attention passes the value through
-    a = rms_norm(Tensor(x), blk.norm1).data
+    a = rms_norm(x, blk.norm1.data)[0]
     after_attn = x + (a @ blk.W_v.data) @ blk.W_o.data
-    f = rms_norm(Tensor(after_attn), blk.norm2).data
+    f = rms_norm(after_attn, blk.norm2.data)[0]
     pre = f @ blk.W_ff1.data + blk.b_ff1.data
     expect = after_attn + (pre / (1 + np.exp(-pre))) @ blk.W_ff2.data + blk.b_ff2.data
     np.testing.assert_allclose(out, expect, atol=1e-12)
@@ -196,7 +196,7 @@ def attention_inputs(L, past, D, seed):
 def test_multi_head_attention_matches_composed_heads(n_heads, past):
     q, k, v = attention_inputs(5, past, 8, seed=n_heads + past)
     w = np.random.default_rng(9).normal(size=(5, 8))
-    fused = multi_head_attention(q, k, v, n_heads, past)
+    fused = ag.lift(multi_head_attention, (q, k, v), n_heads, past)
     ag.backward(ag.reduce_sum(ag.mul(fused, w)))
     grads = [t.grad.copy() for t in (q, k, v)]
     for t in (q, k, v):
@@ -213,12 +213,13 @@ def test_multi_head_attention_gradients_match_fd(n_heads):
     q, k, v = attention_inputs(4, 2, 8, seed=10 + n_heads)
     w = np.random.default_rng(11).normal(size=(4, 8))
     errs = check_param_grads(
-        lambda: ag.reduce_sum(ag.mul(multi_head_attention(q, k, v, n_heads, 2), w)), [q, k, v])
+        lambda: ag.reduce_sum(ag.mul(ag.lift(multi_head_attention, (q, k, v), n_heads, 2), w)),
+        [q, k, v])
     assert max(errs.values()) < 1e-6, errs
 
 
 def test_multi_head_attention_rejects_bad_shapes():
-    q, k, v = attention_inputs(3, 2, 8, seed=0)
+    q, k, v = (t.data for t in attention_inputs(3, 2, 8, seed=0))
     with pytest.raises(ag.ShapeError, match="past"):
         multi_head_attention(q, k, v, 2, past=1)
     with pytest.raises(ag.ShapeError, match="divisible"):

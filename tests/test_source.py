@@ -81,3 +81,46 @@ def test_the_random_rule_sees_global_draws_and_seeds():
                      "from numpy.random import rand\n"
                      "from numpy import random\n")
     assert _global_random_uses(tree) == {3, 4, 5, 6}
+
+
+# The array ops take and return arrays; `autograd.lift` alone makes a graph
+# node of one, so none of them names the Tensor machinery
+ARRAY_OPS = {"ssm.py": ("rms_norm", "selective_scan", "mamba_block"),
+             "autograd.py": ("causal_conv1d",),
+             "hybrid.py": ("multi_head_attention", "attention_block")}
+GRAPH_NAMES = {"Tensor", "lift", "as_tensor", "any_tensor"}
+
+
+def _graph_names(tree, name):
+    """Line numbers in the top-level function `name` of tree of a name or
+    attribute in GRAPH_NAMES; None if tree has no such function."""
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef) and fn.name == name:
+            return {node.lineno for node in ast.walk(fn)
+                    if isinstance(node, ast.Name) and node.id in GRAPH_NAMES
+                    or isinstance(node, ast.Attribute) and node.attr in GRAPH_NAMES}
+    return None
+
+
+def test_array_ops_name_no_tensor_machinery():
+    found = []
+    for module, names in ARRAY_OPS.items():
+        tree = ast.parse((SRC / "mamba_hawkes" / module).read_text("utf-8"))
+        for name in names:
+            lines = _graph_names(tree, name)
+            assert lines is not None, f"no function {name} in {module}"
+            found += [f"{module}:{lineno} ({name})" for lineno in sorted(lines)]
+    assert not found, f"array ops naming Tensor, lift, as_tensor or any_tensor: {', '.join(found)}"
+
+
+def test_the_array_op_rule_sees_tensor_machinery():
+    tree = ast.parse("def op(x, pullback=False):\n"
+                     "    if ag.any_tensor(x):\n"
+                     "        return ag.lift(op, (x,))\n"
+                     "    t = Tensor(x)\n"
+                     "    y = as_tensor(x)\n"
+                     "    return x, None\n"
+                     "def lift(x):\n"
+                     "    return x\n")
+    assert _graph_names(tree, "op") == {2, 3, 4, 5}
+    assert _graph_names(tree, "lift") == set() and _graph_names(tree, "other") is None

@@ -33,6 +33,11 @@ def naive_scan(x, delta, a, b, c, skip):
     return np.stack(ys)
 
 
+def scan_node(x, a, b, c, skip, delta, state=None):
+    """selective_scan as one graph node on the Tensors among x, a, b, c, skip."""
+    return ag.lift(selective_scan, (x, a, b, c, skip), delta, state)
+
+
 # -- discretization, read off the scan ---------------------------------------
 
 
@@ -42,8 +47,8 @@ def zoh_step(delta, a, b=1.0):
     With D = N = 1 and x_1 = c = 1, y_1 is bbar exactly; a second step with
     zero input gives y_2 = abar * bbar.
     """
-    y = selective_scan(Tensor([[1.0], [0.0]]), Tensor([delta, delta]), Tensor([[a]]),
-                       Tensor([[b], [b]]), Tensor(np.ones((2, 1)))).data[:, 0]
+    y = selective_scan(np.array([[1.0], [0.0]]), np.array([[a]]), np.array([[b], [b]]),
+                       np.ones((2, 1)), None, np.array([delta, delta]))[0][:, 0]
     return y[1] / y[0], y[0]
 
 
@@ -98,8 +103,7 @@ def test_rate_gradient_agrees_across_the_series_cutoff(sign):
     want = c * b * x * delta ** 2 * (0.5 + us / 3.0 + us * us / 8.0 + us ** 3 / 30.0)
     for cols in ([0], [1], [0, 1]):
         a = Parameter(us[None, cols] / delta)
-        y = selective_scan(Tensor([[x]]), Tensor([delta]), a, Tensor([[b] * len(cols)]),
-                           Tensor([[c] * len(cols)]))
+        y = scan_node([[x]], a, [[b] * len(cols)], [[c] * len(cols)], None, np.array([delta]))
         ag.backward(ag.reduce_sum(y))
         np.testing.assert_allclose(a.grad[0], want[cols], rtol=1e-10, atol=0)
 
@@ -119,10 +123,10 @@ def test_zero_and_infinite_rates_give_finite_values_without_warnings(monkeypatch
     v["a"] = a
     w = np.random.default_rng(34).normal(size=(L, 2))
     out = []
-    for scan in (selective_scan, composed_scan):
+    for scan in (scan_node, composed_scan):
         params = {k: Parameter(v[k].copy()) for k in ("x", "a", "b", "c", "skip")}
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            y = scan(delta=Tensor(v["delta"]), **params)
+            y = scan(delta=v["delta"], **params)
             ag.backward(ag.reduce_sum(ag.mul(y, w)))
         out.append((y.data, {k: p.grad for k, p in params.items()}))
     (y, grads), (y_ref, grads_ref) = out
@@ -131,8 +135,8 @@ def test_zero_and_infinite_rates_give_finite_values_without_warnings(monkeypatch
         assert np.all(np.isfinite(grads[k])) and rel_err(grads[k], grads_ref[k]) < 1e-10, k
     abar, bbar = zoh_step(0.7, -0.0, 2.0)
     assert abar == 1.0 and bbar == 0.7 * 2.0
-    bbar = selective_scan(Tensor([[1.0]]), Tensor([0.7]), Tensor([[-np.inf]]),
-                          Tensor([[2.0]]), Tensor([[1.0]])).data
+    bbar = selective_scan(np.array([[1.0]]), np.array([[-np.inf]]), np.array([[2.0]]),
+                          np.array([[1.0]]), None, np.array([0.7]))[0]
     assert bbar[0, 0] == 0.0
 
 
@@ -152,8 +156,7 @@ def test_scan_single_step_base_case():
     b = rng.normal(size=(1, 2))
     c = rng.normal(size=(1, 2))
     skip = rng.normal(size=3)
-    y = selective_scan(Tensor(x), Tensor(delta), Tensor(a), Tensor(b), Tensor(c),
-                       Tensor(skip)).data
+    y = selective_scan(x, a, b, c, skip, delta)[0]
     u = delta[0] * a
     bbar = delta[0] * (np.expm1(u) / u) * b[0][None, :]
     expect = (bbar * x[0][:, None]) @ c[0] + skip * x[0]
@@ -170,37 +173,42 @@ def test_scan_matches_naive_loop():
         b = rng.normal(size=(L, N))
         c = rng.normal(size=(L, N))
         skip = rng.normal(size=D)
-        y = selective_scan(Tensor(x), Tensor(delta), Tensor(a), Tensor(b),
-                           Tensor(c), Tensor(skip)).data
+        y = selective_scan(x, a, b, c, skip, delta)[0]
         np.testing.assert_allclose(y, naive_scan(x, delta, a, b, c, skip), rtol=0, atol=1e-12)
 
 
 def test_scan_length_mismatch_error():
     with pytest.raises(ShapeError, match="length mismatch"):
-        selective_scan(Tensor(np.ones((3, 2))), Tensor(np.ones(4)),
-                       Tensor(-np.ones((2, 2))), Tensor(np.ones((3, 2))),
-                       Tensor(np.ones((3, 2))))
+        selective_scan(np.ones((3, 2)), -np.ones((2, 2)), np.ones((3, 2)), np.ones((3, 2)),
+                       None, np.ones(4))
 
 
 def test_scan_rejects_nonpositive_delta():
     with pytest.raises(DomainError, match="non-positive"):
-        selective_scan(Tensor(np.ones((2, 1))), Tensor(np.array([0.5, -0.1])),
-                       Tensor(-np.ones((1, 1))), Tensor(np.ones((2, 1))),
-                       Tensor(np.ones((2, 1))))
+        selective_scan(np.ones((2, 1)), -np.ones((1, 1)), np.ones((2, 1)), np.ones((2, 1)),
+                       None, np.array([0.5, -0.1]))
+
+
+def test_scan_rejects_nan_step_sizes():
+    # NaN compares False with 0 both ways, so the check asks that every step
+    # be positive rather than that none be non-positive
+    with pytest.raises(DomainError, match="non-positive"):
+        selective_scan(np.ones((2, 1)), -np.ones((1, 1)), np.ones((2, 1)), np.ones((2, 1)),
+                       None, np.array([0.5, np.nan]))
 
 
 def test_scan_gradients_match_fd():
     rng = np.random.default_rng(3)
     L, D, N = 4, 2, 3
     x = Parameter(rng.normal(size=(L, D)))
-    delta = Tensor(rng.uniform(0.5, 1.5, size=L))
+    delta = rng.uniform(0.5, 1.5, size=L)
     a = Parameter(-np.exp(rng.normal(size=(D, N))))
     b = Parameter(rng.normal(size=(L, N)))
     c = Parameter(rng.normal(size=(L, N)))
     skip = Parameter(rng.normal(size=D))
     w = rng.normal(size=(L, D))
     errs = check_param_grads(
-        lambda: ag.reduce_sum(ag.mul(selective_scan(x, delta, a, b, c, skip), w)),
+        lambda: ag.reduce_sum(ag.mul(ag.lift(selective_scan, (x, a, b, c, skip), delta), w)),
         [x, a, b, c, skip])
     assert max(errs.values()) < 1e-4, errs
 
@@ -227,9 +235,9 @@ def test_scan_gradients_match_composed_oracle(L, D, N, monkeypatch):
                   skip=rng.normal(size=D))
     w = rng.normal(size=(L, D))
     grads = []
-    for scan in (selective_scan, composed_scan):
+    for scan in (scan_node, composed_scan):
         params = {k: Parameter(v.copy()) for k, v in values.items()}
-        ag.backward(ag.reduce_sum(ag.mul(scan(delta=Tensor(delta), **params), w)))
+        ag.backward(ag.reduce_sum(ag.mul(scan(delta=delta, **params), w)))
         grads.append({k: p.grad for k, p in params.items()})
     fused, composed = grads
     for k in values:
@@ -253,9 +261,9 @@ def test_scan_agrees_with_composed_oracle_across_the_exp_cutoff(side, monkeypatc
                   c=rng.normal(size=(L, N)), skip=rng.normal(size=D))
     w = rng.normal(size=(L, D))
     out = []
-    for scan in (selective_scan, composed_scan):
+    for scan in (scan_node, composed_scan):
         params = {k: Parameter(v.copy()) for k, v in values.items()}
-        y = scan(delta=Tensor(delta), **params)
+        y = scan(delta=delta, **params)
         ag.backward(ag.reduce_sum(ag.mul(y, w)))
         out.append((y.data, {k: p.grad for k, p in params.items()}))
     (y, grads), (y_ref, grads_ref) = out
@@ -294,12 +302,12 @@ def test_steps_whose_rates_straddle_the_cutoff_choose_per_element():
         e_minus_1 = np.where(near, np.expm1(u), np.exp(u) - 1.0)
         assert np.any(e_minus_1 != np.expm1(u))
         state = np.zeros((D, N))
-        selective_scan(np.ones((1, D)), np.array([delta]), a, np.ones((1, N)),
-                       np.ones((1, N)), state=state)
+        selective_scan(np.ones((1, D)), a, np.ones((1, N)), np.ones((1, N)), None,
+                       np.array([delta]), state)
         bbar = e_minus_1 * (1.0 / a)
         assert np.array_equal(state, bbar)
-        selective_scan(np.zeros((1, D)), np.array([delta]), a, np.ones((1, N)),
-                       np.ones((1, N)), state=state)
+        selective_scan(np.zeros((1, D)), a, np.ones((1, N)), np.ones((1, N)), None,
+                       np.array([delta]), state)
         assert np.array_equal(state, np.where(near, np.expm1(u) + 1.0, np.exp(u)) * bbar)
 
 
@@ -342,8 +350,8 @@ def test_rms_norm_forward_is_bit_equal_to_plain_numpy():
     for shape in ((7, 16), (1, 64), (90, 64)):
         x, scale = rng.normal(size=shape) * 3.0, rng.normal(size=shape[-1])
         x[0] *= 1e-4      # eps matters in this row
-        out = ssm.rms_norm(Tensor(x), Parameter(scale))
-        assert np.array_equal(out.data, rms_norm_reference(x, scale))
+        out = ssm.rms_norm(x, scale)[0]
+        assert np.array_equal(out, rms_norm_reference(x, scale))
 
 
 def test_rms_norm_is_one_node_with_gradients_matching_fd():
@@ -352,9 +360,9 @@ def test_rms_norm_is_one_node_with_gradients_matching_fd():
     x.data[1] *= 0.05     # a row whose norm eps moves
     scale = Parameter(rng.normal(size=6))
     w = rng.normal(size=(5, 6))
-    out = ssm.rms_norm(x, scale)
+    out = ag.lift(ssm.rms_norm, (x, scale))
     assert out._parents == (x, scale)
-    errs = check_param_grads(lambda: ag.reduce_sum(ag.mul(ssm.rms_norm(x, scale), w)),
+    errs = check_param_grads(lambda: ag.reduce_sum(ag.mul(ag.lift(ssm.rms_norm, (x, scale)), w)),
                              [x, scale])
     assert max(errs.values()) < 1e-7, errs
 
@@ -483,9 +491,8 @@ def test_scan_reproduces_gated_decay_reference():
         gaps = rng.uniform(0.01, 3.0, size=L)
         t = np.cumsum(gaps)
         x = rng.normal(size=L)
-        y = selective_scan(Tensor(x.reshape(L, 1)), Tensor(gaps),
-                           Tensor(np.array([[-1.0]])), Tensor(np.ones((L, 1))),
-                           Tensor(np.ones((L, 1)))).data.reshape(-1)
+        y = selective_scan(x.reshape(L, 1), np.array([[-1.0]]), np.ones((L, 1)),
+                           np.ones((L, 1)), None, gaps)[0].reshape(-1)
         z = gated_decay_reference(t, x)
         assert np.max(np.abs(y - z)) < 1e-12
 
@@ -564,7 +571,7 @@ def test_fused_block_matches_the_composed_nodes(B):
         nodes = ag.topo_order(blk(u, delta))
         fused, fused_grads = block_grads(lambda: blk(u, delta), inputs, w)
         composed, composed_grads = block_grads(
-            lambda: composed_mamba_block(blk, u, Tensor(delta)), inputs, w)
+            lambda: composed_mamba_block(blk, u, delta), inputs, w)
     assert [n for n in nodes if n._parents] == nodes[-1:]
     assert np.array_equal(fused, composed)
     for (name, _), g, want in zip([("u", u)] + blk.named_parameters(), fused_grads,
@@ -583,7 +590,7 @@ def test_streaming_block_matches_the_composed_nodes_bit_for_bit():
     for lo, hi in ((0, 1), (1, 3), (3, 12), (12, 19)):
         y = blk(u[lo:hi], delta[lo:hi], ours)
         with ag.no_grad():
-            want = composed_mamba_block(blk, Tensor(u[lo:hi]), Tensor(delta[lo:hi]), theirs)
+            want = composed_mamba_block(blk, Tensor(u[lo:hi]), delta[lo:hi], theirs)
         assert isinstance(y, np.ndarray) and np.array_equal(y, want.data)
         assert np.array_equal(ours.conv, theirs.conv) and np.array_equal(ours.z, theirs.z)
 
@@ -646,7 +653,7 @@ def test_scan_chunk_length_moves_only_the_rate_gradient(monkeypatch, chunk):
 
     def run():
         params = {k: Parameter(v[k].copy()) for k in ("x", "a", "b", "c", "skip")}
-        y = selective_scan(delta=Tensor(v["delta"]), **params)
+        y = scan_node(delta=v["delta"], **params)
         ag.backward(ag.reduce_sum(ag.mul(y, w)))
         return y.data, {k: p.grad for k, p in params.items()}
 
@@ -660,23 +667,15 @@ def test_scan_chunk_length_moves_only_the_rate_gradient(monkeypatch, chunk):
     np.testing.assert_allclose(grads_c["a"], grads["a"], rtol=1e-14, atol=0)
 
 
-def test_scan_refuses_a_tracked_delta():
-    # step sizes are data: no gradient is computed for them
-    v = scan_inputs(np.random.default_rng(22), 5, 2, 3)
-    v["delta"] = Parameter(v["delta"])
-    with pytest.raises(GraphError, match="delta must not require grad"):
-        selective_scan(**v)
-
-
 def test_scan_refuses_a_state_while_recording():
     # no gradient reaches z_0, so a recorded call from a carried state would
     # give wrong gradients for a; it is refused instead
     v = scan_inputs(np.random.default_rng(25), 5, 2, 3)
     v["a"] = Parameter(v["a"])
     with pytest.raises(GraphError, match="no_grad"):
-        selective_scan(**v, state=np.zeros((2, 3)))
+        scan_node(**v, state=np.zeros((2, 3)))
     with ag.no_grad():
-        selective_scan(**v, state=np.zeros((2, 3)))
+        scan_node(**v, state=np.zeros((2, 3)))
 
 
 def test_attend_refuses_a_cache_while_recording():
@@ -764,14 +763,14 @@ def test_scan_batch_axis_gradients_match_fd_and_per_sequence_calls(monkeypatch):
     params = dict(x=Parameter(batch["x"]), a=Parameter(a.copy()), b=Parameter(batch["b"]),
                   c=Parameter(batch["c"]), skip=Parameter(seqs[0]["skip"].copy()))
     errs = check_param_grads(
-        lambda: ag.reduce_sum(ag.mul(selective_scan(delta=Tensor(batch["delta"]), **params), w)),
+        lambda: ag.reduce_sum(ag.mul(scan_node(delta=batch["delta"], **params), w)),
         list(params.values()))
     assert max(errs.values()) < 1e-4, errs
     alone = []
     for v, wj in zip(seqs, ws):
         one = {k: Parameter(v[k].copy()) for k in ("x", "b", "c")}
         one.update(a=Parameter(a.copy()), skip=Parameter(seqs[0]["skip"].copy()))
-        ag.backward(ag.reduce_sum(ag.mul(selective_scan(delta=Tensor(v["delta"]), **one), wj)))
+        ag.backward(ag.reduce_sum(ag.mul(scan_node(delta=v["delta"], **one), wj)))
         alone.append({k: p.grad for k, p in one.items()})
     for k in ("x", "b", "c"):
         want = time_major([g[k] for g in alone], L, np.zeros(params[k].shape))
